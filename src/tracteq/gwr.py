@@ -4,13 +4,17 @@ Each tract gets its own weighted least-squares fit, with weights decaying by
 centroid distance under a bandwidth set adaptively as the distance to the
 neighbors_k-th nearest tract (the tract itself counts as its first neighbor).
 The neighbor count is chosen by minimizing small-sample-corrected AIC.
+
+fit_gwr solves every local fit for one bandwidth at once from the normal
+equations, a chunk of kernel rows at a time (after FastGWR, Li et al. 2019).
+fit_local is the per-tract QR fit; it is the oracle for the batched path and
+refits every tract whose batched system is marginal.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,18 @@ TIE_TOL = 1e-9
 
 # Ranges at most this wide are scanned exhaustively instead of golden-section.
 EXHAUSTIVE_LIMIT = 25
+
+# fit_gwr builds this many kernel weights (rows x n) per chunk, so each of its
+# chunk temporaries stays at 2 MiB whatever the number of tracts.
+CHUNK_CELLS = 1 << 18
+
+# A batched local system is marginal, and is refitted by fit_local, when its
+# equilibrated Cholesky factor has a pivot below PIVOT_MIN (normal equations
+# square the condition number, so precision goes first there), or when its
+# raw Cholesky diagonal ratio is within RANK_MARGIN of the RANK_RTOL test
+# fit_local applies to diag(R).
+PIVOT_MIN = 1e-4
+RANK_MARGIN = 1e3
 
 
 @dataclass(frozen=True)
@@ -119,9 +135,13 @@ class GwrSummary:
     n_failed: int
 
 
-def gaussian_weights(distances: np.ndarray, bandwidth: float) -> np.ndarray:
-    """w_i = exp(-(d_i / b)^2 / 2); 1 at d=0, strictly decreasing in d."""
-    if not bandwidth > 0:
+def gaussian_weights(distances: np.ndarray, bandwidth) -> np.ndarray:
+    """w_i = exp(-(d_i / b)^2 / 2); 1 at d=0, strictly decreasing in d.
+
+    bandwidth is a scalar or an array broadcasting against distances (one
+    bandwidth per row of a distance matrix).
+    """
+    if not np.all(np.asarray(bandwidth) > 0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     d = np.asarray(distances, dtype=float)
     if np.any(d < 0):
@@ -138,13 +158,48 @@ def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
     n = len(tracts)
     if not 1 <= neighbors_k <= n:
         raise ValueError(f"neighbors_k={neighbors_k} outside [1, {n}]")
-    deltas = tracts.centroids - tracts.centroids[j]
-    d = np.sqrt(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
-    return float(np.partition(d, neighbors_k - 1)[neighbors_k - 1])
+    d = cdist(tracts.centroids[j : j + 1], tracts.centroids)
+    return float(_bandwidths(d, neighbors_k)[0])
 
 
 def _bandwidths(distances: np.ndarray, neighbors_k: int) -> np.ndarray:
     return np.partition(distances, neighbors_k - 1, axis=1)[:, neighbors_k - 1]
+
+
+def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of normal equations A beta = b (m x p x p and m x p).
+
+    Returns beta, M = A^-1 and a mask of the sound systems. Each A is
+    equilibrated by its diagonal and Cholesky-factored column by column
+    across the whole stack; a system is unsound when a scaled pivot is below
+    PIVOT_MIN, when its raw diagonal ratio is within RANK_MARGIN of RANK_RTOL,
+    or when it is not positive definite (NaN pivots compare False).
+    """
+    p = b.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.sqrt(np.einsum("mii->mi", A))
+        scale = d[:, :, None] * d[:, None, :]
+        As = A / scale
+        L = np.zeros_like(As)
+        for j in range(p):
+            L[:, j, j] = np.sqrt(As[:, j, j] - np.einsum("mk,mk->m", L[:, j, :j], L[:, j, :j]))
+            for i in range(j + 1, p):
+                dot = np.einsum("mk,mk->m", L[:, i, :j], L[:, j, :j])
+                L[:, i, j] = (As[:, i, j] - dot) / L[:, j, j]
+        L_inv = np.zeros_like(L)
+        for i in range(p):
+            L_inv[:, i, i] = 1.0 / L[:, i, i]
+            for j in range(i):
+                dot = np.einsum("mk,mk->m", L[:, i, j:i], L_inv[:, j:i, j])
+                L_inv[:, i, j] = -dot / L[:, i, i]
+        M = np.einsum("mki,mkj->mij", L_inv, L_inv) / scale
+        beta = np.einsum("mij,mj->mi", M, b)
+        pivots = np.einsum("mii->mi", L)
+        raw = pivots * d
+        sound = (pivots.min(axis=1) >= PIVOT_MIN) & (
+            raw.min(axis=1) > RANK_RTOL * RANK_MARGIN * raw.max(axis=1)
+        )
+    return beta, M, sound
 
 
 def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
@@ -223,6 +278,71 @@ def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
     )
 
 
+def _fit_chunk(
+    data: DesignData,
+    distances: np.ndarray,
+    bw: np.ndarray,
+    rhs: np.ndarray,
+    s: int,
+    e: int,
+    aicc_loo: bool,
+) -> tuple[np.ndarray, ...]:
+    """Local fits for tracts s..e-1 from their kernel rows, all at once.
+
+    Row i of rhs is [vec(x_i x_i'), x_i y_i, y_i], so W @ rhs gives every
+    local X'WX, X'Wy and the weighted sum of y in one product. Tracts
+    whose batched system is marginal are refitted by fit_local. Returns
+    coefficients, unit-sigma SEs, hat diagonal, raw local R^2, the fitted
+    values AICc uses (leave-one-out ones under aicc_loo) and the ok mask.
+    """
+    X, y = data.X, data.y
+    p = X.shape[1]
+    xx = rhs[:, : p * p]
+    own = np.arange(e - s), np.arange(s, e)
+    W = gaussian_weights(distances[s:e], bw[s:e, None])
+    keep = W > WEIGHT_FLOOR
+    W *= keep
+    w_own = W[own]
+    active = keep.sum(axis=1)
+    G = W @ rhs
+    beta, M, ok = _solve_normal(G[:, : p * p].reshape(-1, p, p), G[:, p * p : p * p + p])
+    Xc = X[s:e]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        B = ((W * W) @ xx).reshape(-1, p, p)
+        se_unit = np.sqrt(np.einsum("mca,mab,mcb->mc", M, B, M))
+        resid = y - beta @ X.T
+        rss_w = np.einsum("mi,mi,mi->m", W, resid, resid)
+        dev = y - G[:, -1:] / W.sum(axis=1, keepdims=True)
+        tss_w = np.einsum("mi,mi,mi->m", W, dev, dev)
+        r2_raw = np.where(
+            tss_w > 0.0, 1.0 - rss_w / tss_w, np.where(rss_w <= 1e-24, 1.0, 0.0)
+        )
+        hat_diag = w_own * np.einsum("mi,mij,mj->m", Xc, M, Xc)
+    fitted = np.einsum("mi,mi->m", Xc, beta)
+    ok &= (active >= p) & np.isfinite(hat_diag) & np.isfinite(fitted) & np.isfinite(r2_raw)
+    ok &= np.isfinite(beta).all(axis=1) & np.isfinite(se_unit).all(axis=1)
+    for r in np.flatnonzero(~ok):
+        local = fit_local(data, W[r], s + r)
+        beta[r], se_unit[r], hat_diag[r] = local.coefficients, local.se_unit, local.hat_diag
+        r2_raw[r], fitted[r], ok[r] = local.local_r2_raw, local.fitted, local.ok
+
+    if aicc_loo:
+        # Leave-one-out systems: tract j's own row taken out of its X'WX and X'Wy.
+        G_loo = G[:, : p * p + p] - w_own[:, None] * rhs[s:e, : p * p + p]
+        beta_loo, _, sound = _solve_normal(
+            G_loo[:, : p * p].reshape(-1, p, p), G_loo[:, p * p :]
+        )
+        fitted = np.einsum("mi,mi->m", Xc, beta_loo)
+        sound &= (active - (w_own > 0.0) >= p) & np.isfinite(fitted)
+        for r in np.flatnonzero(ok & ~sound):
+            w_loo = W[r].copy()
+            w_loo[s + r] = 0.0
+            # NaN coefficients from a failed refit leave a NaN fitted value.
+            fitted[r] = X[s + r] @ fit_local(data, w_loo, s + r).coefficients
+        fitted[~ok] = np.nan
+    return beta, se_unit, hat_diag, r2_raw, fitted, ok
+
+
 def compute_aicc(rss: float, n: int, trace_s: float) -> float:
     """AICc = n ln(RSS/n) + n ln(2 pi) + n (n + tr(S)) / (n - 2 - tr(S))."""
     if n - 2.0 - trace_s <= 0.0:
@@ -254,9 +374,13 @@ def fit_gwr(
 
     Bandwidths adapt within the rows present in `data` (tracts dropped by
     complete-case filtering do not count as neighbors). Results are keyed by
-    tract_id and identical under any worker count. `aicc_loo` switches the
-    AICc residuals to leave-one-out fitted values (self weight zeroed before
-    refitting); the default uses leave-in fitted values.
+    tract_id. `workers` is accepted for compatibility and does not change
+    the result: all local fits for the bandwidth are solved in batches of
+    kernel rows. `aicc_loo` switches the AICc residuals to leave-one-out
+    fitted values (self weight zeroed before refitting); the default uses
+    leave-in fitted values. `failed` lists the tracts whose local fit, or
+    whose leave-one-out refit under `aicc_loo`, failed; any failure makes
+    AICc infinite.
     """
     n, p = data.X.shape
     if not p + 1 <= kernel.neighbors_k <= n:
@@ -274,38 +398,23 @@ def fit_gwr(
             "duplicate centroids within neighbors_k"
         )
 
-    def one(j: int) -> tuple[LocalFit, float]:
-        w = gaussian_weights(distances[j], bw[j])
-        local = fit_local(data, w, j)
-        fitted_for_aicc = local.fitted
-        if aicc_loo and local.ok:
-            w_loo = w.copy()
-            w_loo[j] = 0.0
-            loo = fit_local(data, w_loo, j)
-            fitted_for_aicc = (
-                float(data.X[j] @ loo.coefficients) if loo.ok else math.nan
-            )
-        return local, fitted_for_aicc
+    X, y = data.X, data.y
+    xx = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    rhs = np.column_stack([xx, X * y[:, None], y])
+    rows = max(1, CHUNK_CELLS // n)
+    chunks = [
+        _fit_chunk(data, distances, bw, rhs, s, min(n, s + rows), aicc_loo)
+        for s in range(0, n, rows)
+    ]
+    coef, se_unit, hat_diag, r2_raw, fitted, ok = (np.concatenate(c) for c in zip(*chunks))
+    r2 = np.clip(r2_raw, 0.0, 1.0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(n)))
-    else:
-        results = [one(j) for j in range(n)]
-
-    coef = np.vstack([r.coefficients for r, _ in results])
-    se_unit = np.vstack([r.se_unit for r, _ in results])
-    hat_diag = np.array([r.hat_diag for r, _ in results])
-    r2 = np.array([r.local_r2 for r, _ in results])
-    r2_raw = np.array([r.local_r2_raw for r, _ in results])
-    fitted = np.array([f for _, f in results])
-    ok = np.array([r.ok for r, _ in results])
-    failed = tuple(tid for tid, good in zip(data.tract_ids, ok) if not good)
+    failed = tuple(data.tract_ids[i] for i in np.flatnonzero(~(ok & np.isfinite(fitted))))
     if failed:
         level = logging.WARNING if len(failed) > 0.1 * n else logging.INFO
         log.log(
             level,
-            "%d of %d local fits rank-deficient: %s",
+            "%d of %d local fits failed: %s",
             len(failed),
             n,
             ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else ""),
@@ -388,7 +497,8 @@ def select_bandwidth(
                 aicc_loo=aicc_loo,
                 distances=distances,
             )
-            cache[k] = fit.aicc
+            # NaN never reaches the comparisons below: it would order arbitrarily.
+            cache[k] = math.inf if math.isnan(fit.aicc) else fit.aicc
         return cache[k]
 
     lo, hi = k_min, k_max

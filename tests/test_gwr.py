@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from helpers import design_from_arrays, grid_tracts, square_tract
-from tracteq.data_model import TractSet
+from tracteq import gwr
+from tracteq.data_model import Tract, TractSet
 from tracteq.errors import SelectionError
 from tracteq.gwr import (
+    TIE_TOL,
     GwrFit,
     KernelSpec,
     adaptive_bandwidth,
@@ -338,3 +341,193 @@ def test_summarize_counts_significance_shares():
     assert s.mean_local_r2 == pytest.approx(0.7)
     assert s.min_local_r2 == 0.5
     assert s.max_local_r2 == 0.9
+
+
+def oracle_gwr(data, tracts, kernel, aicc_loo=False):
+    """One fit_local call per tract (and per leave-one-out refit): the
+    reference the batched fit_gwr must reproduce."""
+    n = data.n
+    idx = [tracts.index_of(tid) for tid in data.tract_ids]
+    distances = cdist(tracts.centroids[idx], tracts.centroids[idx])
+    k = kernel.neighbors_k
+    bw = np.partition(distances, k - 1, axis=1)[:, k - 1] * kernel.bandwidth_scale
+    fits, fitted = [], []
+    for j in range(n):
+        w = gaussian_weights(distances[j], bw[j])
+        local = fit_local(data, w, j)
+        value = local.fitted
+        if aicc_loo and local.ok:
+            w_loo = w.copy()
+            w_loo[j] = 0.0
+            value = float(data.X[j] @ fit_local(data, w_loo, j).coefficients)
+        fits.append(local)
+        fitted.append(value)
+    fitted = np.array(fitted)
+    hat = np.array([f.hat_diag for f in fits])
+    se_unit = np.vstack([f.se_unit for f in fits])
+    failed = tuple(
+        tid for tid, f, v in zip(data.tract_ids, fits, fitted) if not (f.ok and np.isfinite(v))
+    )
+    if failed:
+        trace_s = rss = math.nan
+        aicc = math.inf
+        se = np.full_like(se_unit, np.nan)
+    else:
+        trace_s = float(hat.sum())
+        rss = float(((data.y - fitted) ** 2).sum())
+        aicc = compute_aicc(rss, n, trace_s)
+        se = se_unit * math.sqrt(rss / (n - trace_s))
+    return {
+        "local_coefficients": np.vstack([f.coefficients for f in fits]),
+        "local_se": se,
+        "hat_diag": hat,
+        "local_r2": np.array([f.local_r2 for f in fits]),
+        "trace_S": trace_s,
+        "rss": rss,
+        "aicc": aicc,
+        "failed": failed,
+    }
+
+
+def assert_close(got, want, tol=1e-9):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    if finite.any():
+        assert np.max(np.abs(got[finite] - want[finite])) <= tol
+
+
+@pytest.mark.parametrize("scenario", ["gradient_scenario", "step_scenario"])
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_gwr_batched_matches_fit_local_oracle(request, scenario, aicc_loo):
+    sc = request.getfixturevalue(scenario)
+    n = sc.design.n
+    for kernel in (
+        KernelSpec(neighbors_k=3),
+        KernelSpec(neighbors_k=5),
+        KernelSpec(neighbors_k=12),
+        KernelSpec(neighbors_k=n),
+        KernelSpec(neighbors_k=n, bandwidth_scale=1e6),
+        KernelSpec(neighbors_k=6, bandwidth_scale=0.3),
+    ):
+        fit = fit_gwr(sc.design, sc.tracts, kernel, aicc_loo=aicc_loo)
+        want = oracle_gwr(sc.design, sc.tracts, kernel, aicc_loo=aicc_loo)
+        assert fit.failed == want["failed"], kernel
+        for field in ("local_coefficients", "local_se", "hat_diag", "local_r2",
+                      "trace_S", "rss", "aicc"):
+            assert_close(getattr(fit, field), want[field])
+
+
+@pytest.mark.parametrize("scenario,k_max", [("gradient_scenario", 36), ("step_scenario", 40)])
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_select_bandwidth_matches_oracle_exhaustive_scan(request, scenario, k_max, aicc_loo):
+    sc = request.getfixturevalue(scenario)
+    curve = {
+        k: oracle_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=k), aicc_loo)["aicc"]
+        for k in range(4, k_max + 1)
+    }
+    best = min(curve.values())
+    want = max(k for k, v in curve.items() if v <= best + TIE_TOL)
+    k, aicc = select_bandwidth(sc.design, sc.tracts, 4, k_max, aicc_loo=aicc_loo)
+    assert k == want
+    assert abs(aicc - curve[want]) <= 1e-9
+
+
+def test_gwr_failed_loo_refit_counts_as_failure():
+    # x2 is nonzero only at tract 5, so its leave-one-out design loses rank.
+    ts = grid_tracts(4, 4)
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(16), rng.normal(0, 1, 16), np.eye(16)[5]])
+    data = design_from_arrays(rng.normal(0, 1, 16), X, ids=ts.ids)
+    fit = fit_gwr(data, ts, KernelSpec(neighbors_k=8), aicc_loo=True)
+    assert fit.failed == (ts.ids[5],)
+    assert fit.aicc == math.inf
+    assert not np.isnan(fit.local_coefficients).any()
+    assert not fit_gwr(data, ts, KernelSpec(neighbors_k=8)).failed
+    with pytest.raises(SelectionError):
+        select_bandwidth(data, ts, 4, 16, aicc_loo=True)
+
+
+def point_tract(tid, x, y):
+    corners = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    return Tract(tid, tuple((x + dx, y + dy) for dx, dy in corners))
+
+
+@pytest.fixture()
+def fit_local_calls(monkeypatch):
+    """Row indices of the fit_local calls fit_gwr makes (its fallbacks)."""
+    calls = []
+    real_fit_local = gwr.fit_local
+
+    def spy(data, weights, j):
+        calls.append(j)
+        return real_fit_local(data, weights, j)
+
+    monkeypatch.setattr(gwr, "fit_local", spy)
+    return calls
+
+
+def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
+    # Triangles of three tracts 10 m apart, 100 m between triangles, and one
+    # lone tract: under a narrow kernel each triangle fits on its own three
+    # rows and the lone tract has only itself. The first triangle's x is
+    # nearly constant, so its normal equations are too ill-conditioned to
+    # trust, though the QR fit in fit_local still succeeds.
+    tracts, xs = [], []
+    rng = np.random.default_rng(4)
+    for c in range(9):
+        cx, cy = 100.0 * (c % 3), 100.0 * (c // 3)
+        for m, (dx, dy) in enumerate(((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))):
+            tracts.append(point_tract(f"C{c}{m}", cx + dx, cy + dy))
+            xs.append(1.0 + (m - 1) * 1e-6 if c == 0 else rng.uniform(0.5, 2.5))
+    tracts.append(point_tract("Z", 400.0, 0.0))
+    xs.append(1.0)
+    ts = TractSet(tracts)
+    n = len(tracts)
+    X = np.column_stack([np.ones(n), xs])
+    data = design_from_arrays(1.0 + 2.0 * X[:, 1] + rng.normal(0, 0.1, n), X, ids=ts.ids)
+    kernel = KernelSpec(neighbors_k=4, bandwidth_scale=0.05)
+
+    fit = fit_gwr(data, ts, kernel)
+    marginal = [0, 1, 2, n - 1]
+    assert sorted(fit_local_calls) == marginal
+    assert fit.failed == ("Z",)
+    assert fit.aicc == math.inf
+    distances = cdist(ts.centroids, ts.centroids)
+    bw = np.partition(distances, 3, axis=1)[:, 3] * kernel.bandwidth_scale
+    for j in marginal:
+        local = fit_local(data, gaussian_weights(distances[j], bw[j]), j)
+        assert local.ok == (j != n - 1)
+        assert np.array_equal(fit.local_coefficients[j], local.coefficients, equal_nan=True)
+        assert np.array_equal(fit.hat_diag[j], local.hat_diag, equal_nan=True)
+        assert np.array_equal(fit.local_r2[j], local.local_r2, equal_nan=True)
+        assert np.array_equal(fit.local_r2_raw[j], local.local_r2_raw, equal_nan=True)
+    assert "active rows" in fit_local(data, gaussian_weights(distances[-1], bw[-1]), n - 1).message
+
+    # Without the lone tract nothing fails, so the fallback SEs are reported.
+    kept = design_from_arrays(data.y[:-1], X[:-1], ids=ts.ids[:-1])
+    fit = fit_gwr(kept, ts, kernel)
+    assert not fit.failed
+    for j in (0, 1, 2):
+        local = fit_local(kept, gaussian_weights(distances[j, :-1], bw[j]), j)
+        assert np.array_equal(fit.local_se[j], local.se_unit * math.sqrt(fit.sigma2))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-12])
+def test_gwr_badly_scaled_column_keeps_fit_local_rank_decision(
+    gradient_scenario, fit_local_calls, scale
+):
+    # Equilibrated, these normal equations are benign, but diag(R) of the raw
+    # design is within RANK_MARGIN of RANK_RTOL (1e-9) or below it (1e-12):
+    # fit_local decides every tract, and fails the same ones it fails alone.
+    sc = gradient_scenario
+    X = sc.design.X * np.array([1.0, scale])
+    data = design_from_arrays(sc.design.y, X, ids=sc.design.tract_ids)
+    kernel = KernelSpec(neighbors_k=12)
+    fit = fit_gwr(data, sc.tracts, kernel)
+    assert sorted(fit_local_calls) == list(range(data.n))
+    want = oracle_gwr(data, sc.tracts, kernel)
+    assert fit.failed == want["failed"]
+    assert bool(fit.failed) == (scale < 1e-10)
+    assert np.array_equal(fit.local_coefficients, want["local_coefficients"], equal_nan=True)
