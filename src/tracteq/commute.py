@@ -1,10 +1,10 @@
 """Commute microsimulation: OD trips, demographic labels, per-tract distance.
 
 Trips route once per origin-destination pair (free-flow routing makes every
-worker on a pair take the same path). Group labels come either from a
-deterministic fractional split or from counter-based coin flips keyed by
-(seed, home, work, worker index), so bernoulli draws never depend on
-iteration or parallel order.
+worker on a pair take the same path), from one routing tree per origin node.
+Group labels come either from a deterministic fractional split or from
+counter-based coin flips keyed by (seed, home, work, worker index), so
+bernoulli draws never depend on iteration or parallel order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import hashlib
 import logging
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .data_model import TractSet
 from .errors import ValidationError
-from .network import EdgeTractMap, Graph, Route, route_tract_distances, shortest_path
+from .network import EdgeTractMap, Graph, route_tract_distances, shortest_paths_from
 
 log = logging.getLogger(__name__)
 
@@ -232,17 +231,20 @@ def read_traversal(path: str) -> TraversalTable:
 def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     """Graph node closest to a point; equidistant nodes resolve to the
     smallest id."""
-    best_id = None
-    best_d = math.inf
-    for nid in sorted(graph.nodes):
-        x, y = graph.nodes[nid]
-        d = (x - point[0]) ** 2 + (y - point[1]) ** 2
-        if d < best_d:
-            best_d = d
-            best_id = nid
-    if best_id is None:
+    if not graph.nodes:
         raise ValidationError("graph has no nodes")
-    return best_id
+    ids, tree = graph.node_tree()
+    nearest, _ = tree.query(point)
+    # Tie-robust: pull every node within the nearest distance (with slack for
+    # the tree's own rounding), then pick by exact squared distance and id,
+    # as a scan over all nodes would.
+    candidates = tree.query_ball_point(point, r=float(nearest) * (1.0 + 1e-9))
+    px, py = point
+    best = min(
+        ((graph.nodes[ids[i]][0] - px) ** 2 + (graph.nodes[ids[i]][1] - py) ** 2, ids[i])
+        for i in candidates
+    )
+    return best[1]
 
 
 def route_traversals(
@@ -256,28 +258,30 @@ def route_traversals(
 
     Returns a map from pair to {tract_id: meters} (None when unreachable)
     plus the unreachable count. Pairs whose endpoints snap to the same node
-    yield an empty route and contribute nothing.
+    yield an empty route and contribute nothing. Each origin node gets one
+    routing tree (network.shortest_paths_from) serving all its pairs;
+    `workers` is accepted for compatibility and does not change routing.
     """
     node_for: dict[str, str] = {}
     for tid in sorted({t for h, w, _ in od.rows for t in (h, w)}):
         centroid = tuple(tracts.centroids[tracts.index_of(tid)])
         node_for[tid] = nearest_node(graph, centroid)
 
-    def one(pair: tuple[str, str]) -> dict[str, float] | None:
-        home, work = pair
-        route = shortest_path(graph, node_for[home], node_for[work])
-        if route is None:
-            return None
-        return route_tract_distances(route, edge_map)
+    by_origin: dict[str, list[tuple[str, str]]] = {}
+    for home, work in od.pairs:
+        by_origin.setdefault(node_for[home], []).append((home, work))
+    found: dict[tuple[str, str], dict[str, float] | None] = {}
+    for origin, pairs in by_origin.items():
+        routes = shortest_paths_from(graph, origin, {node_for[w] for _, w in pairs})
+        for home, work in pairs:
+            route = routes[node_for[work]]
+            found[(home, work)] = (
+                None if route is None else route_tract_distances(route, edge_map)
+            )
 
     pairs = od.pairs
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-    traversals = dict(zip(pairs, results))
-    unreachable = sum(1 for r in results if r is None)
+    traversals = {pair: found[pair] for pair in pairs}
+    unreachable = sum(1 for r in traversals.values() if r is None)
     if unreachable > 0.05 * len(pairs):
         log.warning("%d of %d OD pairs unreachable", unreachable, len(pairs))
     elif unreachable:
@@ -297,10 +301,10 @@ def simulate(
 ) -> TraversalTable:
     """Accumulate per-tract, per-group traversal km and commuter counts.
 
-    Pairs are accumulated in sorted (home, work) order regardless of worker
-    count, so outputs are bit-identical across parallel schedules. By default
-    the home tract counts among the traversed tracts; exclude_home drops its
-    distance contribution (commuter counts keep the home tract either way).
+    Pairs are accumulated in sorted (home, work) order, so outputs are
+    bit-identical across reruns and worker counts. By default the home tract
+    counts among the traversed tracts; exclude_home drops its distance
+    contribution (commuter counts keep the home tract either way).
     Precomputed traversals may be passed to amortize routing across repeated
     assignments.
     """

@@ -163,7 +163,15 @@ def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
 
 
 def _bandwidths(distances: np.ndarray, neighbors_k: int) -> np.ndarray:
-    return np.partition(distances, neighbors_k - 1, axis=1)[:, neighbors_k - 1]
+    """Each row's distance to its neighbors_k-th nearest row, partitioned in
+    chunks of CHUNK_CELLS so no copy of the whole matrix is made."""
+    k = neighbors_k - 1
+    n, m = distances.shape
+    rows = max(1, CHUNK_CELLS // m)
+    out = np.empty(n)
+    for s in range(0, n, rows):
+        out[s : s + rows] = np.partition(distances[s : s + rows], k, axis=1)[:, k]
+    return out
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -369,6 +377,7 @@ def fit_gwr(
     workers: int = 1,
     aicc_loo: bool = False,
     distances: np.ndarray | None = None,
+    kth_distances: np.ndarray | None = None,
 ) -> GwrFit:
     """Fit one local model per design row.
 
@@ -380,7 +389,10 @@ def fit_gwr(
     fitted values (self weight zeroed before refitting); the default uses
     leave-in fitted values. `failed` lists the tracts whose local fit, or
     whose leave-one-out refit under `aicc_loo`, failed; any failure makes
-    AICc infinite.
+    AICc infinite. A bandwidth search may pass the pairwise centroid
+    distances in design-row order (`distances`) and each row's distance to
+    its neighbors_k-th nearest row (`kth_distances`, the unscaled
+    bandwidths) when it already has them.
     """
     n, p = data.X.shape
     if not p + 1 <= kernel.neighbors_k <= n:
@@ -389,7 +401,9 @@ def fit_gwr(
         )
     if distances is None:
         distances = _pairwise_distances(data, tracts)
-    bw = _bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
+    if kth_distances is None:
+        kth_distances = _bandwidths(distances, kernel.neighbors_k)
+    bw = kth_distances * kernel.bandwidth_scale
     zero_bw = np.flatnonzero(bw <= 0.0)
     if zero_bw.size:
         names = ", ".join(data.tract_ids[i] for i in zero_bw[:5])
@@ -487,19 +501,33 @@ def select_bandwidth(
     distances = _pairwise_distances(data, tracts)
     cache: dict[int, float] = {}
 
-    def objective(k: int) -> float:
-        if k not in cache:
-            fit = fit_gwr(
-                data,
-                tracts,
-                KernelSpec(neighbors_k=k),
-                workers=workers,
-                aicc_loo=aicc_loo,
-                distances=distances,
-            )
-            # NaN never reaches the comparisons below: it would order arbitrarily.
-            cache[k] = math.inf if math.isnan(fit.aicc) else fit.aicc
-        return cache[k]
+    def evaluate(ks) -> None:
+        """AICc for every k in ks not tried yet.
+
+        One sort of the distance rows gives the k-th neighbor distances of a
+        block of k at once, instead of one partition per fit; an order
+        statistic is exact, so they equal fit_gwr's own. Only the block's
+        columns outlive the sort (a sorted n x n copy kept for the whole
+        search would raise peak memory), and a block holds at most
+        EXHAUSTIVE_LIMIT of them, so the final scan of a golden search is
+        one block.
+        """
+        todo = sorted({k for k in ks if k not in cache})
+        for start in range(0, len(todo), EXHAUSTIVE_LIMIT):
+            block = todo[start : start + EXHAUSTIVE_LIMIT]
+            kth = np.sort(distances, axis=1)[:, np.asarray(block) - 1]
+            for j, k in enumerate(block):
+                fit = fit_gwr(
+                    data,
+                    tracts,
+                    KernelSpec(neighbors_k=k),
+                    workers=workers,
+                    aicc_loo=aicc_loo,
+                    distances=distances,
+                    kth_distances=kth[:, j],
+                )
+                # NaN never reaches the comparisons below: it would order arbitrarily.
+                cache[k] = math.inf if math.isnan(fit.aicc) else fit.aicc
 
     lo, hi = k_min, k_max
     if method == "golden":
@@ -510,14 +538,14 @@ def select_bandwidth(
             x2 = lo + int(round(span * invphi))
             if x1 >= x2:
                 x1 = max(lo, x2 - 1)
-            f1, f2 = objective(x1), objective(x2)
+            evaluate((x1, x2))
+            f1, f2 = cache[x1], cache[x2]
             if f1 < f2 - TIE_TOL:
                 hi = x2
             else:
                 # Ties move toward larger k, matching the final tie rule.
                 lo = x1
-    for k in range(lo, hi + 1):
-        objective(k)
+    evaluate(range(lo, hi + 1))
 
     finite_min = min(cache.values())
     if math.isinf(finite_min) and finite_min > 0:

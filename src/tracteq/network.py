@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from scipy.spatial import cKDTree
+
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
@@ -84,9 +86,24 @@ class Graph:
             k: tuple(sorted(v, key=lambda it: (it[0], it[1].key)))
             for k, v in adjacency.items()
         }
+        # adjacency with each edge's travel time computed once, for searches
+        # that relax every edge many times.
+        self.timed_adjacency: dict[str, tuple[tuple[str, Edge, float], ...]] = {
+            k: tuple((nbr, e, e.travel_time) for nbr, e in v)
+            for k, v in self.adjacency.items()
+        }
+        self._node_tree: tuple[tuple[str, ...], cKDTree] | None = None
 
     def node_ids(self) -> list[str]:
         return sorted(self.nodes)
+
+    def node_tree(self) -> tuple[tuple[str, ...], cKDTree]:
+        """KD-tree over node coordinates and the node id at each tree index
+        (ids sorted); built on first use."""
+        if self._node_tree is None:
+            ids = tuple(self.node_ids())
+            self._node_tree = (ids, cKDTree([self.nodes[i] for i in ids]))
+        return self._node_tree
 
     def edge_geometry(self, edge: Edge) -> tuple[tuple[float, float], tuple[float, float]]:
         return self.nodes[edge.u], self.nodes[edge.v]
@@ -213,6 +230,93 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
                 (time + edge.travel_time, path + (neighbor,), counter, edges + (edge,)),
             )
     return None
+
+
+def shortest_paths_from(
+    graph: Graph, origin: str, destinations: Iterable[str]
+) -> dict[str, Route | None]:
+    """shortest_path from one origin to each destination, from one search.
+
+    Lexicographically smallest shortest paths have the prefix property, so
+    one tie-broken Dijkstra tree serves every destination; it stops once all
+    of them are settled. Each route equals shortest_path's exactly: nodes,
+    edges and bit-identical totals. When an edge time is absorbed
+    (t + tt == t), the tie-break would depend on the order equal-time nodes
+    settle in, so that origin falls back to one shortest_path per
+    destination.
+    """
+    if origin not in graph.nodes:
+        raise ValidationError(f"unknown origin node {origin!r}")
+    targets = set(destinations)
+    for d in targets:
+        if d not in graph.nodes:
+            raise ValidationError(f"unknown destination node {d!r}")
+    tree = _search_tree(graph, origin, targets)
+    if tree is None:
+        return {d: shortest_path(graph, origin, d) for d in sorted(targets)}
+    dist, pred, paths = tree
+    routes: dict[str, Route | None] = {}
+    for d in sorted(targets):
+        if d not in paths:
+            routes[d] = None
+            continue
+        edges: list[Edge] = []
+        node = d
+        while node != origin:
+            node, edge = pred[node]
+            edges.append(edge)
+        edges.reverse()
+        total_length = 0.0
+        for e in edges:
+            total_length += e.length
+        routes[d] = Route(origin, d, paths[d], tuple(edges), dist[d], total_length)
+    return routes
+
+
+def _search_tree(
+    graph: Graph, origin: str, targets: set[str]
+) -> tuple[dict[str, float], dict[str, tuple[str, Edge]], dict[str, tuple[str, ...]]] | None:
+    """Tie-broken Dijkstra from origin until every target is settled.
+
+    Returns (dist, pred, paths): time, (predecessor, edge) and node path of
+    each settled node; or None when an edge time was absorbed.
+    """
+    dist: dict[str, float] = {origin: 0.0}
+    pred: dict[str, tuple[str, Edge]] = {}
+    paths: dict[str, tuple[str, ...]] = {}
+    heap: list[tuple[float, str]] = [(0.0, origin)]
+    remaining = set(targets)
+    stop = math.inf
+    while heap:
+        time, node = heapq.heappop(heap)
+        # Nodes at the last target's time are still expanded: an absorbed
+        # edge among them could change that target's tie-break.
+        if time > stop:
+            break
+        if node in paths:
+            continue
+        path = paths[pred[node][0]] + (node,) if node != origin else (origin,)
+        paths[node] = path
+        remaining.discard(node)
+        if not remaining:
+            stop = time
+        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
+            t = time + travel_time
+            if t == time:
+                return None
+            if neighbor in paths:
+                continue
+            best = dist.get(neighbor)
+            if best is None or t < best:
+                dist[neighbor] = t
+                pred[neighbor] = (node, edge)
+                heapq.heappush(heap, (t, neighbor))
+            elif t == best:
+                # Compare whole candidate paths, v included: a bare
+                # predecessor path would sort before its own extension.
+                if path + (neighbor,) < paths[pred[neighbor][0]] + (neighbor,):
+                    pred[neighbor] = (node, edge)
+    return dist, pred, paths
 
 
 class EdgeTractMap:

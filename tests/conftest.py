@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread: the per-tract oracle loops in the tests are small solves
+# that run many times slower when a second BLAS thread waits for a busy
+# core. This must run before numpy is first imported to take effect.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

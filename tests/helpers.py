@@ -106,3 +106,47 @@ def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45
                     )
                 )
     return Graph(nodes, edges)
+
+
+def nearest_node_brute(graph: Graph, point) -> str | None:
+    """Full scan in sorted-id order; the first node at the smallest squared
+    distance wins, so ties go to the smallest id. None for an empty graph."""
+    best_id = None
+    best_d = float("inf")
+    for nid in sorted(graph.nodes):
+        x, y = graph.nodes[nid]
+        d = (x - point[0]) ** 2 + (y - point[1]) ** 2
+        if d < best_d:
+            best_d = d
+            best_id = nid
+    return best_id
+
+
+def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
+    """Grid with few distinct lengths and speeds (so many routes tie exactly),
+    some one-way streets, and some node pairs joined by both A->B and B->A."""
+    nodes = {f"g{r}{c}": (float(c), float(r)) for r in range(rows) for c in range(cols)}
+    edges = []
+
+    def add(u: str, v: str) -> None:
+        edges.append(
+            Edge(
+                u,
+                v,
+                length=float(rng.choice([100.0, 200.0])),
+                speed=float(rng.choice([10.0, 20.0])),
+                oneway=bool(rng.random() < 0.2),
+            )
+        )
+
+    for r in range(rows):
+        for c in range(cols):
+            here = f"g{r}{c}"
+            for nbr in ((f"g{r}{c + 1}" if c + 1 < cols else None),
+                        (f"g{r + 1}{c}" if r + 1 < rows else None)):
+                if nbr is None:
+                    continue
+                add(here, nbr)
+                if rng.random() < 0.25:
+                    add(nbr, here)
+    return Graph(nodes, edges)

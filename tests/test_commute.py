@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_tracts
+from helpers import grid_tracts, nearest_node_brute
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -18,7 +18,13 @@ from tracteq.commute import (
     write_traversal,
 )
 from tracteq.errors import ValidationError
-from tracteq.network import Edge, Graph, build_edge_tract_map, shortest_path
+from tracteq.network import (
+    Edge,
+    Graph,
+    build_edge_tract_map,
+    route_tract_distances,
+    shortest_path,
+)
 
 
 def line_world(n_tracts=3, share=0.5, mode="split"):
@@ -156,6 +162,81 @@ def test_nearest_node_smallest_id_tie():
     assert nearest_node(g, (1.0, 0.0)) == "A"
     assert nearest_node(g, (1.9, 0.0)) == "A"
     assert nearest_node(g, (0.1, 0.0)) == "B"
+
+
+def test_nearest_node_matches_full_scan(rng):
+    # seeded nodes and points
+    nodes = {f"n{i:03d}": tuple(rng.uniform(0, 5000, 2)) for i in range(300)}
+    g = Graph(nodes, [])
+    for point in rng.uniform(-500, 5500, (200, 2)):
+        assert nearest_node(g, tuple(point)) == nearest_node_brute(g, point)
+    # query points on a node
+    for nid in list(nodes)[::17]:
+        assert nearest_node(g, nodes[nid]) == nid
+
+
+def test_nearest_node_grid_midpoints_and_duplicates():
+    # 250 m grid, ids assigned against coordinate order so that the smallest
+    # id is not the first node a tree would find
+    nodes = {}
+    for r in range(6):
+        for c in range(6):
+            nodes[f"v{(35 - 6 * r - c):02d}"] = (c * 250.0, r * 250.0)
+    # duplicate coordinates: several ids on one spot
+    nodes["dup_b"] = (500.0, 500.0)
+    nodes["dup_a"] = (500.0, 500.0)
+    g = Graph(nodes, [])
+    points = [(x + 125.0, y) for x, y in nodes.values()]  # midpoints on rows
+    points += [(x, y + 125.0) for x, y in nodes.values()]  # midpoints on columns
+    points += [(x + 125.0, y + 125.0) for x, y in nodes.values()]  # cell centres
+    points += list(nodes.values())  # on a node
+    for point in points:
+        assert nearest_node(g, point) == nearest_node_brute(g, point), point
+    assert nearest_node(g, (500.0, 500.0)) == "dup_a"
+
+
+def test_nearest_node_empty_graph():
+    with pytest.raises(ValidationError, match="graph has no nodes"):
+        nearest_node(Graph({}, []), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("scenario", ["step_scenario", "gradient_scenario"])
+def test_route_traversals_matches_per_pair_routes(scenario, request):
+    sc = request.getfixturevalue(scenario)
+    trav, unreachable = route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
+    want = {}
+    for home, work in sc.od.pairs:
+        o = nearest_node_brute(sc.graph, sc.tracts.centroids[sc.tracts.index_of(home)])
+        d = nearest_node_brute(sc.graph, sc.tracts.centroids[sc.tracts.index_of(work)])
+        route = shortest_path(sc.graph, o, d)
+        want[(home, work)] = None if route is None else route_tract_distances(route, sc.edge_map)
+    assert list(trav) == list(want)
+    for pair, per_tract in want.items():
+        got = trav[pair]
+        assert (got is None) == (per_tract is None)
+        if got is not None:
+            assert list(got) == list(per_tract)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in per_tract.values()]
+    assert unreachable == sum(1 for v in want.values() if v is None)
+
+
+def test_route_traversals_counts_unreachable_pairs():
+    ts = grid_tracts(1, 3, attr_fn=lambda r, c: {"group_share": 0.5})
+    # T000000 and T000001 share a component; T000002 is cut off
+    g = Graph(
+        {"A": (500.0, 500.0), "B": (1500.0, 500.0), "C": (2500.0, 500.0)},
+        [Edge("A", "B", 1000.0, 10.0)],
+    )
+    em = build_edge_tract_map(g, ts, mode="midpoint")
+    od = ODTable.from_rows([
+        ("T000000", "T000001", 1), ("T000000", "T000002", 1), ("T000001", "T000002", 1),
+    ])
+    trav, unreachable = route_traversals(od, ts, g, em)
+    assert unreachable == 2
+    assert trav[("T000000", "T000002")] is None
+    assert trav[("T000001", "T000002")] is None
+    # midpoint on the shared border goes to the first tract id
+    assert trav[("T000000", "T000001")] == {"T000000": 1000.0}
 
 
 def test_simulate_single_pair_hand_totals():

@@ -227,6 +227,17 @@ def test_gwr_workers_bitwise_identical(gradient_scenario):
     assert a.aicc == b.aicc
 
 
+def test_bandwidths_chunked_match_whole_matrix_partition(step_scenario, monkeypatch):
+    # a small chunk puts chunk boundaries mid-matrix
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * len(step_scenario.design.y))
+    d = gwr._pairwise_distances(step_scenario.design, step_scenario.tracts)
+    ordered = np.sort(d, axis=1)
+    for k in (1, 2, 3, 12, 40, len(d)):
+        want = np.partition(d, k - 1, axis=1)[:, k - 1]
+        assert np.array_equal(gwr._bandwidths(d, k), want)
+        assert np.array_equal(ordered[:, k - 1], want)
+
+
 def test_gwr_loo_switch_increases_aicc_in_global_limit(gradient_scenario):
     sc = gradient_scenario
     kern = KernelSpec(neighbors_k=sc.design.n, bandwidth_scale=1e6)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import enumerate_best_path, grid_tracts, random_graph, square_tract
+from helpers import (
+    enumerate_best_path,
+    grid_tracts,
+    random_graph,
+    square_tract,
+    tie_heavy_graph,
+)
+from tracteq import network
 from tracteq.data_model import TractSet
 from tracteq.errors import ConsistencyError, ValidationError
 from tracteq.network import (
@@ -14,6 +21,7 @@ from tracteq.network import (
     build_graph,
     route_tract_distances,
     shortest_path,
+    shortest_paths_from,
 )
 
 
@@ -149,6 +157,115 @@ def test_shortest_path_matches_enumeration_small_random(rng):
             assert got.total_time == want[0]
             assert got.nodes == want[1]
             assert got.edges == want[2]
+
+
+def assert_same_routes(graph, origin, routes):
+    for dest, got in routes.items():
+        want = shortest_path(graph, origin, dest)
+        assert got == want, (origin, dest)
+        if want is not None:
+            assert got.total_time.hex() == want.total_time.hex()
+            assert got.total_length.hex() == want.total_length.hex()
+
+
+def test_shortest_paths_from_matches_shortest_path_random(rng):
+    for trial in range(30):
+        g = random_graph(rng, int(rng.integers(2, 12)))
+        ids = sorted(g.nodes)
+        for origin in ids:
+            routes = shortest_paths_from(g, origin, ids)
+            assert sorted(routes) == ids
+            assert_same_routes(g, origin, routes)
+
+
+def test_shortest_paths_from_matches_shortest_path_tie_heavy(rng):
+    for trial in range(6):
+        g = tie_heavy_graph(rng, 5, 6)
+        ids = sorted(g.nodes)
+        for origin in ids:
+            assert_same_routes(g, origin, shortest_paths_from(g, origin, ids))
+        # a few destinations only: the search stops early
+        for origin in ids[::7]:
+            dests = [ids[-1], ids[len(ids) // 2], origin]
+            assert_same_routes(g, origin, shortest_paths_from(g, origin, dests))
+
+
+def test_shortest_paths_from_prefix_tie_break():
+    # A->C direct and A->B->C both take 2 s; (A, B, C) < (A, C) because B < C,
+    # although the bare predecessor path (A,) sorts before (A, B).
+    nodes = {"A": (0, 0), "B": (1, 1), "C": (2, 0), "D": (3, 0)}
+    g = Graph(nodes, [
+        Edge("A", "C", 20.0, 10.0),
+        Edge("A", "B", 10.0, 10.0),
+        Edge("B", "C", 10.0, 10.0),
+        Edge("C", "D", 10.0, 10.0),
+    ])
+    routes = shortest_paths_from(g, "A", ["C", "D"])
+    assert routes["C"].nodes == ("A", "B", "C")
+    assert routes["D"].nodes == ("A", "B", "C", "D")
+    assert_same_routes(g, "A", routes)
+
+
+def test_shortest_paths_from_absorbed_edge_falls_back(monkeypatch):
+    # B->C adds ~1e-30 s to a 1e6 s route, so t + tt == t: settle order
+    # among equal-time nodes would matter, and the origin uses shortest_path.
+    nodes = {"A": (0, 0), "B": (1, 0), "C": (2, 0), "D": (1, 1), "E": (1, 2)}
+    g = Graph(nodes, [
+        Edge("A", "B", 1e6, 1.0),
+        Edge("B", "C", 1e-30, 1.0),
+        Edge("A", "D", 1e6, 1.0),
+        Edge("D", "C", 1e6, 1.0),
+        Edge("D", "E", 1.0, 1.0),
+    ])
+    assert 1e6 + g.edges[1].travel_time == 1e6
+    calls = []
+    real = network.shortest_path
+
+    def counting(graph, origin, destination):
+        calls.append((origin, destination))
+        return real(graph, origin, destination)
+
+    monkeypatch.setattr(network, "shortest_path", counting)
+    routes = shortest_paths_from(g, "A", ["C", "D"])
+    assert sorted(calls) == [("A", "C"), ("A", "D")]
+    monkeypatch.undo()
+    assert routes["C"].nodes == ("A", "B", "C")
+    assert_same_routes(g, "A", routes)
+    # the search for E stops before it reaches the absorbed edge: no fallback
+    calls.clear()
+    monkeypatch.setattr(network, "shortest_path", counting)
+    assert shortest_paths_from(g, "D", ["E"])["E"].nodes == ("D", "E")
+    assert calls == []
+
+
+def test_shortest_paths_from_absorbed_edge_into_settled_target():
+    # D and Z both settle at 1e6 s, D first by id, but shortest_path settles
+    # Z first because (O, B, Z) < (O, D); Z->D is absorbed, so D's best route
+    # goes through Z. The tree must expand Z after D settles to see that.
+    nodes = {"O": (0, 0), "B": (1, 1), "Z": (2, 1), "D": (2, 0)}
+    g = Graph(nodes, [
+        Edge("O", "D", 1e6, 1.0),
+        Edge("O", "B", 5e5, 1.0),
+        Edge("B", "Z", 5e5, 1.0),
+        Edge("Z", "D", 1e-30, 1.0, oneway=True),
+    ])
+    routes = shortest_paths_from(g, "O", ["D"])
+    assert routes["D"].nodes == ("O", "B", "Z", "D")
+    assert_same_routes(g, "O", routes)
+
+
+def test_shortest_paths_from_unreachable_and_same_node():
+    nodes = {"A": (0, 0), "B": (1, 0), "C": (5, 5)}
+    g = Graph(nodes, [Edge("A", "B", 1.0, 1.0, oneway=True)])
+    routes = shortest_paths_from(g, "A", ["A", "B", "C"])
+    assert routes["C"] is None
+    assert routes["A"] == shortest_path(g, "A", "A")
+    assert_same_routes(g, "A", routes)
+    assert shortest_paths_from(g, "B", ["A"]) == {"A": None}
+    with pytest.raises(ValidationError, match="unknown destination"):
+        shortest_paths_from(g, "A", ["Z"])
+    with pytest.raises(ValidationError, match="unknown origin"):
+        shortest_paths_from(g, "Z", ["A"])
 
 
 def test_route_time_scales_with_speed():
