@@ -233,18 +233,12 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     smallest id."""
     if not graph.nodes:
         raise ValidationError("graph has no nodes")
-    ids, tree = graph.node_tree()
-    nearest, _ = tree.query(point)
-    # Tie-robust: pull every node within the nearest distance (with slack for
-    # the tree's own rounding), then pick by exact squared distance and id,
-    # as a scan over all nodes would.
-    candidates = tree.query_ball_point(point, r=float(nearest) * (1.0 + 1e-9))
-    px, py = point
-    best = min(
-        ((graph.nodes[ids[i]][0] - px) ** 2 + (graph.nodes[ids[i]][1] - py) ** 2, ids[i])
-        for i in candidates
-    )
-    return best[1]
+    ids, coords = graph.node_coords()
+    dx = coords[:, 0] - point[0]
+    dy = coords[:, 1] - point[1]
+    # argmin returns the first minimum, and ids are sorted: ties go to the
+    # smallest id.
+    return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
 def route_traversals(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParseError, ValidationError
 from .geometry import (
@@ -77,7 +76,6 @@ class TractSet:
         self._centroids = np.array(
             [polygon_centroid(t.polygon) for t in self.tracts], dtype=float
         )
-        self._tree: cKDTree | None = None
 
     @staticmethod
     def _check_range(t: Tract, column: str, lo: float, hi: float) -> None:
@@ -115,12 +113,6 @@ class TractSet:
     def centroids(self) -> np.ndarray:
         """(n, 2) array of geometric polygon centroids, meters."""
         return self._centroids
-
-    @property
-    def kdtree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self._centroids)
-        return self._tree
 
     def attribute(self, column: str) -> np.ndarray:
         """Column values aligned to tract order; NaN where a tract lacks the column."""
@@ -492,18 +484,10 @@ def knn(tracts: TractSet, query_index: int, k: int) -> list[tuple[str, float]]:
         raise ValueError(f"query_index {query_index} outside [0, {n})")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
-    point = tracts.centroids[query_index]
-    dists, _ = tracts.kdtree.query(point, k=k)
-    dk = float(np.atleast_1d(dists)[-1])
-    # Tie-robust: pull everything within the k-th radius (with slack for the
-    # tree's own rounding), then order exactly like the brute-force oracle.
-    radius = dk * (1.0 + 1e-9) + 1e-12
-    candidates = tracts.kdtree.query_ball_point(point, r=radius)
-    if len(candidates) < k:
-        candidates = list(range(n))
-    deltas = tracts.centroids[candidates] - point
-    cand_d = np.sqrt(deltas[:, 0] ** 2 + deltas[:, 1] ** 2)
-    order = sorted(
-        zip(candidates, cand_d), key=lambda it: (it[1], tracts.tracts[it[0]].tract_id)
-    )
-    return [(tracts.tracts[i].tract_id, float(d)) for i, d in order[:k]]
+    deltas = tracts.centroids - tracts.centroids[query_index]
+    d = np.sqrt(deltas[:, 0] * deltas[:, 0] + deltas[:, 1] * deltas[:, 1])
+    # Everything within the k-th smallest distance, ordered exactly like the
+    # brute-force oracle; ties at that distance are kept, then cut by id.
+    candidates = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+    order = sorted(candidates, key=lambda i: (d[i], tracts.tracts[i].tract_id))
+    return [(tracts.tracts[i].tract_id, float(d[i])) for i in order[:k]]

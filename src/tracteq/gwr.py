@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from .data_model import DesignData, TractSet
 from .errors import SelectionError
@@ -158,8 +156,28 @@ def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
     n = len(tracts)
     if not 1 <= neighbors_k <= n:
         raise ValueError(f"neighbors_k={neighbors_k} outside [1, {n}]")
-    d = cdist(tracts.centroids[j : j + 1], tracts.centroids)
+    d = _distance_matrix(tracts.centroids[j : j + 1], tracts.centroids)
     return float(_bandwidths(d, neighbors_k)[0])
+
+
+def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the points of a (m x 2) and b (n x 2).
+
+    Each cell is sqrt(dx*dx + dy*dy), in that order of operations, so it is
+    bit-identical to the usual pairwise-distance routines. Rows are built in
+    chunks of CHUNK_CELLS, so the only temporary beside the m x n result is
+    one chunk.
+    """
+    out = np.empty((len(a), len(b)))
+    rows = max(1, CHUNK_CELLS // max(1, len(b)))
+    for s in range(0, len(a), rows):
+        block = out[s : s + rows]
+        np.subtract(a[s : s + rows, :1], b[:, 0], out=block)
+        block *= block
+        dy = a[s : s + rows, 1:] - b[:, 1]
+        dy *= dy
+        block += dy
+    return np.sqrt(out, out=out)
 
 
 def _bandwidths(distances: np.ndarray, neighbors_k: int) -> np.ndarray:
@@ -250,8 +268,8 @@ def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
     if diag.size == 0 or np.any(diag <= RANK_RTOL * diag.max()):
         return failed("locally rank-deficient design")
 
-    beta = solve_triangular(R, Q.T @ (y[active] * sw))
-    r_inv = solve_triangular(R, np.eye(p))
+    beta = np.linalg.solve(R, Q.T @ (y[active] * sw))
+    r_inv = np.linalg.solve(R, np.eye(p))
     M = r_inv @ r_inv.T  # (X'WX)^-1
 
     xj = X[j]
@@ -367,7 +385,7 @@ def compute_aicc(rss: float, n: int, trace_s: float) -> float:
 def _pairwise_distances(data: DesignData, tracts: TractSet) -> np.ndarray:
     idx = [tracts.index_of(tid) for tid in data.tract_ids]
     pts = tracts.centroids[idx]
-    return cdist(pts, pts)
+    return _distance_matrix(pts, pts)
 
 
 def fit_gwr(

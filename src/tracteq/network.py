@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from scipy.spatial import cKDTree
+import numpy as np
 
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
@@ -92,18 +92,19 @@ class Graph:
             k: tuple((nbr, e, e.travel_time) for nbr, e in v)
             for k, v in self.adjacency.items()
         }
-        self._node_tree: tuple[tuple[str, ...], cKDTree] | None = None
+        self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_ids(self) -> list[str]:
         return sorted(self.nodes)
 
-    def node_tree(self) -> tuple[tuple[str, ...], cKDTree]:
-        """KD-tree over node coordinates and the node id at each tree index
-        (ids sorted); built on first use."""
-        if self._node_tree is None:
+    def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Node ids in sorted order and their (n, 2) coordinates in that
+        order; built on first use."""
+        if self._node_coords is None:
             ids = tuple(self.node_ids())
-            self._node_tree = (ids, cKDTree([self.nodes[i] for i in ids]))
-        return self._node_tree
+            coords = np.array([self.nodes[i] for i in ids], dtype=float).reshape(-1, 2)
+            self._node_coords = (ids, coords)
+        return self._node_coords
 
     def edge_geometry(self, edge: Edge) -> tuple[tuple[float, float], tuple[float, float]]:
         return self.nodes[edge.u], self.nodes[edge.v]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data_model import DesignData
 from .errors import SingularityError, ValidationError
@@ -28,7 +27,11 @@ class OlsFit:
 
 
 def _checked_qr(X: np.ndarray, column_names: Sequence[str] | None = None):
-    """QR with an explicit rank check naming the offending columns."""
+    """QR with an explicit rank check naming the offending columns.
+
+    R then has a nonzero diagonal, so np.linalg.solve on it pivots nothing
+    and is a back substitution.
+    """
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     if diag.size == 0:
@@ -53,7 +56,7 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     if n <= p:
         raise ValidationError(f"need n > k+1, got n={n}, k+1={p}")
     _, R = _checked_qr(X)
-    r_inv = solve_triangular(R, np.eye(p))
+    r_inv = np.linalg.solve(R, np.eye(p))
     xtx_inv = r_inv @ r_inv.T
     meat = (X * (e * e)[:, None]).T @ X
     cov = (n / (n - p)) * xtx_inv @ meat @ xtx_inv
@@ -66,7 +69,7 @@ def fit_ols(data: DesignData) -> OlsFit:
     if n <= p:
         raise ValidationError(f"need n > k+1 observations, got n={n}, k+1={p}")
     Q, R = _checked_qr(data.X, data.column_names)
-    beta = solve_triangular(R, Q.T @ data.y)
+    beta = np.linalg.solve(R, Q.T @ data.y)
     residuals = data.y - data.X @ beta
     rss = float(residuals @ residuals)
     tss = float(np.sum((data.y - data.y.mean()) ** 2))

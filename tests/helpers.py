@@ -41,6 +41,18 @@ def normal_equations_beta(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
 
+def criterion1_designs(seed: int = 101, count: int = 100):
+    """(X, y) pairs drawn exactly as acceptance criterion 1 draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(10, 201))
+        k = int(rng.integers(1, 7))
+        X = np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(k)])
+        beta = rng.normal(scale=2.0, size=k + 1)
+        y = X @ beta + rng.normal(scale=0.5, size=n)
+        yield X, y
+
+
 def hc1_by_hand(X: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Element-by-element sandwich evaluation with explicit Python loops."""
     n, p = X.shape

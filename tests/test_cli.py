@@ -5,9 +5,12 @@ tracebacks."""
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import tracteq
 from tracteq import __version__
 from tracteq.cli import main
 
@@ -38,6 +41,21 @@ def run_dir(scenario_dir, tmp_path_factory):
     rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.spatial and scipy.linalg costs every run ~0.3 s and
+    # ~33 MB; the package needs numpy only.
+    code = (
+        "import sys, tracteq, tracteq.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_synth_writes_inputs_and_config(scenario_dir):

@@ -165,14 +165,16 @@ def test_nearest_node_smallest_id_tie():
 
 
 def test_nearest_node_matches_full_scan(rng):
-    # seeded nodes and points
-    nodes = {f"n{i:03d}": tuple(rng.uniform(0, 5000, 2)) for i in range(300)}
-    g = Graph(nodes, [])
-    for point in rng.uniform(-500, 5500, (200, 2)):
-        assert nearest_node(g, tuple(point)) == nearest_node_brute(g, point)
-    # query points on a node
-    for nid in list(nodes)[::17]:
-        assert nearest_node(g, nodes[nid]) == nid
+    # seeded nodes and points, near the origin and at county-like projected
+    # coordinates (~4e6 m)
+    for offset in (0.0, 4.2e6):
+        nodes = {f"n{i:03d}": tuple(rng.uniform(0, 5000, 2) + offset) for i in range(300)}
+        g = Graph(nodes, [])
+        for point in rng.uniform(-500, 5500, (200, 2)) + offset:
+            assert nearest_node(g, tuple(point)) == nearest_node_brute(g, point)
+        # query points on a node
+        for nid in list(nodes)[::17]:
+            assert nearest_node(g, nodes[nid]) == nid
 
 
 def test_nearest_node_grid_midpoints_and_duplicates():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from helpers import design_from_arrays, grid_tracts, square_tract
+from helpers import criterion1_designs, design_from_arrays, grid_tracts, square_tract
 from tracteq import gwr
 from tracteq.data_model import Tract, TractSet
 from tracteq.errors import SelectionError
@@ -20,7 +21,7 @@ from tracteq.gwr import (
     select_bandwidth,
     summarize_gwr,
 )
-from tracteq.ols import fit_ols
+from tracteq.ols import RANK_RTOL, fit_ols
 
 
 def test_gaussian_weights_anchor_points():
@@ -236,6 +237,93 @@ def test_bandwidths_chunked_match_whole_matrix_partition(step_scenario, monkeypa
         want = np.partition(d, k - 1, axis=1)[:, k - 1]
         assert np.array_equal(gwr._bandwidths(d, k), want)
         assert np.array_equal(ordered[:, k - 1], want)
+
+
+def test_pairwise_distances_match_cdist(monkeypatch):
+    # a small chunk puts chunk boundaries mid-matrix
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 7 * 60)
+    rng = np.random.default_rng(23)
+    point_sets = [
+        rng.uniform(0, 5000, (40, 2)),
+        rng.uniform(0, 30000, (60, 2)) + (4.2e6, 3.8e6),  # county-like projected meters
+        np.repeat(rng.uniform(0, 1000, (10, 2)), 3, axis=0),  # duplicate centroids
+        rng.uniform(0, 1000, (1, 2)),
+    ]
+    for pts in point_sets:
+        ts = TractSet([point_tract(f"T{i:03d}", x, y) for i, (x, y) in enumerate(pts)])
+        want = cdist(ts.centroids, ts.centroids)
+        for j in range(len(ts)):
+            got = [adaptive_bandwidth(ts, j, k) for k in range(1, len(ts) + 1)]
+            assert np.array_equal(got, np.sort(want[j]))
+        # design rows in an order and subset of their own
+        idx = rng.permutation(len(ts))[: max(1, len(ts) - 3)]
+        ids = [ts.ids[i] for i in idx]
+        data = design_from_arrays(np.zeros(len(ids)), np.ones((len(ids), 1)), ids=ids)
+        want = cdist(ts.centroids[idx], ts.centroids[idx])
+        assert np.array_equal(gwr._pairwise_distances(data, ts), want)
+
+
+def fit_local_by_scipy_triangular_solves(data, weights, j):
+    """fit_local's QR solve with scipy's solve_triangular: None where
+    fit_local must fail, else (coefficients, se_unit, hat_diag)."""
+    X, y = data.X, data.y
+    p = X.shape[1]
+    w = np.where(weights > gwr.WEIGHT_FLOOR, weights, 0.0)
+    active = np.flatnonzero(w)
+    if active.size < p:
+        return None
+    wa, Xa = w[active], X[active]
+    sw = np.sqrt(wa)
+    Q, R = np.linalg.qr(Xa * sw[:, None])
+    diag = np.abs(np.diag(R))
+    if np.any(diag <= RANK_RTOL * diag.max()):
+        return None
+    beta = solve_triangular(R, Q.T @ (y[active] * sw))
+    r_inv = solve_triangular(R, np.eye(p))
+    M = r_inv @ r_inv.T
+    B = Xa @ M
+    se_unit = np.sqrt(np.einsum("i,ij,ij->j", wa * wa, B, B))
+    return beta, se_unit, w[j] * float(X[j] @ (M @ X[j]))
+
+
+def local_weight_cases(source, request):
+    """(data, weights, j) triples: random truncated weights over the
+    criterion-1 designs, or every tract's kernel row of a scenario at
+    several bandwidths, with and without a column scaled to rank deficiency."""
+    if source == "criterion_1":
+        rng = np.random.default_rng(7)
+        for X, y in criterion1_designs():
+            # exp(-30) is below WEIGHT_FLOOR, so some rows drop out
+            weights = np.exp(-rng.uniform(0, 30, len(y)))
+            yield design_from_arrays(y, X), weights, int(rng.integers(len(y)))
+        return
+    sc = request.getfixturevalue(source)
+    d = gwr._pairwise_distances(sc.design, sc.tracts)
+    scaled = design_from_arrays(
+        sc.design.y, sc.design.X * np.array([1.0, 1e-12]), ids=sc.design.tract_ids
+    )
+    n = sc.design.n
+    for data in (sc.design, scaled):
+        for k, scale in ((3, 1.0), (5, 1.0), (12, 1.0), (n, 1.0), (n, 1e6), (4, 1e-3)):
+            bw = gwr._bandwidths(d, k) * scale
+            for j in range(n):
+                yield data, gaussian_weights(d[j], bw[j]), j
+
+
+@pytest.mark.parametrize("source", ["criterion_1", "step_scenario", "gradient_scenario"])
+def test_fit_local_matches_scipy_triangular_solves(source, request):
+    outcomes = set()
+    for data, weights, j in local_weight_cases(source, request):
+        local = fit_local(data, weights, j)
+        want = fit_local_by_scipy_triangular_solves(data, weights, j)
+        assert local.ok == (want is not None)
+        outcomes.add(local.ok)
+        if want is not None:
+            beta, se_unit, hat_diag = want
+            np.testing.assert_allclose(local.coefficients, beta, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(local.se_unit, se_unit, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(local.hat_diag, hat_diag, rtol=1e-12, atol=0.0)
+    assert outcomes == ({True} if source == "criterion_1" else {True, False})
 
 
 def test_gwr_loo_switch_increases_aicc_in_global_limit(gradient_scenario):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from helpers import design_from_arrays, hc1_by_hand, normal_equations_beta
+from helpers import criterion1_designs, design_from_arrays, hc1_by_hand, normal_equations_beta
 from tracteq.errors import SingularityError, ValidationError
 from tracteq.ols import fit_ols, robust_covariance
 
@@ -141,3 +142,30 @@ def test_t_stats_zero_when_se_zero():
     fit = fit_ols(design_from_arrays(np.zeros(8), np.column_stack([np.ones(8), x])))
     assert np.all(fit.robust_se == 0.0)
     assert np.all(fit.t_stats == 0.0)
+
+
+def ols_by_scipy_triangular_solves(X, y):
+    """beta and HC1 SE from the same QR factor as fit_ols, solved with
+    scipy's solve_triangular: the reference for fit_ols's numpy solves."""
+    n, p = X.shape
+    Q, R = np.linalg.qr(X)
+    beta = solve_triangular(R, Q.T @ y)
+    e = y - X @ beta
+    r_inv = solve_triangular(R, np.eye(p))
+    bread = r_inv @ r_inv.T
+    cov = (n / (n - p)) * bread @ ((X * (e * e)[:, None]).T @ X) @ bread
+    return beta, np.sqrt(np.maximum(np.diag((cov + cov.T) / 2.0), 0.0))
+
+
+@pytest.mark.parametrize("source", ["criterion_1", "step_scenario", "gradient_scenario"])
+def test_fit_ols_matches_scipy_triangular_solves(source, request):
+    if source == "criterion_1":
+        designs = list(criterion1_designs())
+    else:
+        design = request.getfixturevalue(source).design
+        designs = [(design.X, design.y)]
+    for X, y in designs:
+        fit = fit_ols(design_from_arrays(y, X))
+        beta, se = ols_by_scipy_triangular_solves(X, y)
+        np.testing.assert_allclose(fit.coefficients, beta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fit.robust_se, se, rtol=1e-12, atol=0.0)
