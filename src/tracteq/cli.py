@@ -302,15 +302,11 @@ def _simulate_from_config(cfg: RunConfig, tracts: TractSet, workers: int):
     )
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, _ = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
-    table = _simulate_from_config(cfg, tracts, args.workers)
+def _write_simulation(table, outdir: str, cfg_hash: str, seed: int) -> None:
+    """traversal.csv and simulate.json (pairs, unreachable pairs, total km)."""
     os.makedirs(outdir, exist_ok=True)
     write_traversal(table, os.path.join(outdir, "traversal.csv"),
-                    _header_lines(cfg_hash, cfg.seed))
+                    _header_lines(cfg_hash, seed))
     stats = {
         "n_pairs": table.n_pairs,
         "n_unreachable": table.n_unreachable,
@@ -318,6 +314,15 @@ def cmd_simulate(args) -> int:
     }
     _write_text(os.path.join(outdir, "simulate.json"),
                 json.dumps(stats, sort_keys=True) + "\n")
+
+
+def cmd_simulate(args) -> int:
+    cfg = load_config(args.config)
+    cfg_hash = config_hash(cfg.raw)
+    tracts, _ = _load_layers(cfg)
+    outdir = _outdir(cfg, args)
+    table = _simulate_from_config(cfg, tracts, args.workers)
+    _write_simulation(table, outdir, cfg_hash, cfg.seed)
     print(f"simulated {table.n_pairs} OD pairs "
           f"({table.n_unreachable} unreachable), {table.total_km()!r} km")
     return 0
@@ -350,6 +355,11 @@ def _equity_outputs(cfg: RunConfig, tracts: TractSet,
                 tracts_to_geojson(tracts, props, meta) + "\n")
 
     all_ids = set(tracts.ids)
+    corridors: dict[str, tuple[str, ...]] = {}
+    if highways is not None:
+        corridors = {label: corridor_subset(tracts, highways, label)
+                     for label in highways.labels}
+    highway_ids = set().union(*corridors.values())
     for group in groups:
         if group not in index.groups:
             raise ValidationError(f"group {group!r} not in traversal table")
@@ -364,13 +374,10 @@ def _equity_outputs(cfg: RunConfig, tracts: TractSet,
 
         add_entry("all", all_ids)
         if highways is not None:
-            highway_ids: set[str] = set()
-            for label in highways.labels:
-                highway_ids |= set(corridor_subset(tracts, highways, label))
             add_entry("highway", highway_ids)
             add_entry("non_highway", all_ids - highway_ids)
-            for label in highways.labels:
-                add_entry(f"corridor {label}", corridor_subset(tracts, highways, label))
+            for label, subset in corridors.items():
+                add_entry(f"corridor {label}", subset)
         text = format_equity_summary(group, entries)
         header = "\n".join(f"# {line}" for line in _header_lines(cfg_hash, cfg.seed))
         _write_text(os.path.join(outdir, f"equity_summary_{group}.txt"),
@@ -544,9 +551,7 @@ def cmd_run(args) -> int:
         if all(k in cfg.inputs for k in ("nodes", "edges", "od")):
             stage = "simulate"
             table = _simulate_from_config(cfg, tracts, args.workers)
-            os.makedirs(outdir, exist_ok=True)
-            write_traversal(table, os.path.join(outdir, "traversal.csv"),
-                            _header_lines(cfg_hash, cfg.seed))
+            _write_simulation(table, outdir, cfg_hash, cfg.seed)
             simulated = True
 
             stage = "equity"

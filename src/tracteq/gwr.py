@@ -8,7 +8,9 @@ The neighbor count is chosen by minimizing small-sample-corrected AIC.
 fit_gwr solves every local fit for one bandwidth at once from the normal
 equations, a chunk of kernel rows at a time (after FastGWR, Li et al. 2019).
 fit_local is the per-tract QR fit; it is the oracle for the batched path and
-refits every tract whose batched system is marginal.
+refits every tract whose batched system is marginal. select_bandwidth runs
+only the solve core each candidate's AICc needs; the SEs and local R^2 are
+computed by fit_gwr alone (the "lite" search fit of mgwr, Oshan et al. 2019).
 """
 
 from __future__ import annotations
@@ -304,7 +306,21 @@ def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
     )
 
 
-def _fit_chunk(
+@dataclass
+class _Solved:
+    """One chunk of local fits from the solve core (see _solve_chunk)."""
+
+    W: np.ndarray  # kernel rows, truncated at WEIGHT_FLOOR
+    G: np.ndarray  # W @ rhs
+    coefficients: np.ndarray
+    M: np.ndarray  # (X'WX)^-1 of each batched system
+    hat_diag: np.ndarray
+    fitted: np.ndarray  # the values AICc uses: leave-one-out ones under aicc_loo
+    ok: np.ndarray
+    refits: dict[int, LocalFit]  # chunk row -> fit_local result, for refitted tracts
+
+
+def _solve_chunk(
     data: DesignData,
     distances: np.ndarray,
     bw: np.ndarray,
@@ -312,18 +328,18 @@ def _fit_chunk(
     s: int,
     e: int,
     aicc_loo: bool,
-) -> tuple[np.ndarray, ...]:
-    """Local fits for tracts s..e-1 from their kernel rows, all at once.
+) -> _Solved:
+    """Local fits for tracts s..e-1 from their kernel rows, all at once, with
+    only what AICc reads: coefficients, hat diagonal, fitted values and ok.
 
     Row i of rhs is [vec(x_i x_i'), x_i y_i, y_i], so W @ rhs gives every
-    local X'WX, X'Wy and the weighted sum of y in one product. Tracts
-    whose batched system is marginal are refitted by fit_local. Returns
-    coefficients, unit-sigma SEs, hat diagonal, raw local R^2, the fitted
-    values AICc uses (leave-one-out ones under aicc_loo) and the ok mask.
+    local X'WX, X'Wy and the weighted sum of y in one product. Tracts whose
+    batched system is marginal, or whose coefficients, hat value or fitted
+    value is not finite, are refitted by fit_local, so the bandwidth search
+    and fit_gwr make the same fallbacks and the same ok/failed decisions.
     """
-    X, y = data.X, data.y
+    X = data.X
     p = X.shape[1]
-    xx = rhs[:, : p * p]
     own = np.arange(e - s), np.arange(s, e)
     W = gaussian_weights(distances[s:e], bw[s:e, None])
     keep = W > WEIGHT_FLOOR
@@ -333,24 +349,17 @@ def _fit_chunk(
     G = W @ rhs
     beta, M, ok = _solve_normal(G[:, : p * p].reshape(-1, p, p), G[:, p * p : p * p + p])
     Xc = X[s:e]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        B = ((W * W) @ xx).reshape(-1, p, p)
-        se_unit = np.sqrt(np.einsum("mca,mab,mcb->mc", M, B, M))
-        resid = y - beta @ X.T
-        rss_w = np.einsum("mi,mi,mi->m", W, resid, resid)
-        dev = y - G[:, -1:] / W.sum(axis=1, keepdims=True)
-        tss_w = np.einsum("mi,mi,mi->m", W, dev, dev)
-        r2_raw = np.where(
-            tss_w > 0.0, 1.0 - rss_w / tss_w, np.where(rss_w <= 1e-24, 1.0, 0.0)
-        )
+    with np.errstate(invalid="ignore"):
         hat_diag = w_own * np.einsum("mi,mij,mj->m", Xc, M, Xc)
     fitted = np.einsum("mi,mi->m", Xc, beta)
-    ok &= (active >= p) & np.isfinite(hat_diag) & np.isfinite(fitted) & np.isfinite(r2_raw)
-    ok &= np.isfinite(beta).all(axis=1) & np.isfinite(se_unit).all(axis=1)
+    ok &= (active >= p) & np.isfinite(hat_diag) & np.isfinite(fitted)
+    ok &= np.isfinite(beta).all(axis=1)
+    refits: dict[int, LocalFit] = {}
     for r in np.flatnonzero(~ok):
-        local = fit_local(data, W[r], s + r)
-        beta[r], se_unit[r], hat_diag[r] = local.coefficients, local.se_unit, local.hat_diag
-        r2_raw[r], fitted[r], ok[r] = local.local_r2_raw, local.fitted, local.ok
+        local = refits[r] = fit_local(data, W[r], s + r)
+        beta[r], hat_diag[r], fitted[r], ok[r] = (
+            local.coefficients, local.hat_diag, local.fitted, local.ok
+        )
 
     if aicc_loo:
         # Leave-one-out systems: tract j's own row taken out of its X'WX and X'Wy.
@@ -366,7 +375,108 @@ def _fit_chunk(
             # NaN coefficients from a failed refit leave a NaN fitted value.
             fitted[r] = X[s + r] @ fit_local(data, w_loo, s + r).coefficients
         fitted[~ok] = np.nan
-    return beta, se_unit, hat_diag, r2_raw, fitted, ok
+    return _Solved(W, G, beta, M, hat_diag, fitted, ok, refits)
+
+
+def _fit_chunk(
+    data: DesignData,
+    distances: np.ndarray,
+    bw: np.ndarray,
+    rhs: np.ndarray,
+    s: int,
+    e: int,
+    aicc_loo: bool,
+) -> tuple[np.ndarray, ...]:
+    """fit_gwr's chunk: the solve core plus the diagnostics AICc does not read.
+
+    Returns coefficients, unit-sigma SEs (the SE factors come from
+    (W*W) @ vec(x x')), hat diagonal, raw local R^2, fitted values and the
+    ok mask. Tracts the core refitted take fit_local's SEs and R^2; a batched
+    fit whose SEs or R^2 are not finite takes those two from fit_local too,
+    and keeps what AICc reads.
+    """
+    X, y = data.X, data.y
+    p = X.shape[1]
+    c = _solve_chunk(data, distances, bw, rhs, s, e, aicc_loo)
+    W, beta = c.W, c.coefficients
+    with np.errstate(invalid="ignore", divide="ignore"):
+        B = ((W * W) @ rhs[:, : p * p]).reshape(-1, p, p)
+        se_unit = np.sqrt(np.einsum("mca,mab,mcb->mc", c.M, B, c.M))
+        resid = y - beta @ X.T
+        rss_w = np.einsum("mi,mi,mi->m", W, resid, resid)
+        dev = y - c.G[:, -1:] / W.sum(axis=1, keepdims=True)
+        tss_w = np.einsum("mi,mi,mi->m", W, dev, dev)
+        r2_raw = np.where(
+            tss_w > 0.0, 1.0 - rss_w / tss_w, np.where(rss_w <= 1e-24, 1.0, 0.0)
+        )
+    finite = np.isfinite(se_unit).all(axis=1) & np.isfinite(r2_raw)
+    for r in np.flatnonzero(c.ok & ~finite):
+        if r not in c.refits:
+            c.refits[r] = fit_local(data, W[r], s + r)
+    for r, local in c.refits.items():
+        se_unit[r], r2_raw[r] = local.se_unit, local.local_r2_raw
+    return beta, se_unit, c.hat_diag, r2_raw, c.fitted, c.ok
+
+
+def _search_aicc(
+    data: DesignData,
+    distances: np.ndarray,
+    bw: np.ndarray,
+    rhs: np.ndarray,
+    aicc_loo: bool,
+) -> float:
+    """fit_gwr's AICc at the bandwidths bw, from the solve core alone: the
+    bandwidth search reads nothing else, so it skips the SEs and local R^2."""
+    _check_bandwidths(data, bw)
+    n = data.n
+    rows = max(1, CHUNK_CELLS // n)
+    parts = []
+    for s in range(0, n, rows):
+        c = _solve_chunk(data, distances, bw, rhs, s, min(n, s + rows), aicc_loo)
+        parts.append((c.hat_diag, c.fitted, c.ok))
+    hat_diag, fitted, ok = (np.concatenate(part) for part in zip(*parts))
+    return _aicc_terms(data, hat_diag, fitted, ok)[3]
+
+
+def _kernel_rhs(data: DesignData) -> np.ndarray:
+    """Rows [vec(x_i x_i'), x_i y_i, y_i], the right-hand side of W @ rhs."""
+    X, y = data.X, data.y
+    n, p = X.shape
+    xx = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    return np.column_stack([xx, X * y[:, None], y])
+
+
+def _check_bandwidths(data: DesignData, bw: np.ndarray) -> None:
+    zero_bw = np.flatnonzero(bw <= 0.0)
+    if zero_bw.size:
+        names = ", ".join(data.tract_ids[i] for i in zero_bw[:5])
+        raise ValueError(
+            f"adaptive bandwidth is zero for {zero_bw.size} tract(s) ({names}); "
+            "duplicate centroids within neighbors_k"
+        )
+
+
+def _aicc_terms(
+    data: DesignData, hat_diag: np.ndarray, fitted: np.ndarray, ok: np.ndarray
+) -> tuple[tuple[str, ...], float, float, float]:
+    """Failed tracts, tr(S), RSS and AICc of a fit; any failure makes tr(S)
+    and RSS NaN and AICc infinite."""
+    n = data.n
+    failed = tuple(data.tract_ids[i] for i in np.flatnonzero(~(ok & np.isfinite(fitted))))
+    if failed:
+        level = logging.WARNING if len(failed) > 0.1 * n else logging.INFO
+        log.log(
+            level,
+            "%d of %d local fits failed: %s",
+            len(failed),
+            n,
+            ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else ""),
+        )
+        return failed, math.nan, math.nan, math.inf
+    trace_s = float(hat_diag.sum())
+    resid = data.y - fitted
+    rss = float(resid @ resid)
+    return failed, trace_s, rss, compute_aicc(rss, n, trace_s)
 
 
 def compute_aicc(rss: float, n: int, trace_s: float) -> float:
@@ -422,17 +532,9 @@ def fit_gwr(
     if kth_distances is None:
         kth_distances = _bandwidths(distances, kernel.neighbors_k)
     bw = kth_distances * kernel.bandwidth_scale
-    zero_bw = np.flatnonzero(bw <= 0.0)
-    if zero_bw.size:
-        names = ", ".join(data.tract_ids[i] for i in zero_bw[:5])
-        raise ValueError(
-            f"adaptive bandwidth is zero for {zero_bw.size} tract(s) ({names}); "
-            "duplicate centroids within neighbors_k"
-        )
+    _check_bandwidths(data, bw)
 
-    X, y = data.X, data.y
-    xx = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    rhs = np.column_stack([xx, X * y[:, None], y])
+    rhs = _kernel_rhs(data)
     rows = max(1, CHUNK_CELLS // n)
     chunks = [
         _fit_chunk(data, distances, bw, rhs, s, min(n, s + rows), aicc_loo)
@@ -441,30 +543,13 @@ def fit_gwr(
     coef, se_unit, hat_diag, r2_raw, fitted, ok = (np.concatenate(c) for c in zip(*chunks))
     r2 = np.clip(r2_raw, 0.0, 1.0)
 
-    failed = tuple(data.tract_ids[i] for i in np.flatnonzero(~(ok & np.isfinite(fitted))))
+    failed, trace_s, rss, aicc = _aicc_terms(data, hat_diag, fitted, ok)
     if failed:
-        level = logging.WARNING if len(failed) > 0.1 * n else logging.INFO
-        log.log(
-            level,
-            "%d of %d local fits failed: %s",
-            len(failed),
-            n,
-            ", ".join(failed[:10]) + (", ..." if len(failed) > 10 else ""),
-        )
-
-    if failed:
-        trace_s = math.nan
-        rss = math.nan
         sigma2 = math.nan
-        aicc = math.inf
         se = np.full_like(se_unit, np.nan)
     else:
-        trace_s = float(hat_diag.sum())
-        resid = data.y - fitted
-        rss = float(resid @ resid)
         denom = n - trace_s
         sigma2 = rss / denom if denom > 0 else math.nan
-        aicc = compute_aicc(rss, n, trace_s)
         se = se_unit * math.sqrt(sigma2) if math.isfinite(sigma2) else np.full_like(
             se_unit, np.nan
         )
@@ -506,7 +591,10 @@ def select_bandwidth(
     Golden-section over integers assuming unimodality, with an exhaustive
     scan whenever the (remaining) range is 25 candidates or fewer; ties
     within 1e-9 go to the larger count. method="exhaustive" forces the full
-    scan and is the oracle for the golden path.
+    scan and is the oracle for the golden path. Each candidate's AICc is
+    fit_gwr's, bit for bit, computed without the SEs and local R^2 that
+    AICc does not read. `workers` is accepted for compatibility and does
+    not change the result.
     """
     if method not in ("golden", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
@@ -517,6 +605,7 @@ def select_bandwidth(
         )
 
     distances = _pairwise_distances(data, tracts)
+    rhs = _kernel_rhs(data)
     cache: dict[int, float] = {}
 
     def evaluate(ks) -> None:
@@ -535,17 +624,9 @@ def select_bandwidth(
             block = todo[start : start + EXHAUSTIVE_LIMIT]
             kth = np.sort(distances, axis=1)[:, np.asarray(block) - 1]
             for j, k in enumerate(block):
-                fit = fit_gwr(
-                    data,
-                    tracts,
-                    KernelSpec(neighbors_k=k),
-                    workers=workers,
-                    aicc_loo=aicc_loo,
-                    distances=distances,
-                    kth_distances=kth[:, j],
-                )
+                aicc = _search_aicc(data, distances, kth[:, j], rhs, aicc_loo)
                 # NaN never reaches the comparisons below: it would order arbitrarily.
-                cache[k] = math.inf if math.isnan(fit.aicc) else fit.aicc
+                cache[k] = math.inf if math.isnan(aicc) else aicc
 
     lo, hi = k_min, k_max
     if method == "golden":

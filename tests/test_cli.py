@@ -12,6 +12,7 @@ import pytest
 
 import tracteq
 from tracteq import __version__
+from tracteq import cli
 from tracteq.cli import main
 
 HEADER_PREFIX = f"# tracteq v{__version__} config="
@@ -73,7 +74,7 @@ def test_run_produces_all_artifacts(run_dir):
         "ols_global.csv", "ols_global.json",
         "gwr_local_local.csv", "gwr_local.geojson",
         "gwr_local_summary.txt", "gwr_local.json",
-        "traversal.csv",
+        "traversal.csv", "simulate.json",
         "equity.csv", "equity.geojson",
         "equity_summary_white.txt", "equity_summary_non_white.txt",
         "equity_white.svg", "equity_non_white.svg",
@@ -185,6 +186,36 @@ def test_simulate_writes_traversal_and_stats(scenario_dir, tmp_path):
     assert stats["total_km"] > 0.0
 
 
+def test_run_writes_the_simulate_stats_of_simulate(run_dir, scenario_dir, tmp_path):
+    # run and simulate share one writer, so run keeps the unreachable count
+    rc = main(["simulate", "--config", str(scenario_dir / "config.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    for name in ("simulate.json", "traversal.csv"):
+        assert filecmp.cmp(run_dir / name, tmp_path / name, shallow=False), name
+
+
+def test_equity_computes_each_corridor_once(scenario_dir, tmp_path, monkeypatch):
+    rc = main(["simulate", "--config", str(scenario_dir / "config.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    calls = []
+    real_corridor_subset = cli.corridor_subset
+
+    def spy(tracts, highways, label, *args, **kwargs):
+        calls.append(label)
+        return real_corridor_subset(tracts, highways, label, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "corridor_subset", spy)
+    rc = main(["equity", "--config", str(scenario_dir / "config.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    # one call per highway label, whatever the number of groups
+    assert calls == ["H1"]
+    assert (tmp_path / "equity_summary_white.txt").exists()
+    assert (tmp_path / "equity_summary_non_white.txt").exists()
+
+
 def test_equity_requires_traversal(scenario_dir, tmp_path):
     rc = main(["equity", "--config", str(scenario_dir / "config.json"),
                "--out", str(tmp_path)])
@@ -291,6 +322,7 @@ def test_run_without_network_inputs_skips_simulation(tmp_path):
     assert rc == 0
     assert (out / "report.txt").exists()
     assert not (out / "traversal.csv").exists()
+    assert not (out / "simulate.json").exists()
     assert not (out / "equity.csv").exists()
 
 

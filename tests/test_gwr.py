@@ -534,11 +534,7 @@ def test_select_bandwidth_matches_oracle_exhaustive_scan(request, scenario, k_ma
 
 
 def test_gwr_failed_loo_refit_counts_as_failure():
-    # x2 is nonzero only at tract 5, so its leave-one-out design loses rank.
-    ts = grid_tracts(4, 4)
-    rng = np.random.default_rng(0)
-    X = np.column_stack([np.ones(16), rng.normal(0, 1, 16), np.eye(16)[5]])
-    data = design_from_arrays(rng.normal(0, 1, 16), X, ids=ts.ids)
+    data, ts = failed_loo_design()
     fit = fit_gwr(data, ts, KernelSpec(neighbors_k=8), aicc_loo=True)
     assert fit.failed == (ts.ids[5],)
     assert fit.aicc == math.inf
@@ -567,12 +563,12 @@ def fit_local_calls(monkeypatch):
     return calls
 
 
-def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
-    # Triangles of three tracts 10 m apart, 100 m between triangles, and one
-    # lone tract: under a narrow kernel each triangle fits on its own three
-    # rows and the lone tract has only itself. The first triangle's x is
-    # nearly constant, so its normal equations are too ill-conditioned to
-    # trust, though the QR fit in fit_local still succeeds.
+def marginal_triangles():
+    """Triangles of three tracts 10 m apart, 100 m between triangles, and one
+    lone tract: under the returned narrow kernel each triangle fits on its own
+    three rows and the lone tract has only itself. The first triangle's x is
+    nearly constant, so its normal equations are too ill-conditioned to
+    trust, though the QR fit in fit_local still succeeds."""
     tracts, xs = [], []
     rng = np.random.default_rng(4)
     for c in range(9):
@@ -586,8 +582,12 @@ def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
     n = len(tracts)
     X = np.column_stack([np.ones(n), xs])
     data = design_from_arrays(1.0 + 2.0 * X[:, 1] + rng.normal(0, 0.1, n), X, ids=ts.ids)
-    kernel = KernelSpec(neighbors_k=4, bandwidth_scale=0.05)
+    return data, ts, KernelSpec(neighbors_k=4, bandwidth_scale=0.05)
 
+
+def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
+    data, ts, kernel = marginal_triangles()
+    n, X = data.n, data.X
     fit = fit_gwr(data, ts, kernel)
     marginal = [0, 1, 2, n - 1]
     assert sorted(fit_local_calls) == marginal
@@ -621,8 +621,7 @@ def test_gwr_badly_scaled_column_keeps_fit_local_rank_decision(
     # design is within RANK_MARGIN of RANK_RTOL (1e-9) or below it (1e-12):
     # fit_local decides every tract, and fails the same ones it fails alone.
     sc = gradient_scenario
-    X = sc.design.X * np.array([1.0, scale])
-    data = design_from_arrays(sc.design.y, X, ids=sc.design.tract_ids)
+    data = badly_scaled(sc, scale)
     kernel = KernelSpec(neighbors_k=12)
     fit = fit_gwr(data, sc.tracts, kernel)
     assert sorted(fit_local_calls) == list(range(data.n))
@@ -630,3 +629,164 @@ def test_gwr_badly_scaled_column_keeps_fit_local_rank_decision(
     assert fit.failed == want["failed"]
     assert bool(fit.failed) == (scale < 1e-10)
     assert np.array_equal(fit.local_coefficients, want["local_coefficients"], equal_nan=True)
+
+
+def failed_loo_design():
+    """x2 is nonzero only at tract 5, so its leave-one-out design loses rank."""
+    ts = grid_tracts(4, 4)
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(16), rng.normal(0, 1, 16), np.eye(16)[5]])
+    return design_from_arrays(rng.normal(0, 1, 16), X, ids=ts.ids), ts
+
+
+def badly_scaled(sc, scale):
+    return design_from_arrays(
+        sc.design.y, sc.design.X * np.array([1.0, scale]), ids=sc.design.tract_ids
+    )
+
+
+@pytest.fixture()
+def search_evals(monkeypatch):
+    """(bandwidths, failed, AICc) of each call of the bandwidth search's AICc
+    helper, in call order."""
+    evals = []
+    real_search, real_terms = gwr._search_aicc, gwr._aicc_terms
+
+    def spy(data, distances, bw, rhs, aicc_loo):
+        terms = []
+
+        def terms_spy(*args):
+            terms.append(real_terms(*args))
+            return terms[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(gwr, "_aicc_terms", terms_spy)
+            aicc = real_search(data, distances, bw, rhs, aicc_loo)
+        ((failed, _, _, searched),) = terms
+        assert float(aicc).hex() == float(searched).hex()
+        evals.append((np.array(bw), failed, aicc))
+        return aicc
+
+    monkeypatch.setattr(gwr, "_search_aicc", spy)
+    return evals
+
+
+def assert_evals_match_fit_gwr(data, tracts, evals, ks, aicc_loo):
+    """Evaluation i ran at k = ks[i] and gave fit_gwr's failed set and AICc
+    bit for bit."""
+    ordered = np.sort(gwr._pairwise_distances(data, tracts), axis=1)
+    assert len(evals) == len(ks)
+    for k, (bw, failed, aicc) in zip(ks, evals):
+        assert np.array_equal(bw, ordered[:, k - 1]), k
+        fit = fit_gwr(data, tracts, KernelSpec(neighbors_k=k), aicc_loo=aicc_loo)
+        assert failed == fit.failed, k
+        assert float(aicc).hex() == fit.aicc.hex(), k
+
+
+# The k each golden search over [4, n] evaluates, in order, as recorded when
+# every candidate was a full fit_gwr call; the same with and without aicc_loo.
+GOLDEN_KS = {
+    "gradient_scenario": [16, 24, *range(4, 16), *range(17, 24)],
+    "step_scenario": [27, 41, 18, *range(4, 18), *range(19, 27)],
+}
+
+
+@pytest.mark.parametrize("scenario", ["gradient_scenario", "step_scenario"])
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_golden_search_k_sequence_and_aicc_match_fit_gwr(
+    request, search_evals, scenario, aicc_loo
+):
+    sc = request.getfixturevalue(scenario)
+    k, aicc = select_bandwidth(sc.design, sc.tracts, 4, sc.design.n, aicc_loo=aicc_loo)
+    evals = list(search_evals)
+    ks = GOLDEN_KS[scenario]
+    assert_evals_match_fit_gwr(sc.design, sc.tracts, evals, ks, aicc_loo)
+    assert k in ks
+    assert aicc.hex() == evals[ks.index(k)][2].hex()
+
+
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_search_aicc_makes_fit_gwr_fallbacks_on_fallback_designs(
+    gradient_scenario, search_evals, fit_local_calls, aicc_loo
+):
+    # The search helper at each design's kernel bandwidths: the same fit_local
+    # calls (leave-in and leave-one-out refits), failed set and AICc.
+    triangles, triangle_tracts, triangle_kernel = marginal_triangles()
+    loo_data, loo_tracts = failed_loo_design()
+    cases = [
+        (triangles, triangle_tracts, triangle_kernel),
+        (badly_scaled(gradient_scenario, 1e-9), gradient_scenario.tracts, KernelSpec(12)),
+        (badly_scaled(gradient_scenario, 1e-12), gradient_scenario.tracts, KernelSpec(12)),
+        (loo_data, loo_tracts, KernelSpec(8)),
+    ]
+    outcomes = set()
+    for data, tracts, kernel in cases:
+        distances = gwr._pairwise_distances(data, tracts)
+        bw = gwr._bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
+        fit_local_calls.clear()
+        gwr._search_aicc(data, distances, bw, gwr._kernel_rhs(data), aicc_loo)
+        searched = list(fit_local_calls)
+        fit_local_calls.clear()
+        fit = fit_gwr(data, tracts, kernel, aicc_loo=aicc_loo)
+        assert searched == fit_local_calls
+        # the failed-LOO design needs fit_local only for its leave-one-out refit
+        assert bool(searched) == (data is not loo_data or aicc_loo)
+        _, failed, aicc = search_evals[-1]
+        assert failed == fit.failed
+        assert float(aicc).hex() == fit.aicc.hex()
+        outcomes.add(bool(failed))
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_select_bandwidth_on_fallback_designs_matches_fit_gwr(
+    gradient_scenario, search_evals, fit_local_calls, aicc_loo
+):
+    # At scale 1e-9 every tract of every candidate goes through fit_local and
+    # none fails; at 1e-12 they all fail, and so does the failed-LOO design
+    # under aicc_loo.
+    sc = gradient_scenario
+    data = badly_scaled(sc, 1e-9)
+    select_bandwidth(data, sc.tracts, 4, 20, method="exhaustive", aicc_loo=aicc_loo)
+    assert len(fit_local_calls) >= 17 * sc.design.n
+    evals = list(search_evals)
+    assert_evals_match_fit_gwr(data, sc.tracts, evals, range(4, 21), aicc_loo)
+    assert all(not failed for _, failed, _ in evals)
+
+    data = badly_scaled(sc, 1e-12)
+    search_evals.clear()
+    with pytest.raises(SelectionError):
+        select_bandwidth(data, sc.tracts, 4, 20, method="exhaustive", aicc_loo=aicc_loo)
+    evals = list(search_evals)
+    assert_evals_match_fit_gwr(data, sc.tracts, evals, range(4, 21), aicc_loo)
+    assert all(failed for _, failed, _ in evals)
+
+    data, tracts = failed_loo_design()
+    search_evals.clear()
+    if aicc_loo:
+        with pytest.raises(SelectionError):
+            select_bandwidth(data, tracts, 4, 16, method="exhaustive", aicc_loo=True)
+    else:
+        select_bandwidth(data, tracts, 4, 16, method="exhaustive")
+    evals = list(search_evals)
+    assert_evals_match_fit_gwr(data, tracts, evals, range(4, 17), aicc_loo)
+    assert any(failed for _, failed, _ in evals) == aicc_loo
+
+
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_select_bandwidth_skips_se_and_r2_diagnostics(gradient_scenario, monkeypatch, aicc_loo):
+    calls = {"_fit_chunk": 0, "_solve_chunk": 0, "fit_gwr": 0}
+    for name in calls:
+        real = getattr(gwr, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gwr, name, spy)
+    sc = gradient_scenario
+    k, _ = select_bandwidth(sc.design, sc.tracts, 4, sc.design.n, aicc_loo=aicc_loo)
+    assert calls == {"_fit_chunk": 0, "_solve_chunk": len(GOLDEN_KS["gradient_scenario"]),
+                     "fit_gwr": 0}
+    gwr.fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=k), aicc_loo=aicc_loo)
+    assert calls["_fit_chunk"] == calls["fit_gwr"] == 1
