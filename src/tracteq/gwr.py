@@ -391,9 +391,9 @@ def _fit_chunk(
 
     Returns coefficients, unit-sigma SEs (the SE factors come from
     (W*W) @ vec(x x')), hat diagonal, raw local R^2, fitted values and the
-    ok mask. Tracts the core refitted take fit_local's SEs and R^2; a batched
-    fit whose SEs or R^2 are not finite takes those two from fit_local too,
-    and keeps what AICc reads.
+    ok mask. Tracts the core refitted take fit_local's SEs and R^2; any other
+    SE or R^2 is the batched one, NaN where it is not finite, so the ok mask
+    and AICc stay those of the solve core.
     """
     X, y = data.X, data.y
     p = X.shape[1]
@@ -409,10 +409,8 @@ def _fit_chunk(
         r2_raw = np.where(
             tss_w > 0.0, 1.0 - rss_w / tss_w, np.where(rss_w <= 1e-24, 1.0, 0.0)
         )
-    finite = np.isfinite(se_unit).all(axis=1) & np.isfinite(r2_raw)
-    for r in np.flatnonzero(c.ok & ~finite):
-        if r not in c.refits:
-            c.refits[r] = fit_local(data, W[r], s + r)
+    se_unit[~np.isfinite(se_unit)] = np.nan
+    r2_raw[~np.isfinite(r2_raw)] = np.nan
     for r, local in c.refits.items():
         se_unit[r], r2_raw[r] = local.se_unit, local.local_r2_raw
     return beta, se_unit, c.hat_diag, r2_raw, c.fitted, c.ok
@@ -504,8 +502,6 @@ def fit_gwr(
     kernel: KernelSpec,
     workers: int = 1,
     aicc_loo: bool = False,
-    distances: np.ndarray | None = None,
-    kth_distances: np.ndarray | None = None,
 ) -> GwrFit:
     """Fit one local model per design row.
 
@@ -517,21 +513,15 @@ def fit_gwr(
     fitted values (self weight zeroed before refitting); the default uses
     leave-in fitted values. `failed` lists the tracts whose local fit, or
     whose leave-one-out refit under `aicc_loo`, failed; any failure makes
-    AICc infinite. A bandwidth search may pass the pairwise centroid
-    distances in design-row order (`distances`) and each row's distance to
-    its neighbors_k-th nearest row (`kth_distances`, the unscaled
-    bandwidths) when it already has them.
+    AICc infinite.
     """
     n, p = data.X.shape
     if not p + 1 <= kernel.neighbors_k <= n:
         raise ValueError(
             f"neighbors_k={kernel.neighbors_k} outside [{p + 1}, {n}] for this design"
         )
-    if distances is None:
-        distances = _pairwise_distances(data, tracts)
-    if kth_distances is None:
-        kth_distances = _bandwidths(distances, kernel.neighbors_k)
-    bw = kth_distances * kernel.bandwidth_scale
+    distances = _pairwise_distances(data, tracts)
+    bw = _bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
     _check_bandwidths(data, bw)
 
     rhs = _kernel_rhs(data)

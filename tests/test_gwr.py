@@ -790,3 +790,33 @@ def test_select_bandwidth_skips_se_and_r2_diagnostics(gradient_scenario, monkeyp
                      "fit_gwr": 0}
     gwr.fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=k), aicc_loo=aicc_loo)
     assert calls["_fit_chunk"] == calls["fit_gwr"] == 1
+
+
+@pytest.mark.parametrize("spoiled", [np.nan, 1e300])
+def test_gwr_nonfinite_batched_se_is_nan_and_keeps_aicc(
+    gradient_scenario, fit_local_calls, monkeypatch, spoiled
+):
+    # A sound batched system whose SE factors are not finite after the solve
+    # (NaN, or inf from an overflow): the tract keeps its batched fit, so the
+    # ok mask and AICc stay the search's, and only its SEs and t are NaN.
+    sc = gradient_scenario
+    kernel = KernelSpec(neighbors_k=12)
+    want = fit_gwr(sc.design, sc.tracts, kernel)
+    assert not want.failed and not fit_local_calls
+    real_solve = gwr._solve_chunk
+
+    def spoil_first_row(data, distances, bw, rhs, s, e, aicc_loo):
+        c = real_solve(data, distances, bw, rhs, s, e, aicc_loo)
+        if s == 0:
+            c.M[0] = spoiled * np.eye(c.M.shape[1])
+        return c
+
+    monkeypatch.setattr(gwr, "_solve_chunk", spoil_first_row)
+    fit = fit_gwr(sc.design, sc.tracts, kernel)
+    assert not fit_local_calls
+    assert fit.failed == ()
+    assert fit.aicc.hex() == want.aicc.hex()
+    assert np.isnan(fit.local_se[0]).all() and np.isnan(fit.local_t[0]).all()
+    assert np.array_equal(fit.local_se[1:], want.local_se[1:])
+    assert np.array_equal(fit.local_coefficients, want.local_coefficients)
+    assert np.array_equal(fit.local_r2_raw, want.local_r2_raw)
