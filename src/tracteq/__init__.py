@@ -27,7 +27,6 @@ from .data_model import (
     TransformSpec,
     build_design,
     distance_to_nearest_highway,
-    knn,
     load_highways,
     load_tracts,
 )

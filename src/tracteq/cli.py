@@ -1,21 +1,30 @@
 """Command-line entry point for reproducible config-driven runs.
 
-Every artifact carries a header with the toolkit version, the config hash,
-and the seed. Numeric cells are written with repr so identical runs are
+The analysis is one table of stages, STAGES: ingest, ols, gwr, simulate,
+equity and report. `run` executes the table in order and each stage
+subcommand executes its own row. Every artifact carries the toolkit version,
+the config hash and the seed (a `#` header line, or a `meta` object in JSON
+and GeoJSON), and a stage refuses to read an artifact written under another
+config. Numeric cells are written with repr so identical runs are
 byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
+import re
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
+from .artifacts import from_dict, to_dict, write_atomic
 from .commute import (
     GROUPS,
     assign_groups,
@@ -29,6 +38,7 @@ from .config import RunConfig, config_hash, load_config
 from .data_model import (
     HighwayNetworkGeom,
     TractSet,
+    build_design,
     distance_to_nearest_highway,
     load_highways,
     load_tracts,
@@ -36,9 +46,9 @@ from .data_model import (
 )
 from .equity import corridor_subset, inequity_index, population_weighted_mean
 from .errors import TracteqError, ValidationError
-from .gwr import KernelSpec, fit_gwr, select_bandwidth, summarize_gwr
+from .gwr import GwrSummary, KernelSpec, fit_gwr, select_bandwidth, summarize_gwr
 from .network import build_edge_tract_map, build_graph, route_tract_distances, shortest_path
-from .ols import fit_ols
+from .ols import OlsFit, fit_ols
 from .report import (
     format_equity_summary,
     format_gwr_table,
@@ -50,29 +60,12 @@ from .synth import Scenario, ScenarioSpec, Surface, generate, write_scenario
 
 log = logging.getLogger("tracteq")
 
+NETWORK_INPUTS = ("nodes", "edges", "od")
+_HEADER_CONFIG = re.compile(r"\bconfig=(\S+)")
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _header_lines(cfg_hash: str, seed: int) -> list[str]:
-    return [f"tracteq v{__version__} config={cfg_hash} seed={seed}"]
-
-
-def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_csv(path: str, header_lines: list[str], columns: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _load_layers(cfg: RunConfig) -> tuple[TractSet, HighwayNetworkGeom | None]:
@@ -99,34 +92,124 @@ def _load_layers(cfg: RunConfig) -> tuple[TractSet, HighwayNetworkGeom | None]:
     return tracts, highways
 
 
-def _outdir(cfg: RunConfig, args) -> str:
-    return args.out if getattr(args, "out", None) else cfg.output_dir
+class Context:
+    """What a stage reads: the config, its hash and seed, the out dir, the
+    subcommand filters, and the input layers, loaded on first use."""
+
+    def __init__(self, cfg: RunConfig, outdir: str, workers: int = 1,
+                 model: str | None = None, group: str | None = None) -> None:
+        self.cfg = cfg
+        self.hash = config_hash(cfg.raw)
+        self.seed = cfg.seed
+        self.outdir = outdir
+        self.workers = workers
+        self.model = model
+        self.group = group
+        self.header = f"tracteq v{__version__} config={self.hash} seed={self.seed}"
+        self.meta = {"tool": f"tracteq v{__version__}", "config": self.hash, "seed": self.seed}
+        self._layers: tuple[TractSet, HighwayNetworkGeom | None] | None = None
+
+    @property
+    def layers(self) -> tuple[TractSet, HighwayNetworkGeom | None]:
+        if self._layers is None:
+            self._layers = _load_layers(self.cfg)
+        return self._layers
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.outdir, name)
 
 
-def cmd_ingest(args) -> int:
+def _context(args) -> Context:
     cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, highways = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
+    return Context(
+        cfg, args.out or cfg.output_dir,
+        workers=getattr(args, "workers", 1),
+        model=getattr(args, "model", None),
+        group=getattr(args, "group", None),
+    )
+
+
+def _write_text(ctx: Context, name: str, text: str) -> None:
+    write_atomic(ctx.path(name), [text])
+
+
+def _write_headed(ctx: Context, name: str, body: str) -> None:
+    _write_text(ctx, name, f"# {ctx.header}\n{body}")
+
+
+def _write_json(ctx: Context, name: str, blob: dict) -> None:
+    _write_text(ctx, name, json.dumps({**blob, "meta": ctx.meta}, sort_keys=True) + "\n")
+
+
+def _write_csv(ctx: Context, name: str, columns: list[str], rows,
+               extra_header: tuple[str, ...] = ()) -> None:
+    def lines():
+        for line in (ctx.header, *extra_header):
+            yield f"# {line}\n"
+        yield ",".join(columns) + "\n"
+        for row in rows:
+            yield ",".join(row) + "\n"
+
+    write_atomic(ctx.path(name), lines())
+
+
+def _same_config(ctx: Context, name: str, written_under: str | None) -> str:
+    """Path of an artifact, refused unless it was written under this config."""
+    path = ctx.path(name)
+    if written_under != ctx.hash:
+        raise ValidationError(
+            f"{path} was written under config {written_under}, not {ctx.hash}; "
+            "rerun the stages that write it"
+        )
+    return path
+
+
+def _require(ctx: Context, name: str) -> str:
+    path = ctx.path(name)
+    if not os.path.exists(path):
+        producer = next(s.name for s in STAGES if name in s.outputs(ctx.cfg))
+        raise ValidationError(f"missing artifact {path} (run {producer} first)")
+    return path
+
+
+def _read_json(ctx: Context, name: str) -> dict:
+    with open(_require(ctx, name), encoding="utf-8") as fh:
+        blob = json.load(fh)
+    _same_config(ctx, name, blob.get("meta", {}).get("config"))
+    return blob
+
+
+def _headed_path(ctx: Context, name: str) -> str:
+    """Path of a `#`-headed artifact, after checking the config in its header."""
+    with open(_require(ctx, name), encoding="utf-8") as fh:
+        match = _HEADER_CONFIG.search(fh.readline())
+    return _same_config(ctx, name, match.group(1) if match else None)
+
+
+def _selected(ctx: Context, estimator: str) -> list:
+    models = [m for m in ctx.cfg.models
+              if m.estimator == estimator and ctx.model in (None, m.name)]
+    if not models:
+        raise ValidationError(f"no matching {estimator.upper()} model in config")
+    return models
+
+
+def _stage_ingest(ctx: Context) -> str:
+    tracts, highways = ctx.layers
     columns = sorted({k for t in tracts for k in t.attributes})
-    summary = {
-        "meta": {"tool": f"tracteq v{__version__}", "config": cfg_hash, "seed": cfg.seed},
+    _write_json(ctx, "ingest.json", {
         "n_tracts": len(tracts),
         "columns": columns,
         "highway_labels": highways.labels if highways else [],
-    }
-    _write_text(os.path.join(outdir, "ingest.json"), json.dumps(summary, sort_keys=True) + "\n")
-    print(f"ingested {len(tracts)} tracts with {len(columns)} attribute columns")
-    return 0
+    })
+    return f"ingested {len(tracts)} tracts with {len(columns)} attribute columns"
 
 
-def _run_ols_models(cfg: RunConfig, tracts: TractSet, outdir: str, cfg_hash: str,
-                    only: str | None = None) -> list[str]:
-    written = []
-    for model in cfg.models:
-        if model.estimator != "ols" or (only and model.name != only):
-            continue
-        design = build_design_for(cfg, tracts, model)
+def _stage_ols(ctx: Context) -> str:
+    tracts, _ = ctx.layers
+    models = _selected(ctx, "ols")
+    for model in models:
+        design = build_design(tracts, ctx.cfg.model_transforms(model))
         fit = fit_ols(design)
         rows = [
             [term, _fmt(fit.coefficients[i]), _fmt(fit.robust_se[i]), _fmt(fit.t_stats[i])]
@@ -134,128 +217,240 @@ def _run_ols_models(cfg: RunConfig, tracts: TractSet, outdir: str, cfg_hash: str
         ]
         rows.append(["n", str(fit.n), "", ""])
         rows.append(["r_squared", _fmt(fit.r_squared), "", ""])
-        path = os.path.join(outdir, f"ols_{model.name}.csv")
-        _write_csv(path, _header_lines(cfg_hash, cfg.seed),
-                   ["term", "estimate", "robust_se", "t"], rows)
-        blob = {
+        _write_csv(ctx, f"ols_{model.name}.csv", ["term", "estimate", "robust_se", "t"], rows)
+        _write_json(ctx, f"ols_{model.name}.json", {
             "name": model.name,
-            "column_names": list(fit.column_names),
-            "coefficients": [float(v) for v in fit.coefficients],
-            "robust_se": [float(v) for v in fit.robust_se],
-            "t_stats": [float(v) for v in fit.t_stats],
-            "r_squared": fit.r_squared,
-            "n": fit.n,
-            "k": fit.k,
             "n_dropped": design.n_dropped,
-        }
-        _write_text(os.path.join(outdir, f"ols_{model.name}.json"),
-                    json.dumps(blob, sort_keys=True) + "\n")
-        written.append(model.name)
+            **to_dict(fit, exclude=("residuals",)),
+        })
         log.info("ols %s: n=%d R^2=%.4f", model.name, fit.n, fit.r_squared)
-    return written
+    return f"wrote OLS results for: {', '.join(m.name for m in models)}"
 
 
-def build_design_for(cfg: RunConfig, tracts: TractSet, model) :
-    from .data_model import build_design
-
-    return build_design(tracts, cfg.model_transforms(model))
-
-
-def cmd_ols(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, _ = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
-    written = _run_ols_models(cfg, tracts, outdir, cfg_hash, only=args.model)
-    if not written:
-        raise ValidationError("no matching OLS model in config")
-    print(f"wrote OLS results for: {', '.join(written)}")
-    return 0
-
-
-def _run_gwr_models(cfg: RunConfig, tracts: TractSet, outdir: str, cfg_hash: str,
-                    workers: int, only: str | None = None) -> list[str]:
-    written = []
-    for model in cfg.models:
-        if model.estimator != "gwr" or (only and model.name != only):
-            continue
-        design = build_design_for(cfg, tracts, model)
+def _stage_gwr(ctx: Context) -> str:
+    cfg = ctx.cfg
+    tracts, _ = ctx.layers
+    models = _selected(ctx, "gwr")
+    for model in models:
+        design = build_design(tracts, cfg.model_transforms(model))
         n, p = design.X.shape
         k_min = cfg.k_min if cfg.k_min is not None else min(max(p + 2, 10), n)
         k_max = cfg.k_max if cfg.k_max is not None else n
         best_k, best_aicc = select_bandwidth(
-            design, tracts, k_min, k_max,
-            method=cfg.search_method, workers=workers, aicc_loo=cfg.aicc_loo,
+            design, tracts, k_min, k_max, method=cfg.search_method, aicc_loo=cfg.aicc_loo,
         )
-        fit = fit_gwr(
-            design, tracts, KernelSpec(neighbors_k=best_k),
-            workers=workers, aicc_loo=cfg.aicc_loo,
-        )
+        fit = fit_gwr(design, tracts, KernelSpec(neighbors_k=best_k), aicc_loo=cfg.aicc_loo)
         summary = summarize_gwr(fit)
 
-        columns = (["tract_id"]
-                   + [f"coef:{t}" for t in fit.column_names]
-                   + [f"t:{t}" for t in fit.column_names]
+        terms = fit.column_names
+        columns = (["tract_id"] + [f"coef:{t}" for t in terms] + [f"t:{t}" for t in terms]
                    + ["local_r2", "bandwidth_m"])
-        rows = []
-        for i, tid in enumerate(fit.tract_ids):
-            rows.append(
-                [tid]
-                + [_fmt(v) for v in fit.local_coefficients[i]]
-                + [_fmt(v) for v in fit.local_t[i]]
-                + [_fmt(fit.local_r2[i]), _fmt(fit.bandwidths[i])]
-            )
-        _write_csv(os.path.join(outdir, f"gwr_{model.name}_local.csv"),
-                   _header_lines(cfg_hash, cfg.seed), columns, rows)
+        rows = (
+            [tid]
+            + [_fmt(v) for v in fit.local_coefficients[i]]
+            + [_fmt(v) for v in fit.local_t[i]]
+            + [_fmt(fit.local_r2[i]), _fmt(fit.bandwidths[i])]
+            for i, tid in enumerate(fit.tract_ids)
+        )
+        _write_csv(ctx, f"gwr_{model.name}_local.csv", columns, rows)
 
         props = {}
         for i, tid in enumerate(fit.tract_ids):
             entry: dict[str, object] = {"local_r2": float(fit.local_r2[i])}
-            for j, term in enumerate(fit.column_names):
+            for j, term in enumerate(terms):
                 entry[f"coef:{term}"] = float(fit.local_coefficients[i, j])
                 entry[f"t:{term}"] = float(fit.local_t[i, j])
             props[tid] = entry
-        meta = {"tool": f"tracteq v{__version__}", "config": cfg_hash, "seed": cfg.seed}
-        _write_text(os.path.join(outdir, f"gwr_{model.name}.geojson"),
-                    tracts_to_geojson(tracts, props, meta) + "\n")
-
-        table = format_gwr_table(model.name, summary)
-        header = "\n".join(f"# {line}" for line in _header_lines(cfg_hash, cfg.seed))
-        _write_text(os.path.join(outdir, f"gwr_{model.name}_summary.txt"),
-                    f"{header}\n{table}")
-        blob = {
+        _write_text(ctx, f"gwr_{model.name}.geojson",
+                    tracts_to_geojson(tracts, props, ctx.meta) + "\n")
+        _write_headed(ctx, f"gwr_{model.name}_summary.txt",
+                      format_gwr_table(model.name, summary))
+        _write_json(ctx, f"gwr_{model.name}.json", {
             "name": model.name,
-            "column_names": list(summary.column_names),
-            "mean": [float(v) for v in summary.mean],
-            "min": [float(v) for v in summary.min],
-            "max": [float(v) for v in summary.max],
-            "pct_sig_neg": [float(v) for v in summary.pct_sig_neg],
-            "pct_sig_pos": [float(v) for v in summary.pct_sig_pos],
-            "mean_local_r2": summary.mean_local_r2,
-            "min_local_r2": summary.min_local_r2,
-            "max_local_r2": summary.max_local_r2,
-            "neighbors_k": summary.neighbors_k,
-            "aicc": summary.aicc,
-            "n_used": summary.n_used,
-            "n_failed": summary.n_failed,
             "k_range": [k_min, k_max],
-        }
-        _write_text(os.path.join(outdir, f"gwr_{model.name}.json"),
-                    json.dumps(blob, sort_keys=True) + "\n")
-        written.append(model.name)
+            **to_dict(summary),
+        })
         log.info("gwr %s: neighbors_k=%d AICc=%.4f", model.name, best_k, best_aicc)
-    return written
+    return f"wrote GWR results for: {', '.join(m.name for m in models)}"
 
 
-def cmd_gwr(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, _ = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
-    written = _run_gwr_models(cfg, tracts, outdir, cfg_hash, args.workers, only=args.model)
-    if not written:
-        raise ValidationError("no matching GWR model in config")
-    print(f"wrote GWR results for: {', '.join(written)}")
+def _stage_simulate(ctx: Context) -> str:
+    cfg = ctx.cfg
+    tracts, _ = ctx.layers
+    graph = build_graph(cfg.inputs["nodes"], cfg.inputs["edges"], cfg.class_speeds)
+    od = load_od(cfg.inputs["od"], tracts)
+    edge_map = build_edge_tract_map(graph, tracts, mode=cfg.attribution_mode)
+    assignment = assign_groups(od, tracts, mode=cfg.sim_mode, seed=cfg.seed)
+    if cfg.drive_share_column:
+        values = tracts.attribute(cfg.drive_share_column)
+        share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
+        assignment = scale_by_drive_share(assignment, share)
+    table = simulate(
+        od, tracts, graph, edge_map, assignment,
+        workers=ctx.workers, exclude_home=cfg.exclude_home,
+    )
+    write_traversal(table, ctx.path("traversal.csv"), [ctx.header])
+    total_km = table.total_km()
+    _write_json(ctx, "simulate.json", {
+        "n_pairs": table.n_pairs,
+        "n_unreachable": table.n_unreachable,
+        "total_km": total_km,
+    })
+    return (f"simulated {table.n_pairs} OD pairs "
+            f"({table.n_unreachable} unreachable), {total_km!r} km")
+
+
+def _stage_equity(ctx: Context) -> str:
+    tracts, highways = ctx.layers
+    index = inequity_index(read_traversal(_headed_path(ctx, "traversal.csv")))
+    groups = [ctx.group] if ctx.group else list(GROUPS)
+
+    rows = ([tid, g, _fmt(index.values[tid][g])] for tid in index.defined for g in index.groups)
+    _write_csv(ctx, "equity.csv", ["tract_id", "group", "index"], rows,
+               extra_header=(f"undefined_tracts={len(index.undefined)}",))
+
+    props: dict[str, dict[str, object]] = {}
+    for tid in index.defined:
+        props[tid] = {f"I:{g}": index.values[tid][g] for g in index.groups}
+        props[tid]["defined"] = True
+    for tid in index.undefined:
+        if tid in tracts:
+            props[tid] = {"defined": False}
+    _write_text(ctx, "equity.geojson", tracts_to_geojson(tracts, props, ctx.meta) + "\n")
+
+    all_ids = set(tracts.ids)
+    corridors: dict[str, tuple[str, ...]] = {}
+    if highways is not None:
+        corridors = {label: corridor_subset(tracts, highways, label)
+                     for label in highways.labels}
+    highway_ids = set().union(*corridors.values())
+    for group in groups:
+        if group not in index.groups:
+            raise ValidationError(f"group {group!r} not in traversal table")
+        entries = []
+
+        def add_entry(label: str, subset) -> None:
+            chosen = sorted(set(subset) & set(index.values))
+            if not chosen:
+                return
+            value = population_weighted_mean(index, tracts, chosen, group)
+            entries.append((label, value, len(chosen)))
+
+        add_entry("all", all_ids)
+        if highways is not None:
+            add_entry("highway", highway_ids)
+            add_entry("non_highway", all_ids - highway_ids)
+            for label, subset in corridors.items():
+                add_entry(f"corridor {label}", subset)
+        _write_headed(ctx, f"equity_summary_{group}.txt", format_equity_summary(group, entries))
+
+        values = {tid: index.values[tid][group] for tid in index.defined}
+        _write_text(ctx, f"equity_{group}.svg",
+                    svg_choropleth(tracts, values, title=f"inequity index ({group})"))
+    return f"wrote equity outputs for group(s): {', '.join(groups)}"
+
+
+def _stage_report(ctx: Context) -> str:
+    models = ctx.cfg.models
+    sections = [f"# {ctx.header}"]
+    ols_fits = [
+        (m.name, from_dict(OlsFit, _read_json(ctx, f"ols_{m.name}.json"),
+                           residuals=np.zeros(0)))
+        for m in models if m.estimator == "ols"
+    ]
+    if ols_fits:
+        sections.append(format_ols_table(ols_fits))
+    for m in models:
+        if m.estimator == "gwr":
+            summary = from_dict(GwrSummary, _read_json(ctx, f"gwr_{m.name}.json"))
+            sections.append(format_gwr_table(m.name, summary))
+    for group in GROUPS:
+        name = f"equity_summary_{group}.txt"
+        if os.path.exists(ctx.path(name)):
+            with open(_headed_path(ctx, name), encoding="utf-8") as fh:
+                body = "".join(ln for ln in fh if not ln.startswith("#"))
+            sections.append(body.rstrip("\n") + "\n")
+    text = "\n".join(sections)
+    _write_text(ctx, "report.txt", text)
+    return text
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the analysis chain: `run(ctx)` writes `outputs(cfg)` and
+    returns a one-line summary (the report stage returns the report).
+    `skip(cfg)` gives the reason the stage does not apply, or None."""
+
+    name: str
+    help: str
+    run: Callable[[Context], str]
+    outputs: Callable[[RunConfig], list[str]]
+    skip: Callable[[RunConfig], str | None] = lambda cfg: None
+
+
+def _model_outputs(estimator: str, suffixes: tuple[str, ...]):
+    return lambda cfg: [f"{estimator}_{m.name}{s}" for m in cfg.models
+                        if m.estimator == estimator for s in suffixes]
+
+
+def _needs_model(estimator: str):
+    return lambda cfg: (None if any(m.estimator == estimator for m in cfg.models)
+                        else f"config has no {estimator.upper()} model")
+
+
+def _needs_network(cfg: RunConfig) -> str | None:
+    missing = [k for k in NETWORK_INPUTS if k not in cfg.inputs]
+    return f"config names no {'/'.join(missing)} input" if missing else None
+
+
+STAGES = (
+    Stage("ingest", "load and validate inputs", _stage_ingest,
+          lambda cfg: ["ingest.json"]),
+    Stage("ols", "fit global models", _stage_ols,
+          _model_outputs("ols", (".csv", ".json")), _needs_model("ols")),
+    Stage("gwr", "select a bandwidth and fit local models", _stage_gwr,
+          _model_outputs("gwr", ("_local.csv", ".geojson", "_summary.txt", ".json")),
+          _needs_model("gwr")),
+    Stage("simulate", "run the commute microsimulation", _stage_simulate,
+          lambda cfg: ["traversal.csv", "simulate.json"], _needs_network),
+    Stage("equity", "compute the inequity index and summaries", _stage_equity,
+          lambda cfg: ["equity.csv", "equity.geojson"]
+          + [f"equity_summary_{g}.txt" for g in GROUPS] + [f"equity_{g}.svg" for g in GROUPS],
+          _needs_network),
+    Stage("report", "render tables from existing artifacts", _stage_report,
+          lambda cfg: ["report.txt"]),
+)
+
+
+def cmd_stage(args) -> int:
+    ctx = _context(args)
+    reason = args.stage.skip(ctx.cfg)
+    if reason is not None:
+        raise ValidationError(f"{args.stage.name}: {reason}")
+    print(args.stage.run(ctx))
+    return 0
+
+
+def cmd_run(args) -> int:
+    ctx = _context(args)
+    for stage in STAGES:
+        reason = stage.skip(ctx.cfg)
+        if reason is not None:
+            # Outputs left by an earlier run under another config would
+            # otherwise sit beside this run's artifacts.
+            for name in stage.outputs(ctx.cfg):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(ctx.path(name))
+            log.info("skipped stage %s: %s", stage.name, reason)
+            continue
+        try:
+            print(stage.run(ctx))
+        except Exception as exc:
+            _write_text(ctx, "FAILED", f"{stage.name}: {exc}\n")
+            log.error("stage %s failed: %s", stage.name, exc)
+            return 1
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(ctx.path("FAILED"))
     return 0
 
 
@@ -287,120 +482,6 @@ def cmd_route(args) -> int:
     return 0
 
 
-def _simulate_from_config(cfg: RunConfig, tracts: TractSet, workers: int):
-    graph = build_graph(cfg.inputs["nodes"], cfg.inputs["edges"], cfg.class_speeds)
-    od = load_od(cfg.inputs["od"], tracts)
-    edge_map = build_edge_tract_map(graph, tracts, mode=cfg.attribution_mode)
-    assignment = assign_groups(od, tracts, mode=cfg.sim_mode, seed=cfg.seed)
-    if cfg.drive_share_column:
-        values = tracts.attribute(cfg.drive_share_column)
-        share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
-        assignment = scale_by_drive_share(assignment, share)
-    return simulate(
-        od, tracts, graph, edge_map, assignment,
-        workers=workers, exclude_home=cfg.exclude_home,
-    )
-
-
-def _write_simulation(table, outdir: str, cfg_hash: str, seed: int) -> None:
-    """traversal.csv and simulate.json (pairs, unreachable pairs, total km)."""
-    os.makedirs(outdir, exist_ok=True)
-    write_traversal(table, os.path.join(outdir, "traversal.csv"),
-                    _header_lines(cfg_hash, seed))
-    stats = {
-        "n_pairs": table.n_pairs,
-        "n_unreachable": table.n_unreachable,
-        "total_km": table.total_km(),
-    }
-    _write_text(os.path.join(outdir, "simulate.json"),
-                json.dumps(stats, sort_keys=True) + "\n")
-
-
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, _ = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
-    table = _simulate_from_config(cfg, tracts, args.workers)
-    _write_simulation(table, outdir, cfg_hash, cfg.seed)
-    print(f"simulated {table.n_pairs} OD pairs "
-          f"({table.n_unreachable} unreachable), {table.total_km()!r} km")
-    return 0
-
-
-def _equity_outputs(cfg: RunConfig, tracts: TractSet,
-                    highways: HighwayNetworkGeom | None,
-                    outdir: str, cfg_hash: str, groups: list[str]) -> None:
-    table = read_traversal(os.path.join(outdir, "traversal.csv"))
-    index = inequity_index(table)
-
-    rows = []
-    for tid in index.defined:
-        for g in index.groups:
-            rows.append([tid, g, _fmt(index.values[tid][g])])
-    _write_csv(os.path.join(outdir, "equity.csv"),
-               _header_lines(cfg_hash, cfg.seed) + [
-                   f"undefined_tracts={len(index.undefined)}"],
-               ["tract_id", "group", "index"], rows)
-
-    props: dict[str, dict[str, object]] = {}
-    for tid in index.defined:
-        props[tid] = {f"I:{g}": index.values[tid][g] for g in index.groups}
-        props[tid]["defined"] = True
-    for tid in index.undefined:
-        if tid in tracts:
-            props[tid] = {"defined": False}
-    meta = {"tool": f"tracteq v{__version__}", "config": cfg_hash, "seed": cfg.seed}
-    _write_text(os.path.join(outdir, "equity.geojson"),
-                tracts_to_geojson(tracts, props, meta) + "\n")
-
-    all_ids = set(tracts.ids)
-    corridors: dict[str, tuple[str, ...]] = {}
-    if highways is not None:
-        corridors = {label: corridor_subset(tracts, highways, label)
-                     for label in highways.labels}
-    highway_ids = set().union(*corridors.values())
-    for group in groups:
-        if group not in index.groups:
-            raise ValidationError(f"group {group!r} not in traversal table")
-        entries = []
-
-        def add_entry(label: str, subset) -> None:
-            chosen = sorted(set(subset) & set(index.values))
-            if not chosen:
-                return
-            value = population_weighted_mean(index, tracts, chosen, group)
-            entries.append((label, value, len(chosen)))
-
-        add_entry("all", all_ids)
-        if highways is not None:
-            add_entry("highway", highway_ids)
-            add_entry("non_highway", all_ids - highway_ids)
-            for label, subset in corridors.items():
-                add_entry(f"corridor {label}", subset)
-        text = format_equity_summary(group, entries)
-        header = "\n".join(f"# {line}" for line in _header_lines(cfg_hash, cfg.seed))
-        _write_text(os.path.join(outdir, f"equity_summary_{group}.txt"),
-                    f"{header}\n{text}")
-
-        values = {tid: index.values[tid][group] for tid in index.defined}
-        _write_text(os.path.join(outdir, f"equity_{group}.svg"),
-                    svg_choropleth(tracts, values, title=f"inequity index ({group})"))
-
-
-def cmd_equity(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    tracts, highways = _load_layers(cfg)
-    outdir = _outdir(cfg, args)
-    if not os.path.exists(os.path.join(outdir, "traversal.csv")):
-        raise ValidationError(f"missing artifact {outdir}/traversal.csv (run simulate first)")
-    groups = [args.group] if args.group else list(GROUPS)
-    _equity_outputs(cfg, tracts, highways, outdir, cfg_hash, groups)
-    print(f"wrote equity outputs for group(s): {', '.join(groups)}")
-    return 0
-
-
 def cmd_synth(args) -> int:
     if args.step:
         x1 = Surface("step", value=args.beta_low, high_value=args.beta_high,
@@ -425,8 +506,8 @@ def cmd_synth(args) -> int:
     scenario = generate(spec)
     paths = write_scenario(scenario, args.out)
     raw = synth_run_config(scenario, paths, args.out)
-    config_path = os.path.join(args.out, "config.json")
-    _write_text(config_path, json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    write_atomic(os.path.join(args.out, "config.json"),
+                 [json.dumps(raw, sort_keys=True, indent=2) + "\n"])
     print(f"wrote scenario ({spec.rows}x{spec.cols}) and config to {args.out}")
     return 0
 
@@ -461,117 +542,6 @@ def synth_run_config(scenario: Scenario, paths: dict[str, str], outdir: str) -> 
     }
 
 
-def cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    outdir = _outdir(cfg, args)
-    sections: list[str] = []
-    header = "\n".join(f"# {line}" for line in _header_lines(cfg_hash, cfg.seed))
-    sections.append(header)
-
-    from .gwr import GwrSummary
-    from .ols import OlsFit
-
-    ols_fits = []
-    for model in cfg.models:
-        if model.estimator != "ols":
-            continue
-        path = os.path.join(outdir, f"ols_{model.name}.json")
-        if not os.path.exists(path):
-            raise ValidationError(f"missing artifact {path} (run ols first)")
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        fit = OlsFit(
-            coefficients=np.array(blob["coefficients"]),
-            robust_se=np.array(blob["robust_se"]),
-            t_stats=np.array(blob["t_stats"]),
-            r_squared=blob["r_squared"],
-            residuals=np.zeros(0),
-            n=blob["n"],
-            k=blob["k"],
-            column_names=tuple(blob["column_names"]),
-        )
-        ols_fits.append((model.name, fit))
-    if ols_fits:
-        sections.append(format_ols_table(ols_fits))
-
-    for model in cfg.models:
-        if model.estimator != "gwr":
-            continue
-        path = os.path.join(outdir, f"gwr_{model.name}.json")
-        if not os.path.exists(path):
-            raise ValidationError(f"missing artifact {path} (run gwr first)")
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-        summary = GwrSummary(
-            column_names=tuple(blob["column_names"]),
-            mean=np.array(blob["mean"]),
-            min=np.array(blob["min"]),
-            max=np.array(blob["max"]),
-            pct_sig_neg=np.array(blob["pct_sig_neg"]),
-            pct_sig_pos=np.array(blob["pct_sig_pos"]),
-            mean_local_r2=blob["mean_local_r2"],
-            min_local_r2=blob["min_local_r2"],
-            max_local_r2=blob["max_local_r2"],
-            neighbors_k=blob["neighbors_k"],
-            aicc=blob["aicc"],
-            n_used=blob["n_used"],
-            n_failed=blob["n_failed"],
-        )
-        sections.append(format_gwr_table(model.name, summary))
-
-    for group in GROUPS:
-        path = os.path.join(outdir, f"equity_summary_{group}.txt")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                body = "".join(ln for ln in fh if not ln.startswith("#"))
-            sections.append(body.rstrip("\n") + "\n")
-
-    report_text = "\n".join(sections)
-    _write_text(os.path.join(outdir, "report.txt"), report_text)
-    print(report_text)
-    return 0
-
-
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg_hash = config_hash(cfg.raw)
-    outdir = _outdir(cfg, args)
-    stage = "ingest"
-    try:
-        tracts, highways = _load_layers(cfg)
-
-        stage = "ols"
-        _run_ols_models(cfg, tracts, outdir, cfg_hash)
-
-        stage = "gwr"
-        _run_gwr_models(cfg, tracts, outdir, cfg_hash, args.workers)
-
-        simulated = False
-        if all(k in cfg.inputs for k in ("nodes", "edges", "od")):
-            stage = "simulate"
-            table = _simulate_from_config(cfg, tracts, args.workers)
-            _write_simulation(table, outdir, cfg_hash, cfg.seed)
-            simulated = True
-
-            stage = "equity"
-            _equity_outputs(cfg, tracts, highways, outdir, cfg_hash, list(GROUPS))
-
-        stage = "report"
-        report_args = argparse.Namespace(config=args.config, out=args.out)
-        cmd_report(report_args)
-    except Exception as exc:
-        _write_text(os.path.join(outdir, "FAILED"), f"{stage}: {exc}\n")
-        log.error("stage %s failed: %s", stage, exc)
-        return 1
-    failed_marker = os.path.join(outdir, "FAILED")
-    if os.path.exists(failed_marker):
-        os.remove(failed_marker)
-    if not simulated:
-        log.info("simulation inputs absent; skipped simulate/equity stages")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracteq",
@@ -581,24 +551,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_flag=False):
+    def add_common(p):
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", help="override the config output_dir")
-        if model_flag:
-            p.add_argument("--model", help="run only the named model")
 
-    p = sub.add_parser("ingest", help="load and validate inputs")
+    stage_parsers = {}
+    for stage in STAGES:
+        p = stage_parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
+        add_common(p)
+        p.set_defaults(func=cmd_stage, stage=stage)
+    for name in ("ols", "gwr"):
+        stage_parsers[name].add_argument("--model", help="run only the named model")
+    stage_parsers["simulate"].add_argument("--workers", type=int, default=1)
+    stage_parsers["equity"].add_argument("--group", choices=GROUPS,
+                                         help="summarize one group only")
+
+    p = sub.add_parser("run", help="execute all configured stages in order")
     add_common(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("ols", help="fit global models")
-    add_common(p, model_flag=True)
-    p.set_defaults(func=cmd_ols)
-
-    p = sub.add_parser("gwr", help="select a bandwidth and fit local models")
-    add_common(p, model_flag=True)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_gwr)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("route", help="debug a single shortest path")
     p.add_argument("--nodes", required=True)
@@ -611,16 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes")
     p.add_argument("--mode", choices=("midpoint", "split"), default="midpoint")
     p.set_defaults(func=cmd_route)
-
-    p = sub.add_parser("simulate", help="run the commute microsimulation")
-    add_common(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("equity", help="compute the inequity index and summaries")
-    add_common(p)
-    p.add_argument("--group", choices=GROUPS, help="summarize one group only")
-    p.set_defaults(func=cmd_equity)
 
     p = sub.add_parser("synth", help="write a synthetic scenario and its config")
     p.add_argument("--out", required=True)
@@ -640,15 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-gradient", action="store_true",
                    help="west-east gradient in group share instead of 0.5")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("report", help="render tables from existing artifacts")
-    add_common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("run", help="execute all configured stages in order")
-    add_common(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_run)
 
     return parser
 

@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .data_model import TractSet
 from .errors import ValidationError
 from .network import EdgeTractMap, Graph, route_tract_distances, shortest_paths_from
@@ -196,15 +197,18 @@ class TraversalTable:
 
 def write_traversal(table: TraversalTable, path: str, header_lines: list[str] | None = None) -> None:
     """Serialize as tract_id,group,D_km,C_count rows; floats round-trip via repr."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+    def lines():
         for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write("tract_id,group,D_km,C_count\n")
+            yield f"# {line}\n"
+        yield "tract_id,group,D_km,C_count\n"
         for tid in table.tract_ids():
             for g in table.groups:
                 d = table.D.get(tid, {}).get(g, 0.0)
                 c = table.C.get(tid, {}).get(g, 0.0)
-                fh.write(f"{tid},{g},{d!r},{c!r}\n")
+                yield f"{tid},{g},{d!r},{c!r}\n"
+
+    write_atomic(path, lines())
 
 
 def read_traversal(path: str) -> TraversalTable:

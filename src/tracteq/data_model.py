@@ -470,24 +470,3 @@ def distance_to_nearest_highway(
     for i, (cx, cy) in enumerate(tracts.centroids):
         out[i] = min(point_segment_distance((cx, cy), a, b) for a, b in segments)
     return out / 1000.0
-
-
-def knn(tracts: TractSet, query_index: int, k: int) -> list[tuple[str, float]]:
-    """The k nearest tract centroids to the query tract, ascending.
-
-    The query tract is its own first neighbor at distance zero. Ties are
-    broken by tract_id so the result is a total order identical to a
-    brute-force sort.
-    """
-    n = len(tracts)
-    if not 0 <= query_index < n:
-        raise ValueError(f"query_index {query_index} outside [0, {n})")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    deltas = tracts.centroids - tracts.centroids[query_index]
-    d = np.sqrt(deltas[:, 0] * deltas[:, 0] + deltas[:, 1] * deltas[:, 1])
-    # Everything within the k-th smallest distance, ordered exactly like the
-    # brute-force oracle; ties at that distance are kept, then cut by id.
-    candidates = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
-    order = sorted(candidates, key=lambda i: (d[i], tracts.tracts[i].tract_id))
-    return [(tracts.tracts[i].tract_id, float(d[i])) for i in order[:k]]

@@ -153,29 +153,6 @@ def segment_polygon_breakpoints(p0: Point, p1: Point, points: Sequence[Point]) -
     return sorted(hits)
 
 
-def clip_segment_to_polygon(p0: Point, p1: Point, points: Sequence[Point]) -> list[tuple[float, float]]:
-    """Parameter intervals of p0->p1 lying inside the polygon (boundary inclusive).
-
-    Robust for non-convex rings: split at every boundary hit, then classify
-    each piece by its midpoint.
-    """
-    ts = sorted({0.0, 1.0, *segment_polygon_breakpoints(p0, p1, points)})
-    dedup = [ts[0]]
-    for t in ts[1:]:
-        if t - dedup[-1] > 1e-12:
-            dedup.append(t)
-    intervals: list[tuple[float, float]] = []
-    for lo, hi in zip(dedup, dedup[1:]):
-        mid = ((p0[0] + (p1[0] - p0[0]) * (lo + hi) / 2.0),
-               (p0[1] + (p1[1] - p0[1]) * (lo + hi) / 2.0))
-        if point_in_polygon(mid, points, include_boundary=True):
-            if intervals and abs(intervals[-1][1] - lo) <= 1e-12:
-                intervals[-1] = (intervals[-1][0], hi)
-            else:
-                intervals.append((lo, hi))
-    return intervals
-
-
 def segment_intersects_polygon(p0: Point, p1: Point, points: Sequence[Point]) -> bool:
     """True when the segment shares any point with the closed polygon region."""
     if point_in_polygon(p0, points) or point_in_polygon(p1, points):

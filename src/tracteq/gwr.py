@@ -500,15 +500,13 @@ def fit_gwr(
     data: DesignData,
     tracts: TractSet,
     kernel: KernelSpec,
-    workers: int = 1,
     aicc_loo: bool = False,
 ) -> GwrFit:
     """Fit one local model per design row.
 
     Bandwidths adapt within the rows present in `data` (tracts dropped by
     complete-case filtering do not count as neighbors). Results are keyed by
-    tract_id. `workers` is accepted for compatibility and does not change
-    the result: all local fits for the bandwidth are solved in batches of
+    tract_id. All local fits for the bandwidth are solved in batches of
     kernel rows. `aicc_loo` switches the AICc residuals to leave-one-out
     fitted values (self weight zeroed before refitting); the default uses
     leave-in fitted values. `failed` lists the tracts whose local fit, or
@@ -573,7 +571,6 @@ def select_bandwidth(
     k_min: int,
     k_max: int,
     method: str = "golden",
-    workers: int = 1,
     aicc_loo: bool = False,
 ) -> tuple[int, float]:
     """Pick the neighbor count minimizing AICc over [k_min, k_max].
@@ -583,8 +580,7 @@ def select_bandwidth(
     within 1e-9 go to the larger count. method="exhaustive" forces the full
     scan and is the oracle for the golden path. Each candidate's AICc is
     fit_gwr's, bit for bit, computed without the SEs and local R^2 that
-    AICc does not read. `workers` is accepted for compatibility and does
-    not change the result.
+    AICc does not read.
     """
     if method not in ("golden", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")

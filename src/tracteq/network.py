@@ -82,15 +82,13 @@ class Graph:
             adjacency[e.u].append((e.v, e))
             if not e.oneway:
                 adjacency[e.v].append((e.u, e))
-        self.adjacency: dict[str, tuple[tuple[str, Edge], ...]] = {
-            k: tuple(sorted(v, key=lambda it: (it[0], it[1].key)))
-            for k, v in adjacency.items()
-        }
-        # adjacency with each edge's travel time computed once, for searches
-        # that relax every edge many times.
+        # (neighbour, edge, travel time) sorted by neighbour then edge key;
+        # each travel time is computed once, for searches that relax every
+        # edge many times.
         self.timed_adjacency: dict[str, tuple[tuple[str, Edge, float], ...]] = {
-            k: tuple((nbr, e, e.travel_time) for nbr, e in v)
-            for k, v in self.adjacency.items()
+            k: tuple((nbr, e, e.travel_time)
+                     for nbr, e in sorted(v, key=lambda it: (it[0], it[1].key)))
+            for k, v in adjacency.items()
         }
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
@@ -222,13 +220,13 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
             for e in edges:
                 total_length += e.length
             return Route(origin, destination, path, edges, time, total_length)
-        for neighbor, edge in graph.adjacency[node]:
+        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
             if neighbor in settled:
                 continue
             counter += 1
             heapq.heappush(
                 heap,
-                (time + edge.travel_time, path + (neighbor,), counter, edges + (edge,)),
+                (time + travel_time, path + (neighbor,), counter, edges + (edge,)),
             )
     return None
 

@@ -65,17 +65,6 @@ def hc1_by_hand(X: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (n / (n - p)) * bread @ np.array(meat) @ bread
 
 
-def knn_brute(tracts: TractSet, j: int, k: int) -> list[tuple[str, float]]:
-    point = tracts.centroids[j]
-    pairs = []
-    for i, t in enumerate(tracts):
-        dx = tracts.centroids[i][0] - point[0]
-        dy = tracts.centroids[i][1] - point[1]
-        pairs.append((float(np.sqrt(dx * dx + dy * dy)), t.tract_id))
-    pairs.sort()
-    return [(tid, d) for d, tid in pairs[:k]]
-
-
 def enumerate_best_path(graph: Graph, origin: str, destination: str):
     """Exhaustive simple-path minimum by (time, node sequence).
 
@@ -92,10 +81,10 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
             if best is None or key < (best[0], best[1]):
                 best = (time, path, edges)
             continue
-        for neighbor, edge in graph.adjacency[node]:
+        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
             if neighbor in path:
                 continue
-            stack.append((time + edge.travel_time, path + (neighbor,), edges + (edge,)))
+            stack.append((time + travel_time, path + (neighbor,), edges + (edge,)))
     return best
 
 

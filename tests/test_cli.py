@@ -5,6 +5,7 @@ tracebacks."""
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import tracteq
 from tracteq import __version__
 from tracteq import cli
 from tracteq.cli import main
+from tracteq.config import load_config
 
 HEADER_PREFIX = f"# tracteq v{__version__} config="
 
@@ -330,3 +332,115 @@ def test_bad_config_json_exits_2(tmp_path):
     bad = tmp_path / "config.json"
     bad.write_text("{not json")
     assert main(["ingest", "--config", str(bad)]) == 2
+
+
+def _config_variant(scenario_dir, path, edit):
+    """The scenario's config with absolute input paths, edited and written to path."""
+    raw = json.loads((scenario_dir / "config.json").read_text())
+    raw["inputs"] = {k: str(scenario_dir / v) for k, v in raw["inputs"].items()}
+    edit(raw)
+    path.write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    return str(path)
+
+
+def test_run_writes_exactly_the_declared_outputs(scenario_dir, run_dir):
+    cfg = load_config(str(scenario_dir / "config.json"))
+    declared = set()
+    for stage in cli.STAGES:
+        if stage.skip(cfg) is None:
+            declared |= set(stage.outputs(cfg))
+    assert set(os.listdir(run_dir)) == declared
+
+
+def test_stage_subcommands_in_table_order_match_run(scenario_dir, run_dir, tmp_path):
+    for stage in cli.STAGES:
+        rc = main([stage.name, "--config", str(scenario_dir / "config.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0, stage.name
+    names = sorted(os.listdir(run_dir))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        assert filecmp.cmp(run_dir / name, tmp_path / name, shallow=False), name
+
+
+def test_run_loads_the_config_once(scenario_dir, tmp_path, monkeypatch):
+    calls = []
+    real_load_config = cli.load_config
+
+    def spy(path):
+        calls.append(path)
+        return real_load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", spy)
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == [str(scenario_dir / "config.json")]
+
+
+def test_json_artifacts_carry_the_header_meta(run_dir):
+    header = read_lines(run_dir / "report.txt")[0]
+    config = header.split("config=")[1].split()[0]
+    for name in ("ingest.json", "ols_global.json", "gwr_local.json", "simulate.json"):
+        with open(run_dir / name, encoding="utf-8") as fh:
+            meta = json.load(fh)["meta"]
+        assert meta == {"tool": f"tracteq v{__version__}", "config": config, "seed": 3}, name
+
+
+def test_run_clears_outputs_of_skipped_stages(scenario_dir, tmp_path):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
+    assert rc == 0
+    assert (out / "traversal.csv").exists()
+
+    def drop_network(raw):
+        for key in ("nodes", "edges", "od"):
+            del raw["inputs"][key]
+
+    no_network = _config_variant(scenario_dir, tmp_path / "b.json", drop_network)
+    rc = main(["run", "--config", no_network, "--out", str(out)])
+    assert rc == 0
+    left = sorted(n for n in os.listdir(out)
+                  if n in ("traversal.csv", "simulate.json") or n.startswith("equity"))
+    assert left == []
+    report = (out / "report.txt").read_text()
+    assert "inequity index" not in report
+    assert report.startswith(HEADER_PREFIX)
+    # a stage the config cannot run is an error, not a traceback
+    assert main(["simulate", "--config", no_network, "--out", str(out)]) == 2
+
+
+def test_report_and_equity_refuse_artifacts_of_another_config(scenario_dir, run_dir, tmp_path):
+    other = _config_variant(scenario_dir, tmp_path / "b.json",
+                            lambda raw: raw["simulation"].update(seed=99))
+    for command in ("report", "equity"):
+        rc = main([command, "--config", other, "--out", str(run_dir)])
+        assert rc == 2, command
+    # the refused stages wrote nothing over the first config's artifacts
+    assert read_lines(run_dir / "report.txt")[0].endswith("seed=3")
+    assert read_lines(run_dir / "equity.csv")[0].endswith("seed=3")
+
+
+def test_failed_stage_leaves_no_torn_file(scenario_dir, run_dir, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    before = (out / "gwr_local_local.csv").read_bytes()
+    calls = []
+    open_temps = []
+    real_fmt = cli._fmt
+
+    def failing_fmt(value):
+        # OLS formats 7 cells; the 50th call falls inside the GWR rows,
+        # while their file is being written.
+        calls.append(value)
+        if len(calls) == 50:
+            open_temps.extend(n for n in os.listdir(out) if n.endswith(".tmp"))
+            raise RuntimeError("injected failure")
+        return real_fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
+    assert rc == 1
+    assert (out / "FAILED").read_text().startswith("gwr: injected failure")
+    assert open_temps, "the failure was meant to hit mid-write"
+    assert (out / "gwr_local_local.csv").read_bytes() == before
+    assert not [n for n in os.listdir(out) if n.endswith(".tmp")]

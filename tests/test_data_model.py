@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_tracts, knn_brute, square_tract
+from helpers import grid_tracts
 from tracteq.data_model import (
     HighwayNetworkGeom,
     HighwayPolyline,
@@ -13,7 +13,6 @@ from tracteq.data_model import (
     TransformSpec,
     build_design,
     distance_to_nearest_highway,
-    knn,
     load_highways,
     load_tracts,
     read_attribute_table,
@@ -279,63 +278,3 @@ def test_distance_on_highway_is_zero():
         HighwayPolyline("H", "interstate", ((0.0, 500.0), (1000.0, 500.0))),
     ))
     assert distance_to_nearest_highway(ts, hw)[0] == 0.0
-
-
-def test_knn_self_is_first():
-    ts = grid_tracts(3, 3)
-    got = knn(ts, 4, 1)
-    assert got == [("T001001", 0.0)]
-
-
-def test_knn_collinear_hand_case():
-    ts = TractSet([square_tract(f"T{i}", i * 3, 0, 1000.0) for i in range(4)])
-    got = knn(ts, 0, 3)
-    assert [tid for tid, _ in got] == ["T0", "T1", "T2"]
-    assert [d for _, d in got] == [0.0, 3000.0, 6000.0]
-
-
-def test_knn_matches_brute_force_on_grid_ties():
-    # grid centroids produce many exact distance ties; order must match the
-    # (distance, tract_id) sort exactly
-    ts = grid_tracts(5, 5)
-    for j in range(len(ts)):
-        for k in (1, 4, 9, 25):
-            assert knn(ts, j, k) == knn_brute(ts, j, k)
-
-
-def test_knn_matches_brute_force_random():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        n = int(rng.integers(3, 30))
-        tracts = []
-        for i in range(n):
-            x, y = rng.uniform(0, 50000, 2)
-            tracts.append(Tract(
-                f"T{i:03d}",
-                ((x, y), (x + 10, y), (x + 10, y + 10), (x, y + 10)),
-                {},
-            ))
-        ts = TractSet(tracts)
-        j = int(rng.integers(0, n))
-        k = int(rng.integers(1, n + 1))
-        assert knn(ts, j, k) == knn_brute(ts, j, k)
-
-
-def test_knn_nesting_property():
-    ts = grid_tracts(4, 4)
-    for j in (0, 5, 15):
-        prev = []
-        for k in range(1, len(ts) + 1):
-            cur = knn(ts, j, k)
-            assert cur[: len(prev)] == prev
-            prev = cur
-
-
-def test_knn_bounds():
-    ts = grid_tracts(2, 2)
-    with pytest.raises(ValueError):
-        knn(ts, 0, 5)
-    with pytest.raises(ValueError):
-        knn(ts, 9, 1)
-    with pytest.raises(ValueError):
-        knn(ts, 0, 0)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from tracteq.data_model import Tract, TractSet
 from tracteq.geometry import (
     bounding_box,
     boxes_overlap,
-    clip_segment_to_polygon,
     normalize_ring,
     point_in_polygon,
     point_segment_distance,
@@ -19,6 +19,7 @@ from tracteq.geometry import (
     segment_segment_distance,
     segments_intersect,
 )
+from tracteq.network import OUTSIDE_ZONE, Edge, Graph, build_edge_tract_map
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 # concave L: unit squares at (0,0) and (1,0), plus the one above the first
@@ -172,44 +173,46 @@ def test_breakpoints_crossing_square():
     assert ts == [pytest.approx(1.0 / 3.0), pytest.approx(2.0 / 3.0)]
 
 
+def clip_meters(p0, p1, polygon):
+    """Meters of the edge p0->p1 per tract when split attribution clips it
+    to one polygon ("P"); pieces outside it go to OUTSIDE_ZONE."""
+    length = math.dist(p0, p1)
+    graph = Graph({"a": p0, "b": p1}, [Edge("a", "b", length, 10.0)])
+    edge_map = build_edge_tract_map(graph, TractSet([Tract("P", polygon, {})]), mode="split")
+    return dict(edge_map.for_edge(graph.edges[0]))
+
+
 def test_clip_fully_inside():
-    assert clip_segment_to_polygon((0.2, 0.5), (0.8, 0.5), SQUARE) == [(0.0, 1.0)]
+    assert clip_meters((0.2, 0.5), (0.8, 0.5), SQUARE) == {"P": pytest.approx(0.6)}
 
 
 def test_clip_fully_outside():
-    assert clip_segment_to_polygon((2.0, 0.5), (3.0, 0.5), SQUARE) == []
+    assert clip_meters((2.0, 0.5), (3.0, 0.5), SQUARE) == {OUTSIDE_ZONE: 1.0}
 
 
 def test_clip_enters_and_leaves():
-    parts = clip_segment_to_polygon((-1.0, 0.5), (2.0, 0.5), SQUARE)
-    assert len(parts) == 1
-    lo, hi = parts[0]
-    assert math.isclose(lo, 1.0 / 3.0, abs_tol=1e-12)
-    assert math.isclose(hi, 2.0 / 3.0, abs_tol=1e-12)
+    parts = clip_meters((-1.0, 0.5), (2.0, 0.5), SQUARE)
+    assert math.isclose(parts["P"], 1.0, abs_tol=1e-12)
+    assert math.isclose(parts[OUTSIDE_ZONE], 2.0, abs_tol=1e-12)
 
 
 def test_clip_40_60_split():
     # polygon covers x in [0, 400]; a 1000 m segment leaves 40% inside
     band = ((0.0, -10.0), (400.0, -10.0), (400.0, 10.0), (0.0, 10.0))
-    parts = clip_segment_to_polygon((0.0, 0.0), (1000.0, 0.0), band)
-    assert len(parts) == 1
-    lo, hi = parts[0]
-    assert (lo, hi) == (0.0, pytest.approx(0.4))
+    parts = clip_meters((0.0, 0.0), (1000.0, 0.0), band)
+    assert parts == {"P": pytest.approx(400.0), OUTSIDE_ZONE: pytest.approx(600.0)}
 
 
 def test_clip_concave_two_pieces():
     # horizontal line at y=1.5 crosses only the left arm of the L
-    parts = clip_segment_to_polygon((-1.0, 1.5), (3.0, 1.5), L_SHAPE)
-    assert len(parts) == 1
-    lo, hi = parts[0]
-    assert math.isclose(lo, 0.25, abs_tol=1e-12)
-    assert math.isclose(hi, 0.5, abs_tol=1e-12)
+    parts = clip_meters((-1.0, 1.5), (3.0, 1.5), L_SHAPE)
+    assert math.isclose(parts["P"], 1.0, abs_tol=1e-12)
+    assert math.isclose(parts[OUTSIDE_ZONE], 3.0, abs_tol=1e-12)
 
 
 def test_clip_along_edge_is_detected():
     # segment riding the bottom edge of the square
-    parts = clip_segment_to_polygon((0.0, 0.0), (1.0, 0.0), SQUARE)
-    assert parts == [(0.0, 1.0)]
+    assert clip_meters((0.0, 0.0), (1.0, 0.0), SQUARE) == {"P": pytest.approx(1.0)}
 
 
 def test_polyline_intersects_polygon():

@@ -219,15 +219,6 @@ def test_gwr_row_permutation_invariance(gradient_scenario):
     assert math.isclose(shuffled.trace_S, base.trace_S, rel_tol=1e-9)
 
 
-def test_gwr_workers_bitwise_identical(gradient_scenario):
-    sc = gradient_scenario
-    a = fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=9), workers=1)
-    b = fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=9), workers=4)
-    assert np.array_equal(a.local_coefficients, b.local_coefficients)
-    assert np.array_equal(a.local_se, b.local_se)
-    assert a.aicc == b.aicc
-
-
 def test_bandwidths_chunked_match_whole_matrix_partition(step_scenario, monkeypatch):
     # a small chunk puts chunk boundaries mid-matrix
     monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * len(step_scenario.design.y))

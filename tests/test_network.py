@@ -76,7 +76,7 @@ def test_build_graph_from_files(tmp_path):
     assert g.edges[2].speed == 13.9  # "default" fallback
     assert g.edges[2].oneway
     # oneway A->C means C has no back-edge to A
-    assert all(nbr != "A" for nbr, _ in g.adjacency["C"])
+    assert all(nbr != "A" for nbr, _, _ in g.timed_adjacency["C"])
 
 
 def test_build_graph_class_speed_override(tmp_path):
