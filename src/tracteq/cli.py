@@ -181,9 +181,21 @@ def _read_json(ctx: Context, name: str) -> dict:
 
 def _headed_path(ctx: Context, name: str) -> str:
     """Path of a `#`-headed artifact, after checking the config in its header."""
-    with open(_require(ctx, name), encoding="utf-8") as fh:
-        match = _HEADER_CONFIG.search(fh.readline())
-    return _same_config(ctx, name, match.group(1) if match else None)
+    return _same_config(ctx, name, _written_under(_require(ctx, name)))
+
+
+def _written_under(path: str) -> str | None:
+    """Config hash of an artifact: its JSON `meta`, or its `#` header line;
+    None when it carries neither."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if path.endswith("json"):
+                meta = json.load(fh).get("meta")
+                return meta.get("config") if isinstance(meta, dict) else None
+            match = _HEADER_CONFIG.search(fh.readline())
+    except (ValueError, AttributeError):
+        return None
+    return match.group(1) if match else None
 
 
 def _selected(ctx: Context, estimator: str) -> list:
@@ -431,8 +443,25 @@ def cmd_stage(args) -> int:
     return 0
 
 
+def _remove_stale_models(ctx: Context) -> None:
+    """Delete the ols_*/gwr_* artifacts of models a later config renamed or
+    dropped: written under another config, and declared by no stage."""
+    if not os.path.isdir(ctx.outdir):
+        return
+    declared = {name for stage in STAGES for name in stage.outputs(ctx.cfg)}
+    for name in sorted(os.listdir(ctx.outdir)):
+        if (not name.startswith(("ols_", "gwr_")) or name in declared
+                or not os.path.isfile(ctx.path(name))):
+            continue
+        written_under = _written_under(ctx.path(name))
+        if written_under is not None and written_under != ctx.hash:
+            os.remove(ctx.path(name))
+            log.info("removed %s, written under config %s", name, written_under)
+
+
 def cmd_run(args) -> int:
     ctx = _context(args)
+    _remove_stale_models(ctx)
     for stage in STAGES:
         reason = stage.skip(ctx.cfg)
         if reason is not None:

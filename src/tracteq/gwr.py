@@ -146,7 +146,12 @@ def gaussian_weights(distances: np.ndarray, bandwidth) -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
-    return np.exp(-0.5 * (d / bandwidth) ** 2)
+    # In place: one temporary of the output's size, the same bits as
+    # np.exp(-0.5 * (d / bandwidth) ** 2).
+    w = np.asarray(d / bandwidth)
+    w *= w
+    w *= -0.5
+    return np.exp(w, out=w)
 
 
 def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:

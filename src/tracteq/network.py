@@ -3,6 +3,12 @@
 Edge travel cost is free-flow time (length / speed). Shortest paths break
 ties between equal-time routes by lexicographic node-id sequence so every
 aggregate downstream is reproducible.
+
+shortest_path carries each candidate's whole node path and is the oracle.
+shortest_paths_from serves many destinations from one Dijkstra tree over
+node ranks (an id's index in sorted-id order, so ranks compare as ids do):
+the tree keeps no paths, and a tie on time is broken on demand by walking
+both candidates up to their common ancestor.
 """
 
 from __future__ import annotations
@@ -90,18 +96,28 @@ class Graph:
                      for nbr, e in sorted(v, key=lambda it: (it[0], it[1].key)))
             for k, v in adjacency.items()
         }
+        # Searches index nodes by their rank in sorted-id order: comparing
+        # two ranks gives the same answer as comparing the two ids, so the
+        # lexicographic tie-break can compare ranks. rank_adjacency[r] is
+        # timed_adjacency of the node of rank r, neighbours as ranks.
+        self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
+        self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
+        self.rank_adjacency: tuple[tuple[tuple[int, Edge, float], ...], ...] = tuple(
+            tuple((self.rank[nbr], e, tt) for nbr, e, tt in self.timed_adjacency[nid])
+            for nid in self._ids
+        )
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
-    def node_ids(self) -> list[str]:
-        return sorted(self.nodes)
+    def node_ids(self) -> tuple[str, ...]:
+        """Node ids in sorted order; a node's rank is its index here."""
+        return self._ids
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Node ids in sorted order and their (n, 2) coordinates in that
         order; built on first use."""
         if self._node_coords is None:
-            ids = tuple(self.node_ids())
-            coords = np.array([self.nodes[i] for i in ids], dtype=float).reshape(-1, 2)
-            self._node_coords = (ids, coords)
+            coords = np.array([self.nodes[i] for i in self._ids], dtype=float).reshape(-1, 2)
+            self._node_coords = (self._ids, coords)
         return self._node_coords
 
     def edge_geometry(self, edge: Edge) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -238,7 +254,11 @@ def shortest_paths_from(
 
     Lexicographically smallest shortest paths have the prefix property, so
     one tie-broken Dijkstra tree serves every destination; it stops once all
-    of them are settled. Each route equals shortest_path's exactly: nodes,
+    of them are settled. The tree runs over node ranks (Graph.rank) and keeps
+    only each node's time, predecessor, predecessor edge and depth; a tie on
+    time is broken by walking both candidates up to their common ancestor
+    (see _tie_prefers). Node paths are built for the destinations only, by
+    walking predecessors. Each route equals shortest_path's exactly: nodes,
     edges and bit-identical totals. When an edge time is absorbed
     (t + tt == t), the tie-break would depend on the order equal-time nodes
     settle in, so that origin falls back to one shortest_path per
@@ -250,72 +270,119 @@ def shortest_paths_from(
     for d in targets:
         if d not in graph.nodes:
             raise ValidationError(f"unknown destination node {d!r}")
-    tree = _search_tree(graph, origin, targets)
+    rank = graph.rank
+    source = rank[origin]
+    tree = _search_tree(graph, source, {rank[d] for d in targets})
     if tree is None:
         return {d: shortest_path(graph, origin, d) for d in sorted(targets)}
-    dist, pred, paths = tree
+    dist, pred, pred_edge, settled = tree
+    ids = graph.node_ids()
     routes: dict[str, Route | None] = {}
     for d in sorted(targets):
-        if d not in paths:
+        r = rank[d]
+        if not settled[r]:
             routes[d] = None
             continue
+        time = dist[r]
+        nodes = [d]
         edges: list[Edge] = []
-        node = d
-        while node != origin:
-            node, edge = pred[node]
-            edges.append(edge)
+        while r != source:
+            edges.append(pred_edge[r])
+            r = pred[r]
+            nodes.append(ids[r])
+        nodes.reverse()
         edges.reverse()
         total_length = 0.0
         for e in edges:
             total_length += e.length
-        routes[d] = Route(origin, d, paths[d], tuple(edges), dist[d], total_length)
+        routes[d] = Route(origin, d, tuple(nodes), tuple(edges), time, total_length)
     return routes
 
 
 def _search_tree(
-    graph: Graph, origin: str, targets: set[str]
-) -> tuple[dict[str, float], dict[str, tuple[str, Edge]], dict[str, tuple[str, ...]]] | None:
-    """Tie-broken Dijkstra from origin until every target is settled.
+    graph: Graph, source: int, targets: set[int]
+) -> tuple[list[float], list[int], list[Edge | None], list[bool]] | None:
+    """Tie-broken Dijkstra over node ranks from source until every target
+    is settled.
 
-    Returns (dist, pred, paths): time, (predecessor, edge) and node path of
-    each settled node; or None when an edge time was absorbed.
+    Returns (dist, pred, pred_edge, settled), indexed by rank: time,
+    predecessor rank (-1 when none), predecessor edge, and whether the node
+    was settled; or None when an edge time was absorbed.
     """
-    dist: dict[str, float] = {origin: 0.0}
-    pred: dict[str, tuple[str, Edge]] = {}
-    paths: dict[str, tuple[str, ...]] = {}
-    heap: list[tuple[float, str]] = [(0.0, origin)]
+    adjacency = graph.rank_adjacency
+    n = len(adjacency)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    pred_edge: list[Edge | None] = [None] * n
+    depth = [0] * n
+    settled = [False] * n
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     remaining = set(targets)
     stop = math.inf
     while heap:
-        time, node = heapq.heappop(heap)
+        time, u = heappop(heap)
         # Nodes at the last target's time are still expanded: an absorbed
         # edge among them could change that target's tie-break.
         if time > stop:
             break
-        if node in paths:
+        if settled[u]:
             continue
-        path = paths[pred[node][0]] + (node,) if node != origin else (origin,)
-        paths[node] = path
-        remaining.discard(node)
+        settled[u] = True
+        remaining.discard(u)
         if not remaining:
             stop = time
-        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
+        for v, edge, travel_time in adjacency[u]:
             t = time + travel_time
             if t == time:
                 return None
-            if neighbor in paths:
+            if settled[v]:
                 continue
-            best = dist.get(neighbor)
-            if best is None or t < best:
-                dist[neighbor] = t
-                pred[neighbor] = (node, edge)
-                heapq.heappush(heap, (t, neighbor))
-            elif t == best:
-                # Compare whole candidate paths, v included: a bare
-                # predecessor path would sort before its own extension.
-                if path + (neighbor,) < paths[pred[neighbor][0]] + (neighbor,):
-                    pred[neighbor] = (node, edge)
-    return dist, pred, paths
+            best = dist[v]
+            if t < best:
+                dist[v] = t
+                heappush(heap, (t, v))
+            elif t != best or pred[v] == u:
+                continue
+            elif pred[v] < 0:
+                # first reached, and at an infinite time (t == best == inf)
+                heappush(heap, (t, v))
+            elif not _tie_prefers(u, v, pred, depth):
+                continue
+            pred[v] = u
+            pred_edge[v] = edge
+            depth[v] = depth[u] + 1
+    return dist, pred, pred_edge, settled
+
+
+def _tie_prefers(u: int, v: int, pred: list[int], depth: list[int]) -> bool:
+    """Whether path(u) + (v,) sorts before path(pred[v]) + (v,).
+
+    u and p = pred[v] are settled, and so is every node on their tree paths,
+    whose predecessors no longer change. Both paths agree up to the common
+    ancestor of u and p, so the first difference is between the two nodes
+    just below it: ranks compare as ids do. When p itself is that ancestor
+    (the prefix case), u's side is compared with v. The mirror case, u an
+    ancestor of p, cannot occur: times rise strictly along the tree (an
+    absorbed edge, t + tt == t, ends the search first), so every ancestor
+    of p settled before p, while u, the node being expanded, settled after
+    it.
+    """
+    x, y = u, pred[v]
+    while depth[x] > depth[y] + 1:
+        x = pred[x]
+    if depth[x] > depth[y]:
+        if pred[x] == y:
+            return x < v
+        x = pred[x]
+    while depth[y] > depth[x]:
+        y = pred[y]
+    while pred[x] != pred[y]:
+        x = pred[x]
+        y = pred[y]
+    return x < y
 
 
 class EdgeTractMap:

@@ -409,6 +409,27 @@ def test_run_clears_outputs_of_skipped_stages(scenario_dir, tmp_path):
     assert main(["simulate", "--config", no_network, "--out", str(out)]) == 2
 
 
+def test_run_removes_artifacts_of_renamed_models(tmp_path):
+    scenario = tmp_path / "scenario"
+    assert main(["synth", "--out", str(scenario), "--rows", "4", "--cols", "4",
+                 "--od-pairs", "10", "--seed", "5"]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(scenario / "config.json"), "--out", str(out)]) == 0
+    assert (out / "ols_global.csv").exists()
+    (out / "ols_notes.txt").write_text("no tracteq header: not an artifact\n")
+
+    def rename(raw):
+        for model in raw["models"]:
+            if model["name"] == "global":
+                model["name"] = "global2"
+
+    renamed = _config_variant(scenario, tmp_path / "b.json", rename)
+    assert main(["run", "--config", renamed, "--out", str(out)]) == 0
+    assert [n for n in os.listdir(out) if n.startswith("ols_global.")] == []
+    for name in ("ols_global2.csv", "ols_global2.json", "gwr_local.json", "ols_notes.txt"):
+        assert (out / name).exists(), name
+
+
 def test_report_and_equity_refuse_artifacts_of_another_config(scenario_dir, run_dir, tmp_path):
     other = _config_variant(scenario_dir, tmp_path / "b.json",
                             lambda raw: raw["simulation"].update(seed=99))

@@ -42,6 +42,16 @@ def test_gaussian_weights_flat_at_huge_bandwidth():
     assert np.all(w > 1.0 - 1e-9)
 
 
+def test_gaussian_weights_equal_the_direct_formula(rng):
+    d = rng.uniform(0.0, 5000.0, size=(7, 40))
+    d[:, 0] = 0.0
+    kept = d.copy()
+    for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
+        assert np.array_equal(gaussian_weights(d, b), np.exp(-0.5 * (d / b) ** 2))
+    assert np.array_equal(d, kept)
+    assert gaussian_weights(2.0, 2.0) == np.exp(-0.5)
+
+
 def test_gaussian_weights_validation():
     with pytest.raises(ValueError):
         gaussian_weights(np.array([1.0]), 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,21 @@ def test_shortest_paths_from_matches_shortest_path_tie_heavy(rng):
             assert_same_routes(g, origin, shortest_paths_from(g, origin, dests))
 
 
+def test_shortest_paths_from_ranks_follow_string_order(rng):
+    # Sorted as strings, as numbers where they are numbers, and in insertion
+    # order, these ids come out in three different orders; the tie-break
+    # follows string order.
+    labels = ["9", "10", "100", "B", "a", "11", "2", "Z", "b", "1", "_", "20"]
+    for trial in range(6):
+        base = tie_heavy_graph(rng, 3, 4)
+        rename = dict(zip(base.nodes, labels))
+        g = Graph({rename[k]: xy for k, xy in base.nodes.items()},
+                  [dataclasses.replace(e, u=rename[e.u], v=rename[e.v]) for e in base.edges])
+        assert g.node_ids() == tuple(sorted(labels))
+        for origin in labels:
+            assert_same_routes(g, origin, shortest_paths_from(g, origin, labels))
+
+
 def test_shortest_paths_from_prefix_tie_break():
     # A->C direct and A->B->C both take 2 s; (A, B, C) < (A, C) because B < C,
     # although the bare predecessor path (A,) sorts before (A, B).
@@ -252,6 +268,18 @@ def test_shortest_paths_from_absorbed_edge_into_settled_target():
     routes = shortest_paths_from(g, "O", ["D"])
     assert routes["D"].nodes == ("O", "B", "Z", "D")
     assert_same_routes(g, "O", routes)
+
+
+def test_shortest_paths_from_infinite_time():
+    # A->B takes an infinite time; B is still reached, as by shortest_path.
+    nodes = {"A": (0, 0), "B": (1, 0), "C": (2, 0)}
+    g = Graph(nodes, [
+        Edge("A", "B", math.inf, 1.0, oneway=True),
+        Edge("A", "C", 1.0, 1.0),
+    ])
+    routes = shortest_paths_from(g, "A", ["B", "C"])
+    assert routes["B"].total_time == math.inf
+    assert_same_routes(g, "A", routes)
 
 
 def test_shortest_paths_from_unreachable_and_same_node():
