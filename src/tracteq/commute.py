@@ -315,29 +315,35 @@ def simulate(
             1 for h, w, _ in od.rows if traversals.get((h, w)) is None
         )
 
+    # Each row starts at 0.0 for every group and takes the pairs' additions
+    # in sorted pair order; a D row is made only for a nonzero weight.
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
-
-    def add(table: dict[str, dict[str, float]], tract: str, group: str, value: float) -> None:
-        table.setdefault(tract, dict.fromkeys(GROUPS, 0.0))[group] += value
-
+    weights = assignment.weights
     for home, work, _count in od.rows:  # already sorted by (home, work)
-        by_group = assignment.weights.get((home, work))
+        by_group = weights.get((home, work))
         if by_group is None:
             raise ValidationError(f"no assignment for OD pair {home}->{work}")
         per_tract = traversals.get((home, work))
         if per_tract is None:
             continue
+        row = C.get(home)
+        if row is None:
+            row = C[home] = dict.fromkeys(GROUPS, 0.0)
         for g in GROUPS:
-            add(C, home, g, by_group[g])
+            row[g] += by_group[g]
+        nonzero = [(g, by_group[g]) for g in GROUPS if by_group[g]]
+        if not nonzero:
+            continue
         for tid in sorted(per_tract):
             if exclude_home and tid == home:
                 continue
             km = per_tract[tid] / 1000.0
-            for g in GROUPS:
-                w = by_group[g]
-                if w:
-                    add(D, tid, g, w * km)
+            row = D.get(tid)
+            if row is None:
+                row = D[tid] = dict.fromkeys(GROUPS, 0.0)
+            for g, w in nonzero:
+                row[g] += w * km
 
     return TraversalTable(
         groups=GROUPS,

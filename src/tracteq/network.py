@@ -25,6 +25,7 @@ import numpy as np
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
+    EPS,
     bounding_box,
     boxes_overlap,
     point_in_polygon,
@@ -75,7 +76,7 @@ class Graph:
         seen: set[tuple[str, str]] = set()
         adjacency: dict[str, list[tuple[str, Edge]]] = {k: [] for k in self.nodes}
         for e in self.edges:
-            if e.length <= 0 or e.speed <= 0:
+            if not (e.length > 0 and e.speed > 0):  # also rejects NaN
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: length and speed must be positive "
                     f"(got {e.length}, {e.speed})"
@@ -320,7 +321,10 @@ def _search_tree(
     heap: list[tuple[float, int]] = [(0.0, source)]
     heappush = heapq.heappush
     heappop = heapq.heappop
-    remaining = set(targets)
+    is_target = [False] * n
+    for r in targets:
+        is_target[r] = True
+    remaining = len(targets)
     stop = math.inf
     while heap:
         time, u = heappop(heap)
@@ -331,7 +335,8 @@ def _search_tree(
         if settled[u]:
             continue
         settled[u] = True
-        remaining.discard(u)
+        if is_target[u]:
+            remaining -= 1
         if not remaining:
             stop = time
         for v, edge, travel_time in adjacency[u]:
@@ -405,18 +410,78 @@ class EdgeTractMap:
             ) from None
 
 
-def _containing_tract(point: tuple[float, float], tracts: TractSet,
-                      order: list[int], boxes: list[tuple[float, float, float, float]]) -> str:
-    """First containing tract in sorted-id order; boundary points go to the
-    first matching tract so shared borders resolve deterministically."""
-    x, y = point
-    for i in order:
-        b = boxes[i]
-        if not (b[0] - 1e-9 <= x <= b[2] + 1e-9 and b[1] - 1e-9 <= y <= b[3] + 1e-9):
-            continue
-        if point_in_polygon(point, tracts[i].polygon, include_boundary=True):
-            return tracts[i].tract_id
-    return OUTSIDE_ZONE
+class _TractGrid:
+    """Uniform grid over the tracts' bounding boxes, each padded by EPS.
+
+    Each cell lists, in sorted-id order, every tract whose padded box
+    touches it. A cell index is the floor of a coordinate's offset from the
+    grid corner times cells per meter, clamped to the grid; that function
+    only rises with the coordinate, so the cell of a point inside a padded
+    box lies within the cells the box was listed in. A point's cell list
+    therefore holds every tract a sorted-id scan of all boxes would test,
+    in the same order.
+    """
+
+    def __init__(self, tracts: TractSet):
+        order = sorted(range(len(tracts)), key=lambda i: tracts[i].tract_id)
+        # Per position in sorted-id order: id, polygon, box and padded box.
+        self.ids = [tracts[i].tract_id for i in order]
+        self.polygons = [tracts[i].polygon for i in order]
+        self.boxes = [bounding_box(p) for p in self.polygons]
+        self.padded = [(b[0] - EPS, b[1] - EPS, b[2] + EPS, b[3] + EPS) for b in self.boxes]
+        self.side = max(1, math.isqrt(len(order)))
+        self.x0 = min(b[0] for b in self.padded)
+        self.y0 = min(b[1] for b in self.padded)
+        width = max(b[2] for b in self.padded) - self.x0
+        height = max(b[3] for b in self.padded) - self.y0
+        # Cells per meter; a zero, infinite or NaN extent gives 0, one column
+        # or row.
+        self.sx = self.side / width if width > 0 else 0.0
+        self.sy = self.side / height if height > 0 else 0.0
+        self.cells: list[list[int]] = [[] for _ in range(self.side * self.side)]
+        for pos, b in enumerate(self.padded):
+            for cell in self._cells(b):
+                self.cells[cell].append(pos)
+
+    def _index(self, v: float, lo: float, scale: float) -> int:
+        f = (v - lo) * scale
+        if f >= self.side:
+            return self.side - 1
+        return int(f) if f >= 0.0 else 0  # NaN goes to 0
+
+    def _cells(self, box: tuple[float, float, float, float]) -> list[int]:
+        """Cells under a box, row-major."""
+        c0 = self._index(box[0], self.x0, self.sx)
+        c1 = self._index(box[2], self.x0, self.sx)
+        r0 = self._index(box[1], self.y0, self.sy)
+        r1 = self._index(box[3], self.y0, self.sy)
+        return [r * self.side + c for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)]
+
+    def containing(self, point: tuple[float, float]) -> str:
+        """First containing tract in sorted-id order; boundary points go to
+        the first matching tract so shared borders resolve deterministically."""
+        x, y = point
+        cell = (self._index(y, self.y0, self.sy) * self.side
+                + self._index(x, self.x0, self.sx))
+        padded = self.padded
+        for pos in self.cells[cell]:
+            b = padded[pos]
+            if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
+                continue
+            if point_in_polygon(point, self.polygons[pos], include_boundary=True):
+                return self.ids[pos]
+        return OUTSIDE_ZONE
+
+    def overlapping(self, box: tuple[float, float, float, float]) -> list[int]:
+        """Positions, in sorted-id order, of the tracts whose box overlaps
+        `box` by boxes_overlap. boxes_overlap(box, b) implies
+        b[0] - EPS <= box[2] + EPS and box[0] - EPS <= b[2] + EPS (and the
+        same in y), so the cells under `box` padded by EPS reach every such
+        tract's cells."""
+        seen: set[int] = set()
+        for cell in self._cells((box[0] - EPS, box[1] - EPS, box[2] + EPS, box[3] + EPS)):
+            seen.update(self.cells[cell])
+        return [pos for pos in sorted(seen) if boxes_overlap(box, self.boxes[pos])]
 
 
 def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint") -> EdgeTractMap:
@@ -425,12 +490,13 @@ def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint")
     midpoint mode gives the full length to the tract containing the edge
     midpoint; split mode cuts the segment at every polygon boundary and
     assigns each piece by its own midpoint. Pieces covered by no tract go to
-    the OUTSIDE_ZONE sentinel.
+    the OUTSIDE_ZONE sentinel. A point goes to the first tract in sorted-id
+    order that contains it; a grid over the tract boxes (_TractGrid) picks
+    the tracts to test.
     """
     if mode not in ("midpoint", "split"):
         raise ValueError(f"unknown attribution mode {mode!r}")
-    order = sorted(range(len(tracts)), key=lambda i: tracts[i].tract_id)
-    boxes = [bounding_box(t.polygon) for t in tracts]
+    grid = _TractGrid(tracts)
 
     parts: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
     uncovered = 0
@@ -438,15 +504,11 @@ def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint")
         a, b = graph.edge_geometry(edge)
         if mode == "midpoint":
             mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-            tid = _containing_tract(mid, tracts, order, boxes)
-            edge_parts = ((tid, edge.length),)
+            edge_parts = ((grid.containing(mid), edge.length),)
         else:
-            seg_box = bounding_box([a, b])
             ts = {0.0, 1.0}
-            for i in order:
-                if not boxes_overlap(seg_box, boxes[i]):
-                    continue
-                ts.update(segment_polygon_breakpoints(a, b, tracts[i].polygon))
+            for pos in grid.overlapping(bounding_box([a, b])):
+                ts.update(segment_polygon_breakpoints(a, b, grid.polygons[pos]))
             cuts = sorted(ts)
             acc: dict[str, float] = {}
             for lo, hi in zip(cuts, cuts[1:]):
@@ -454,7 +516,7 @@ def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint")
                     continue
                 m = (lo + hi) / 2.0
                 mid = (a[0] + (b[0] - a[0]) * m, a[1] + (b[1] - a[1]) * m)
-                tid = _containing_tract(mid, tracts, order, boxes)
+                tid = grid.containing(mid)
                 acc[tid] = acc.get(tid, 0.0) + (hi - lo) * edge.length
             edge_parts = tuple(sorted(acc.items()))
         if any(tid == OUTSIDE_ZONE for tid, _ in edge_parts):
@@ -472,8 +534,13 @@ def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, flo
     back to total_length whenever the lengths themselves add without
     rounding.
     """
+    parts = edge_map.parts
     contributions: dict[str, list[float]] = {}
     for edge in route.edges:
-        for tid, meters in edge_map.for_edge(edge):
+        try:
+            edge_parts = parts[edge.u, edge.v]
+        except KeyError:
+            edge_parts = edge_map.for_edge(edge)  # raises ConsistencyError
+        for tid, meters in edge_parts:
             contributions.setdefault(tid, []).append(meters)
     return {tid: math.fsum(vals) for tid, vals in sorted(contributions.items())}

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from tracteq.commute import GROUPS
 from tracteq.data_model import DesignData, Tract, TractSet
-from tracteq.network import Edge, Graph
+from tracteq.errors import ValidationError
+from tracteq.geometry import (
+    bounding_box,
+    boxes_overlap,
+    point_in_polygon,
+    segment_polygon_breakpoints,
+)
+from tracteq.network import OUTSIDE_ZONE, Edge, EdgeTractMap, Graph, shortest_path
 
 
 def square_tract(tid: str, col: int, row: int, size: float = 1000.0, **attrs) -> Tract:
@@ -151,3 +161,84 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
                 if rng.random() < 0.25:
                     add(nbr, here)
     return Graph(nodes, edges)
+
+
+def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
+    """First containing tract by a scan of every tract box in sorted-id
+    order: the rule the grid-indexed edge-tract map must keep."""
+    x, y = point
+    for i in order:
+        b = boxes[i]
+        if not (b[0] - 1e-9 <= x <= b[2] + 1e-9 and b[1] - 1e-9 <= y <= b[3] + 1e-9):
+            continue
+        if point_in_polygon(point, tracts[i].polygon, include_boundary=True):
+            return tracts[i].tract_id
+    return OUTSIDE_ZONE
+
+
+def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> EdgeTractMap:
+    """build_edge_tract_map with a linear scan of all tracts for every point
+    and every segment box."""
+    order = sorted(range(len(tracts)), key=lambda i: tracts[i].tract_id)
+    boxes = [bounding_box(t.polygon) for t in tracts]
+    parts = {}
+    for edge in graph.edges:
+        a, b = graph.edge_geometry(edge)
+        if mode == "midpoint":
+            mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+            edge_parts = ((containing_tract_linear(mid, tracts, order, boxes), edge.length),)
+        else:
+            seg_box = bounding_box([a, b])
+            ts = {0.0, 1.0}
+            for i in order:
+                if boxes_overlap(seg_box, boxes[i]):
+                    ts.update(segment_polygon_breakpoints(a, b, tracts[i].polygon))
+            cuts = sorted(ts)
+            acc = {}
+            for lo, hi in zip(cuts, cuts[1:]):
+                if hi - lo <= 1e-12:
+                    continue
+                m = (lo + hi) / 2.0
+                mid = (a[0] + (b[0] - a[0]) * m, a[1] + (b[1] - a[1]) * m)
+                tid = containing_tract_linear(mid, tracts, order, boxes)
+                acc[tid] = acc.get(tid, 0.0) + (hi - lo) * edge.length
+            edge_parts = tuple(sorted(acc.items()))
+        parts[edge.key] = edge_parts
+    return EdgeTractMap(parts, mode)
+
+
+def simulate_reference(od, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
+                       assignment, exclude_home: bool = False):
+    """(D, C) of commute.simulate, computed pair by pair: nearest nodes by
+    full scan, one shortest_path per pair, per-tract meters by math.fsum,
+    and one add() per group and tract in sorted pair order."""
+    D, C = {}, {}
+
+    def add(table, tract, group, value):
+        table.setdefault(tract, dict.fromkeys(GROUPS, 0.0))[group] += value
+
+    for home, work, _count in od.rows:
+        by_group = assignment.weights.get((home, work))
+        if by_group is None:
+            raise ValidationError(f"no assignment for OD pair {home}->{work}")
+        o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
+        d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
+        route = shortest_path(graph, o, d)
+        if route is None:
+            continue
+        contributions = {}
+        for edge in route.edges:
+            for tid, meters in edge_map.parts[edge.key]:
+                contributions.setdefault(tid, []).append(meters)
+        per_tract = {tid: math.fsum(v) for tid, v in sorted(contributions.items())}
+        for g in GROUPS:
+            add(C, home, g, by_group[g])
+        for tid in sorted(per_tract):
+            if exclude_home and tid == home:
+                continue
+            km = per_tract[tid] / 1000.0
+            for g in GROUPS:
+                w = by_group[g]
+                if w:
+                    add(D, tid, g, w * km)
+    return D, C

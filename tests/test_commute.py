@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_tracts, nearest_node_brute
+from helpers import grid_tracts, nearest_node_brute, simulate_reference
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -366,3 +366,84 @@ def test_uniform_share_splits_distance_proportionally(step_scenario):
         c_total = table.C_total(tid)
         if c_total > 0:
             assert table.C[tid]["white"] / c_total == pytest.approx(0.37, abs=1e-12)
+
+
+def accounting_world(rng):
+    """4x3 tracts of 1 km with group shares of 0, 1 and fractions, and a
+    250 m street lattice whose edge lengths do not add exactly. The top-right
+    tract's streets form their own component (pairs into or out of it are
+    unreachable); the two tracts below it hold one node only, on their
+    shared border, so both snap to it."""
+    shares = [0.0, 1.0, 0.37, 0.5, 0.81, 0.123, 0.0, 0.66, 0.29, 1.0, 0.44, 0.9]
+    ts = grid_tracts(3, 4, attr_fn=lambda r, c: {"group_share": shares[r * 4 + c]})
+    nodes = {}
+    for i in range(16):
+        for j in range(12):
+            x, y = 125.0 + 250.0 * i, 125.0 + 250.0 * j
+            if not (x > 3000.0 and y < 2000.0):
+                nodes[f"n{i:02d}{j:02d}"] = (x, y)
+    nodes["hub"] = (3500.0, 1000.0)
+
+    def cut_off(nid):
+        return nodes[nid][0] > 3000.0 and nodes[nid][1] > 2000.0
+
+    edges = [Edge("n1103", "hub", 700.3, 13.9)]
+    for i in range(16):
+        for j in range(12):
+            here = f"n{i:02d}{j:02d}"
+            for nbr in (f"n{i + 1:02d}{j:02d}", f"n{i:02d}{j + 1:02d}"):
+                if here in nodes and nbr in nodes and cut_off(here) == cut_off(nbr):
+                    edges.append(Edge(here, nbr, float(rng.uniform(225.0, 325.0)), 13.9))
+    return ts, Graph(nodes, edges)
+
+
+def hexed(table):
+    return {tid: {g: v.hex() for g, v in row.items()} for tid, row in table.items()}
+
+
+def assert_matches_reference(od, ts, g, em, assignment, exclude_home):
+    got = simulate(od, ts, g, em, assignment, exclude_home=exclude_home)
+    D, C = simulate_reference(od, ts, g, em, assignment, exclude_home=exclude_home)
+    assert got.D.keys() == D.keys() and got.C.keys() == C.keys()
+    assert hexed(got.D) == hexed(D)
+    assert hexed(got.C) == hexed(C)
+    return got
+
+
+@pytest.mark.parametrize("attribution", ["midpoint", "split"])
+@pytest.mark.parametrize("assign_mode", ["fractional", "bernoulli"])
+@pytest.mark.parametrize("exclude_home", [False, True])
+def test_simulate_matches_add_loop_reference(rng, attribution, assign_mode, exclude_home):
+    ts, g = accounting_world(rng)
+    em = build_edge_tract_map(g, ts, mode=attribution)
+    ids = [t.tract_id for t in ts]
+    counts = rng.integers(0, 9, size=len(ids) ** 2)
+    od = ODTable.from_rows(
+        (h, w, int(c)) for (h, w), c in zip(((h, w) for h in ids for w in ids), counts)
+    )
+    a = assign_groups(od, ts, mode=assign_mode, seed=5)
+    drive = {tid: (0.0 if k % 5 == 0 else 0.7 + 0.01 * k) for k, tid in enumerate(ids)}
+    for assignment in (a, scale_by_drive_share(a, drive)):
+        table = assert_matches_reference(od, ts, g, em, assignment, exclude_home)
+        assert table.n_unreachable > 0
+    # the two tracts under the hub snap to one node
+    assert nearest_node(g, ts.centroids[3]) == nearest_node(g, ts.centroids[7]) == "hub"
+    assert any(c == 0 for _, _, c in od.rows)
+
+    # Pairs of weight zero add no D rows: only the one weighted pair's
+    # tracts appear.
+    zero = ODTable.from_rows([(ids[0], ids[-2], 0), (ids[1], ids[6], 0), (ids[4], ids[10], 3),
+                              (ids[6], ids[8], 5), (ids[0], ids[11], 2)])
+    za = assign_groups(zero, ts, mode=assign_mode, seed=5)
+    assert za.weights[(ids[6], ids[8])]["white"] == 0.0  # share 0: one group weighs 0
+    table = assert_matches_reference(zero, ts, g, em, za, exclude_home)
+    assert table.n_unreachable == 1
+
+
+@pytest.mark.parametrize("assign_mode", ["fractional", "bernoulli"])
+@pytest.mark.parametrize("exclude_home", [False, True])
+def test_simulate_matches_add_loop_reference_step(step_scenario, assign_mode, exclude_home):
+    sc = step_scenario
+    a = assign_groups(sc.od, sc.tracts, mode=assign_mode, seed=3)
+    for em in (sc.edge_map, build_edge_tract_map(sc.graph, sc.tracts, mode="split")):
+        assert_matches_reference(sc.od, sc.tracts, sc.graph, em, a, exclude_home)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
+    build_edge_tract_map_linear,
     enumerate_best_path,
     grid_tracts,
     random_graph,
@@ -12,7 +14,7 @@ from helpers import (
     tie_heavy_graph,
 )
 from tracteq import network
-from tracteq.data_model import TractSet
+from tracteq.data_model import Tract, TractSet
 from tracteq.errors import ConsistencyError, ValidationError
 from tracteq.network import (
     OUTSIDE_ZONE,
@@ -53,6 +55,16 @@ def test_graph_rejects_nonpositive_length_or_speed():
         Graph(nodes, [Edge("A", "B", 0.0, 1.0)])
     with pytest.raises(ValidationError):
         Graph(nodes, [Edge("A", "B", 1.0, -1.0)])
+
+
+@pytest.mark.parametrize("row", ["A,B,nan,10", "A,B,100,nan"])
+def test_build_graph_rejects_nan_length_or_speed(tmp_path, row):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"u,v,length_m,speed_ms\n{row}\n")
+    with pytest.raises(ValidationError, match="must be positive"):
+        build_graph(str(nodes), str(edges))
 
 
 def test_graph_rejects_duplicate_edge():
@@ -282,6 +294,15 @@ def test_shortest_paths_from_infinite_time():
     assert_same_routes(g, "A", routes)
 
 
+def test_shortest_paths_from_no_destinations_and_origin_only():
+    g = diamond_graph()
+    assert shortest_paths_from(g, "A", []) == {}
+    assert shortest_paths_from(g, "A", ["A"]) == {"A": shortest_path(g, "A", "A")}
+    # With no targets the tree stops right after settling the source.
+    dist, pred, pred_edge, settled = network._search_tree(g, g.rank["A"], set())
+    assert settled == [r == g.rank["A"] for r in range(len(g.nodes))]
+
+
 def test_shortest_paths_from_unreachable_and_same_node():
     nodes = {"A": (0, 0), "B": (1, 0), "C": (5, 5)}
     g = Graph(nodes, [Edge("A", "B", 1.0, 1.0, oneway=True)])
@@ -400,3 +421,138 @@ def test_route_tract_distances_missing_edge_errors():
     )
     with pytest.raises(ConsistencyError, match="X->Y"):
         route_tract_distances(broken, em)
+
+
+def lattice_points(rng, lo, hi, step, count):
+    """count random points on a lattice of the given step in [lo, hi]^2."""
+    ticks = np.arange(lo, hi + step / 2, step)
+    return [(float(rng.choice(ticks)), float(rng.choice(ticks))) for _ in range(count)]
+
+
+def segments_graph(rng, points, n_edges, segments=()):
+    """Graph over the points with n_edges random edges, plus one edge per
+    (a, b) segment given."""
+    nodes = {f"p{i:03d}": p for i, p in enumerate(points)}
+    ids = list(nodes)
+    pairs = set()
+    while len(pairs) < min(n_edges, len(ids) * (len(ids) - 1) // 2):
+        i, j = sorted(int(k) for k in rng.choice(len(ids), 2, replace=False))
+        pairs.add((ids[i], ids[j]))
+    for a, b in segments:
+        u, v = f"s{len(nodes):03d}", f"s{len(nodes) + 1:03d}"
+        nodes[u], nodes[v] = a, b
+        pairs.add((u, v))
+    edges = [
+        Edge(u, v, max(1.0, math.dist(nodes[u], nodes[v])), 10.0)
+        for u, v in sorted(pairs)
+    ]
+    return Graph(nodes, edges)
+
+
+def shuffled_lattice(rng, rows, cols, size=1000.0):
+    """Square tracts whose ids sort in neither position nor insertion order."""
+    labels = [f"{k}" for k in rng.permutation(rows * cols) * 7 + 3]
+    tracts = [square_tract(labels[r * cols + c], c, r, size)
+              for r in range(rows) for c in range(cols)]
+    return TractSet([tracts[k] for k in rng.permutation(len(tracts))])
+
+
+def cell_lines(tracts):
+    """Coordinates where the grid's cell index changes, with one ulp either
+    side."""
+    grid = network._TractGrid(tracts)
+    xs = [grid.x0 + k / grid.sx for k in range(grid.side + 1)]
+    ys = [grid.y0 + k / grid.sy for k in range(grid.side + 1)]
+
+    def widen(vs):
+        return [w for v in vs
+                for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+    return widen(xs), widen(ys)
+
+
+def hexed_parts(parts):
+    return {k: [(t, m.hex()) for t, m in v] for k, v in parts.items()}
+
+
+def assert_grid_matches_linear(monkeypatch, graph, tracts):
+    """Both modes: the same parts as the linear scan (floats by hex), from
+    the same point_in_polygon calls in the same order."""
+    calls = {"grid": [], "linear": []}
+
+    def spy(module, key):
+        real = module.point_in_polygon
+
+        def recording(point, polygon, include_boundary=True):
+            calls[key].append((point, polygon))
+            return real(point, polygon, include_boundary=include_boundary)
+
+        monkeypatch.setattr(module, "point_in_polygon", recording)
+
+    spy(network, "grid")
+    spy(helpers, "linear")
+    for mode in ("midpoint", "split"):
+        calls["grid"].clear()
+        calls["linear"].clear()
+        got = build_edge_tract_map(graph, tracts, mode=mode).parts
+        want = build_edge_tract_map_linear(graph, tracts, mode).parts
+        assert hexed_parts(got) == hexed_parts(want), mode
+        assert calls["grid"] == calls["linear"], mode
+        assert calls["grid"], mode
+
+
+def test_grid_map_matches_linear_scan_step_scenario(monkeypatch, step_scenario):
+    assert_grid_matches_linear(monkeypatch, step_scenario.graph, step_scenario.tracts)
+
+
+def test_grid_map_matches_linear_scan_shuffled_shared_borders(monkeypatch, rng):
+    for rows, cols in ((3, 4), (5, 2), (4, 4)):
+        ts = shuffled_lattice(rng, rows, cols)
+        pts = lattice_points(rng, -500.0, 1000.0 * max(rows, cols) + 500.0, 250.0, 40)
+        assert_grid_matches_linear(monkeypatch, segments_graph(rng, pts, 80), ts)
+
+
+def test_grid_map_matches_linear_scan_on_cell_lines(monkeypatch, rng):
+    for rows, cols in ((3, 5), (3, 3), (2, 7)):
+        ts = grid_tracts(rows, cols)
+        xs, ys = cell_lines(ts)
+        segments = []
+        for x in xs:  # vertical edges: midpoint x on a cell line
+            y0, y1 = sorted(float(v) for v in rng.uniform(-100.0, rows * 1000.0 + 100.0, 2))
+            segments.append(((x, y0), (x, y1)))
+        for y in ys:  # horizontal edges: midpoint y on a cell line
+            x0, x1 = sorted(float(v) for v in rng.uniform(-100.0, cols * 1000.0 + 100.0, 2))
+            segments.append(((x0, y), (x1, y)))
+        for x in xs[::2]:  # zero-length edges at cell corners
+            for y in ys[::2]:
+                segments.append(((x, y), (x, y)))
+        assert_grid_matches_linear(monkeypatch, segments_graph(rng, [], 0, segments), ts)
+
+
+def test_grid_map_matches_linear_scan_tract_spanning_every_cell(monkeypatch, rng):
+    # The triangle's box covers the whole grid and it overlaps the lattice
+    # tracts; its id sorts among theirs, so it wins some points only.
+    big = Tract("T001999", ((-100.0, -100.0), (4100.0, -100.0), (-100.0, 4100.0)))
+    ts = TractSet(list(grid_tracts(4, 4).tracts) + [big])
+    grid = network._TractGrid(ts)
+    assert all(grid.ids.index("T001999") in cell for cell in grid.cells)
+    pts = [tuple(float(v) for v in rng.uniform(-600.0, 4600.0, 2)) for _ in range(30)]
+    pts += lattice_points(rng, 0.0, 4000.0, 500.0, 30)
+    assert_grid_matches_linear(monkeypatch, segments_graph(rng, pts, 90), ts)
+
+
+def test_grid_map_matches_linear_scan_outside_every_tract(monkeypatch, rng):
+    # A lattice with holes, and points beyond its extent on every side.
+    kept = [t for k, t in enumerate(grid_tracts(4, 4).tracts) if k not in (5, 6, 10)]
+    ts = TractSet(kept)
+    pts = lattice_points(rng, -3000.0, 7000.0, 500.0, 40)
+    g = segments_graph(rng, pts, 80)
+    assert_grid_matches_linear(monkeypatch, g, ts)
+    em = build_edge_tract_map(g, ts, mode="split")
+    assert any(t == OUTSIDE_ZONE for parts in em.parts.values() for t, _ in parts)
+
+
+def test_grid_map_matches_linear_scan_single_tract(monkeypatch, rng):
+    ts = grid_tracts(1, 1)
+    pts = lattice_points(rng, -1000.0, 2000.0, 250.0, 25)
+    assert_grid_matches_linear(monkeypatch, segments_graph(rng, pts, 40), ts)
