@@ -485,12 +485,13 @@ def cmd_run(args) -> int:
 
 def cmd_route(args) -> int:
     graph = build_graph(args.nodes, args.edges)
+    tracts = (load_tracts(args.tracts, args.attributes)
+              if args.tracts and args.attributes else None)
     if args.home or args.work:
-        if not (args.tracts and args.attributes and args.home and args.work):
+        if tracts is None or not (args.home and args.work):
             raise ValidationError("--home/--work need --tracts and --attributes")
         from .commute import nearest_node
 
-        tracts = load_tracts(args.tracts, args.attributes)
         origin = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.home)]))
         dest = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.work)]))
     else:
@@ -503,8 +504,7 @@ def cmd_route(args) -> int:
         return 1
     print(" -> ".join(route.nodes))
     print(f"time_s={route.total_time!r} length_m={route.total_length!r}")
-    if args.tracts and args.attributes:
-        tracts = load_tracts(args.tracts, args.attributes)
+    if tracts is not None:
         edge_map = build_edge_tract_map(graph, tracts, mode=args.mode)
         for tid, meters in route_tract_distances(route, edge_map).items():
             print(f"{tid},{meters!r}")

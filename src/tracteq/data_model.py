@@ -38,7 +38,9 @@ class Tract:
 
 
 class TractSet:
-    """An ordered collection of tracts with cached centroids and a KD-tree.
+    """An ordered collection of tracts with cached centroids.
+
+    Each tract's ring is stored normalized: open, with float vertices.
 
     Attribute columns are free-form; the demographic columns used by the
     simulation (population, commuters, group share) are looked up by the
@@ -55,7 +57,9 @@ class TractSet:
     ) -> None:
         if not tracts:
             raise ValidationError("tract set is empty")
-        self.tracts: tuple[Tract, ...] = tuple(tracts)
+        self.tracts: tuple[Tract, ...] = tuple(
+            Tract(t.tract_id, tuple(normalize_ring(t.polygon)), t.attributes) for t in tracts
+        )
         self.population_column = population_column
         self.commuters_column = commuters_column
         self.group_share_column = group_share_column
@@ -65,8 +69,7 @@ class TractSet:
             if t.tract_id in seen:
                 raise ValidationError(f"duplicate tract_id {t.tract_id!r}")
             seen.add(t.tract_id)
-            ring = normalize_ring(t.polygon)
-            if polygon_area(ring) <= 0.0:
+            if polygon_area(t.polygon) <= 0.0:
                 raise ValidationError(f"tract {t.tract_id!r} has zero-area polygon")
             self._check_range(t, population_column, 0.0, math.inf)
             self._check_range(t, commuters_column, 0.0, math.inf)
@@ -244,11 +247,11 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
         for poly in coords or []:
             if not poly:
                 continue
-            ring = tuple((float(x), float(y)) for x, y in poly[0])
             try:
-                a = polygon_area(ring)
+                ring = tuple(normalize_ring(poly[0]))
             except ValueError:
                 continue
+            a = polygon_area(ring)
             if a > best_area:
                 best, best_area = ring, a
         if best is None:
@@ -268,14 +271,14 @@ def _read_feature_collection(path: str) -> list[dict]:
     return doc["features"]
 
 
-def read_attribute_table(path: str, delimiter: str = ",") -> dict[str, dict[str, float]]:
-    """Read a delimited attribute file keyed by tract_id.
+def read_attribute_table(path: str) -> dict[str, dict[str, float]]:
+    """Read a comma-separated attribute file keyed by tract_id.
 
     Empty cells become NaN (treated as missing downstream); any other
     non-numeric cell is an error naming the row and column.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None or "tract_id" not in reader.fieldnames:
             raise ParseError(f"{path}: header must include tract_id")
         rows: dict[str, dict[str, float]] = {}
@@ -307,7 +310,6 @@ def read_attribute_table(path: str, delimiter: str = ",") -> dict[str, dict[str,
 def load_tracts(
     geojson_path: str,
     attributes_path: str,
-    delimiter: str = ",",
     population_column: str = "population",
     commuters_column: str = "commuters",
     group_share_column: str = "group_share",
@@ -330,7 +332,7 @@ def load_tracts(
             raise ValidationError(f"{geojson_path}: duplicate tract_id {tid!r}")
         polygons[tid] = _feature_ring(feature, f"{geojson_path} feature {tid!r}")
 
-    attributes = read_attribute_table(attributes_path, delimiter=delimiter)
+    attributes = read_attribute_table(attributes_path)
 
     matched = sorted(polygons.keys() & attributes.keys())
     geom_only = len(polygons) - len(matched)

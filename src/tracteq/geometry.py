@@ -1,8 +1,9 @@
 """Planar geometry primitives for tract polygons and network segments.
 
 All coordinates are projected planar meters. A polygon is a sequence of
-exterior-ring (x, y) vertices in either winding order; a repeated closing
-vertex is accepted and dropped. No geodesic math anywhere.
+exterior-ring (x, y) vertices in either winding order, taken as given: open,
+with at least three vertices. Rings are put in that form once, by
+`normalize_ring` where they enter the program. No geodesic math anywhere.
 """
 
 from __future__ import annotations
@@ -29,27 +30,25 @@ def normalize_ring(points: Sequence[Point]) -> list[Point]:
 
 def polygon_area(points: Sequence[Point]) -> float:
     """Unsigned shoelace area of a simple polygon."""
-    pts = normalize_ring(points)
     acc = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
         acc += x0 * y1 - x1 * y0
     return abs(acc) / 2.0
 
 
 def polygon_centroid(points: Sequence[Point]) -> Point:
     """Area-weighted centroid; falls back to the vertex mean for degenerate area."""
-    pts = normalize_ring(points)
     a2 = 0.0
     cx = 0.0
     cy = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+    for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
         cross = x0 * y1 - x1 * y0
         a2 += cross
         cx += (x0 + x1) * cross
         cy += (y0 + y1) * cross
     if abs(a2) < 1e-30:
-        n = len(pts)
-        return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+        n = len(points)
+        return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
     return (cx / (3.0 * a2), cy / (3.0 * a2))
 
 
@@ -74,14 +73,13 @@ def point_on_segment(p: Point, a: Point, b: Point, eps: float = EPS) -> bool:
 
 def point_in_polygon(p: Point, points: Sequence[Point], include_boundary: bool = True) -> bool:
     """Even-odd containment test; boundary points resolved by `include_boundary`."""
-    pts = normalize_ring(points)
-    for a, b in zip(pts, pts[1:] + pts[:1]):
+    for a, b in zip(points, points[1:] + points[:1]):
         if point_on_segment(p, a, b):
             return include_boundary
     px, py = p
     inside = False
-    x0, y0 = pts[-1]
-    for x1, y1 in pts:
+    x0, y0 = points[-1]
+    for x1, y1 in points:
         if (y0 > py) != (y1 > py):
             x_cross = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
             if px < x_cross:
@@ -146,9 +144,8 @@ def segment_segment_distance(p0: Point, p1: Point, a: Point, b: Point) -> float:
 
 def segment_polygon_breakpoints(p0: Point, p1: Point, points: Sequence[Point]) -> list[float]:
     """All parameters where p0->p1 crosses or touches the polygon boundary."""
-    pts = normalize_ring(points)
     hits: list[float] = []
-    for a, b in zip(pts, pts[1:] + pts[:1]):
+    for a, b in zip(points, points[1:] + points[:1]):
         hits.extend(segment_param_hits(p0, p1, a, b))
     return sorted(hits)
 
@@ -170,8 +167,7 @@ def polyline_polygon_distance(line: Sequence[Point], points: Sequence[Point]) ->
     """Minimum distance between a polyline and the closed polygon region."""
     if polyline_intersects_polygon(line, points):
         return 0.0
-    pts = normalize_ring(points)
-    edges = list(zip(pts, pts[1:] + pts[:1]))
+    edges = list(zip(points, points[1:] + points[:1]))
     best = math.inf
     segs = [(line[0], line[0])] if len(line) == 1 else list(zip(line, line[1:]))
     for p0, p1 in segs:

@@ -27,6 +27,7 @@ from .data_model import (
     build_design,
 )
 from .network import Edge, EdgeTractMap, Graph, build_edge_tract_map
+from .report import tracts_to_geojson
 
 STREET_SPEED = 13.9
 HIGHWAY_SPEED = 27.8
@@ -234,20 +235,9 @@ def write_scenario(scenario: Scenario, outdir: str) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
     paths: dict[str, str] = {}
 
-    features = []
-    for tract in sorted(scenario.tracts, key=lambda t: t.tract_id):
-        ring = [[x, y] for x, y in tract.polygon]
-        ring.append(ring[0])
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"tract_id": tract.tract_id},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        )
     paths["tracts"] = os.path.join(outdir, "tracts.geojson")
     with open(paths["tracts"], "w", encoding="utf-8") as fh:
-        json.dump({"type": "FeatureCollection", "features": features}, fh, sort_keys=True)
+        fh.write(tracts_to_geojson(scenario.tracts))
 
     columns = sorted({k for t in scenario.tracts for k in t.attributes})
     paths["attributes"] = os.path.join(outdir, "attributes.csv")

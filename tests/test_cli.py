@@ -16,6 +16,7 @@ from tracteq import __version__
 from tracteq import cli
 from tracteq.cli import main
 from tracteq.config import load_config
+from tracteq.data_model import load_tracts
 
 HEADER_PREFIX = f"# tracteq v{__version__} config="
 
@@ -265,7 +266,14 @@ def test_route_by_node_ids(tmp_path, capsys):
     assert "no route from A to C" in capsys.readouterr().out
 
 
-def test_route_by_home_work_with_tract_breakdown(scenario_dir, capsys):
+def test_route_by_home_work_with_tract_breakdown(scenario_dir, capsys, monkeypatch):
+    loads = []
+
+    def spy(*args, **kwargs):
+        loads.append(args)
+        return load_tracts(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_tracts", spy)
     rc = main([
         "route",
         "--nodes", str(scenario_dir / "nodes.csv"),
@@ -283,6 +291,8 @@ def test_route_by_home_work_with_tract_breakdown(scenario_dir, capsys):
     for ln in tract_rows:
         tid, meters = ln.split(",")
         assert float(meters) > 0.0
+    # endpoints and attribution share one load of the tract layers
+    assert len(loads) == 1
 
 
 def test_route_home_without_layers_errors(scenario_dir):

@@ -19,6 +19,7 @@ from tracteq.data_model import (
     with_column,
 )
 from tracteq.errors import ParseError, ValidationError
+from tracteq.report import tracts_to_geojson
 
 UNIT = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -146,18 +147,52 @@ def test_load_tracts_multipolygon_keeps_largest_ring(tmp_path):
     geo = tmp_path / "t.geojson"
     big = [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]
     small = [[50, 50], [51, 50], [51, 51], [50, 51], [50, 50]]
+    sliver = [[60, 60], [70, 70], [60, 60]]  # two distinct vertices: skipped
     geo.write_text(json.dumps({
         "type": "FeatureCollection",
         "features": [{
             "type": "Feature",
             "properties": {"tract_id": "A"},
-            "geometry": {"type": "MultiPolygon", "coordinates": [[small], [big]]},
+            "geometry": {"type": "MultiPolygon",
+                         "coordinates": [[small], [sliver], [big]]},
         }],
     }))
     attrs = tmp_path / "a.csv"
     attrs.write_text("tract_id,v\nA,1\n")
     ts = load_tracts(str(geo), str(attrs))
     assert tuple(ts.centroids[0]) == (5.0, 5.0)
+    assert ts[0].polygon == ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+
+
+def test_tractset_stores_open_float_rings():
+    closed_int = ((0, 0), (2, 0), (2, 1), (0, 1), (0, 0))
+    ts = TractSet([Tract("A", closed_int, {}), Tract("B", UNIT, {})])
+    assert ts[0].polygon == ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+    assert all(type(v) is float for point in ts[0].polygon for v in point)
+    assert ts[1].polygon == UNIT
+
+
+def test_load_tracts_round_trips_tracts_to_geojson(tmp_path):
+    pentagon = ((10.0, 0.0), (13.5, 0.25), (14.0, 3.0), (11.0, 4.5), (9.5, 2.0))
+    tracts = TractSet([
+        Tract("A", UNIT, {"population": 1.0}),
+        Tract("B", tuple(reversed(pentagon)), {"population": 2.0}),
+        Tract("C", ((20.0, 0.0), (21.0, 0.0), (20.5, 0.75), (20.0, 0.0)),
+              {"population": 3.0}),
+    ])
+    geo = tmp_path / "t.geojson"
+    geo.write_text(tracts_to_geojson(tracts))
+    for feature in json.loads(geo.read_text())["features"]:
+        ring = feature["geometry"]["coordinates"][0]
+        assert ring[-1] == ring[0] and ring[-2] != ring[0]  # closed exactly once
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,population\nA,1\nB,2\nC,3\n")
+    loaded = load_tracts(str(geo), str(attrs))
+    assert [t.polygon for t in loaded] == [t.polygon for t in tracts]
+    assert len(loaded[2].polygon) == 3
+    geo2 = tmp_path / "t2.geojson"
+    geo2.write_text(tracts_to_geojson(loaded))
+    assert geo2.read_bytes() == geo.read_bytes()
 
 
 def test_load_highways_linestring_and_multi(tmp_path):

@@ -235,3 +235,46 @@ def test_bounding_box_and_overlap():
     assert bounding_box(L_SHAPE) == (0.0, 0.0, 2.0, 2.0)
     assert boxes_overlap((0.0, 0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 2.0))
     assert not boxes_overlap((0.0, 0.0, 1.0, 1.0), (1.1, 0.0, 2.0, 1.0))
+
+
+# Rings are normalized once where they enter the program (TractSet, the
+# GeoJSON reader), and the functions above take theirs as given. A ring that
+# kept its closing vertex adds one zero-length edge; these tests show that
+# edge changes no containment, area or set of breakpoints.
+EQUIVALENCE_RINGS = [
+    SQUARE,
+    L_SHAPE,
+    tuple(reversed(L_SHAPE)),
+    ((0.0, 0.0), (4.0, 0.0), (0.0, 3.0)),
+    tuple((2.0 * math.cos(a), 2.0 * math.sin(a))
+          for a in np.linspace(0, 2 * math.pi, 7)[:-1]),
+    ((1000.0, 500.0), (1500.0, 500.0), (1500.0, 1000.0), (1000.0, 1000.0)),
+]
+
+
+def probe_points(ring):
+    """A grid in eighths of the extent over a padded box (it lands on every
+    edge and vertex of the axis-aligned rings), plus each vertex and edge
+    midpoint."""
+    x0, y0, x1, y1 = bounding_box(ring)
+    step = max(x1 - x0, y1 - y0) / 8.0
+    grid = [(x0 + i * step, y0 + j * step) for i in range(-2, 11) for j in range(-2, 11)]
+    mids = [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+            for a, b in zip(ring, ring[1:] + ring[:1])]
+    return grid + list(ring) + mids
+
+
+@pytest.mark.parametrize("ring", EQUIVALENCE_RINGS)
+def test_closed_and_open_rings_agree(ring):
+    closed = ring + (ring[0],)
+    assert polygon_area(closed).hex() == polygon_area(ring).hex()
+    points = probe_points(ring)
+    for p in points:
+        for boundary in (True, False):
+            assert point_in_polygon(p, closed, boundary) == point_in_polygon(p, ring, boundary)
+    rng = np.random.default_rng(11)
+    segments = [(points[i], points[j]) for i, j in rng.integers(0, len(points), (300, 2))]
+    segments += list(zip(ring, ring[1:] + ring[:1]))  # collinear with an edge
+    for a, b in segments:
+        assert (set(segment_polygon_breakpoints(a, b, closed))
+                == set(segment_polygon_breakpoints(a, b, ring)))

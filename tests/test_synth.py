@@ -1,9 +1,11 @@
 import filecmp
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from tracteq.cli import main
 from tracteq.commute import load_od
 from tracteq.data_model import load_highways, load_tracts
 from tracteq.network import build_graph
@@ -134,6 +136,7 @@ def test_write_scenario_round_trips_through_loaders(tmp_path):
     paths = write_scenario(sc, str(tmp_path / "scn"))
     ts = load_tracts(paths["tracts"], paths["attributes"])
     assert ts.ids == list(sc.tracts.ids)
+    assert [t.polygon for t in ts] == [t.polygon for t in sc.tracts]
     assert np.allclose(ts.attribute("y"), sc.tracts.attribute("y"))
     assert np.array_equal(ts.centroids, sc.tracts.centroids)
     g = build_graph(paths["nodes"], paths["edges"])
@@ -144,6 +147,30 @@ def test_write_scenario_round_trips_through_loaders(tmp_path):
     assert od.rows == sc.od.rows
     hw = load_highways(paths["highways"])
     assert hw.labels == ["H1"]
+
+
+# sha256 of each file `tracteq synth` writes for the 6x6 scenario below, the
+# same command line the benchmark uses at its own sizes. A change to any of
+# these bytes changes the benchmark's inputs.
+SYNTH_6X6_SHA256 = {
+    "attributes.csv": "5ca39b7729df3444b4289a2958edc73ed9a98d6ca43c33985968bcd8495a0473",
+    "config.json": "1050d6343e09b7f0fc22ef513808fe93f496caa93cfcc0de0dfe19f62bcb9c4a",
+    "edges.csv": "87f78424cf0edda7baea950ef360df383f9009b02ffeb22f06a555939ea14326",
+    "highways.geojson": "c1f7f82c98412d2395e2b8033e13dcccd840d119a9ebba1ea4cdcee40a68400b",
+    "nodes.csv": "fb78af17f4dd9b0c67171d287990bea65a09121416c86d347db3f557f1b9536c",
+    "od.csv": "66d03f964882f5feba86892aed4a3e9c28a41ba73c985d8fe800cb4e77c7e92e",
+    "tracts.geojson": "5c5a44183bc46ebd122e0aa6e58ff83ddaf7102b6237522f3f19efa39488d900",
+}
+
+
+def test_synth_files_pinned(tmp_path):
+    out = tmp_path / "scn"
+    rc = main(["synth", "--out", str(out), "--rows", "6", "--cols", "6", "--step",
+               "--group-gradient", "--highway-row", "3", "--od-pairs", "40",
+               "--seed", "1"])
+    assert rc == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == SYNTH_6X6_SHA256
 
 
 def test_write_scenario_byte_identical_across_calls(tmp_path):
