@@ -1,18 +1,25 @@
-"""Artifact files: atomic writes, and dataclass round-trips through JSON.
+"""Artifact files: atomic writes, the one CSV format, and dataclass
+round-trips through JSON.
 
 Every artifact is written to a temporary file in its own directory and then
 moved into place with os.replace, so a stage that fails part-way leaves the
-previous file, or none, but never a torn one.
+previous file, or none, but never a torn one. A CSV file is optional "# "
+lines, the column row, then the rows; only a cell holding a comma, a quote
+or a newline is quoted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import itertools
 import os
 from dataclasses import fields
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .errors import ParseError, ValidationError
 
 
 def write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -28,6 +35,59 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def fmt(value: float) -> str:
+    """A float cell that reads back to the same float."""
+    return repr(float(value))
+
+
+class _Echo:
+    """A file whose write returns its line: writerow then returns the row."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence[str]],
+              header_lines: Iterable[str] = ()) -> None:
+    """Write "# " header lines, the column row, then the rows, all or nothing."""
+    writer = csv.writer(_Echo(), lineterminator="\n")
+
+    def lines():
+        for line in header_lines:
+            yield f"# {line}\n"
+        yield writer.writerow(columns)
+        for row in rows:
+            yield writer.writerow(row)
+
+    write_atomic(path, lines())
+
+
+def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """(physical line number, {column: cell}) for each row of a CSV file.
+
+    Leading lines that start with # are skipped; the next line names the
+    columns and must include every required one. Cells are stripped, a short
+    row's missing cells read as "", and blank lines are skipped.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            skipped = 0
+            first = fh.readline()
+            while first.startswith("#"):
+                skipped, first = skipped + 1, fh.readline()
+            reader = csv.reader(itertools.chain([first], fh))
+            columns = [c.strip() for c in next((row for row in reader if row), [])]
+            if not set(required) <= set(columns):
+                raise ValidationError(f"{path}: header must include {','.join(required)}")
+            pad = [""] * len(columns)
+            for cells in reader:
+                if cells:
+                    row = dict(zip(columns, [c.strip() for c in cells] + pad))
+                    yield skipped + reader.line_num, row
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def to_dict(obj, exclude: Iterable[str] = ()) -> dict:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .artifacts import from_dict, to_dict, write_atomic
+from .artifacts import fmt as _fmt, from_dict, to_dict, write_atomic, write_csv
 from .commute import (
     GROUPS,
     assign_groups,
@@ -62,10 +62,6 @@ log = logging.getLogger("tracteq")
 
 NETWORK_INPUTS = ("nodes", "edges", "od")
 _HEADER_CONFIG = re.compile(r"\bconfig=(\S+)")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _load_layers(cfg: RunConfig) -> tuple[TractSet, HighwayNetworkGeom | None]:
@@ -143,14 +139,7 @@ def _write_json(ctx: Context, name: str, blob: dict) -> None:
 
 def _write_csv(ctx: Context, name: str, columns: list[str], rows,
                extra_header: tuple[str, ...] = ()) -> None:
-    def lines():
-        for line in (ctx.header, *extra_header):
-            yield f"# {line}\n"
-        yield ",".join(columns) + "\n"
-        for row in rows:
-            yield ",".join(row) + "\n"
-
-    write_atomic(ctx.path(name), lines())
+    write_csv(ctx.path(name), columns, rows, (ctx.header, *extra_header))
 
 
 def _same_config(ctx: Context, name: str, written_under: str | None) -> str:

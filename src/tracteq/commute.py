@@ -9,7 +9,6 @@ bernoulli draws never depend on iteration or parallel order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import logging
 import math
@@ -19,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import write_atomic
+from .artifacts import fmt, read_csv, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
 from .network import EdgeTractMap, Graph, route_tract_distances, shortest_paths_from
@@ -67,27 +66,20 @@ def load_od(path: str, tracts: TractSet | None = None) -> ODTable:
     """
     rows: list[tuple[str, str, int]] = []
     dropped = 0
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"home", "work", "count"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: header must include home,work,count")
-        for lineno, row in enumerate(reader, start=2):
-            home = (row["home"] or "").strip()
-            work = (row["work"] or "").strip()
-            cell = (row["count"] or "").strip()
-            try:
-                count = int(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {lineno}: count must be an integer, got {cell!r}"
-                ) from None
-            if count < 0:
-                raise ValidationError(f"{path} line {lineno}: negative count {count}")
-            if tracts is not None and (home not in tracts or work not in tracts):
-                dropped += 1
-                continue
-            rows.append((home, work, count))
+    for lineno, row in read_csv(path, ("home", "work", "count")):
+        home, work, cell = row["home"], row["work"], row["count"]
+        try:
+            count = int(cell)
+        except ValueError:
+            raise ValidationError(
+                f"{path} line {lineno}: count must be an integer, got {cell!r}"
+            ) from None
+        if count < 0:
+            raise ValidationError(f"{path} line {lineno}: negative count {count}")
+        if tracts is not None and (home not in tracts or work not in tracts):
+            dropped += 1
+            continue
+        rows.append((home, work, count))
     if dropped:
         log.warning("dropped %d OD row(s) naming unknown tracts", dropped)
     if not rows:
@@ -197,38 +189,28 @@ class TraversalTable:
 
 def write_traversal(table: TraversalTable, path: str, header_lines: list[str] | None = None) -> None:
     """Serialize as tract_id,group,D_km,C_count rows; floats round-trip via repr."""
-
-    def lines():
-        for line in header_lines or []:
-            yield f"# {line}\n"
-        yield "tract_id,group,D_km,C_count\n"
-        for tid in table.tract_ids():
-            for g in table.groups:
-                d = table.D.get(tid, {}).get(g, 0.0)
-                c = table.C.get(tid, {}).get(g, 0.0)
-                yield f"{tid},{g},{d!r},{c!r}\n"
-
-    write_atomic(path, lines())
+    rows = (
+        [tid, g, fmt(table.D.get(tid, {}).get(g, 0.0)), fmt(table.C.get(tid, {}).get(g, 0.0))]
+        for tid in table.tract_ids() for g in table.groups
+    )
+    write_csv(path, ["tract_id", "group", "D_km", "C_count"], rows, header_lines or ())
 
 
 def read_traversal(path: str) -> TraversalTable:
-    """Inverse of write_traversal; comment lines starting with # are skipped."""
+    """Inverse of write_traversal."""
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
     groups: list[str] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    required = {"tract_id", "group", "D_km", "C_count"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise ValidationError(f"{path}: header must include tract_id,group,D_km,C_count")
-    for row in reader:
-        tid = row["tract_id"]
-        g = row["group"]
+    for lineno, row in read_csv(path, ("tract_id", "group", "D_km", "C_count")):
+        tid, g = row["tract_id"], row["group"]
         if g not in groups:
             groups.append(g)
-        D.setdefault(tid, {})[g] = float(row["D_km"])
-        C.setdefault(tid, {})[g] = float(row["C_count"])
+        try:
+            d, c = float(row["D_km"]), float(row["C_count"])
+        except ValueError:
+            raise ValidationError(f"{path} line {lineno}: non-numeric D_km or C_count") from None
+        D.setdefault(tid, {})[g] = d
+        C.setdefault(tid, {})[g] = c
     return TraversalTable(groups=tuple(groups), D=D, C=C)
 
 

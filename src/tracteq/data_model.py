@@ -7,7 +7,6 @@ reprojection or topology repair happens here.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -16,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .artifacts import read_csv
 from .errors import ParseError, ValidationError
 from .geometry import (
     Point,
@@ -35,6 +35,13 @@ class Tract:
     tract_id: str
     polygon: tuple[Point, ...]
     attributes: dict[str, float] = field(default_factory=dict)
+
+
+def _tract_ring(tract: Tract) -> tuple[Point, ...]:
+    try:
+        return tuple(normalize_ring(tract.polygon))
+    except ValueError as exc:
+        raise ValidationError(f"tract {tract.tract_id!r}: {exc}") from None
 
 
 class TractSet:
@@ -58,7 +65,7 @@ class TractSet:
         if not tracts:
             raise ValidationError("tract set is empty")
         self.tracts: tuple[Tract, ...] = tuple(
-            Tract(t.tract_id, tuple(normalize_ring(t.polygon)), t.attributes) for t in tracts
+            Tract(t.tract_id, _tract_ring(t), t.attributes) for t in tracts
         )
         self.population_column = population_column
         self.commuters_column = commuters_column
@@ -277,33 +284,23 @@ def read_attribute_table(path: str) -> dict[str, dict[str, float]]:
     Empty cells become NaN (treated as missing downstream); any other
     non-numeric cell is an error naming the row and column.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "tract_id" not in reader.fieldnames:
-            raise ParseError(f"{path}: header must include tract_id")
-        rows: dict[str, dict[str, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            tid = (row.get("tract_id") or "").strip()
-            if not tid:
-                raise ValidationError(f"{path} line {lineno}: empty tract_id")
-            if tid in rows:
-                raise ValidationError(f"{path} line {lineno}: duplicate tract_id {tid!r}")
-            attrs: dict[str, float] = {}
-            for col, cell in row.items():
-                if col == "tract_id" or col is None:
-                    continue
-                cell = (cell or "").strip()
-                if cell == "":
-                    attrs[col] = math.nan
-                    continue
-                try:
-                    attrs[col] = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path} line {lineno}: non-numeric value {cell!r} "
-                        f"in column {col!r}"
-                    ) from None
-            rows[tid] = attrs
+    rows: dict[str, dict[str, float]] = {}
+    for lineno, row in read_csv(path, ("tract_id",)):
+        tid = row.pop("tract_id")
+        if not tid:
+            raise ValidationError(f"{path} line {lineno}: empty tract_id")
+        if tid in rows:
+            raise ValidationError(f"{path} line {lineno}: duplicate tract_id {tid!r}")
+        attrs: dict[str, float] = {}
+        for col, cell in row.items():
+            try:
+                attrs[col] = float(cell) if cell else math.nan
+            except ValueError:
+                raise ValidationError(
+                    f"{path} line {lineno}: non-numeric value {cell!r} "
+                    f"in column {col!r}"
+                ) from None
+        rows[tid] = attrs
     return rows
 
 

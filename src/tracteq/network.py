@@ -13,7 +13,6 @@ both candidates up to their common ancestor.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .artifacts import read_csv
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
@@ -150,57 +150,45 @@ def build_graph(
         speeds.update(class_speeds)
 
     nodes: dict[str, tuple[float, float]] = {}
-    with open(nodes_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "x", "y"} <= set(reader.fieldnames):
-            raise ValidationError(f"{nodes_path}: header must include id,x,y")
-        for lineno, row in enumerate(reader, start=2):
-            nid = (row["id"] or "").strip()
-            if not nid:
-                raise ValidationError(f"{nodes_path} line {lineno}: empty node id")
-            if nid in nodes:
-                raise ValidationError(f"{nodes_path} line {lineno}: duplicate node {nid!r}")
-            try:
-                nodes[nid] = (float(row["x"]), float(row["y"]))
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"{nodes_path} line {lineno}: non-numeric coordinate"
-                ) from None
+    for lineno, row in read_csv(nodes_path, ("id", "x", "y")):
+        nid = row["id"]
+        if not nid:
+            raise ValidationError(f"{nodes_path} line {lineno}: empty node id")
+        if nid in nodes:
+            raise ValidationError(f"{nodes_path} line {lineno}: duplicate node {nid!r}")
+        try:
+            nodes[nid] = (float(row["x"]), float(row["y"]))
+        except ValueError:
+            raise ValidationError(
+                f"{nodes_path} line {lineno}: non-numeric coordinate"
+            ) from None
 
     edges: list[Edge] = []
-    with open(edges_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"u", "v", "length_m"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValidationError(f"{edges_path}: header must include u,v,length_m")
-        for lineno, row in enumerate(reader, start=2):
-            u = (row["u"] or "").strip()
-            v = (row["v"] or "").strip()
-            road_class = (row.get("class") or "").strip() or "default"
+    for lineno, row in read_csv(edges_path, ("u", "v", "length_m")):
+        road_class = row.get("class") or "default"
+        try:
+            length = float(row["length_m"])
+        except ValueError:
+            raise ValidationError(
+                f"{edges_path} line {lineno}: non-numeric length"
+            ) from None
+        speed_cell = row.get("speed_ms")
+        if speed_cell:
             try:
-                length = float(row["length_m"])
-            except (TypeError, ValueError):
+                speed = float(speed_cell)
+            except ValueError:
                 raise ValidationError(
-                    f"{edges_path} line {lineno}: non-numeric length"
+                    f"{edges_path} line {lineno}: non-numeric speed"
                 ) from None
-            speed_cell = (row.get("speed_ms") or "").strip()
-            if speed_cell:
-                try:
-                    speed = float(speed_cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{edges_path} line {lineno}: non-numeric speed"
-                    ) from None
-            else:
-                speed = speeds.get(road_class, speeds.get("default", 0.0))
-                if speed <= 0:
-                    raise ValidationError(
-                        f"{edges_path} line {lineno}: no speed and no class "
-                        f"default for {road_class!r}"
-                    )
-            oneway_cell = (row.get("oneway") or "").strip().lower()
-            oneway = oneway_cell in ("1", "true", "yes")
-            edges.append(Edge(u, v, length, speed, oneway, road_class))
+        else:
+            speed = speeds.get(road_class, speeds.get("default", 0.0))
+            if speed <= 0:
+                raise ValidationError(
+                    f"{edges_path} line {lineno}: no speed and no class "
+                    f"default for {road_class!r}"
+                )
+        oneway = row.get("oneway", "").lower() in ("1", "true", "yes")
+        edges.append(Edge(row["u"], row["v"], length, speed, oneway, road_class))
     return Graph(nodes, edges)
 
 

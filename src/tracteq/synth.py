@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import fmt, write_atomic, write_csv
 from .commute import ODTable
 from .data_model import (
     DesignData,
@@ -225,27 +226,22 @@ def generate(spec: ScenarioSpec) -> Scenario:
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_scenario(scenario: Scenario, outdir: str) -> dict[str, str]:
     """Write the scenario in the standard input formats of the other
-    modules; returns the path of each artifact by name."""
-    os.makedirs(outdir, exist_ok=True)
+    modules, each file atomically; returns the path of each artifact by name."""
     paths: dict[str, str] = {}
 
-    paths["tracts"] = os.path.join(outdir, "tracts.geojson")
-    with open(paths["tracts"], "w", encoding="utf-8") as fh:
-        fh.write(tracts_to_geojson(scenario.tracts))
+    def path(name: str, ext: str) -> str:
+        paths[name] = os.path.join(outdir, name + ext)
+        return paths[name]
+
+    write_atomic(path("tracts", ".geojson"), [tracts_to_geojson(scenario.tracts)])
 
     columns = sorted({k for t in scenario.tracts for k in t.attributes})
-    paths["attributes"] = os.path.join(outdir, "attributes.csv")
-    with open(paths["attributes"], "w", encoding="utf-8") as fh:
-        fh.write("tract_id," + ",".join(columns) + "\n")
-        for tract in sorted(scenario.tracts, key=lambda t: t.tract_id):
-            cells = [_fmt(tract.attributes[c]) for c in columns]
-            fh.write(tract.tract_id + "," + ",".join(cells) + "\n")
+    write_csv(path("attributes", ".csv"), ["tract_id", *columns], (
+        [tract.tract_id, *(fmt(tract.attributes[c]) for c in columns)]
+        for tract in sorted(scenario.tracts, key=lambda t: t.tract_id)
+    ))
 
     if scenario.highways is not None:
         hw_features = [
@@ -259,32 +255,19 @@ def write_scenario(scenario: Scenario, outdir: str) -> dict[str, str]:
             }
             for line in scenario.highways.polylines
         ]
-        paths["highways"] = os.path.join(outdir, "highways.geojson")
-        with open(paths["highways"], "w", encoding="utf-8") as fh:
-            json.dump(
-                {"type": "FeatureCollection", "features": hw_features}, fh, sort_keys=True
-            )
+        write_atomic(path("highways", ".geojson"), [json.dumps(
+            {"type": "FeatureCollection", "features": hw_features}, sort_keys=True
+        )])
 
-    paths["nodes"] = os.path.join(outdir, "nodes.csv")
-    with open(paths["nodes"], "w", encoding="utf-8") as fh:
-        fh.write("id,x,y\n")
-        for nid in sorted(scenario.graph.nodes):
-            x, y = scenario.graph.nodes[nid]
-            fh.write(f"{nid},{_fmt(x)},{_fmt(y)}\n")
-
-    paths["edges"] = os.path.join(outdir, "edges.csv")
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        fh.write("u,v,length_m,speed_ms,class,oneway\n")
-        for e in scenario.graph.edges:
-            fh.write(
-                f"{e.u},{e.v},{_fmt(e.length)},{_fmt(e.speed)},"
-                f"{e.road_class},{1 if e.oneway else 0}\n"
-            )
-
-    paths["od"] = os.path.join(outdir, "od.csv")
-    with open(paths["od"], "w", encoding="utf-8") as fh:
-        fh.write("home,work,count\n")
-        for home, work, count in scenario.od.rows:
-            fh.write(f"{home},{work},{count}\n")
-
+    nodes = scenario.graph.nodes
+    write_csv(path("nodes", ".csv"), ["id", "x", "y"], (
+        [nid, fmt(nodes[nid][0]), fmt(nodes[nid][1])] for nid in sorted(nodes)
+    ))
+    write_csv(path("edges", ".csv"), ["u", "v", "length_m", "speed_ms", "class", "oneway"], (
+        [e.u, e.v, fmt(e.length), fmt(e.speed), e.road_class, "1" if e.oneway else "0"]
+        for e in scenario.graph.edges
+    ))
+    write_csv(path("od", ".csv"), ["home", "work", "count"], (
+        [home, work, str(count)] for home, work, count in scenario.od.rows
+    ))
     return paths

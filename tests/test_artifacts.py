@@ -1,14 +1,22 @@
-"""Atomic artifact writes and the dataclass <-> JSON round-trip."""
+"""Atomic artifact writes, the one CSV reader and writer, and the
+dataclass <-> JSON round-trip."""
 
+import ast
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tracteq.artifacts import from_dict, to_dict, write_atomic
-from tracteq.commute import TraversalTable, write_traversal
+import tracteq
+from tracteq.artifacts import from_dict, read_csv, to_dict, write_atomic, write_csv
+from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
+from tracteq.data_model import read_attribute_table
+from tracteq.errors import ParseError, ValidationError
 from tracteq.gwr import GwrSummary
+from tracteq.network import build_graph
 from tracteq.ols import OlsFit
 
 
@@ -90,3 +98,142 @@ def test_gwr_summary_round_trips():
             assert np.array_equal(getattr(back, name), value), name
         else:
             assert getattr(back, name) == value, name
+
+
+def test_write_csv_then_read_csv_keeps_awkward_cells(tmp_path):
+    path = tmp_path / "a.csv"
+    rows = [["a,b", 'say "hi"', "#7"], ["#", ",", '"']]
+    write_csv(str(path), ["c1", "c2", "c3"], rows, ["written by a test"])
+    assert path.read_text().splitlines()[:2] == ["# written by a test", "c1,c2,c3"]
+    back = list(read_csv(str(path), ("c1", "c3")))
+    assert back == [(n, dict(zip(["c1", "c2", "c3"], row))) for n, row in zip((3, 4), rows)]
+
+
+def test_read_csv_strips_cells_and_pads_short_rows(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("# note\n a , b ,c\n 1 ,2\n\nx,y,z,extra\n")
+    assert list(read_csv(str(path), ("a", "b"))) == [
+        (3, {"a": "1", "b": "2", "c": ""}),
+        (5, {"a": "x", "b": "y", "c": "z"}),
+    ]
+
+
+def test_read_csv_undecodable_or_runaway_file_is_a_parse_error(tmp_path):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"tract_id,name\nA,caf\xe9\n")
+    runaway = tmp_path / "runaway.csv"  # an unclosed quote swallows the rest
+    runaway.write_text('tract_id,v\nA,"' + "x" * 200_000 + "\n")
+    for path in (latin, runaway):
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            list(read_csv(str(path), ("tract_id",)))
+
+
+def test_write_csv_quotes_only_cells_that_need_it(tmp_path):
+    path = tmp_path / "a.csv"
+    write_csv(str(path), ["tract_id", "v"], [["T1", "1.5"], ["A,1", "2.0"]])
+    assert path.read_text() == 'tract_id,v\nT1,1.5\n"A,1",2.0\n'
+
+
+def test_traversal_round_trips_awkward_tract_ids(tmp_path):
+    path = tmp_path / "traversal.csv"
+    groups = ("white", "non_white")
+    D = {"#7": {"white": 1.25, "non_white": 0.5}, "A,1": {"white": 0.1, "non_white": 3.0}}
+    C = {"#7": {"white": 2.0, "non_white": 1.0}, "A,1": {"white": 0.0, "non_white": 4.0}}
+    write_traversal(TraversalTable(groups=groups, D=D, C=C), str(path), ["header"])
+    back = read_traversal(str(path))
+    assert back.groups == groups
+    assert back.D == D
+    assert back.C == C
+
+
+NODES_OK = "id,x,y\nA,0,0\nB,100,0\n"
+EDGES_OK = "u,v,length_m,speed_ms\nA,B,100,10\n"
+
+
+def _nodes(path, tmp_path):
+    edges = tmp_path / "edges_ok.csv"
+    edges.write_text(EDGES_OK)
+    return build_graph(path, str(edges)).nodes
+
+
+def _edges(path, tmp_path):
+    nodes = tmp_path / "nodes_ok.csv"
+    nodes.write_text(NODES_OK)
+    return build_graph(str(nodes), path).edges
+
+
+def _traversal(path, tmp_path):
+    table = read_traversal(path)
+    return table.groups, table.D, table.C
+
+
+# reader, required columns, a good file, a file whose first row is bad
+READERS = {
+    "attributes": (lambda p, _: read_attribute_table(p), "tract_id",
+                   "tract_id,v\nA,1.5\nB,2\n", "tract_id,v\nA,oops\n"),
+    "nodes": (_nodes, "id,x,y", NODES_OK, "id,x,y\nA,zero,0\n"),
+    "edges": (_edges, "u,v,length_m", EDGES_OK, "u,v,length_m\nA,B,long\n"),
+    "od": (lambda p, _: load_od(p).rows, "home,work,count",
+           "home,work,count\nA,B,3\nB,A,1\n", "home,work,count\nA,B,1.5\n"),
+    "traversal": (_traversal, "tract_id,group,D_km,C_count",
+                  "tract_id,group,D_km,C_count\nA,white,1.5,2.0\n",
+                  "tract_id,group,D_km,C_count\nA,white,x,1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_input_format(name, tmp_path):
+    read, required, good, bad = READERS[name]
+    comments = "# a comment line\n#another, with a comma\n"
+
+    plain = tmp_path / f"{name}.csv"
+    plain.write_text(good)
+    commented = tmp_path / f"{name}_commented.csv"
+    commented.write_text(comments + good)
+    assert read(str(commented), tmp_path) == read(str(plain), tmp_path)
+
+    # header on line 3, the bad row on line 4
+    bad_path = tmp_path / f"{name}_bad.csv"
+    bad_path.write_text(comments + bad)
+    with pytest.raises(ValidationError, match=r"line 4\b"):
+        read(str(bad_path), tmp_path)
+
+    headerless = tmp_path / f"{name}_headerless.csv"
+    columns = required.split(",")
+    headerless.write_text(",".join(["other"] + columns[1:]) + "\n" + good.split("\n", 1)[1])
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{headerless}: header must include {required}")):
+        read(str(headerless), tmp_path)
+
+
+def test_only_artifacts_knows_the_file_formats():
+    """No module but artifacts.py imports csv or opens a file for writing."""
+    offenders = []
+    for path in sorted(Path(tracteq.__file__).parent.glob("*.py")):
+        if path.name == "artifacts.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno} imports csv")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                offenders.append(f"{path.name}:{node.lineno} imports from csv")
+            elif isinstance(node, ast.Call) and _writes(node):
+                offenders.append(f"{path.name}:{node.lineno} opens a file for writing")
+    assert offenders == []
+
+
+def _writes(call):
+    """Whether a call may write a file: open() or .open() with a mode that is
+    not a plain read mode, or Path.write_text/write_bytes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) else 0
+    mode = call.args[position] if len(call.args) > position else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))

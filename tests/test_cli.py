@@ -295,6 +295,25 @@ def test_route_by_home_work_with_tract_breakdown(scenario_dir, capsys, monkeypat
     assert len(loads) == 1
 
 
+def test_route_with_degenerate_tract_ring_exits_2(tmp_path, caplog):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0.0,0.0\nB,1000.0,0.0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\nA,B,1000.0,10.0\n")
+    tracts = tmp_path / "tracts.geojson"
+    tracts.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature", "properties": {"tract_id": "T1"},
+        "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 1], [0, 0]]]},
+    }]}))
+    attributes = tmp_path / "attributes.csv"
+    attributes.write_text("tract_id,population\nT1,10\n")
+    rc = main(["route", "--nodes", str(nodes), "--edges", str(edges),
+               "--origin", "A", "--dest", "B",
+               "--tracts", str(tracts), "--attributes", str(attributes)])
+    assert rc == 2
+    assert "tract 'T1'" in caplog.text
+
+
 def test_route_home_without_layers_errors(scenario_dir):
     rc = main(["route", "--nodes", str(scenario_dir / "nodes.csv"),
                "--edges", str(scenario_dir / "edges.csv"),

@@ -92,7 +92,7 @@ def test_read_attribute_table_rejects_duplicate_id(tmp_path):
 def test_read_attribute_table_requires_id_header(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("id,v\nA,1\n")
-    with pytest.raises(ParseError, match="tract_id"):
+    with pytest.raises(ValidationError, match="tract_id"):
         read_attribute_table(str(p))
 
 

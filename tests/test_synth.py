@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tracteq import synth
 from tracteq.cli import main
 from tracteq.commute import load_od
 from tracteq.data_model import load_highways, load_tracts
@@ -147,6 +148,35 @@ def test_write_scenario_round_trips_through_loaders(tmp_path):
     assert od.rows == sc.od.rows
     hw = load_highways(paths["highways"])
     assert hw.labels == ["H1"]
+
+
+def test_write_scenario_failure_keeps_previous_files(tmp_path, monkeypatch):
+    out, fresh = tmp_path / "scn", tmp_path / "fresh"
+    first = generate(ScenarioSpec(rows=6, cols=6, od_pairs=40, highway_row=3, seed=1))
+    second = generate(ScenarioSpec(rows=6, cols=6, od_pairs=40, highway_row=3, seed=2))
+    write_scenario(first, str(out))
+    write_scenario(second, str(fresh))
+    old = {p.name: p.read_bytes() for p in out.iterdir()}
+    new = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    calls = []
+    real_fmt = synth.fmt
+
+    def failing_fmt(value):
+        # attributes.csv formats 36 tracts x 5 columns; the 50th call falls
+        # inside it, after tracts.geojson is written.
+        calls.append(value)
+        if len(calls) == 50:
+            raise RuntimeError("injected failure")
+        return real_fmt(value)
+
+    monkeypatch.setattr(synth, "fmt", failing_fmt)
+    with pytest.raises(RuntimeError, match="injected"):
+        write_scenario(second, str(out))
+    now = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(now) == sorted(old)  # no temporary file left behind
+    assert old["attributes.csv"] != new["attributes.csv"]
+    for name, data in now.items():
+        assert data == (new if name == "tracts.geojson" else old)[name], name
 
 
 # sha256 of each file `tracteq synth` writes for the 6x6 scenario below, the
