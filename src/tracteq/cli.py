@@ -3,10 +3,12 @@
 The analysis is one table of stages, STAGES: ingest, ols, gwr, simulate,
 equity and report. `run` executes the table in order and each stage
 subcommand executes its own row. Every artifact carries the toolkit version,
-the config hash and the seed (a `#` header line, or a `meta` object in JSON
-and GeoJSON), and a stage refuses to read an artifact written under another
-config. Numeric cells are written with repr so identical runs are
-byte-identical regardless of worker count.
+the config hash and the seed (a `#` header line, an XML comment on an SVG's
+first line, or a `meta` object in JSON and GeoJSON). A stage refuses to read
+an artifact written under another config, and `run` first deletes every file
+in the out dir that another config wrote and this run does not write.
+Numeric cells are written with repr so identical runs are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .commute import (
     GROUPS,
     assign_groups,
     load_od,
+    nearest_node,
     read_traversal,
     scale_by_drive_share,
     simulate,
@@ -142,9 +145,14 @@ def _write_csv(ctx: Context, name: str, columns: list[str], rows,
     write_csv(ctx.path(name), columns, rows, (ctx.header, *extra_header))
 
 
-def _same_config(ctx: Context, name: str, written_under: str | None) -> str:
-    """Path of an artifact, refused unless it was written under this config."""
+def _artifact(ctx: Context, name: str) -> str:
+    """Path of an artifact, refused unless it exists and was written under
+    this config."""
     path = ctx.path(name)
+    if not os.path.exists(path):
+        producer = next(s.name for s in STAGES if name in s.outputs(ctx.cfg))
+        raise ValidationError(f"missing artifact {path} (run {producer} first)")
+    written_under = _written_under(path)
     if written_under != ctx.hash:
         raise ValidationError(
             f"{path} was written under config {written_under}, not {ctx.hash}; "
@@ -153,29 +161,14 @@ def _same_config(ctx: Context, name: str, written_under: str | None) -> str:
     return path
 
 
-def _require(ctx: Context, name: str) -> str:
-    path = ctx.path(name)
-    if not os.path.exists(path):
-        producer = next(s.name for s in STAGES if name in s.outputs(ctx.cfg))
-        raise ValidationError(f"missing artifact {path} (run {producer} first)")
-    return path
-
-
 def _read_json(ctx: Context, name: str) -> dict:
-    with open(_require(ctx, name), encoding="utf-8") as fh:
-        blob = json.load(fh)
-    _same_config(ctx, name, blob.get("meta", {}).get("config"))
-    return blob
-
-
-def _headed_path(ctx: Context, name: str) -> str:
-    """Path of a `#`-headed artifact, after checking the config in its header."""
-    return _same_config(ctx, name, _written_under(_require(ctx, name)))
+    with open(_artifact(ctx, name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _written_under(path: str) -> str | None:
-    """Config hash of an artifact: its JSON `meta`, or its `#` header line;
-    None when it carries neither."""
+    """Config hash of an artifact: its JSON `meta`, or the `config=` on its
+    first line; None when it carries neither."""
     try:
         with open(path, encoding="utf-8") as fh:
             if path.endswith("json"):
@@ -303,7 +296,7 @@ def _stage_simulate(ctx: Context) -> str:
 
 def _stage_equity(ctx: Context) -> str:
     tracts, highways = ctx.layers
-    index = inequity_index(read_traversal(_headed_path(ctx, "traversal.csv")))
+    index = inequity_index(read_traversal(_artifact(ctx, "traversal.csv")))
     groups = [ctx.group] if ctx.group else list(GROUPS)
 
     rows = ([tid, g, _fmt(index.values[tid][g])] for tid in index.defined for g in index.groups)
@@ -346,8 +339,8 @@ def _stage_equity(ctx: Context) -> str:
         _write_headed(ctx, f"equity_summary_{group}.txt", format_equity_summary(group, entries))
 
         values = {tid: index.values[tid][group] for tid in index.defined}
-        _write_text(ctx, f"equity_{group}.svg",
-                    svg_choropleth(tracts, values, title=f"inequity index ({group})"))
+        _write_text(ctx, f"equity_{group}.svg", f"<!-- {ctx.header} -->\n"
+                    + svg_choropleth(tracts, values, title=f"inequity index ({group})"))
     return f"wrote equity outputs for group(s): {', '.join(groups)}"
 
 
@@ -368,7 +361,7 @@ def _stage_report(ctx: Context) -> str:
     for group in GROUPS:
         name = f"equity_summary_{group}.txt"
         if os.path.exists(ctx.path(name)):
-            with open(_headed_path(ctx, name), encoding="utf-8") as fh:
+            with open(_artifact(ctx, name), encoding="utf-8") as fh:
                 body = "".join(ln for ln in fh if not ln.startswith("#"))
             sections.append(body.rstrip("\n") + "\n")
     text = "\n".join(sections)
@@ -432,33 +425,28 @@ def cmd_stage(args) -> int:
     return 0
 
 
-def _remove_stale_models(ctx: Context) -> None:
-    """Delete the ols_*/gwr_* artifacts of models a later config renamed or
-    dropped: written under another config, and declared by no stage."""
+def _sweep(ctx: Context, declared: set[str]) -> None:
+    """Delete each file in the out dir that another config wrote and that no
+    stage of this run declares. Unstamped files are kept."""
     if not os.path.isdir(ctx.outdir):
         return
-    declared = {name for stage in STAGES for name in stage.outputs(ctx.cfg)}
-    for name in sorted(os.listdir(ctx.outdir)):
-        if (not name.startswith(("ols_", "gwr_")) or name in declared
-                or not os.path.isfile(ctx.path(name))):
+    for name in sorted(set(os.listdir(ctx.outdir)) - declared):
+        path = ctx.path(name)
+        if not os.path.isfile(path):
             continue
-        written_under = _written_under(ctx.path(name))
-        if written_under is not None and written_under != ctx.hash:
-            os.remove(ctx.path(name))
+        written_under = _written_under(path)
+        if written_under not in (None, ctx.hash):
+            os.remove(path)
             log.info("removed %s, written under config %s", name, written_under)
 
 
 def cmd_run(args) -> int:
     ctx = _context(args)
-    _remove_stale_models(ctx)
-    for stage in STAGES:
-        reason = stage.skip(ctx.cfg)
+    plan = [(stage, stage.skip(ctx.cfg)) for stage in STAGES]
+    _sweep(ctx, {name for stage, reason in plan if reason is None
+                 for name in stage.outputs(ctx.cfg)})
+    for stage, reason in plan:
         if reason is not None:
-            # Outputs left by an earlier run under another config would
-            # otherwise sit beside this run's artifacts.
-            for name in stage.outputs(ctx.cfg):
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(ctx.path(name))
             log.info("skipped stage %s: %s", stage.name, reason)
             continue
         try:
@@ -479,8 +467,6 @@ def cmd_route(args) -> int:
     if args.home or args.work:
         if tracts is None or not (args.home and args.work):
             raise ValidationError("--home/--work need --tracts and --attributes")
-        from .commute import nearest_node
-
         origin = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.home)]))
         dest = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.work)]))
     else:

@@ -130,29 +130,6 @@ class TractSet:
             [t.attributes.get(column, math.nan) for t in self.tracts], dtype=float
         )
 
-    def _required(self, column: str, what: str) -> np.ndarray:
-        values = self.attribute(column)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            names = ", ".join(self.tracts[i].tract_id for i in bad[:5])
-            raise ValidationError(
-                f"{what} column {column!r} missing or non-finite for "
-                f"{bad.size} tract(s) ({names}{', ...' if bad.size > 5 else ''})"
-            )
-        return values
-
-    @property
-    def population(self) -> np.ndarray:
-        return self._required(self.population_column, "population")
-
-    @property
-    def commuters(self) -> np.ndarray:
-        return self._required(self.commuters_column, "commuters")
-
-    @property
-    def group_share(self) -> np.ndarray:
-        return self._required(self.group_share_column, "group share")
-
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -238,6 +215,14 @@ class HighwayNetworkGeom:
             yield from line.segments()
 
 
+def _points(coords, where: str) -> tuple[Point, ...]:
+    """The (x, y) float vertices of a GeoJSON coordinate list."""
+    try:
+        return tuple((float(x), float(y)) for x, y in coords or [])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: bad coordinate ({exc})") from None
+
+
 def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
     geom = feature.get("geometry") or {}
     gtype = geom.get("type")
@@ -246,7 +231,7 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
         rings = coords or []
         if not rings:
             raise ParseError(f"{where}: Polygon has no rings")
-        return tuple((float(x), float(y)) for x, y in rings[0])
+        return _points(rings[0], where)
     if gtype == "MultiPolygon":
         # Keep the largest exterior ring; small islands do not matter at tract scale.
         best: tuple[Point, ...] | None = None
@@ -256,7 +241,7 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
                 continue
             try:
                 ring = tuple(normalize_ring(poly[0]))
-            except ValueError:
+            except (TypeError, ValueError):
                 continue
             a = polygon_area(ring)
             if a > best_area:
@@ -381,7 +366,7 @@ def load_highways(geojson_path: str) -> HighwayNetworkGeom:
                 f"{geojson_path} feature {i}: unsupported geometry type {gtype!r}"
             )
         for part in parts:
-            pts = tuple((float(x), float(y)) for x, y in part or [])
+            pts = _points(part, f"{geojson_path} feature {i}")
             lines.append(HighwayPolyline(str(label), str(road_class), pts))
     return HighwayNetworkGeom(tuple(lines))
 

@@ -63,12 +63,9 @@ class KernelSpec:
     """
 
     neighbors_k: int
-    family: str = "gaussian"
     bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
         if self.neighbors_k < 1:
             raise ValueError(f"neighbors_k must be >= 1, got {self.neighbors_k}")
         if not self.bandwidth_scale > 0:

@@ -15,7 +15,7 @@ import tracteq
 from tracteq import __version__
 from tracteq import cli
 from tracteq.cli import main
-from tracteq.config import load_config
+from tracteq.config import config_hash, load_config
 from tracteq.data_model import load_tracts
 
 HEADER_PREFIX = f"# tracteq v{__version__} config="
@@ -314,6 +314,26 @@ def test_route_with_degenerate_tract_ring_exits_2(tmp_path, caplog):
     assert "tract 'T1'" in caplog.text
 
 
+def test_route_with_non_numeric_tract_vertex_exits_2(tmp_path, caplog):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0.0,0.0\nB,1000.0,0.0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\nA,B,1000.0,10.0\n")
+    tracts = tmp_path / "tracts.geojson"
+    tracts.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature", "properties": {"tract_id": "T1"},
+        "geometry": {"type": "Polygon",
+                     "coordinates": [[[0, 0], [1, "x"], [1, 1], [0, 1], [0, 0]]]},
+    }]}))
+    attributes = tmp_path / "attributes.csv"
+    attributes.write_text("tract_id,population\nT1,10\n")
+    rc = main(["route", "--nodes", str(nodes), "--edges", str(edges),
+               "--origin", "A", "--dest", "B",
+               "--tracts", str(tracts), "--attributes", str(attributes)])
+    assert rc == 2
+    assert "feature 'T1': bad coordinate" in caplog.text
+
+
 def test_route_home_without_layers_errors(scenario_dir):
     rc = main(["route", "--nodes", str(scenario_dir / "nodes.csv"),
                "--edges", str(scenario_dir / "edges.csv"),
@@ -457,6 +477,56 @@ def test_run_removes_artifacts_of_renamed_models(tmp_path):
     assert [n for n in os.listdir(out) if n.startswith("ols_global.")] == []
     for name in ("ols_global2.csv", "ols_global2.json", "gwr_local.json", "ols_notes.txt"):
         assert (out / name).exists(), name
+
+
+def test_every_artifact_is_stamped_with_the_config(scenario_dir, run_dir):
+    config = config_hash(load_config(str(scenario_dir / "config.json")).raw)
+    names = sorted(os.listdir(run_dir))
+    assert "equity_white.svg" in names
+    for name in names:
+        assert cli._written_under(str(run_dir / name)) == config, name
+    svg = read_lines(run_dir / "equity_white.svg")
+    assert svg[0] == f"<!-- {HEADER_PREFIX[2:]}{config} seed=3 -->"
+    assert svg[1].startswith("<svg ")
+
+
+def test_run_removes_every_file_of_another_config(scenario_dir, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    config = config_hash(load_config(str(scenario_dir / "config.json")).raw)
+    (out / "extra.txt").write_text("# tracteq v0 config=deadbeef0000 seed=1\nx\n")
+    (out / "old.svg").write_text("<!-- tracteq v0 config=deadbeef0000 seed=1 -->\n<svg/>\n")
+    (out / "same.txt").write_text(f"# tracteq v0 config={config} seed=3\n")
+    (out / "notes.txt").write_text("no stamp: not an artifact\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "extra.txt").write_text("# tracteq v0 config=deadbeef0000 seed=1\n")
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
+    assert rc == 0
+    assert not (out / "extra.txt").exists()
+    assert not (out / "old.svg").exists()
+    for name in ("same.txt", "notes.txt", "sub/extra.txt", "report.txt"):
+        assert (out / name).exists(), name
+
+
+def test_same_config_rerun_reads_no_stamp_before_its_stages(scenario_dir, tmp_path,
+                                                          monkeypatch):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
+    assert rc == 0
+    calls = []
+    real_written_under = cli._written_under
+
+    def spy(path):
+        calls.append(os.path.basename(path))
+        return real_written_under(path)
+
+    monkeypatch.setattr(cli, "_written_under", spy)
+    rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
+    assert rc == 0
+    # only the stages' own reads of their inputs; the sweep reads nothing
+    read_by_stages = {"traversal.csv", "ols_global.json", "gwr_local.json",
+                      "equity_summary_white.txt", "equity_summary_non_white.txt"}
+    assert set(calls) <= read_by_stages
 
 
 def test_report_and_equity_refuse_artifacts_of_another_config(scenario_dir, run_dir, tmp_path):

@@ -103,7 +103,7 @@ def test_load_tracts_joins_and_sorts(tmp_path):
     attrs.write_text("tract_id,population\nC,10\nA,30\nB,20\n")
     ts = load_tracts(str(geo), str(attrs))
     assert ts.ids == ["A", "B", "C"]
-    assert list(ts.population) == [30.0, 20.0, 10.0]
+    assert list(ts.attribute("population")) == [30.0, 20.0, 10.0]
 
 
 def test_load_tracts_drops_unmatched_rows(tmp_path, caplog):
@@ -221,6 +221,46 @@ def test_load_highways_requires_label_and_class(tmp_path):
     }))
     with pytest.raises(ParseError, match="label and class"):
         load_highways(str(p))
+
+
+@pytest.mark.parametrize("vertex", [[0, 0, 0], [1, "x"], 7, None])
+def test_load_highways_rejects_bad_vertex(tmp_path, vertex):
+    p = tmp_path / "h.geojson"
+    p.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"label": "I-5", "class": "interstate"},
+                      "geometry": {"type": "LineString", "coordinates": [[0, 0], vertex]}}],
+    }))
+    with pytest.raises(ValidationError, match=r"h\.geojson feature 0: bad coordinate"):
+        load_highways(str(p))
+
+
+@pytest.mark.parametrize("vertex", [[0, 0, 0], [1, "x"], 7])
+def test_load_tracts_rejects_bad_polygon_vertex(tmp_path, vertex):
+    geo = tmp_path / "t.geojson"
+    write_tracts_geojson(geo, ["A"], lambda i: [[0, 0], [1, 0], vertex, [0, 1], [0, 0]])
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    with pytest.raises(ValidationError, match=r"t\.geojson feature 'A': bad coordinate"):
+        load_tracts(str(geo), str(attrs))
+
+
+def test_load_tracts_multipolygon_skips_ring_with_bad_vertex(tmp_path):
+    geo = tmp_path / "t.geojson"
+    good = [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]
+    bad = [[50, 50], 7, [51, 51], [50, 51], [50, 50]]
+    geo.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{
+            "type": "Feature",
+            "properties": {"tract_id": "A"},
+            "geometry": {"type": "MultiPolygon", "coordinates": [[bad], [good]]},
+        }],
+    }))
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    ts = load_tracts(str(geo), str(attrs))
+    assert ts[0].polygon == ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 
 
 def test_build_design_log_transform():

@@ -63,8 +63,6 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(neighbors_k=0)
     with pytest.raises(ValueError):
-        KernelSpec(neighbors_k=5, family="bisquare")
-    with pytest.raises(ValueError):
         KernelSpec(neighbors_k=5, bandwidth_scale=0.0)
 
 
