@@ -467,6 +467,9 @@ def cmd_route(args) -> int:
     if args.home or args.work:
         if tracts is None or not (args.home and args.work):
             raise ValidationError("--home/--work need --tracts and --attributes")
+        for flag, tract_id in (("--home", args.home), ("--work", args.work)):
+            if tract_id not in tracts:
+                raise ValidationError(f"{flag}: tract {tract_id!r} is not in {args.tracts}")
         origin = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.home)]))
         dest = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.work)]))
     else:

@@ -11,6 +11,13 @@ fit_local is the per-tract QR fit; it is the oracle for the batched path and
 refits every tract whose batched system is marginal. select_bandwidth runs
 only the solve core each candidate's AICc needs; the SEs and local R^2 are
 computed by fit_gwr alone (the "lite" search fit of mgwr, Oshan et al. 2019).
+
+Memory stays near one n x n matrix. select_bandwidth keeps the n x n
+distance matrix for the whole search, because rebuilding its rows for every
+candidate would cost more than the candidate's fit. fit_gwr holds no n x n
+array: it builds each chunk's distance rows as it needs them. Each search
+and each fit allocates one chunk workspace (see _Workspace) and reuses it
+for every chunk's sorted distances, distance rows and kernel weights.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ TIE_TOL = 1e-9
 # Ranges at most this wide are scanned exhaustively instead of golden-section.
 EXHAUSTIVE_LIMIT = 25
 
-# fit_gwr builds this many kernel weights (rows x n) per chunk, so each of its
-# chunk temporaries stays at 2 MiB whatever the number of tracts.
+# Every chunk of the search and of fit_gwr spans this many cells (rows x n),
+# so the reused workspace and each chunk temporary stay at 2 MiB whatever
+# the number of tracts.
 CHUNK_CELLS = 1 << 18
 
 # A batched local system is marginal, and is refitted by fit_local, when its
@@ -132,20 +140,24 @@ class GwrSummary:
     n_failed: int
 
 
-def gaussian_weights(distances: np.ndarray, bandwidth) -> np.ndarray:
+def gaussian_weights(
+    distances: np.ndarray, bandwidth, out: np.ndarray | None = None
+) -> np.ndarray:
     """w_i = exp(-(d_i / b)^2 / 2); 1 at d=0, strictly decreasing in d.
 
     bandwidth is a scalar or an array broadcasting against distances (one
-    bandwidth per row of a distance matrix).
+    bandwidth per row of a distance matrix). The weights go to out when it
+    is given, which may be distances itself.
     """
     if not np.all(np.asarray(bandwidth) > 0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     d = np.asarray(distances, dtype=float)
-    if np.any(d < 0):
+    # The NaN-skipping minimum, rather than any(d < 0): no mask of d's size.
+    if d.size and np.fmin.reduce(d, axis=None) < 0:
         raise ValueError("distances must be nonnegative")
-    # In place: one temporary of the output's size, the same bits as
+    # In place: at most one array of the output's size, the same bits as
     # np.exp(-0.5 * (d / bandwidth) ** 2).
-    w = np.asarray(d / bandwidth)
+    w = np.asarray(np.divide(d, bandwidth, out=out))
     w *= w
     w *= -0.5
     return np.exp(w, out=w)
@@ -164,23 +176,27 @@ def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
     return float(_bandwidths(d, neighbors_k)[0])
 
 
-def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _distance_matrix(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Euclidean distances between the points of a (m x 2) and b (n x 2).
 
     Each cell is sqrt(dx*dx + dy*dy), in that order of operations, so it is
     bit-identical to the usual pairwise-distance routines. Rows are built in
     chunks of CHUNK_CELLS, so the only temporary beside the m x n result is
-    one chunk.
+    one chunk of dy*dy. The result goes to out (m x n) when it is given.
     """
-    out = np.empty((len(a), len(b)))
+    out = np.empty((len(a), len(b))) if out is None else out
     rows = max(1, CHUNK_CELLS // max(1, len(b)))
+    dy = np.empty((min(rows, len(a)), len(b)))
     for s in range(0, len(a), rows):
         block = out[s : s + rows]
         np.subtract(a[s : s + rows, :1], b[:, 0], out=block)
         block *= block
-        dy = a[s : s + rows, 1:] - b[:, 1]
-        dy *= dy
-        block += dy
+        dy_block = dy[: len(block)]
+        np.subtract(a[s : s + rows, 1:], b[:, 1], out=dy_block)
+        dy_block *= dy_block
+        block += dy_block
     return np.sqrt(out, out=out)
 
 
@@ -308,11 +324,23 @@ def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
     )
 
 
+class _Workspace:
+    """One chunk's rows, allocated once per search or fit and reused by every
+    chunk: W holds its sorted distances or distance rows and then its kernel
+    weights, keep the mask of weights above WEIGHT_FLOOR. A chunk is
+    CHUNK_CELLS // n rows (at least one, at most n)."""
+
+    def __init__(self, n: int) -> None:
+        self.rows = min(n, max(1, CHUNK_CELLS // n))
+        self.W = np.empty((self.rows, n))
+        self.keep = np.empty((self.rows, n), dtype=bool)
+
+
 @dataclass
 class _Solved:
     """One chunk of local fits from the solve core (see _solve_chunk)."""
 
-    W: np.ndarray  # kernel rows, truncated at WEIGHT_FLOOR
+    W: np.ndarray  # kernel rows, truncated at WEIGHT_FLOOR; a view of the workspace
     G: np.ndarray  # W @ rhs
     coefficients: np.ndarray
     M: np.ndarray  # (X'WX)^-1 of each batched system
@@ -324,27 +352,31 @@ class _Solved:
 
 def _solve_chunk(
     data: DesignData,
-    distances: np.ndarray,
+    d: np.ndarray,
     bw: np.ndarray,
     rhs: np.ndarray,
     s: int,
-    e: int,
     aicc_loo: bool,
+    work: _Workspace,
 ) -> _Solved:
-    """Local fits for tracts s..e-1 from their kernel rows, all at once, with
-    only what AICc reads: coefficients, hat diagonal, fitted values and ok.
+    """Local fits for tracts s..s+len(d)-1 from their distance rows d, all at
+    once, with only what AICc reads: coefficients, hat diagonal, fitted
+    values and ok.
 
-    Row i of rhs is [vec(x_i x_i'), x_i y_i, y_i], so W @ rhs gives every
-    local X'WX, X'Wy and the weighted sum of y in one product. Tracts whose
-    batched system is marginal, or whose coefficients, hat value or fitted
-    value is not finite, are refitted by fit_local, so the bandwidth search
-    and fit_gwr make the same fallbacks and the same ok/failed decisions.
+    The kernel rows and their keep mask are written into work (d may be
+    work.W itself), so they are valid until the next chunk. Row i of rhs is
+    [vec(x_i x_i'), x_i y_i, y_i], so W @ rhs gives every local X'WX, X'Wy
+    and the weighted sum of y in one product. Tracts whose batched system is
+    marginal, or whose coefficients, hat value or fitted value is not
+    finite, are refitted by fit_local, so the bandwidth search and fit_gwr
+    make the same fallbacks and the same ok/failed decisions.
     """
     X = data.X
     p = X.shape[1]
+    e = s + len(d)
     own = np.arange(e - s), np.arange(s, e)
-    W = gaussian_weights(distances[s:e], bw[s:e, None])
-    keep = W > WEIGHT_FLOOR
+    W = gaussian_weights(d, bw[s:e, None], out=work.W[: e - s])
+    keep = np.greater(W, WEIGHT_FLOOR, out=work.keep[: e - s])
     W *= keep
     w_own = W[own]
     active = keep.sum(axis=1)
@@ -382,12 +414,12 @@ def _solve_chunk(
 
 def _fit_chunk(
     data: DesignData,
-    distances: np.ndarray,
+    d: np.ndarray,
     bw: np.ndarray,
     rhs: np.ndarray,
     s: int,
-    e: int,
     aicc_loo: bool,
+    work: _Workspace,
 ) -> tuple[np.ndarray, ...]:
     """fit_gwr's chunk: the solve core plus the diagnostics AICc does not read.
 
@@ -399,7 +431,7 @@ def _fit_chunk(
     """
     X, y = data.X, data.y
     p = X.shape[1]
-    c = _solve_chunk(data, distances, bw, rhs, s, e, aicc_loo)
+    c = _solve_chunk(data, d, bw, rhs, s, aicc_loo, work)
     W, beta = c.W, c.coefficients
     with np.errstate(invalid="ignore", divide="ignore"):
         B = ((W * W) @ rhs[:, : p * p]).reshape(-1, p, p)
@@ -424,15 +456,15 @@ def _search_aicc(
     bw: np.ndarray,
     rhs: np.ndarray,
     aicc_loo: bool,
+    work: _Workspace,
 ) -> float:
     """fit_gwr's AICc at the bandwidths bw, from the solve core alone: the
-    bandwidth search reads nothing else, so it skips the SEs and local R^2."""
+    bandwidth search reads nothing else, so it skips the SEs and local R^2.
+    Chunks span work.rows rows of the n x n distances, as fit_gwr's do."""
     _check_bandwidths(data, bw)
-    n = data.n
-    rows = max(1, CHUNK_CELLS // n)
     parts = []
-    for s in range(0, n, rows):
-        c = _solve_chunk(data, distances, bw, rhs, s, min(n, s + rows), aicc_loo)
+    for s in range(0, data.n, work.rows):
+        c = _solve_chunk(data, distances[s : s + work.rows], bw, rhs, s, aicc_loo, work)
         parts.append((c.hat_diag, c.fitted, c.ok))
     hat_diag, fitted, ok = (np.concatenate(part) for part in zip(*parts))
     return _aicc_terms(data, hat_diag, fitted, ok)[3]
@@ -492,10 +524,21 @@ def compute_aicc(rss: float, n: int, trace_s: float) -> float:
     )
 
 
+def _design_points(data: DesignData, tracts: TractSet) -> np.ndarray:
+    """The centroids of the design rows, in design order (n x 2)."""
+    return tracts.centroids[[tracts.index_of(tid) for tid in data.tract_ids]]
+
+
 def _pairwise_distances(data: DesignData, tracts: TractSet) -> np.ndarray:
-    idx = [tracts.index_of(tid) for tid in data.tract_ids]
-    pts = tracts.centroids[idx]
+    pts = _design_points(data, tracts)
     return _distance_matrix(pts, pts)
+
+
+def _distance_rows(pts: np.ndarray, s: int, work: _Workspace) -> np.ndarray:
+    """The distance rows of design rows s.. (one chunk), built in work.W;
+    each cell has the bits of the n x n matrix's."""
+    a = pts[s : s + work.rows]
+    return _distance_matrix(a, pts, out=work.W[: len(a)])
 
 
 def fit_gwr(
@@ -520,15 +563,21 @@ def fit_gwr(
         raise ValueError(
             f"neighbors_k={kernel.neighbors_k} outside [{p + 1}, {n}] for this design"
         )
-    distances = _pairwise_distances(data, tracts)
-    bw = _bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
+    # No n x n matrix: each pass builds a chunk's distance rows in the
+    # workspace. The first finds every bandwidth, so that _check_bandwidths
+    # sees all n before any fit; the second fits.
+    pts = _design_points(data, tracts)
+    work = _Workspace(n)
+    bw = np.concatenate([
+        _bandwidths(_distance_rows(pts, s, work), kernel.neighbors_k)
+        for s in range(0, n, work.rows)
+    ]) * kernel.bandwidth_scale
     _check_bandwidths(data, bw)
 
     rhs = _kernel_rhs(data)
-    rows = max(1, CHUNK_CELLS // n)
     chunks = [
-        _fit_chunk(data, distances, bw, rhs, s, min(n, s + rows), aicc_loo)
-        for s in range(0, n, rows)
+        _fit_chunk(data, _distance_rows(pts, s, work), bw, rhs, s, aicc_loo, work)
+        for s in range(0, n, work.rows)
     ]
     coef, se_unit, hat_diag, r2_raw, fitted, ok = (np.concatenate(c) for c in zip(*chunks))
     r2 = np.clip(r2_raw, 0.0, 1.0)
@@ -594,25 +643,33 @@ def select_bandwidth(
 
     distances = _pairwise_distances(data, tracts)
     rhs = _kernel_rhs(data)
+    work = _Workspace(n)
     cache: dict[int, float] = {}
 
     def evaluate(ks) -> None:
         """AICc for every k in ks not tried yet.
 
-        One sort of the distance rows gives the k-th neighbor distances of a
-        block of k at once, instead of one partition per fit; an order
-        statistic is exact, so they equal fit_gwr's own. Only the block's
-        columns outlive the sort (a sorted n x n copy kept for the whole
-        search would raise peak memory), and a block holds at most
-        EXHAUSTIVE_LIMIT of them, so the final scan of a golden search is
+        The k-th neighbor distances of a block of k come from one pass of
+        row-chunk sorts: each chunk of distance rows is copied into the
+        workspace and sorted there, and only the block's columns are kept.
+        An order statistic is exact, so they equal fit_gwr's own partition.
+        No sorted n x n copy is made, and a block holds at most
+        EXHAUSTIVE_LIMIT columns, so the final scan of a golden search is
         one block.
         """
         todo = sorted({k for k in ks if k not in cache})
         for start in range(0, len(todo), EXHAUSTIVE_LIMIT):
             block = todo[start : start + EXHAUSTIVE_LIMIT]
-            kth = np.sort(distances, axis=1)[:, np.asarray(block) - 1]
+            cols = np.asarray(block) - 1
+            kth = np.empty((n, len(block)))
+            for s in range(0, n, work.rows):
+                chunk = distances[s : s + work.rows]
+                rows = work.W[: len(chunk)]
+                rows[...] = chunk
+                rows.sort(axis=1)
+                kth[s : s + len(chunk)] = rows[:, cols]
             for j, k in enumerate(block):
-                aicc = _search_aicc(data, distances, kth[:, j], rhs, aicc_loo)
+                aicc = _search_aicc(data, distances, kth[:, j], rhs, aicc_loo, work)
                 # NaN never reaches the comparisons below: it would order arbitrarily.
                 cache[k] = math.inf if math.isnan(aicc) else aicc
 

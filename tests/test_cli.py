@@ -334,6 +334,21 @@ def test_route_with_non_numeric_tract_vertex_exits_2(tmp_path, caplog):
     assert "feature 'T1': bad coordinate" in caplog.text
 
 
+@pytest.mark.parametrize("flag", ["--home", "--work"])
+def test_route_unknown_home_or_work_tract_exits_2(scenario_dir, caplog, flag):
+    ends = {"--home": "T000000", "--work": "T000005", flag: "NOPE"}
+    rc = main([
+        "route",
+        "--nodes", str(scenario_dir / "nodes.csv"),
+        "--edges", str(scenario_dir / "edges.csv"),
+        *(arg for pair in ends.items() for arg in pair),
+        "--tracts", str(scenario_dir / "tracts.geojson"),
+        "--attributes", str(scenario_dir / "attributes.csv"),
+    ])
+    assert rc == 2
+    assert f"{flag}: tract 'NOPE'" in caplog.text
+
+
 def test_route_home_without_layers_errors(scenario_dir):
     rc = main(["route", "--nodes", str(scenario_dir / "nodes.csv"),
                "--edges", str(scenario_dir / "edges.csv"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -651,7 +652,7 @@ def search_evals(monkeypatch):
     evals = []
     real_search, real_terms = gwr._search_aicc, gwr._aicc_terms
 
-    def spy(data, distances, bw, rhs, aicc_loo):
+    def spy(data, distances, bw, rhs, aicc_loo, work):
         terms = []
 
         def terms_spy(*args):
@@ -660,7 +661,7 @@ def search_evals(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(gwr, "_aicc_terms", terms_spy)
-            aicc = real_search(data, distances, bw, rhs, aicc_loo)
+            aicc = real_search(data, distances, bw, rhs, aicc_loo, work)
         ((failed, _, _, searched),) = terms
         assert float(aicc).hex() == float(searched).hex()
         evals.append((np.array(bw), failed, aicc))
@@ -723,7 +724,8 @@ def test_search_aicc_makes_fit_gwr_fallbacks_on_fallback_designs(
         distances = gwr._pairwise_distances(data, tracts)
         bw = gwr._bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
         fit_local_calls.clear()
-        gwr._search_aicc(data, distances, bw, gwr._kernel_rhs(data), aicc_loo)
+        rhs, work = gwr._kernel_rhs(data), gwr._Workspace(data.n)
+        gwr._search_aicc(data, distances, bw, rhs, aicc_loo, work)
         searched = list(fit_local_calls)
         fit_local_calls.clear()
         fit = fit_gwr(data, tracts, kernel, aicc_loo=aicc_loo)
@@ -772,6 +774,70 @@ def test_select_bandwidth_on_fallback_designs_matches_fit_gwr(
     assert any(failed for _, failed, _ in evals) == aicc_loo
 
 
+@pytest.mark.parametrize("scenario", ["step_scenario", "fallback_scenario"])
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_search_chunk_boundaries_match_fit_gwr(
+    request, gradient_scenario, search_evals, monkeypatch, scenario, aicc_loo
+):
+    # Five-row chunks leave a short last chunk (64 = 12*5 + 4, 36 = 7*5 + 1),
+    # and 27 candidates make two sort blocks. The fallback design sends every
+    # tract through fit_local, so refits index rows across chunk boundaries.
+    if scenario == "fallback_scenario":
+        data, tracts = badly_scaled(gradient_scenario, 1e-9), gradient_scenario.tracts
+    else:
+        sc = request.getfixturevalue(scenario)
+        data, tracts = sc.design, sc.tracts
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * data.n)
+    assert data.n % gwr._Workspace(data.n).rows
+    k_max = min(30, data.n)
+    select_bandwidth(data, tracts, 4, k_max, method="exhaustive", aicc_loo=aicc_loo)
+    evals = list(search_evals)
+    assert_evals_match_fit_gwr(data, tracts, evals, range(4, k_max + 1), aicc_loo)
+
+
+def lattice_design(rows, cols, seed):
+    """A rows x cols lattice with y = 1 + 2 x1 + noise."""
+    tracts = grid_tracts(rows, cols)
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(len(tracts)), rng.uniform(0, 1, len(tracts))])
+    y = X @ np.array([1.0, 2.0]) + rng.normal(0, 0.1, len(tracts))
+    return design_from_arrays(y, X, ids=tracts.ids), tracts
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes traced at fn's peak beyond what was traced when it was called."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture()
+def small_chunk_lattice(monkeypatch):
+    """A 900-tract design with 32-row chunks, its n x n matrix size and its
+    chunk size in bytes."""
+    data, tracts = lattice_design(30, 30, seed=5)
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 32 * data.n)
+    return data, tracts, 8 * data.n * data.n, 8 * gwr.CHUNK_CELLS
+
+
+def test_select_bandwidth_holds_one_distance_matrix(small_chunk_lattice):
+    # The n x n distance matrix, the workspace and the k-th neighbor columns;
+    # no sorted n x n copy.
+    data, tracts, matrix, chunk = small_chunk_lattice
+    peak = traced_peak(select_bandwidth, data, tracts, 4, 14, method="exhaustive")
+    assert matrix <= peak <= matrix + 3 * chunk
+
+
+def test_fit_gwr_holds_no_distance_matrix(small_chunk_lattice):
+    data, tracts, matrix, _ = small_chunk_lattice
+    peak = traced_peak(fit_gwr, data, tracts, KernelSpec(neighbors_k=12))
+    assert peak < matrix / 2
+
+
 @pytest.mark.parametrize("aicc_loo", [False, True])
 def test_select_bandwidth_skips_se_and_r2_diagnostics(gradient_scenario, monkeypatch, aicc_loo):
     calls = {"_fit_chunk": 0, "_solve_chunk": 0, "fit_gwr": 0}
@@ -804,8 +870,8 @@ def test_gwr_nonfinite_batched_se_is_nan_and_keeps_aicc(
     assert not want.failed and not fit_local_calls
     real_solve = gwr._solve_chunk
 
-    def spoil_first_row(data, distances, bw, rhs, s, e, aicc_loo):
-        c = real_solve(data, distances, bw, rhs, s, e, aicc_loo)
+    def spoil_first_row(data, d, bw, rhs, s, aicc_loo, work):
+        c = real_solve(data, d, bw, rhs, s, aicc_loo, work)
         if s == 0:
             c.M[0] = spoiled * np.eye(c.M.shape[1])
         return c
