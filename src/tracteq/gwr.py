@@ -12,12 +12,22 @@ refits every tract whose batched system is marginal. select_bandwidth runs
 only the solve core each candidate's AICc needs; the SEs and local R^2 are
 computed by fit_gwr alone (the "lite" search fit of mgwr, Oshan et al. 2019).
 
+Per candidate and chunk the search pays for the kernel rows (one exp per
+cell, with no check of distances it built itself), one q x m product
+rhs_t @ W.T for every local system, and the small batched solves; the k-th
+neighbor distances come from a partition of each chunk when a golden step
+adds one new k, or from a sort for a block of several. Where the
+bandwidths reach every tract's (p+1)-th neighbor, as they do in the search
+and in fit_gwr at bandwidth_scale >= 1, no row's active weights need
+counting.
+
 Memory stays near one n x n matrix. select_bandwidth keeps the n x n
 distance matrix for the whole search, because rebuilding its rows for every
 candidate would cost more than the candidate's fit. fit_gwr holds no n x n
 array: it builds each chunk's distance rows as it needs them. Each search
 and each fit allocates one chunk workspace (see _Workspace) and reuses it
-for every chunk's sorted distances, distance rows and kernel weights.
+for every chunk's ordered distances, distance rows and kernel weights;
+fit_gwr's has a second chunk for its temporaries.
 """
 
 from __future__ import annotations
@@ -155,8 +165,16 @@ def gaussian_weights(
     # The NaN-skipping minimum, rather than any(d < 0): no mask of d's size.
     if d.size and np.fmin.reduce(d, axis=None) < 0:
         raise ValueError("distances must be nonnegative")
-    # In place: at most one array of the output's size, the same bits as
-    # np.exp(-0.5 * (d / bandwidth) ** 2).
+    return _kernel(d, bandwidth, out)
+
+
+def _kernel(d: np.ndarray, bandwidth, out: np.ndarray | None = None) -> np.ndarray:
+    """gaussian_weights without its checks, for distance rows this module
+    built (never negative) under bandwidths _check_bandwidths passed.
+
+    In place: at most one array of the output's size, the same bits as
+    np.exp(-0.5 * (d / bandwidth) ** 2).
+    """
     w = np.asarray(np.divide(d, bandwidth, out=out))
     w *= w
     w *= -0.5
@@ -173,22 +191,26 @@ def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
     if not 1 <= neighbors_k <= n:
         raise ValueError(f"neighbors_k={neighbors_k} outside [1, {n}]")
     d = _distance_matrix(tracts.centroids[j : j + 1], tracts.centroids)
-    return float(_bandwidths(d, neighbors_k)[0])
+    return float(_order_stats(d, [neighbors_k - 1])[0, 0])
 
 
 def _distance_matrix(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    out: np.ndarray | None = None,
+    dy: np.ndarray | None = None,
 ) -> np.ndarray:
     """Euclidean distances between the points of a (m x 2) and b (n x 2).
 
     Each cell is sqrt(dx*dx + dy*dy), in that order of operations, so it is
     bit-identical to the usual pairwise-distance routines. Rows are built in
     chunks of CHUNK_CELLS, so the only temporary beside the m x n result is
-    one chunk of dy*dy. The result goes to out (m x n) when it is given.
+    one chunk of dy*dy. The result goes to out (m x n) when it is given, and
+    dy*dy to dy (at least one chunk of rows by n) when it is given.
     """
     out = np.empty((len(a), len(b))) if out is None else out
     rows = max(1, CHUNK_CELLS // max(1, len(b)))
-    dy = np.empty((min(rows, len(a)), len(b)))
+    dy = np.empty((min(rows, len(a)), len(b))) if dy is None else dy
     for s in range(0, len(a), rows):
         block = out[s : s + rows]
         np.subtract(a[s : s + rows, :1], b[:, 0], out=block)
@@ -200,16 +222,16 @@ def _distance_matrix(
     return np.sqrt(out, out=out)
 
 
-def _bandwidths(distances: np.ndarray, neighbors_k: int) -> np.ndarray:
-    """Each row's distance to its neighbors_k-th nearest row, partitioned in
-    chunks of CHUNK_CELLS so no copy of the whole matrix is made."""
-    k = neighbors_k - 1
-    n, m = distances.shape
-    rows = max(1, CHUNK_CELLS // m)
-    out = np.empty(n)
-    for s in range(0, n, rows):
-        out[s : s + rows] = np.partition(distances[s : s + rows], k, axis=1)[:, k]
-    return out
+def _order_stats(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns cols of rows sorted along axis 1, as a new array; rows is
+    reordered in place. One column takes a partition, more a full sort,
+    which numpy runs faster than a partition at several kth. Either way each
+    value is an exact order statistic of its row."""
+    if len(cols) == 1:
+        rows.partition(cols[0], axis=1)
+    else:
+        rows.sort(axis=1)
+    return rows[:, cols]
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,14 +348,28 @@ def fit_local(data: DesignData, weights: np.ndarray, j: int) -> LocalFit:
 
 class _Workspace:
     """One chunk's rows, allocated once per search or fit and reused by every
-    chunk: W holds its sorted distances or distance rows and then its kernel
-    weights, keep the mask of weights above WEIGHT_FLOOR. A chunk is
-    CHUNK_CELLS // n rows (at least one, at most n)."""
+    chunk. A chunk is CHUNK_CELLS // n rows (at least one, at most n).
 
-    def __init__(self, n: int) -> None:
+    W holds the chunk's distance rows or their order statistics and then its
+    kernel weights, keep the mask of weights above WEIGHT_FLOOR. With spare,
+    a second chunk of rows holds what fit_gwr computes beside W: the dy*dy
+    term of its distance rows, then W*W, the residuals and the deviations of
+    its diagnostics.
+
+    count_active says whether _solve_chunk counts each row's weights above
+    WEIGHT_FLOOR to find the systems with fewer than p of them. It may be
+    False only when no row can fall short: when every bandwidth is at least
+    the row's distance to its (p+1)-th nearest row, those p+1 rows weigh at
+    least e^-1/2 each, the row itself among them (weight 1), so each system
+    keeps p rows even without its own.
+    """
+
+    def __init__(self, n: int, spare: bool = False, count_active: bool = True) -> None:
         self.rows = min(n, max(1, CHUNK_CELLS // n))
         self.W = np.empty((self.rows, n))
         self.keep = np.empty((self.rows, n), dtype=bool)
+        self.spare = np.empty((self.rows, n)) if spare else None
+        self.count_active = count_active
 
 
 @dataclass
@@ -341,7 +377,7 @@ class _Solved:
     """One chunk of local fits from the solve core (see _solve_chunk)."""
 
     W: np.ndarray  # kernel rows, truncated at WEIGHT_FLOOR; a view of the workspace
-    G: np.ndarray  # W @ rhs
+    G: np.ndarray  # W @ rhs, as the transpose of rhs_t @ W.T
     coefficients: np.ndarray
     M: np.ndarray  # (X'WX)^-1 of each batched system
     hat_diag: np.ndarray
@@ -354,7 +390,7 @@ def _solve_chunk(
     data: DesignData,
     d: np.ndarray,
     bw: np.ndarray,
-    rhs: np.ndarray,
+    rhs_t: np.ndarray,
     s: int,
     aicc_loo: bool,
     work: _Workspace,
@@ -364,30 +400,34 @@ def _solve_chunk(
     values and ok.
 
     The kernel rows and their keep mask are written into work (d may be
-    work.W itself), so they are valid until the next chunk. Row i of rhs is
-    [vec(x_i x_i'), x_i y_i, y_i], so W @ rhs gives every local X'WX, X'Wy
-    and the weighted sum of y in one product. Tracts whose batched system is
-    marginal, or whose coefficients, hat value or fitted value is not
-    finite, are refitted by fit_local, so the bandwidth search and fit_gwr
-    make the same fallbacks and the same ok/failed decisions.
+    work.W itself), so they are valid until the next chunk. Column i of
+    rhs_t is [vec(x_i x_i'), x_i y_i, y_i] (see _kernel_rhs), so rhs_t @ W.T
+    gives every local X'WX, X'Wy and the weighted sum of y in one product.
+    Tracts whose batched system is marginal, or whose coefficients, hat
+    value or fitted value is not finite, are refitted by fit_local, so the
+    bandwidth search and fit_gwr make the same fallbacks and the same
+    ok/failed decisions.
     """
     X = data.X
     p = X.shape[1]
     e = s + len(d)
     own = np.arange(e - s), np.arange(s, e)
-    W = gaussian_weights(d, bw[s:e, None], out=work.W[: e - s])
+    W = _kernel(d, bw[s:e, None], out=work.W[: e - s])
     keep = np.greater(W, WEIGHT_FLOOR, out=work.keep[: e - s])
     W *= keep
     w_own = W[own]
-    active = keep.sum(axis=1)
-    G = W @ rhs
+    # The q x m product is faster than W @ rhs with one BLAS thread.
+    G = (rhs_t @ W.T).T
     beta, M, ok = _solve_normal(G[:, : p * p].reshape(-1, p, p), G[:, p * p : p * p + p])
     Xc = X[s:e]
     with np.errstate(invalid="ignore"):
         hat_diag = w_own * np.einsum("mi,mij,mj->m", Xc, M, Xc)
     fitted = np.einsum("mi,mi->m", Xc, beta)
-    ok &= (active >= p) & np.isfinite(hat_diag) & np.isfinite(fitted)
+    ok &= np.isfinite(hat_diag) & np.isfinite(fitted)
     ok &= np.isfinite(beta).all(axis=1)
+    if work.count_active:
+        active = keep.sum(axis=1)
+        ok &= active >= p
     refits: dict[int, LocalFit] = {}
     for r in np.flatnonzero(~ok):
         local = refits[r] = fit_local(data, W[r], s + r)
@@ -397,12 +437,14 @@ def _solve_chunk(
 
     if aicc_loo:
         # Leave-one-out systems: tract j's own row taken out of its X'WX and X'Wy.
-        G_loo = G[:, : p * p + p] - w_own[:, None] * rhs[s:e, : p * p + p]
+        G_loo = G[:, : p * p + p] - w_own[:, None] * rhs_t[: p * p + p, s:e].T
         beta_loo, _, sound = _solve_normal(
             G_loo[:, : p * p].reshape(-1, p, p), G_loo[:, p * p :]
         )
         fitted = np.einsum("mi,mi->m", Xc, beta_loo)
-        sound &= (active - (w_own > 0.0) >= p) & np.isfinite(fitted)
+        sound &= np.isfinite(fitted)
+        if work.count_active:
+            sound &= active - (w_own > 0.0) >= p
         for r in np.flatnonzero(ok & ~sound):
             w_loo = W[r].copy()
             w_loo[s + r] = 0.0
@@ -416,7 +458,7 @@ def _fit_chunk(
     data: DesignData,
     d: np.ndarray,
     bw: np.ndarray,
-    rhs: np.ndarray,
+    rhs_t: np.ndarray,
     s: int,
     aicc_loo: bool,
     work: _Workspace,
@@ -427,18 +469,22 @@ def _fit_chunk(
     (W*W) @ vec(x x')), hat diagonal, raw local R^2, fitted values and the
     ok mask. Tracts the core refitted take fit_local's SEs and R^2; any other
     SE or R^2 is the batched one, NaN where it is not finite, so the ok mask
-    and AICc stay those of the solve core.
+    and AICc stay those of the solve core. W*W, the residuals and the
+    deviations go in turn to work.spare, so a chunk allocates nothing of its
+    size.
     """
     X, y = data.X, data.y
     p = X.shape[1]
-    c = _solve_chunk(data, d, bw, rhs, s, aicc_loo, work)
+    c = _solve_chunk(data, d, bw, rhs_t, s, aicc_loo, work)
     W, beta = c.W, c.coefficients
+    tmp = work.spare[: len(W)]
     with np.errstate(invalid="ignore", divide="ignore"):
-        B = ((W * W) @ rhs[:, : p * p]).reshape(-1, p, p)
+        ww = np.multiply(W, W, out=tmp)
+        B = (ww @ rhs_t[: p * p].T).reshape(-1, p, p)
         se_unit = np.sqrt(np.einsum("mca,mab,mcb->mc", c.M, B, c.M))
-        resid = y - beta @ X.T
+        resid = np.subtract(y, np.matmul(beta, X.T, out=tmp), out=tmp)
         rss_w = np.einsum("mi,mi,mi->m", W, resid, resid)
-        dev = y - c.G[:, -1:] / W.sum(axis=1, keepdims=True)
+        dev = np.subtract(y, c.G[:, -1:] / W.sum(axis=1, keepdims=True), out=tmp)
         tss_w = np.einsum("mi,mi,mi->m", W, dev, dev)
         r2_raw = np.where(
             tss_w > 0.0, 1.0 - rss_w / tss_w, np.where(rss_w <= 1e-24, 1.0, 0.0)
@@ -454,7 +500,7 @@ def _search_aicc(
     data: DesignData,
     distances: np.ndarray,
     bw: np.ndarray,
-    rhs: np.ndarray,
+    rhs_t: np.ndarray,
     aicc_loo: bool,
     work: _Workspace,
 ) -> float:
@@ -464,27 +510,30 @@ def _search_aicc(
     _check_bandwidths(data, bw)
     parts = []
     for s in range(0, data.n, work.rows):
-        c = _solve_chunk(data, distances[s : s + work.rows], bw, rhs, s, aicc_loo, work)
+        c = _solve_chunk(data, distances[s : s + work.rows], bw, rhs_t, s, aicc_loo, work)
         parts.append((c.hat_diag, c.fitted, c.ok))
     hat_diag, fitted, ok = (np.concatenate(part) for part in zip(*parts))
     return _aicc_terms(data, hat_diag, fitted, ok)[3]
 
 
 def _kernel_rhs(data: DesignData) -> np.ndarray:
-    """Rows [vec(x_i x_i'), x_i y_i, y_i], the right-hand side of W @ rhs."""
+    """rhs_t, the transpose of the right-hand side of W @ rhs: column i is
+    [vec(x_i x_i'), x_i y_i, y_i]. It is built once per search or fit, as a
+    C-contiguous q x n array for rhs_t @ W.T."""
     X, y = data.X, data.y
     n, p = X.shape
     xx = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    return np.column_stack([xx, X * y[:, None], y])
+    return np.vstack([xx.T, (X * y[:, None]).T, y])
 
 
 def _check_bandwidths(data: DesignData, bw: np.ndarray) -> None:
-    zero_bw = np.flatnonzero(bw <= 0.0)
-    if zero_bw.size:
-        names = ", ".join(data.tract_ids[i] for i in zero_bw[:5])
+    # NaN too: the kernel of the search and fit checks no bandwidth itself.
+    bad_bw = np.flatnonzero(~(bw > 0.0))
+    if bad_bw.size:
+        names = ", ".join(data.tract_ids[i] for i in bad_bw[:5])
         raise ValueError(
-            f"adaptive bandwidth is zero for {zero_bw.size} tract(s) ({names}); "
-            "duplicate centroids within neighbors_k"
+            f"adaptive bandwidth is zero or NaN for {bad_bw.size} tract(s) ({names}); "
+            "duplicate centroids within neighbors_k, or a NaN centroid"
         )
 
 
@@ -535,10 +584,11 @@ def _pairwise_distances(data: DesignData, tracts: TractSet) -> np.ndarray:
 
 
 def _distance_rows(pts: np.ndarray, s: int, work: _Workspace) -> np.ndarray:
-    """The distance rows of design rows s.. (one chunk), built in work.W;
-    each cell has the bits of the n x n matrix's."""
+    """The distance rows of design rows s.. (one chunk), built in work.W
+    with work.spare for dy*dy; each cell has the bits of the n x n
+    matrix's."""
     a = pts[s : s + work.rows]
-    return _distance_matrix(a, pts, out=work.W[: len(a)])
+    return _distance_matrix(a, pts, out=work.W[: len(a)], dy=work.spare)
 
 
 def fit_gwr(
@@ -564,19 +614,22 @@ def fit_gwr(
             f"neighbors_k={kernel.neighbors_k} outside [{p + 1}, {n}] for this design"
         )
     # No n x n matrix: each pass builds a chunk's distance rows in the
-    # workspace. The first finds every bandwidth, so that _check_bandwidths
-    # sees all n before any fit; the second fits.
+    # workspace. The first partitions them there for every bandwidth, so
+    # that _check_bandwidths sees all n before any fit; the second fits.
+    # Below scale 1 a bandwidth may leave a tract fewer than p active rows,
+    # so only then are they counted.
     pts = _design_points(data, tracts)
-    work = _Workspace(n)
+    work = _Workspace(n, spare=True, count_active=kernel.bandwidth_scale < 1.0)
+    kth = [kernel.neighbors_k - 1]
     bw = np.concatenate([
-        _bandwidths(_distance_rows(pts, s, work), kernel.neighbors_k)
+        _order_stats(_distance_rows(pts, s, work), kth)[:, 0]
         for s in range(0, n, work.rows)
     ]) * kernel.bandwidth_scale
     _check_bandwidths(data, bw)
 
-    rhs = _kernel_rhs(data)
+    rhs_t = _kernel_rhs(data)
     chunks = [
-        _fit_chunk(data, _distance_rows(pts, s, work), bw, rhs, s, aicc_loo, work)
+        _fit_chunk(data, _distance_rows(pts, s, work), bw, rhs_t, s, aicc_loo, work)
         for s in range(0, n, work.rows)
     ]
     coef, se_unit, hat_diag, r2_raw, fitted, ok = (np.concatenate(c) for c in zip(*chunks))
@@ -642,20 +695,23 @@ def select_bandwidth(
         )
 
     distances = _pairwise_distances(data, tracts)
-    rhs = _kernel_rhs(data)
-    work = _Workspace(n)
+    rhs_t = _kernel_rhs(data)
+    # k_min > p, so every bandwidth reaches the (p+1)-th neighbor: no system
+    # can be short of active rows.
+    work = _Workspace(n, count_active=False)
     cache: dict[int, float] = {}
 
     def evaluate(ks) -> None:
         """AICc for every k in ks not tried yet.
 
-        The k-th neighbor distances of a block of k come from one pass of
-        row-chunk sorts: each chunk of distance rows is copied into the
-        workspace and sorted there, and only the block's columns are kept.
-        An order statistic is exact, so they equal fit_gwr's own partition.
-        No sorted n x n copy is made, and a block holds at most
-        EXHAUSTIVE_LIMIT columns, so the final scan of a golden search is
-        one block.
+        The k-th neighbor distances of a block of k come from one pass over
+        row chunks: each chunk of distance rows is copied into the workspace
+        and reordered there by _order_stats, and only the block's columns
+        are kept. A block of one k (a golden step that reuses one of its
+        two points) takes a partition; a block of more (a golden step with
+        two new points, the final scan of up to EXHAUSTIVE_LIMIT k) takes
+        one full sort. An order statistic is exact, so they equal fit_gwr's
+        own partition, and no sorted n x n copy is made.
         """
         todo = sorted({k for k in ks if k not in cache})
         for start in range(0, len(todo), EXHAUSTIVE_LIMIT):
@@ -666,10 +722,9 @@ def select_bandwidth(
                 chunk = distances[s : s + work.rows]
                 rows = work.W[: len(chunk)]
                 rows[...] = chunk
-                rows.sort(axis=1)
-                kth[s : s + len(chunk)] = rows[:, cols]
+                kth[s : s + len(chunk)] = _order_stats(rows, cols)
             for j, k in enumerate(block):
-                aicc = _search_aicc(data, distances, kth[:, j], rhs, aicc_loo, work)
+                aicc = _search_aicc(data, distances, kth[:, j], rhs_t, aicc_loo, work)
                 # NaN never reaches the comparisons below: it would order arbitrarily.
                 cache[k] = math.inf if math.isnan(aicc) else aicc
 

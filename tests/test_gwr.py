@@ -60,6 +60,21 @@ def test_gaussian_weights_validation():
         gaussian_weights(np.array([-1.0]), 1.0)
 
 
+def test_private_kernel_is_gaussian_weights_bit_for_bit(rng):
+    # The search and fit kernel skips the checks, not an operation: the same
+    # bits for a scalar and a per-row bandwidth, written to a new array or
+    # in place over the distances.
+    d = rng.uniform(0.0, 5000.0, size=(7, 40))
+    d[:, [0, 5]] = 0.0
+    for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
+        want = gaussian_weights(d, b).tobytes()
+        assert gwr._kernel(d, b).tobytes() == want
+        for weigh in (gwr._kernel, gaussian_weights):
+            aliased = d.copy()
+            assert weigh(aliased, b, out=aliased) is aliased
+            assert aliased.tobytes() == want
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(neighbors_k=0)
@@ -230,12 +245,13 @@ def test_gwr_row_permutation_invariance(gradient_scenario):
 
 def test_bandwidths_chunked_match_whole_matrix_partition(step_scenario, monkeypatch):
     # a small chunk puts chunk boundaries mid-matrix
-    monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * len(step_scenario.design.y))
-    d = gwr._pairwise_distances(step_scenario.design, step_scenario.tracts)
+    sc = step_scenario
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * sc.design.n)
+    d = gwr._pairwise_distances(sc.design, sc.tracts)
     ordered = np.sort(d, axis=1)
-    for k in (1, 2, 3, 12, 40, len(d)):
+    for k in (3, 12, 40, len(d)):
         want = np.partition(d, k - 1, axis=1)[:, k - 1]
-        assert np.array_equal(gwr._bandwidths(d, k), want)
+        assert np.array_equal(fit_gwr(sc.design, sc.tracts, KernelSpec(k)).bandwidths, want)
         assert np.array_equal(ordered[:, k - 1], want)
 
 
@@ -305,7 +321,7 @@ def local_weight_cases(source, request):
     n = sc.design.n
     for data in (sc.design, scaled):
         for k, scale in ((3, 1.0), (5, 1.0), (12, 1.0), (n, 1.0), (n, 1e6), (4, 1e-3)):
-            bw = gwr._bandwidths(d, k) * scale
+            bw = np.partition(d, k - 1, axis=1)[:, k - 1] * scale
             for j in range(n):
                 yield data, gaussian_weights(d[j], bw[j]), j
 
@@ -369,6 +385,39 @@ def test_gwr_tiny_bandwidth_all_fail():
     assert np.all(np.isnan(fit.local_se))
     with pytest.raises(SelectionError):
         summarize_gwr(fit)
+
+
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_narrow_kernel_fails_exactly_the_tracts_short_of_active_rows(monkeypatch, aicc_loo):
+    # Below bandwidth_scale 1 the active rows are still counted. At k = 9 and
+    # scale 0.08 on a 6 x 6 lattice each interior tract keeps only itself and
+    # each boundary tract four rows, so only the interior ones fail, with
+    # fit_local's message, with or without leave-one-out refits.
+    data, ts = lattice_design(6, 6, seed=7)
+    kernel = KernelSpec(neighbors_k=9, bandwidth_scale=0.08)
+    d = cdist(ts.centroids, ts.centroids)
+    bw = np.sort(d, axis=1)[:, 8] * kernel.bandwidth_scale
+    active = (gaussian_weights(d, bw[:, None]) > gwr.WEIGHT_FLOOR).sum(axis=1)
+    assert sorted(set(active)) == [1, 4]
+    short = tuple(tid for tid, a in zip(ts.ids, active) if a < 2)
+    assert len(short) == 16
+
+    messages = {}
+    real_fit_local = gwr.fit_local
+
+    def spy(data, weights, j):
+        local = real_fit_local(data, weights, j)
+        messages.setdefault(data.tract_ids[j], local.message)
+        return local
+
+    monkeypatch.setattr(gwr, "fit_local", spy)
+    fit = fit_gwr(data, ts, kernel, aicc_loo=aicc_loo)
+    assert fit.failed == short
+    assert {tid: messages.get(tid) for tid in short} == dict.fromkeys(
+        short, "only 1 active rows for 2 terms"
+    )
+    assert all(not messages.get(tid) for tid in set(ts.ids) - set(short))
+    assert not np.isnan(fit.local_coefficients[active == 4]).any()
 
 
 def test_select_bandwidth_singleton_range(gradient_scenario):
@@ -722,7 +771,8 @@ def test_search_aicc_makes_fit_gwr_fallbacks_on_fallback_designs(
     outcomes = set()
     for data, tracts, kernel in cases:
         distances = gwr._pairwise_distances(data, tracts)
-        bw = gwr._bandwidths(distances, kernel.neighbors_k) * kernel.bandwidth_scale
+        k = kernel.neighbors_k
+        bw = np.partition(distances, k - 1, axis=1)[:, k - 1] * kernel.bandwidth_scale
         fit_local_calls.clear()
         rhs, work = gwr._kernel_rhs(data), gwr._Workspace(data.n)
         gwr._search_aicc(data, distances, bw, rhs, aicc_loo, work)
@@ -795,6 +845,39 @@ def test_search_chunk_boundaries_match_fit_gwr(
     assert_evals_match_fit_gwr(data, tracts, evals, range(4, k_max + 1), aicc_loo)
 
 
+def test_single_k_partition_matches_sort_path(search_evals, monkeypatch):
+    # A lattice ties many distances, and five-row chunks leave a short last
+    # chunk (99 = 19*5 + 4). Each k-th column from a one-k partition equals
+    # that column of a full sort, alone and inside a golden search whose
+    # one-k steps partition and whose two-k steps and final scan sort.
+    data, tracts = lattice_design(9, 11, seed=3)
+    monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * data.n)
+    assert data.n % gwr._Workspace(data.n).rows
+    d = gwr._pairwise_distances(data, tracts)
+    ordered = np.sort(d, axis=1)
+    every = np.arange(data.n)
+    for s in range(0, data.n, 5):
+        assert np.array_equal(gwr._order_stats(d[s : s + 5].copy(), every), ordered[s : s + 5])
+        for k in every:
+            got = gwr._order_stats(d[s : s + 5].copy(), [k])
+            assert np.array_equal(got[:, 0], ordered[s : s + 5, k])
+
+    blocks = []
+    real_order_stats = gwr._order_stats
+
+    def spy(rows, cols):
+        if not blocks or list(cols) != blocks[-1]:
+            blocks.append(list(cols))
+        return real_order_stats(rows, cols)
+
+    monkeypatch.setattr(gwr, "_order_stats", spy)
+    select_bandwidth(data, tracts, 4, data.n)
+    sizes = [len(block) for block in blocks]
+    assert sizes[0] == 2 and 1 in sizes and sizes[-1] > 1
+    ks = [c + 1 for block in blocks for c in block]
+    assert_evals_match_fit_gwr(data, tracts, list(search_evals), ks, aicc_loo=False)
+
+
 def lattice_design(rows, cols, seed):
     """A rows x cols lattice with y = 1 + 2 x1 + noise."""
     tracts = grid_tracts(rows, cols)
@@ -836,6 +919,17 @@ def test_fit_gwr_holds_no_distance_matrix(small_chunk_lattice):
     data, tracts, matrix, _ = small_chunk_lattice
     peak = traced_peak(fit_gwr, data, tracts, KernelSpec(neighbors_k=12))
     assert peak < matrix / 2
+
+
+@pytest.mark.parametrize("aicc_loo", [False, True])
+def test_fit_gwr_allocates_no_chunk_temporaries(small_chunk_lattice, aicc_loo):
+    # Beyond the kernel rows and their keep mask: the one spare chunk (dy,
+    # W*W, residuals, deviations), rhs_t and numpy's fixed ufunc buffers.
+    # Allocating W*W, the residuals or a dy chunk anew would add a chunk.
+    data, tracts, _, chunk = small_chunk_lattice
+    kernel = KernelSpec(neighbors_k=12)
+    peak = traced_peak(fit_gwr, data, tracts, kernel, aicc_loo=aicc_loo)
+    assert peak <= chunk + chunk // 8 + 2.5 * chunk
 
 
 @pytest.mark.parametrize("aicc_loo", [False, True])
