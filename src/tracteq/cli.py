@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -59,7 +59,9 @@ from .report import (
     svg_choropleth,
     tracts_to_geojson,
 )
-from .synth import Scenario, ScenarioSpec, Surface, generate, write_scenario
+
+if TYPE_CHECKING:
+    from .synth import Scenario
 
 log = logging.getLogger("tracteq")
 
@@ -490,6 +492,9 @@ def cmd_route(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # synth is the one module no analysis stage uses: load it only here.
+    from .synth import ScenarioSpec, Surface, generate, write_scenario
+
     if args.step:
         x1 = Surface("step", value=args.beta_low, high_value=args.beta_high,
                      axis="x", threshold=args.cols * args.cell_size / 2.0)

@@ -21,7 +21,7 @@ import numpy as np
 from .artifacts import fmt, read_csv, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
-from .network import EdgeTractMap, Graph, route_tract_distances, shortest_paths_from
+from .network import EdgeTractMap, Graph, tract_distances_from
 
 log = logging.getLogger(__name__)
 
@@ -239,7 +239,7 @@ def route_traversals(
     Returns a map from pair to {tract_id: meters} (None when unreachable)
     plus the unreachable count. Pairs whose endpoints snap to the same node
     yield an empty route and contribute nothing. Each origin node gets one
-    routing tree (network.shortest_paths_from) serving all its pairs;
+    routing tree (network.tract_distances_from) serving all its pairs;
     `workers` is accepted for compatibility and does not change routing.
     """
     node_for: dict[str, str] = {}
@@ -252,12 +252,11 @@ def route_traversals(
         by_origin.setdefault(node_for[home], []).append((home, work))
     found: dict[tuple[str, str], dict[str, float] | None] = {}
     for origin, pairs in by_origin.items():
-        routes = shortest_paths_from(graph, origin, {node_for[w] for _, w in pairs})
+        meters = tract_distances_from(
+            graph, origin, {node_for[w] for _, w in pairs}, edge_map
+        )
         for home, work in pairs:
-            route = routes[node_for[work]]
-            found[(home, work)] = (
-                None if route is None else route_tract_distances(route, edge_map)
-            )
+            found[(home, work)] = meters[node_for[work]]
 
     pairs = od.pairs
     traversals = {pair: found[pair] for pair in pairs}

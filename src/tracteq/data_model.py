@@ -218,9 +218,19 @@ class HighwayNetworkGeom:
 def _points(coords, where: str) -> tuple[Point, ...]:
     """The (x, y) float vertices of a GeoJSON coordinate list."""
     try:
-        return tuple((float(x), float(y)) for x, y in coords or [])
+        points = tuple((float(x), float(y)) for x, y in coords or [])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: bad coordinate ({exc})") from None
+    return _require_finite(points, where)
+
+
+def _require_finite(points: tuple[Point, ...], where: str) -> tuple[Point, ...]:
+    """points, unless a vertex is NaN or infinite (json.load accepts both)."""
+    isfinite = math.isfinite
+    for x, y in points:
+        if not (isfinite(x) and isfinite(y)):
+            raise ValidationError(f"{where}: non-finite coordinate ({x}, {y})")
+    return points
 
 
 def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
@@ -243,7 +253,7 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
                 ring = tuple(normalize_ring(poly[0]))
             except (TypeError, ValueError):
                 continue
-            a = polygon_area(ring)
+            a = polygon_area(_require_finite(ring, where))
             if a > best_area:
                 best, best_area = ring, a
         if best is None:

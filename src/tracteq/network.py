@@ -8,7 +8,8 @@ shortest_path carries each candidate's whole node path and is the oracle.
 shortest_paths_from serves many destinations from one Dijkstra tree over
 node ranks (an id's index in sorted-id order, so ranks compare as ids do):
 the tree keeps no paths, and a tie on time is broken on demand by walking
-both candidates up to their common ancestor.
+both candidates up to their common ancestor. tract_distances_from reads
+per-tract meters off the same tree without building routes.
 """
 
 from __future__ import annotations
@@ -107,6 +108,12 @@ class Graph:
             tuple((self.rank[nbr], e, tt) for nbr, e, tt in self.timed_adjacency[nid])
             for nid in self._ids
         )
+        # Per rank, the smallest edge travel time (inf with no edges). t + tt
+        # rises with tt, so a node settled at t has an absorbed edge
+        # (t + tt == t) exactly when its smallest one is absorbed.
+        self.min_edge_time: tuple[float, ...] = tuple(
+            min((tt for _, _, tt in adj), default=math.inf) for adj in self.rank_adjacency
+        )
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_ids(self) -> tuple[str, ...]:
@@ -157,11 +164,16 @@ def build_graph(
         if nid in nodes:
             raise ValidationError(f"{nodes_path} line {lineno}: duplicate node {nid!r}")
         try:
-            nodes[nid] = (float(row["x"]), float(row["y"]))
+            x, y = float(row["x"]), float(row["y"])
         except ValueError:
             raise ValidationError(
                 f"{nodes_path} line {lineno}: non-numeric coordinate"
             ) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValidationError(
+                f"{nodes_path} line {lineno}: non-finite coordinate ({x}, {y})"
+            )
+        nodes[nid] = (x, y)
 
     edges: list[Edge] = []
     for lineno, row in read_csv(edges_path, ("u", "v", "length_m")):
@@ -253,21 +265,14 @@ def shortest_paths_from(
     settle in, so that origin falls back to one shortest_path per
     destination.
     """
-    if origin not in graph.nodes:
-        raise ValidationError(f"unknown origin node {origin!r}")
-    targets = set(destinations)
-    for d in targets:
-        if d not in graph.nodes:
-            raise ValidationError(f"unknown destination node {d!r}")
-    rank = graph.rank
-    source = rank[origin]
-    tree = _search_tree(graph, source, {rank[d] for d in targets})
+    source, targets, tree = _tree_to(graph, origin, destinations)
     if tree is None:
-        return {d: shortest_path(graph, origin, d) for d in sorted(targets)}
+        return {d: shortest_path(graph, origin, d) for d in targets}
     dist, pred, pred_edge, settled = tree
     ids = graph.node_ids()
+    rank = graph.rank
     routes: dict[str, Route | None] = {}
-    for d in sorted(targets):
+    for d in targets:
         r = rank[d]
         if not settled[r]:
             routes[d] = None
@@ -288,6 +293,53 @@ def shortest_paths_from(
     return routes
 
 
+def tract_distances_from(
+    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
+) -> dict[str, dict[str, float] | None]:
+    """route_tract_distances of the shortest path from one origin to each
+    destination (None when unreachable), from one search.
+
+    The tree is shortest_paths_from's, with its fallback when an edge time
+    is absorbed; each destination's predecessor chain is walked straight
+    into per-tract meters, so no Route is built.
+    """
+    source, targets, tree = _tree_to(graph, origin, destinations)
+    if tree is None:
+        routes = {d: shortest_path(graph, origin, d) for d in targets}
+        return {d: None if route is None else route_tract_distances(route, edge_map)
+                for d, route in routes.items()}
+    _, pred, pred_edge, settled = tree
+    rank = graph.rank
+    meters: dict[str, dict[str, float] | None] = {}
+    for d in targets:
+        r = rank[d]
+        if not settled[r]:
+            meters[d] = None
+            continue
+        back: list[Edge] = []
+        while r != source:
+            back.append(pred_edge[r])
+            r = pred[r]
+        meters[d] = _tract_meters(back, edge_map)
+    return meters
+
+
+def _tree_to(
+    graph: Graph, origin: str, destinations: Iterable[str]
+) -> tuple[int, list[str], tuple | None]:
+    """Checked origin rank, sorted distinct destinations and _search_tree
+    from the origin to them."""
+    if origin not in graph.nodes:
+        raise ValidationError(f"unknown origin node {origin!r}")
+    targets = sorted(set(destinations))
+    for d in targets:
+        if d not in graph.nodes:
+            raise ValidationError(f"unknown destination node {d!r}")
+    rank = graph.rank
+    source = rank[origin]
+    return source, targets, _search_tree(graph, source, {rank[d] for d in targets})
+
+
 def _search_tree(
     graph: Graph, source: int, targets: set[int]
 ) -> tuple[list[float], list[int], list[Edge | None], list[bool]] | None:
@@ -296,9 +348,11 @@ def _search_tree(
 
     Returns (dist, pred, pred_edge, settled), indexed by rank: time,
     predecessor rank (-1 when none), predecessor edge, and whether the node
-    was settled; or None when an edge time was absorbed.
+    was settled; or None when an edge of a settled node had its time
+    absorbed.
     """
     adjacency = graph.rank_adjacency
+    min_edge_time = graph.min_edge_time
     n = len(adjacency)
     dist = [math.inf] * n
     pred = [-1] * n
@@ -323,14 +377,14 @@ def _search_tree(
         if settled[u]:
             continue
         settled[u] = True
+        if time + min_edge_time[u] == time and adjacency[u]:
+            return None
         if is_target[u]:
             remaining -= 1
         if not remaining:
             stop = time
         for v, edge, travel_time in adjacency[u]:
             t = time + travel_time
-            if t == time:
-                return None
             if settled[v]:
                 continue
             best = dist[v]
@@ -522,13 +576,26 @@ def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, flo
     back to total_length whenever the lengths themselves add without
     rounding.
     """
+    return _tract_meters(route.edges[::-1], edge_map)
+
+
+def _tract_meters(back: Iterable[Edge], edge_map: EdgeTractMap) -> dict[str, float]:
+    """Per-tract meters, keys sorted, over a route's edges listed from its
+    destination back to its origin. math.fsum is exact until its one final
+    rounding, so the order of a tract's terms does not matter. An edge
+    missing from the map raises for_edge's ConsistencyError for the first
+    such edge along the route."""
     parts = edge_map.parts
     contributions: dict[str, list[float]] = {}
-    for edge in route.edges:
+    missing = None
+    for edge in back:
         try:
             edge_parts = parts[edge.u, edge.v]
         except KeyError:
-            edge_parts = edge_map.for_edge(edge)  # raises ConsistencyError
+            missing = edge  # the last one seen is the first along the route
+            continue
         for tid, meters in edge_parts:
             contributions.setdefault(tid, []).append(meters)
+    if missing is not None:
+        edge_map.for_edge(missing)  # raises ConsistencyError
     return {tid: math.fsum(vals) for tid, vals in sorted(contributions.items())}

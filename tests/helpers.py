@@ -163,6 +163,38 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
+def absorbed_edge_not_first_graph() -> Graph:
+    """A graph whose absorbed edges (t + tt == t) never come first in their
+    node's adjacency, and where ignoring them changes a route.
+
+    Every node's first neighbour is "0", over a 3e16 s edge that no shortest
+    route uses. From "a", b, c, d and e all settle at 1e16 s, since every
+    0.5 s edge is absorbed there. The smallest route to d is (a, b, e, d),
+    but settling equal-time nodes by rank settles d from c first, which
+    gives (a, c, d). The nodes sit on two 1 km tracts of grid_tracts(1, 2)
+    so that the two routes cross different tracts; a and d sit on the tract
+    centroids.
+    """
+    big = 1e16
+    nodes = {
+        "0": (100.0, 100.0),
+        "a": (500.0, 500.0),
+        "b": (500.0, 900.0),
+        "c": (1900.0, 100.0),
+        "d": (1500.0, 500.0),
+        "e": (1000.0, 950.0),
+    }
+    edges = [Edge("0", nid, 3 * big, 1.0) for nid in nodes if nid != "0"]
+    edges += [
+        Edge("a", "b", big, 1.0),
+        Edge("a", "c", big, 1.0),
+        Edge("b", "e", 0.5, 1.0),
+        Edge("e", "d", 0.5, 1.0),
+        Edge("c", "d", 0.5, 1.0),
+    ]
+    return Graph(nodes, edges)
+
+
 def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
     """First containing tract by a scan of every tract box in sorted-id
     order: the rule the grid-indexed edge-tract map must keep."""

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_tracts, nearest_node_brute, simulate_reference
+from helpers import (
+    absorbed_edge_not_first_graph,
+    grid_tracts,
+    nearest_node_brute,
+    random_graph,
+    simulate_reference,
+    tie_heavy_graph,
+)
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -202,16 +209,14 @@ def test_nearest_node_empty_graph():
         nearest_node(Graph({}, []), (0.0, 0.0))
 
 
-@pytest.mark.parametrize("scenario", ["step_scenario", "gradient_scenario"])
-def test_route_traversals_matches_per_pair_routes(scenario, request):
-    sc = request.getfixturevalue(scenario)
-    trav, unreachable = route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
+def assert_traversals_match_per_pair_routes(od, tracts, graph, edge_map):
+    trav, unreachable = route_traversals(od, tracts, graph, edge_map)
     want = {}
-    for home, work in sc.od.pairs:
-        o = nearest_node_brute(sc.graph, sc.tracts.centroids[sc.tracts.index_of(home)])
-        d = nearest_node_brute(sc.graph, sc.tracts.centroids[sc.tracts.index_of(work)])
-        route = shortest_path(sc.graph, o, d)
-        want[(home, work)] = None if route is None else route_tract_distances(route, sc.edge_map)
+    for home, work in od.pairs:
+        o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
+        d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
+        route = shortest_path(graph, o, d)
+        want[(home, work)] = None if route is None else route_tract_distances(route, edge_map)
     assert list(trav) == list(want)
     for pair, per_tract in want.items():
         got = trav[pair]
@@ -220,6 +225,47 @@ def test_route_traversals_matches_per_pair_routes(scenario, request):
             assert list(got) == list(per_tract)
             assert [v.hex() for v in got.values()] == [v.hex() for v in per_tract.values()]
     assert unreachable == sum(1 for v in want.values() if v is None)
+    return trav
+
+
+@pytest.mark.parametrize("scenario", ["step_scenario", "gradient_scenario"])
+def test_route_traversals_matches_per_pair_routes(scenario, request):
+    sc = request.getfixturevalue(scenario)
+    assert_traversals_match_per_pair_routes(sc.od, sc.tracts, sc.graph, sc.edge_map)
+
+
+def all_pairs(tracts):
+    return ODTable.from_rows((h, w, 1) for h in tracts.ids for w in tracts.ids)
+
+
+def test_route_traversals_matches_per_pair_routes_random_graphs(rng):
+    # Nine tracts over fewer than twelve nodes: several tracts snap to one
+    # node (same-node pairs), and one-way edges leave pairs unreachable.
+    tracts = grid_tracts(3, 3, size=1000.0 / 3)
+    od = all_pairs(tracts)
+    for trial in range(20):
+        g = random_graph(rng, int(rng.integers(2, 12)))
+        assert_traversals_match_per_pair_routes(
+            od, tracts, g, build_edge_tract_map(g, tracts, mode="split"))
+
+
+def test_route_traversals_matches_per_pair_routes_tie_heavy_graphs(rng):
+    tracts = grid_tracts(3, 3, size=2.0)
+    od = all_pairs(tracts)
+    for trial in range(6):
+        g = tie_heavy_graph(rng, 5, 6)
+        assert_traversals_match_per_pair_routes(
+            od, tracts, g, build_edge_tract_map(g, tracts, mode="split"))
+
+
+def test_route_traversals_absorbed_edge_falls_back():
+    tracts = grid_tracts(1, 2)
+    g = absorbed_edge_not_first_graph()
+    trav = assert_traversals_match_per_pair_routes(
+        all_pairs(tracts), tracts, g, build_edge_tract_map(g, tracts))
+    # The route is (a, b, e, d); (a, c, d) would give {"T000001": 1e16}.
+    assert trav[("T000000", "T000001")] == {"T000000": 1e16, "T000001": 0.5}
+    assert trav[("T000000", "T000000")] == {}
 
 
 def test_route_traversals_counts_unreachable_pairs():

@@ -263,6 +263,55 @@ def test_load_tracts_multipolygon_skips_ring_with_bad_vertex(tmp_path):
     assert ts[0].polygon == ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 
 
+# json.load reads the bare tokens NaN, Infinity and -Infinity as floats.
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_tracts_rejects_non_finite_polygon_vertex(tmp_path, token):
+    geo = tmp_path / "t.geojson"
+    write_tracts_geojson(geo, ["A"], lambda i: [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
+    geo.write_text(geo.read_text().replace("[1, 1]", f"[1, {token}]"))
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    with pytest.raises(ValidationError,
+                       match=r"t\.geojson feature 'A': non-finite coordinate"):
+        load_tracts(str(geo), str(attrs))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_tracts_rejects_non_finite_multipolygon_part(tmp_path, token):
+    # A malformed part is skipped, but a non-finite one is an error: its area
+    # is NaN or infinite, so "keep the largest ring" has no answer.
+    geo = tmp_path / "t.geojson"
+    good = [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]
+    odd = [[50, 50], [51, 50], [51, 51], [50, 51], [50, 50]]
+    geo.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{
+            "type": "Feature",
+            "properties": {"tract_id": "A"},
+            "geometry": {"type": "MultiPolygon", "coordinates": [[good], [odd]]},
+        }],
+    }).replace("[51, 51]", f"[{token}, 51]"))
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    with pytest.raises(ValidationError,
+                       match=r"t\.geojson feature 'A': non-finite coordinate"):
+        load_tracts(str(geo), str(attrs))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_highways_rejects_non_finite_vertex(tmp_path, token):
+    p = tmp_path / "highways.geojson"
+    p.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"label": "I-5", "class": "interstate"},
+                      "geometry": {"type": "MultiLineString",
+                                   "coordinates": [[[0, 0], [1, 0]], [[2, 0], [3, 7]]]}}],
+    }).replace("[3, 7]", f"[3, {token}]"))
+    with pytest.raises(ValidationError,
+                       match=r"highways\.geojson feature 0: non-finite coordinate"):
+        load_highways(str(p))
+
+
 def test_build_design_log_transform():
     e = math.e
     ts = TractSet([

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from helpers import (
+    absorbed_edge_not_first_graph,
     build_edge_tract_map_linear,
     enumerate_best_path,
     grid_tracts,
@@ -25,6 +26,7 @@ from tracteq.network import (
     route_tract_distances,
     shortest_path,
     shortest_paths_from,
+    tract_distances_from,
 )
 
 
@@ -65,6 +67,27 @@ def test_build_graph_rejects_nan_length_or_speed(tmp_path, row):
     edges.write_text(f"u,v,length_m,speed_ms\n{row}\n")
     with pytest.raises(ValidationError, match="must be positive"):
         build_graph(str(nodes), str(edges))
+
+
+@pytest.mark.parametrize("row", ["B,nan,0", "B,0,inf", "B,-inf,0", "B,NaN,NaN"])
+def test_build_graph_rejects_non_finite_node_coordinate(tmp_path, row):
+    # One node at (nan, 0) would be the nearest node to every point, so every
+    # OD endpoint would snap to it.
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(f"id,x,y\nA,0,0\n{row}\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\nA,B,100,10\n")
+    with pytest.raises(ValidationError, match=r"nodes\.csv line 3: non-finite coordinate"):
+        build_graph(str(nodes), str(edges))
+
+
+def test_build_graph_accepts_infinite_length_and_speed(tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\nA,B,inf,10\nB,A,100,inf\n")
+    g = build_graph(str(nodes), str(edges))
+    assert [e.travel_time for e in g.edges] == [math.inf, 0.0]
 
 
 def test_graph_rejects_duplicate_edge():
@@ -315,6 +338,72 @@ def test_shortest_paths_from_unreachable_and_same_node():
         shortest_paths_from(g, "A", ["Z"])
     with pytest.raises(ValidationError, match="unknown origin"):
         shortest_paths_from(g, "Z", ["A"])
+
+
+def assert_same_tract_distances(graph, origin, destinations, edge_map):
+    got = tract_distances_from(graph, origin, destinations, edge_map)
+    assert list(got) == sorted(set(destinations))
+    for dest, meters in got.items():
+        route = shortest_path(graph, origin, dest)
+        if route is None:
+            assert meters is None, (origin, dest)
+            continue
+        want = route_tract_distances(route, edge_map)
+        assert list(meters) == list(want), (origin, dest)
+        assert [v.hex() for v in meters.values()] == [v.hex() for v in want.values()]
+
+
+def test_tract_distances_from_matches_route_tract_distances_random(rng):
+    # Split attribution over four tracts gives most edges several parts;
+    # one-way edges leave some pairs unreachable, and each origin is also
+    # its own destination.
+    tracts = grid_tracts(2, 2, size=500.0)
+    for trial in range(30):
+        g = random_graph(rng, int(rng.integers(2, 12)))
+        em = build_edge_tract_map(g, tracts, mode="split")
+        ids = sorted(g.nodes)
+        for origin in ids:
+            assert_same_tract_distances(g, origin, ids, em)
+
+
+def test_tract_distances_from_matches_route_tract_distances_tie_heavy(rng):
+    tracts = grid_tracts(3, 3, size=2.0)
+    for trial in range(6):
+        g = tie_heavy_graph(rng, 5, 6)
+        em = build_edge_tract_map(g, tracts, mode="split")
+        ids = sorted(g.nodes)
+        for origin in ids:
+            assert_same_tract_distances(g, origin, ids, em)
+        for origin in ids[::7]:
+            assert_same_tract_distances(g, origin, [ids[-1], ids[len(ids) // 2], origin], em)
+
+
+def test_tract_distances_from_absorbed_edge_falls_back():
+    tracts = grid_tracts(1, 2)
+    g = absorbed_edge_not_first_graph()
+    em = build_edge_tract_map(g, tracts)
+    ids = sorted(g.nodes)
+    for origin in ids:
+        assert_same_tract_distances(g, origin, ids, em)
+    # The absorbed edge b->e comes after b->0 and b->a: only a check against
+    # each node's smallest edge time sees it.
+    assert network._search_tree(g, g.rank["a"], {g.rank["d"]}) is None
+    assert shortest_paths_from(g, "a", ["d"])["d"].nodes == ("a", "b", "e", "d")
+    assert tract_distances_from(g, "a", ["d"], em) == {
+        "d": {"T000000": 1e16, "T000001": 0.5}
+    }
+
+
+def test_tract_distances_from_missing_edge_names_first_along_route():
+    nodes = {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0), "D": (3.0, 0.0)}
+    g = Graph(nodes, [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 1.0, 1.0),
+                      Edge("C", "D", 1.0, 1.0)])
+    em = build_edge_tract_map(g, grid_tracts(1, 1))
+    del em.parts["B", "C"], em.parts["C", "D"]
+    with pytest.raises(ConsistencyError, match="B->C"):
+        tract_distances_from(g, "A", ["D"], em)
+    with pytest.raises(ConsistencyError, match="B->C"):
+        route_tract_distances(shortest_path(g, "A", "D"), em)
 
 
 def test_route_time_scales_with_speed():
