@@ -15,7 +15,7 @@ from typing import Iterable
 from .commute import TraversalTable
 from .data_model import HighwayNetworkGeom, TractSet
 from .errors import ValidationError
-from .geometry import polyline_intersects_polygon, polyline_polygon_distance
+from .geometry import polyline_intersects_polygon
 
 log = logging.getLogger(__name__)
 
@@ -84,12 +84,10 @@ def corridor_subset(
     tracts: TractSet,
     highways: HighwayNetworkGeom,
     route_label: str,
-    buffer_m: float = 0.0,
 ) -> tuple[str, ...]:
     """Tracts whose polygon intersects any polyline with the given label.
 
-    Touching counts as intersecting. A positive buffer_m widens the test to
-    tracts within that distance of the polyline.
+    Touching counts as intersecting.
     """
     lines = [line for line in highways.polylines if line.label == route_label]
     if not lines:
@@ -99,12 +97,6 @@ def corridor_subset(
         )
     hits: list[str] = []
     for tract in tracts:
-        for line in lines:
-            if buffer_m > 0.0:
-                if polyline_polygon_distance(line.points, tract.polygon) <= buffer_m:
-                    hits.append(tract.tract_id)
-                    break
-            elif polyline_intersects_polygon(line.points, tract.polygon):
-                hits.append(tract.tract_id)
-                break
+        if any(polyline_intersects_polygon(line.points, tract.polygon) for line in lines):
+            hits.append(tract.tract_id)
     return tuple(sorted(hits))

@@ -126,22 +126,6 @@ def segment_param_hits(p0: Point, p1: Point, a: Point, b: Point, eps: float = EP
     return [lo, hi] if hi > lo else [lo]
 
 
-def segments_intersect(p0: Point, p1: Point, a: Point, b: Point, eps: float = EPS) -> bool:
-    """True when the closed segments share at least one point (touching counts)."""
-    return bool(segment_param_hits(p0, p1, a, b, eps))
-
-
-def segment_segment_distance(p0: Point, p1: Point, a: Point, b: Point) -> float:
-    if segments_intersect(p0, p1, a, b):
-        return 0.0
-    return min(
-        point_segment_distance(p0, a, b),
-        point_segment_distance(p1, a, b),
-        point_segment_distance(a, p0, p1),
-        point_segment_distance(b, p0, p1),
-    )
-
-
 def segment_polygon_breakpoints(p0: Point, p1: Point, points: Sequence[Point]) -> list[float]:
     """All parameters where p0->p1 crosses or touches the polygon boundary."""
     hits: list[float] = []
@@ -161,19 +145,6 @@ def polyline_intersects_polygon(line: Sequence[Point], points: Sequence[Point]) 
     if len(line) == 1:
         return point_in_polygon(line[0], points)
     return any(segment_intersects_polygon(a, b, points) for a, b in zip(line, line[1:]))
-
-
-def polyline_polygon_distance(line: Sequence[Point], points: Sequence[Point]) -> float:
-    """Minimum distance between a polyline and the closed polygon region."""
-    if polyline_intersects_polygon(line, points):
-        return 0.0
-    edges = list(zip(points, points[1:] + points[:1]))
-    best = math.inf
-    segs = [(line[0], line[0])] if len(line) == 1 else list(zip(line, line[1:]))
-    for p0, p1 in segs:
-        for a, b in edges:
-            best = min(best, segment_segment_distance(p0, p1, a, b))
-    return best
 
 
 def bounding_box(points: Sequence[Point]) -> tuple[float, float, float, float]:

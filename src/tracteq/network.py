@@ -5,11 +5,11 @@ ties between equal-time routes by lexicographic node-id sequence so every
 aggregate downstream is reproducible.
 
 shortest_path carries each candidate's whole node path and is the oracle.
-shortest_paths_from serves many destinations from one Dijkstra tree over
+tract_distances_from serves many destinations from one Dijkstra tree over
 node ranks (an id's index in sorted-id order, so ranks compare as ids do):
-the tree keeps no paths, and a tie on time is broken on demand by walking
-both candidates up to their common ancestor. tract_distances_from reads
-per-tract meters off the same tree without building routes.
+the tree keeps no paths, a tie on time is broken on demand by walking both
+candidates up to their common ancestor, and per-tract meters are read off
+the tree without building routes.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class Graph:
             min((tt for _, _, tt in adj), default=math.inf) for adj in self.rank_adjacency
         )
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
-
-    def node_ids(self) -> tuple[str, ...]:
-        """Node ids in sorted order; a node's rank is its index here."""
-        return self._ids
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
         """Node ids in sorted order and their (n, 2) coordinates in that
@@ -248,68 +244,35 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     return None
 
 
-def shortest_paths_from(
-    graph: Graph, origin: str, destinations: Iterable[str]
-) -> dict[str, Route | None]:
-    """shortest_path from one origin to each destination, from one search.
+def tract_distances_from(
+    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
+) -> dict[str, dict[str, float] | None]:
+    """route_tract_distances of shortest_path from one origin to each
+    destination (None when unreachable), keyed by the sorted distinct
+    destinations, from one search.
 
     Lexicographically smallest shortest paths have the prefix property, so
-    one tie-broken Dijkstra tree serves every destination; it stops once all
-    of them are settled. The tree runs over node ranks (Graph.rank) and keeps
-    only each node's time, predecessor, predecessor edge and depth; a tie on
-    time is broken by walking both candidates up to their common ancestor
-    (see _tie_prefers). Node paths are built for the destinations only, by
-    walking predecessors. Each route equals shortest_path's exactly: nodes,
-    edges and bit-identical totals. When an edge time is absorbed
+    one tie-broken Dijkstra tree (_search_tree) serves every destination;
+    each destination's predecessor chain is walked straight into per-tract
+    meters, so no Route is built. When an edge time is absorbed
     (t + tt == t), the tie-break would depend on the order equal-time nodes
     settle in, so that origin falls back to one shortest_path per
     destination.
     """
-    source, targets, tree = _tree_to(graph, origin, destinations)
-    if tree is None:
-        return {d: shortest_path(graph, origin, d) for d in targets}
-    dist, pred, pred_edge, settled = tree
-    ids = graph.node_ids()
-    rank = graph.rank
-    routes: dict[str, Route | None] = {}
+    if origin not in graph.nodes:
+        raise ValidationError(f"unknown origin node {origin!r}")
+    targets = sorted(set(destinations))
     for d in targets:
-        r = rank[d]
-        if not settled[r]:
-            routes[d] = None
-            continue
-        time = dist[r]
-        nodes = [d]
-        edges: list[Edge] = []
-        while r != source:
-            edges.append(pred_edge[r])
-            r = pred[r]
-            nodes.append(ids[r])
-        nodes.reverse()
-        edges.reverse()
-        total_length = 0.0
-        for e in edges:
-            total_length += e.length
-        routes[d] = Route(origin, d, tuple(nodes), tuple(edges), time, total_length)
-    return routes
-
-
-def tract_distances_from(
-    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
-) -> dict[str, dict[str, float] | None]:
-    """route_tract_distances of the shortest path from one origin to each
-    destination (None when unreachable), from one search.
-
-    The tree is shortest_paths_from's, with its fallback when an edge time
-    is absorbed; each destination's predecessor chain is walked straight
-    into per-tract meters, so no Route is built.
-    """
-    source, targets, tree = _tree_to(graph, origin, destinations)
+        if d not in graph.nodes:
+            raise ValidationError(f"unknown destination node {d!r}")
+    rank = graph.rank
+    source = rank[origin]
+    tree = _search_tree(graph, source, {rank[d] for d in targets})
     if tree is None:
         routes = {d: shortest_path(graph, origin, d) for d in targets}
         return {d: None if route is None else route_tract_distances(route, edge_map)
                 for d, route in routes.items()}
     _, pred, pred_edge, settled = tree
-    rank = graph.rank
     meters: dict[str, dict[str, float] | None] = {}
     for d in targets:
         r = rank[d]
@@ -322,22 +285,6 @@ def tract_distances_from(
             r = pred[r]
         meters[d] = _tract_meters(back, edge_map)
     return meters
-
-
-def _tree_to(
-    graph: Graph, origin: str, destinations: Iterable[str]
-) -> tuple[int, list[str], tuple | None]:
-    """Checked origin rank, sorted distinct destinations and _search_tree
-    from the origin to them."""
-    if origin not in graph.nodes:
-        raise ValidationError(f"unknown origin node {origin!r}")
-    targets = sorted(set(destinations))
-    for d in targets:
-        if d not in graph.nodes:
-            raise ValidationError(f"unknown destination node {d!r}")
-    rank = graph.rank
-    source = rank[origin]
-    return source, targets, _search_tree(graph, source, {rank[d] for d in targets})
 
 
 def _search_tree(

@@ -195,6 +195,19 @@ def absorbed_edge_not_first_graph() -> Graph:
     return Graph(nodes, edges)
 
 
+def edge_identity_map(graph: Graph) -> EdgeTractMap:
+    """An edge-tract map that gives each edge its own zone, "u>v", with the
+    edge's full length.
+
+    Per-zone meters of a route under this map name its edge set, and on a
+    simple path from a fixed origin the edge set fixes the node sequence: two
+    routes' meters are equal exactly when the routes are.
+    """
+    return EdgeTractMap(
+        {e.key: ((f"{e.u}>{e.v}", e.length),) for e in graph.edges}, "midpoint"
+    )
+
+
 def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
     """First containing tract by a scan of every tract box in sorted-id
     order: the rule the grid-indexed edge-tract map must keep."""

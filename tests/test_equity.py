@@ -163,16 +163,12 @@ def test_corridor_unknown_label_lists_available():
         corridor_subset(ts, hw, "H9")
 
 
-def test_corridor_buffer_reaches_nearby_tracts():
+def test_corridor_excludes_nearby_tracts():
     ts = grid_tracts(1, 3)
     hw = HighwayNetworkGeom((
         HighwayPolyline("H1", "interstate", ((100.0, 500.0), (900.0, 500.0))),
     ))
     assert corridor_subset(ts, hw, "H1") == ("T000000",)
-    assert corridor_subset(ts, hw, "H1", buffer_m=200.0) == ("T000000", "T000001")
-    assert corridor_subset(ts, hw, "H1", buffer_m=1200.0) == (
-        "T000000", "T000001", "T000002",
-    )
 
 
 def test_corridor_multiple_lines_same_label():

@@ -13,11 +13,8 @@ from tracteq.geometry import (
     polygon_area,
     polygon_centroid,
     polyline_intersects_polygon,
-    polyline_polygon_distance,
     segment_param_hits,
     segment_polygon_breakpoints,
-    segment_segment_distance,
-    segments_intersect,
 )
 from tracteq.network import OUTSIDE_ZONE, Edge, Graph, build_edge_tract_map
 
@@ -155,19 +152,6 @@ def test_segment_param_hits_endpoint_touch():
     assert hits == [1.0]
 
 
-def test_segments_intersect_cases():
-    assert segments_intersect((0.0, 0.0), (2.0, 2.0), (0.0, 2.0), (2.0, 0.0))
-    assert not segments_intersect((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
-    # touching at an endpoint counts
-    assert segments_intersect((0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 0.0))
-
-
-def test_segment_segment_distance():
-    d = segment_segment_distance((0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (1.0, 2.0))
-    assert d == 2.0
-    assert segment_segment_distance((0.0, 0.0), (2.0, 2.0), (0.0, 2.0), (2.0, 0.0)) == 0.0
-
-
 def test_breakpoints_crossing_square():
     ts = segment_polygon_breakpoints((-1.0, 0.5), (2.0, 0.5), SQUARE)
     assert ts == [pytest.approx(1.0 / 3.0), pytest.approx(2.0 / 3.0)]
@@ -221,14 +205,6 @@ def test_polyline_intersects_polygon():
     assert not polyline_intersects_polygon(((-1.0, 2.0), (2.0, 2.5)), SQUARE)
     # touching a corner counts
     assert polyline_intersects_polygon(((1.0, 1.0), (2.0, 2.0)), SQUARE)
-
-
-def test_polyline_polygon_distance():
-    assert polyline_polygon_distance(((-1.0, 0.5), (2.0, 0.5)), SQUARE) == 0.0
-    d = polyline_polygon_distance(((0.0, 3.0), (1.0, 3.0)), SQUARE)
-    assert d == 2.0
-    # interior polyline has distance 0 even without edge crossings
-    assert polyline_polygon_distance(((0.4, 0.5), (0.6, 0.5)), SQUARE) == 0.0
 
 
 def test_bounding_box_and_overlap():

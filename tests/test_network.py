@@ -8,6 +8,7 @@ import helpers
 from helpers import (
     absorbed_edge_not_first_graph,
     build_edge_tract_map_linear,
+    edge_identity_map,
     enumerate_best_path,
     grid_tracts,
     random_graph,
@@ -25,7 +26,6 @@ from tracteq.network import (
     build_graph,
     route_tract_distances,
     shortest_path,
-    shortest_paths_from,
     tract_distances_from,
 )
 
@@ -195,13 +195,26 @@ def test_shortest_path_matches_enumeration_small_random(rng):
             assert got.edges == want[2]
 
 
-def assert_same_routes(graph, origin, routes):
-    for dest, got in routes.items():
-        want = shortest_path(graph, origin, dest)
-        assert got == want, (origin, dest)
-        if want is not None:
-            assert got.total_time.hex() == want.total_time.hex()
-            assert got.total_length.hex() == want.total_length.hex()
+def assert_same_tract_distances(graph, origin, destinations, edge_map):
+    got = tract_distances_from(graph, origin, destinations, edge_map)
+    assert list(got) == sorted(set(destinations))
+    for dest, meters in got.items():
+        route = shortest_path(graph, origin, dest)
+        if route is None:
+            assert meters is None, (origin, dest)
+            continue
+        want = route_tract_distances(route, edge_map)
+        assert list(meters) == list(want), (origin, dest)
+        assert [v.hex() for v in meters.values()] == [v.hex() for v in want.values()]
+
+
+# The routing tree's shortest paths from one origin, read through
+# tract_distances_from under edge_identity_map: each edge is its own zone, so
+# meters equal to the oracle's mean the tree took shortest_path's route.
+
+
+def assert_same_routes(graph, origin, destinations):
+    assert_same_tract_distances(graph, origin, destinations, edge_identity_map(graph))
 
 
 def test_shortest_paths_from_matches_shortest_path_random(rng):
@@ -209,9 +222,7 @@ def test_shortest_paths_from_matches_shortest_path_random(rng):
         g = random_graph(rng, int(rng.integers(2, 12)))
         ids = sorted(g.nodes)
         for origin in ids:
-            routes = shortest_paths_from(g, origin, ids)
-            assert sorted(routes) == ids
-            assert_same_routes(g, origin, routes)
+            assert_same_routes(g, origin, ids)
 
 
 def test_shortest_paths_from_matches_shortest_path_tie_heavy(rng):
@@ -219,11 +230,10 @@ def test_shortest_paths_from_matches_shortest_path_tie_heavy(rng):
         g = tie_heavy_graph(rng, 5, 6)
         ids = sorted(g.nodes)
         for origin in ids:
-            assert_same_routes(g, origin, shortest_paths_from(g, origin, ids))
+            assert_same_routes(g, origin, ids)
         # a few destinations only: the search stops early
         for origin in ids[::7]:
-            dests = [ids[-1], ids[len(ids) // 2], origin]
-            assert_same_routes(g, origin, shortest_paths_from(g, origin, dests))
+            assert_same_routes(g, origin, [ids[-1], ids[len(ids) // 2], origin])
 
 
 def test_shortest_paths_from_ranks_follow_string_order(rng):
@@ -236,9 +246,9 @@ def test_shortest_paths_from_ranks_follow_string_order(rng):
         rename = dict(zip(base.nodes, labels))
         g = Graph({rename[k]: xy for k, xy in base.nodes.items()},
                   [dataclasses.replace(e, u=rename[e.u], v=rename[e.v]) for e in base.edges])
-        assert g.node_ids() == tuple(sorted(labels))
+        assert g.rank == {nid: r for r, nid in enumerate(sorted(labels))}
         for origin in labels:
-            assert_same_routes(g, origin, shortest_paths_from(g, origin, labels))
+            assert_same_routes(g, origin, labels)
 
 
 def test_shortest_paths_from_prefix_tie_break():
@@ -251,10 +261,10 @@ def test_shortest_paths_from_prefix_tie_break():
         Edge("B", "C", 10.0, 10.0),
         Edge("C", "D", 10.0, 10.0),
     ])
-    routes = shortest_paths_from(g, "A", ["C", "D"])
-    assert routes["C"].nodes == ("A", "B", "C")
-    assert routes["D"].nodes == ("A", "B", "C", "D")
-    assert_same_routes(g, "A", routes)
+    meters = tract_distances_from(g, "A", ["C", "D"], edge_identity_map(g))
+    assert meters["C"] == {"A>B": 10.0, "B>C": 10.0}
+    assert meters["D"] == {"A>B": 10.0, "B>C": 10.0, "C>D": 10.0}
+    assert_same_routes(g, "A", ["C", "D"])
 
 
 def test_shortest_paths_from_absorbed_edge_falls_back(monkeypatch):
@@ -269,6 +279,7 @@ def test_shortest_paths_from_absorbed_edge_falls_back(monkeypatch):
         Edge("D", "E", 1.0, 1.0),
     ])
     assert 1e6 + g.edges[1].travel_time == 1e6
+    em = edge_identity_map(g)
     calls = []
     real = network.shortest_path
 
@@ -277,15 +288,15 @@ def test_shortest_paths_from_absorbed_edge_falls_back(monkeypatch):
         return real(graph, origin, destination)
 
     monkeypatch.setattr(network, "shortest_path", counting)
-    routes = shortest_paths_from(g, "A", ["C", "D"])
+    meters = tract_distances_from(g, "A", ["C", "D"], em)
     assert sorted(calls) == [("A", "C"), ("A", "D")]
     monkeypatch.undo()
-    assert routes["C"].nodes == ("A", "B", "C")
-    assert_same_routes(g, "A", routes)
+    assert meters["C"] == {"A>B": 1e6, "B>C": 1e-30}
+    assert_same_routes(g, "A", ["C", "D"])
     # the search for E stops before it reaches the absorbed edge: no fallback
     calls.clear()
     monkeypatch.setattr(network, "shortest_path", counting)
-    assert shortest_paths_from(g, "D", ["E"])["E"].nodes == ("D", "E")
+    assert tract_distances_from(g, "D", ["E"], em) == {"E": {"D>E": 1.0}}
     assert calls == []
 
 
@@ -300,9 +311,9 @@ def test_shortest_paths_from_absorbed_edge_into_settled_target():
         Edge("B", "Z", 5e5, 1.0),
         Edge("Z", "D", 1e-30, 1.0, oneway=True),
     ])
-    routes = shortest_paths_from(g, "O", ["D"])
-    assert routes["D"].nodes == ("O", "B", "Z", "D")
-    assert_same_routes(g, "O", routes)
+    meters = tract_distances_from(g, "O", ["D"], edge_identity_map(g))
+    assert meters["D"] == {"B>Z": 5e5, "O>B": 5e5, "Z>D": 1e-30}
+    assert_same_routes(g, "O", ["D"])
 
 
 def test_shortest_paths_from_infinite_time():
@@ -312,15 +323,16 @@ def test_shortest_paths_from_infinite_time():
         Edge("A", "B", math.inf, 1.0, oneway=True),
         Edge("A", "C", 1.0, 1.0),
     ])
-    routes = shortest_paths_from(g, "A", ["B", "C"])
-    assert routes["B"].total_time == math.inf
-    assert_same_routes(g, "A", routes)
+    meters = tract_distances_from(g, "A", ["B", "C"], edge_identity_map(g))
+    assert meters["B"] == {"A>B": math.inf}
+    assert_same_routes(g, "A", ["B", "C"])
 
 
 def test_shortest_paths_from_no_destinations_and_origin_only():
     g = diamond_graph()
-    assert shortest_paths_from(g, "A", []) == {}
-    assert shortest_paths_from(g, "A", ["A"]) == {"A": shortest_path(g, "A", "A")}
+    em = edge_identity_map(g)
+    assert tract_distances_from(g, "A", [], em) == {}
+    assert tract_distances_from(g, "A", ["A"], em) == {"A": {}}
     # With no targets the tree stops right after settling the source.
     dist, pred, pred_edge, settled = network._search_tree(g, g.rank["A"], set())
     assert settled == [r == g.rank["A"] for r in range(len(g.nodes))]
@@ -329,28 +341,30 @@ def test_shortest_paths_from_no_destinations_and_origin_only():
 def test_shortest_paths_from_unreachable_and_same_node():
     nodes = {"A": (0, 0), "B": (1, 0), "C": (5, 5)}
     g = Graph(nodes, [Edge("A", "B", 1.0, 1.0, oneway=True)])
-    routes = shortest_paths_from(g, "A", ["A", "B", "C"])
-    assert routes["C"] is None
-    assert routes["A"] == shortest_path(g, "A", "A")
-    assert_same_routes(g, "A", routes)
-    assert shortest_paths_from(g, "B", ["A"]) == {"A": None}
+    em = edge_identity_map(g)
+    assert tract_distances_from(g, "A", ["A", "B", "C"], em) == {
+        "A": {}, "B": {"A>B": 1.0}, "C": None,
+    }
+    assert_same_routes(g, "A", ["A", "B", "C"])
+    assert tract_distances_from(g, "B", ["A"], em) == {"A": None}
     with pytest.raises(ValidationError, match="unknown destination"):
-        shortest_paths_from(g, "A", ["Z"])
+        tract_distances_from(g, "A", ["Z"], em)
     with pytest.raises(ValidationError, match="unknown origin"):
-        shortest_paths_from(g, "Z", ["A"])
+        tract_distances_from(g, "Z", ["A"], em)
 
 
-def assert_same_tract_distances(graph, origin, destinations, edge_map):
-    got = tract_distances_from(graph, origin, destinations, edge_map)
-    assert list(got) == sorted(set(destinations))
-    for dest, meters in got.items():
-        route = shortest_path(graph, origin, dest)
-        if route is None:
-            assert meters is None, (origin, dest)
-            continue
-        want = route_tract_distances(route, edge_map)
-        assert list(meters) == list(want), (origin, dest)
-        assert [v.hex() for v in meters.values()] == [v.hex() for v in want.values()]
+def test_edge_identity_map_sees_a_wrong_tie_break(monkeypatch, rng):
+    # The tests above compare routes by their per-edge meters: a tie-break
+    # that is reversed, or that never replaces a predecessor, must fail them.
+    real = network._tie_prefers
+    graphs = [tie_heavy_graph(rng, 5, 6) for _ in range(3)]
+    for mutant in (lambda *args: not real(*args), lambda *args: False):
+        monkeypatch.setattr(network, "_tie_prefers", mutant)
+        with pytest.raises(AssertionError):
+            for g in graphs:
+                ids = sorted(g.nodes)
+                for origin in ids:
+                    assert_same_routes(g, origin, ids)
 
 
 def test_tract_distances_from_matches_route_tract_distances_random(rng):
@@ -388,7 +402,9 @@ def test_tract_distances_from_absorbed_edge_falls_back():
     # The absorbed edge b->e comes after b->0 and b->a: only a check against
     # each node's smallest edge time sees it.
     assert network._search_tree(g, g.rank["a"], {g.rank["d"]}) is None
-    assert shortest_paths_from(g, "a", ["d"])["d"].nodes == ("a", "b", "e", "d")
+    assert tract_distances_from(g, "a", ["d"], edge_identity_map(g)) == {
+        "d": {"a>b": 1e16, "b>e": 0.5, "e>d": 0.5}
+    }
     assert tract_distances_from(g, "a", ["d"], em) == {
         "d": {"T000000": 1e16, "T000001": 0.5}
     }

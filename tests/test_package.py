@@ -4,6 +4,7 @@ Every run stage is its own process, and each one pays for the modules it
 imports, so loading a stage's inputs must not import the analysis modules.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -90,6 +91,24 @@ def test_every_exported_name_is_its_module_attribute():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tracteq.no_such_name
-    assert not hasattr(tracteq, "shortest_paths_from")  # defined, but not exported
+    assert callable(tracteq.network.tract_distances_from)
+    assert not hasattr(tracteq, "tract_distances_from")  # defined, but not exported
     with pytest.raises(ImportError):
         exec("from tracteq import no_such_name", {})
+
+
+def test_traced_layers_name_package_functions():
+    # bench/traced_run.py times each "<module>.<function>" of LAYERS; one that
+    # no longer resolves is only reported as "layers not found" and its
+    # per-layer metrics read 0. LAYERS is read from the source, not imported.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "traced_run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    assert layers
+    for layer in layers:
+        module_name, func_name = layer.split(".")
+        module = importlib.import_module(f"tracteq.{module_name}")
+        assert callable(getattr(module, func_name, None)), layer
