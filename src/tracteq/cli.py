@@ -2,12 +2,14 @@
 
 The analysis is one table of stages, STAGES: ingest, ols, gwr, simulate,
 equity and report. `run` executes the table in order and each stage
-subcommand executes its own row. Every artifact carries the toolkit version,
-the config hash and the seed (a `#` header line, an XML comment on an SVG's
-first line, or a `meta` object in JSON and GeoJSON). A stage refuses to read
-an artifact written under another config, and `run` first deletes every file
-in the out dir that another config wrote and this run does not write.
-Numeric cells are written with repr so identical runs are byte-identical
+subcommand executes its own row. A stage imports the analysis modules it
+runs (gwr, ols, equity, report) when it runs, so a stage subcommand loads
+only its own. Every artifact carries the toolkit version, the config hash
+and the seed (a `#` header line, an XML comment on an SVG's first line, or
+a `meta` object in JSON and GeoJSON). A stage refuses to read an artifact
+written under another config, and `run` first deletes every file in the
+out dir that another config wrote and this run does not write. Numeric
+cells are written with repr so identical runs are byte-identical
 regardless of worker count.
 """
 
@@ -47,18 +49,8 @@ from .data_model import (
     load_tracts,
     with_column,
 )
-from .equity import corridor_subset, inequity_index, population_weighted_mean
 from .errors import TracteqError, ValidationError
-from .gwr import GwrSummary, KernelSpec, fit_gwr, select_bandwidth, summarize_gwr
 from .network import build_edge_tract_map, build_graph, route_tract_distances, shortest_path
-from .ols import OlsFit, fit_ols
-from .report import (
-    format_equity_summary,
-    format_gwr_table,
-    format_ols_table,
-    svg_choropleth,
-    tracts_to_geojson,
-)
 
 if TYPE_CHECKING:
     from .synth import Scenario
@@ -202,6 +194,8 @@ def _stage_ingest(ctx: Context) -> str:
 
 
 def _stage_ols(ctx: Context) -> str:
+    from .ols import fit_ols
+
     tracts, _ = ctx.layers
     models = _selected(ctx, "ols")
     for model in models:
@@ -224,6 +218,9 @@ def _stage_ols(ctx: Context) -> str:
 
 
 def _stage_gwr(ctx: Context) -> str:
+    from .gwr import KernelSpec, fit_gwr, select_bandwidth, summarize_gwr
+    from .report import format_gwr_table, tracts_to_geojson
+
     cfg = ctx.cfg
     tracts, _ = ctx.layers
     models = _selected(ctx, "gwr")
@@ -297,6 +294,9 @@ def _stage_simulate(ctx: Context) -> str:
 
 
 def _stage_equity(ctx: Context) -> str:
+    from .equity import corridor_subset, inequity_index, population_weighted_mean
+    from .report import format_equity_summary, svg_choropleth, tracts_to_geojson
+
     tracts, highways = ctx.layers
     index = inequity_index(read_traversal(_artifact(ctx, "traversal.csv")))
     groups = [ctx.group] if ctx.group else list(GROUPS)
@@ -347,6 +347,10 @@ def _stage_equity(ctx: Context) -> str:
 
 
 def _stage_report(ctx: Context) -> str:
+    from .gwr import GwrSummary
+    from .ols import OlsFit
+    from .report import format_gwr_table, format_ols_table
+
     models = ctx.cfg.models
     sections = [f"# {ctx.header}"]
     ols_fits = [

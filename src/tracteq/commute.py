@@ -1,20 +1,25 @@
 """Commute microsimulation: OD trips, demographic labels, per-tract distance.
 
 Trips route once per origin-destination pair (free-flow routing makes every
-worker on a pair take the same path), from one routing tree per origin node.
-Group labels come either from a deterministic fractional split or from
-counter-based coin flips keyed by (seed, home, work, worker index), so
-bernoulli draws never depend on iteration or parallel order.
+worker on a pair take the same path), from one routing tree per home tract.
+simulate adds each home's routes into the per-tract sums as soon as its tree
+is read, so beyond the OD table and its trip weights (~0.57 KB per pair) its
+memory does not grow with the number of pairs. Group labels come either
+from a deterministic fractional split or from counter-based coin flips
+keyed by (seed, home, work, worker index), so bernoulli draws never depend
+on iteration or parallel order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import math
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -116,7 +121,7 @@ def assign_groups(
     if mode not in ("bernoulli", "fractional"):
         raise ValueError(f"unknown assignment mode {mode!r}")
     share_by_id: dict[str, float] = {}
-    for home in {h for h, _, _ in od.rows}:
+    for home in sorted({h for h, _, _ in od.rows}):
         if home not in tracts:
             raise ValidationError(f"OD home tract {home!r} not in tract set")
         t = tracts[tracts.index_of(home)]
@@ -227,6 +232,31 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
+def _home_routes(
+    od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap
+) -> Iterator[tuple[tuple[str, str], dict[str, float] | None]]:
+    """Yield ((home, work), {tract_id: meters} or None) for od's rows in
+    order, from one routing tree per home tract (its rows are consecutive),
+    so only one home's meters are alive at a time."""
+    node_for = {
+        tid: nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tid)]))
+        for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})
+    }
+    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
+        works = [w for _, w, _ in rows]
+        meters = tract_distances_from(
+            graph, node_for[home], {node_for[w] for w in works}, edge_map
+        )
+        for work in works:
+            yield (home, work), meters[node_for[work]]
+
+
+def _log_unreachable(n_unreachable: int, n_pairs: int) -> None:
+    if n_unreachable:
+        level = logging.WARNING if n_unreachable > 0.05 * n_pairs else logging.INFO
+        log.log(level, "%d of %d OD pairs unreachable", n_unreachable, n_pairs)
+
+
 def route_traversals(
     od: ODTable,
     tracts: TractSet,
@@ -238,33 +268,12 @@ def route_traversals(
 
     Returns a map from pair to {tract_id: meters} (None when unreachable)
     plus the unreachable count. Pairs whose endpoints snap to the same node
-    yield an empty route and contribute nothing. Each origin node gets one
-    routing tree (network.tract_distances_from) serving all its pairs;
-    `workers` is accepted for compatibility and does not change routing.
+    yield an empty route and contribute nothing. `workers` is accepted for
+    compatibility and does not change routing.
     """
-    node_for: dict[str, str] = {}
-    for tid in sorted({t for h, w, _ in od.rows for t in (h, w)}):
-        centroid = tuple(tracts.centroids[tracts.index_of(tid)])
-        node_for[tid] = nearest_node(graph, centroid)
-
-    by_origin: dict[str, list[tuple[str, str]]] = {}
-    for home, work in od.pairs:
-        by_origin.setdefault(node_for[home], []).append((home, work))
-    found: dict[tuple[str, str], dict[str, float] | None] = {}
-    for origin, pairs in by_origin.items():
-        meters = tract_distances_from(
-            graph, origin, {node_for[w] for _, w in pairs}, edge_map
-        )
-        for home, work in pairs:
-            found[(home, work)] = meters[node_for[work]]
-
-    pairs = od.pairs
-    traversals = {pair: found[pair] for pair in pairs}
+    traversals = dict(_home_routes(od, tracts, graph, edge_map))
     unreachable = sum(1 for r in traversals.values() if r is None)
-    if unreachable > 0.05 * len(pairs):
-        log.warning("%d of %d OD pairs unreachable", unreachable, len(pairs))
-    elif unreachable:
-        log.info("%d of %d OD pairs unreachable", unreachable, len(pairs))
+    _log_unreachable(unreachable, len(traversals))
     return traversals, unreachable
 
 
@@ -284,29 +293,24 @@ def simulate(
     bit-identical across reruns and worker counts. By default the home tract
     counts among the traversed tracts; exclude_home drops its distance
     contribution (commuter counts keep the home tract either way).
-    Precomputed traversals may be passed to amortize routing across repeated
-    assignments.
+    Routes are added as each home's tree is read, or taken from precomputed
+    traversals (route_traversals) to amortize routing across assignments.
     """
-    if traversals is None:
-        traversals, n_unreachable = route_traversals(
-            od, tracts, graph, edge_map, workers=workers
-        )
-    else:
-        n_unreachable = sum(
-            1 for h, w, _ in od.rows if traversals.get((h, w)) is None
-        )
+    routes = (_home_routes(od, tracts, graph, edge_map) if traversals is None
+              else (((h, w), traversals.get((h, w))) for h, w, _ in od.rows))
 
     # Each row starts at 0.0 for every group and takes the pairs' additions
     # in sorted pair order; a D row is made only for a nonzero weight.
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
+    n_unreachable = 0
     weights = assignment.weights
-    for home, work, _count in od.rows:  # already sorted by (home, work)
+    for (home, work), per_tract in routes:
         by_group = weights.get((home, work))
         if by_group is None:
             raise ValidationError(f"no assignment for OD pair {home}->{work}")
-        per_tract = traversals.get((home, work))
         if per_tract is None:
+            n_unreachable += 1
             continue
         row = C.get(home)
         if row is None:
@@ -325,11 +329,6 @@ def simulate(
                 row = D[tid] = dict.fromkeys(GROUPS, 0.0)
             for g, w in nonzero:
                 row[g] += w * km
-
-    return TraversalTable(
-        groups=GROUPS,
-        D=D,
-        C=C,
-        n_pairs=len(od.rows),
-        n_unreachable=n_unreachable,
-    )
+    _log_unreachable(n_unreachable, len(od.rows))
+    return TraversalTable(groups=GROUPS, D=D, C=C, n_pairs=len(od.rows),
+                          n_unreachable=n_unreachable)

@@ -9,11 +9,13 @@ t passes +-1.96. All output is deterministic text.
 from __future__ import annotations
 
 import json
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .data_model import TractSet
-from .gwr import GwrSummary
-from .ols import OlsFit
+
+if TYPE_CHECKING:
+    from .gwr import GwrSummary
+    from .ols import OlsFit
 
 SIG_T = 1.96
 

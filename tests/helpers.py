@@ -99,6 +99,9 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45) -> Graph:
+    """Random coordinates and edges; lengths and speeds take two values each,
+    as in tie_heavy_graph, so that many routes tie exactly. Each length and
+    speed is picked by one uniform draw."""
     nodes = {}
     for i in range(n_nodes):
         nodes[f"n{i:02d}"] = (float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
@@ -111,8 +114,8 @@ def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45
                     Edge(
                         ids[i],
                         ids[j],
-                        length=float(rng.uniform(50, 2000)),
-                        speed=float(rng.uniform(5, 30)),
+                        length=(100.0, 200.0)[int(rng.uniform(0, 2))],
+                        speed=(10.0, 20.0)[int(rng.uniform(0, 2))],
                         oneway=bool(rng.random() < 0.2),
                     )
                 )

@@ -13,7 +13,7 @@ import pytest
 
 import tracteq
 from tracteq import __version__
-from tracteq import cli
+from tracteq import cli, equity
 from tracteq.cli import main
 from tracteq.config import config_hash, load_config
 from tracteq.data_model import load_tracts
@@ -203,13 +203,13 @@ def test_equity_computes_each_corridor_once(scenario_dir, tmp_path, monkeypatch)
                "--out", str(tmp_path)])
     assert rc == 0
     calls = []
-    real_corridor_subset = cli.corridor_subset
+    real_corridor_subset = equity.corridor_subset
 
     def spy(tracts, highways, label, *args, **kwargs):
         calls.append(label)
         return real_corridor_subset(tracts, highways, label, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "corridor_subset", spy)
+    monkeypatch.setattr(equity, "corridor_subset", spy)
     rc = main(["equity", "--config", str(scenario_dir / "config.json"),
                "--out", str(tmp_path)])
     assert rc == 0

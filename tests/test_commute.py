@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     simulate_reference,
     tie_heavy_graph,
 )
+from tracteq import commute
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -32,6 +34,7 @@ from tracteq.network import (
     route_tract_distances,
     shortest_path,
 )
+from tracteq.synth import ScenarioSpec, generate
 
 
 def line_world(n_tracts=3, share=0.5, mode="split"):
@@ -148,6 +151,15 @@ def test_assign_unknown_mode_and_missing_share():
     bare = grid_tracts(1, 2)
     with pytest.raises(ValidationError, match="group share"):
         assign_groups(od, bare, mode="fractional")
+
+
+def test_assign_names_the_smallest_home_without_a_share():
+    # Homes are checked in sorted order, so the error does not depend on
+    # string hashing when several homes are bad.
+    ts = grid_tracts(1, 21, attr_fn=lambda r, c: {"group_share": 0.5} if c == 0 else {})
+    od = ODTable.from_rows((f"T000{c:03d}", "T000000", 1) for c in range(20, -1, -1))
+    with pytest.raises(ValidationError, match="tract 'T000001' has no group share"):
+        assign_groups(od, ts, mode="fractional")
 
 
 def test_scale_by_drive_share():
@@ -374,6 +386,48 @@ def test_route_traversals_precompute_matches_inline(step_scenario):
     assert direct.D == reused.D
     assert direct.C == reused.C
     assert direct.n_unreachable == reused.n_unreachable == unreachable
+
+
+def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, monkeypatch):
+    sc = step_scenario
+    node_of = {tid: nearest_node(sc.graph, tuple(sc.tracts.centroids[sc.tracts.index_of(tid)]))
+               for tid in sc.tracts.ids}
+    works_of = {}
+    for home, work, _ in sc.od.rows:
+        works_of.setdefault(home, set()).add(node_of[work])
+    want = [(node_of[home], works_of[home]) for home in sorted(works_of)]
+    real = commute.tract_distances_from
+    calls = []
+
+    def spy(graph, origin, destinations, edge_map):
+        calls.append((origin, set(destinations)))
+        return real(graph, origin, destinations, edge_map)
+
+    monkeypatch.setattr(commute, "tract_distances_from", spy)
+    a = assign_groups(sc.od, sc.tracts, mode="fractional")
+    simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
+    assert calls == want
+    calls.clear()
+    route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
+    assert calls == want
+
+
+def simulate_peak_bytes(od_pairs):
+    sc = generate(ScenarioSpec(rows=16, cols=16, od_pairs=od_pairs, seed=3))
+    a = assign_groups(sc.od, sc.tracts, mode="fractional")
+    tracemalloc.start()
+    try:
+        simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_holds_one_home_of_routes_at_a_time():
+    # Routes are added as each home's tree is read, so simulate's own peak
+    # hardly grows with the number of pairs; a table of every pair's routes
+    # would grow with it.
+    assert simulate_peak_bytes(1600) <= 1.5 * simulate_peak_bytes(400)
 
 
 def test_traversal_roundtrip_exact(tmp_path, step_scenario):

@@ -58,10 +58,12 @@ def test_loading_inputs_imports_no_analysis_module():
     assert [m for m in ANALYSIS_MODULES if m in loaded] == []
 
 
-def test_cli_imports_no_synth():
+def test_cli_imports_no_analysis_module():
+    # Each stage imports the analysis modules it runs when it runs, so a
+    # stage subcommand loads only its own.
     loaded = loaded_after("import tracteq.cli")
-    assert "tracteq.gwr" in loaded
-    assert "tracteq.synth" not in loaded
+    assert "tracteq.commute" in loaded
+    assert [m for m in ANALYSIS_MODULES if m in loaded] == []
 
 
 def test_bare_import_loads_no_submodule_until_used():
