@@ -3,11 +3,11 @@
 Trips route once per origin-destination pair (free-flow routing makes every
 worker on a pair take the same path), from one routing tree per home tract.
 simulate adds each home's routes into the per-tract sums as soon as its tree
-is read, so beyond the OD table and its trip weights (~0.57 KB per pair) its
-memory does not grow with the number of pairs. Group labels come either
-from a deterministic fractional split or from counter-based coin flips
-keyed by (seed, home, work, worker index), so bernoulli draws never depend
-on iteration or parallel order.
+is read, so its own memory does not grow with the number of pairs. Trip
+weights are one float per group and OD row (16 B per pair). Group labels
+come either from a deterministic fractional split or from counter-based coin
+flips keyed by (seed, home, work, worker index), so bernoulli draws never
+depend on iteration or parallel order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class ODTable:
         return ODTable(
             tuple((h, w, c) for (h, w), c in sorted(merged.items()))
         )
-
-    @property
-    def pairs(self) -> list[tuple[str, str]]:
-        return [(h, w) for h, w, _ in self.rows]
 
     @property
     def total_workers(self) -> int:
@@ -94,17 +90,22 @@ def load_od(path: str, tracts: TractSet | None = None) -> ODTable:
 
 @dataclass(frozen=True)
 class TripAssignment:
-    """Per-(home, work) trip weight for each group; weights sum to the
-    (possibly drive-share-scaled) pair count."""
+    """Trip weights for od's rows: weights[i] holds row i's weight per group,
+    in GROUPS order, and sums to the (possibly drive-share-scaled) count."""
 
-    mode: str  # bernoulli | fractional
-    seed: int
-    weights: dict[tuple[str, str], dict[str, float]]
+    od: ODTable
+    weights: np.ndarray  # float64, len(od.rows) x len(GROUPS)
 
 
 def _pair_counter(home: str, work: str) -> list[int]:
     digest = hashlib.sha256(f"{home}\x1f{work}".encode()).digest()
     return list(struct.unpack("<4Q", digest))
+
+
+def _home_column(od: ODTable, value_for: Callable[[str], float]) -> np.ndarray:
+    """value_for(home) per OD row, called once per home in sorted order."""
+    values = {home: value_for(home) for home in sorted({h for h, _, _ in od.rows})}
+    return np.fromiter((values[h] for h, _, _ in od.rows), np.float64, len(od.rows))
 
 
 def assign_groups(
@@ -120,50 +121,48 @@ def assign_groups(
     """
     if mode not in ("bernoulli", "fractional"):
         raise ValueError(f"unknown assignment mode {mode!r}")
-    share_by_id: dict[str, float] = {}
-    for home in sorted({h for h, _, _ in od.rows}):
+
+    def share_of(home: str) -> float:
         if home not in tracts:
             raise ValidationError(f"OD home tract {home!r} not in tract set")
-        t = tracts[tracts.index_of(home)]
-        p = t.attributes.get(tracts.group_share_column)
+        p = tracts[tracts.index_of(home)].attributes.get(tracts.group_share_column)
         if p is None or not math.isfinite(p):
             raise ValidationError(f"tract {home!r} has no group share")
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"tract {home!r}: group share {p} outside [0,1]")
-        share_by_id[home] = float(p)
+        return float(p)
 
-    weights: dict[tuple[str, str], dict[str, float]] = {}
-    for home, work, count in od.rows:
-        p = share_by_id[home]
-        if mode == "fractional":
-            w_white = count * p
-        else:
+    share = _home_column(od, share_of)
+    counts = np.fromiter((c for _, _, c in od.rows), np.float64, len(od.rows))
+    weights = np.empty((len(od.rows), len(GROUPS)))
+    if mode == "fractional":
+        np.multiply(counts, share, out=weights[:, 0])
+    else:
+        for i, (home, work, count) in enumerate(od.rows):
             gen = np.random.Generator(
                 np.random.Philox(key=seed, counter=_pair_counter(home, work))
             )
-            draws = gen.random(count)
-            w_white = float(np.count_nonzero(draws < p))
-        weights[(home, work)] = {
-            GROUPS[0]: w_white,
-            GROUPS[1]: count - w_white,
-        }
-    return TripAssignment(mode=mode, seed=seed, weights=weights)
+            weights[i, 0] = np.count_nonzero(gen.random(count) < share[i])
+    np.subtract(counts, weights[:, 0], out=weights[:, 1])
+    return TripAssignment(od, weights)
 
 
 def scale_by_drive_share(
     assignment: TripAssignment, drive_share: Mapping[str, float]
 ) -> TripAssignment:
     """Multiply every group weight by the home tract's driving share."""
-    scaled: dict[tuple[str, str], dict[str, float]] = {}
-    for (home, work), by_group in assignment.weights.items():
+
+    def share_of(home: str) -> float:
         try:
             share = float(drive_share[home])
         except KeyError:
             raise ValidationError(f"no drive share for home tract {home!r}") from None
         if not 0.0 <= share <= 1.0:
             raise ValidationError(f"tract {home!r}: drive share {share} outside [0,1]")
-        scaled[(home, work)] = {g: w * share for g, w in by_group.items()}
-    return TripAssignment(assignment.mode, assignment.seed, scaled)
+        return share
+
+    share = _home_column(assignment.od, share_of)
+    return TripAssignment(assignment.od, assignment.weights * share[:, None])
 
 
 @dataclass(frozen=True)
@@ -296,6 +295,8 @@ def simulate(
     Routes are added as each home's tree is read, or taken from precomputed
     traversals (route_traversals) to amortize routing across assignments.
     """
+    if assignment.od != od:
+        raise ValidationError("trip assignment was made for another OD table")
     routes = (_home_routes(od, tracts, graph, edge_map) if traversals is None
               else (((h, w), traversals.get((h, w))) for h, w, _ in od.rows))
 
@@ -304,20 +305,17 @@ def simulate(
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
     n_unreachable = 0
-    weights = assignment.weights
-    for (home, work), per_tract in routes:
-        by_group = weights.get((home, work))
-        if by_group is None:
-            raise ValidationError(f"no assignment for OD pair {home}->{work}")
+    for ((home, _), per_tract), weight_row in zip(routes, assignment.weights):
         if per_tract is None:
             n_unreachable += 1
             continue
+        by_group = list(zip(GROUPS, weight_row.tolist()))
         row = C.get(home)
         if row is None:
             row = C[home] = dict.fromkeys(GROUPS, 0.0)
-        for g in GROUPS:
-            row[g] += by_group[g]
-        nonzero = [(g, by_group[g]) for g in GROUPS if by_group[g]]
+        for g, w in by_group:
+            row[g] += w
+        nonzero = [(g, w) for g, w in by_group if w]
         if not nonzero:
             continue
         for tid in sorted(per_tract):

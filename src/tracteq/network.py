@@ -386,9 +386,8 @@ class EdgeTractMap:
     per edge and sorted; midpoint mode always has exactly one part.
     """
 
-    def __init__(self, parts: dict[tuple[str, str], tuple[tuple[str, float], ...]], mode: str):
+    def __init__(self, parts: dict[tuple[str, str], tuple[tuple[str, float], ...]]):
         self.parts = parts
-        self.mode = mode
 
     def for_edge(self, edge: Edge) -> tuple[tuple[str, float], ...]:
         try:
@@ -513,7 +512,7 @@ def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint")
         parts[edge.key] = edge_parts
     if uncovered:
         log.info("%d of %d edges extend outside all tracts", uncovered, len(graph.edges))
-    return EdgeTractMap(parts, mode)
+    return EdgeTractMap(parts)
 
 
 def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, float]:

@@ -207,7 +207,7 @@ def edge_identity_map(graph: Graph) -> EdgeTractMap:
     routes' meters are equal exactly when the routes are.
     """
     return EdgeTractMap(
-        {e.key: ((f"{e.u}>{e.v}", e.length),) for e in graph.edges}, "midpoint"
+        {e.key: ((f"{e.u}>{e.v}", e.length),) for e in graph.edges}
     )
 
 
@@ -252,7 +252,7 @@ def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> Ed
                 acc[tid] = acc.get(tid, 0.0) + (hi - lo) * edge.length
             edge_parts = tuple(sorted(acc.items()))
         parts[edge.key] = edge_parts
-    return EdgeTractMap(parts, mode)
+    return EdgeTractMap(parts)
 
 
 def simulate_reference(od, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
@@ -265,10 +265,10 @@ def simulate_reference(od, tracts: TractSet, graph: Graph, edge_map: EdgeTractMa
     def add(table, tract, group, value):
         table.setdefault(tract, dict.fromkeys(GROUPS, 0.0))[group] += value
 
-    for home, work, _count in od.rows:
-        by_group = assignment.weights.get((home, work))
-        if by_group is None:
-            raise ValidationError(f"no assignment for OD pair {home}->{work}")
+    if assignment.od != od:
+        raise ValidationError("trip assignment was made for another OD table")
+    for (home, work, _count), weight_row in zip(od.rows, assignment.weights):
+        by_group = dict(zip(GROUPS, weight_row.tolist()))
         o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
         d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
         route = shortest_path(graph, o, d)

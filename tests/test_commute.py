@@ -105,9 +105,9 @@ def test_assign_fractional_hand_case():
     ts, _, _ = line_world(2, share=0.3)
     od = ODTable.from_rows([("T000000", "T000001", 10)])
     a = assign_groups(od, ts, mode="fractional")
-    w = a.weights[("T000000", "T000001")]
-    assert w["white"] == 3.0
-    assert w["non_white"] == 7.0
+    white, non_white = a.weights[0]
+    assert white == 3.0
+    assert non_white == 7.0
 
 
 def test_assign_weights_always_sum_to_count():
@@ -115,9 +115,8 @@ def test_assign_weights_always_sum_to_count():
     od = ODTable.from_rows([("T000000", "T000002", 13), ("T000001", "T000000", 7)])
     for mode in ("fractional", "bernoulli"):
         a = assign_groups(od, ts, mode=mode, seed=5)
-        for (h, w), groups in a.weights.items():
-            count = dict(((hh, ww), c) for hh, ww, c in od.rows)[(h, w)]
-            assert math.fsum(groups.values()) == count
+        for (_, _, count), groups in zip(od.rows, a.weights, strict=True):
+            assert math.fsum(groups) == count
 
 
 def test_assign_degenerate_share():
@@ -125,9 +124,9 @@ def test_assign_degenerate_share():
     od = ODTable.from_rows([("T000000", "T000001", 8)])
     for mode in ("fractional", "bernoulli"):
         a = assign_groups(od, ts, mode=mode, seed=1)
-        w = a.weights[("T000000", "T000001")]
-        assert w["white"] == 8.0
-        assert w["non_white"] == 0.0
+        white, non_white = a.weights[0]
+        assert white == 8.0
+        assert non_white == 0.0
 
 
 def test_assign_bernoulli_reproducible_and_order_free():
@@ -138,9 +137,9 @@ def test_assign_bernoulli_reproducible_and_order_free():
     od_reversed = ODTable.from_rows(list(reversed(rows)))
     a = assign_groups(od_sorted, ts, mode="bernoulli", seed=42)
     b = assign_groups(od_reversed, ts, mode="bernoulli", seed=42)
-    assert a.weights == b.weights
+    assert np.array_equal(a.weights, b.weights)
     c = assign_groups(od_sorted, ts, mode="bernoulli", seed=43)
-    assert c.weights != a.weights  # different seed moves at least one pair
+    assert not np.array_equal(c.weights, a.weights)  # different seed moves at least one pair
 
 
 def test_assign_unknown_mode_and_missing_share():
@@ -167,13 +166,51 @@ def test_scale_by_drive_share():
     od = ODTable.from_rows([("T000000", "T000001", 10)])
     a = assign_groups(od, ts, mode="fractional")
     scaled = scale_by_drive_share(a, {"T000000": 0.5})
-    w = scaled.weights[("T000000", "T000001")]
-    assert w["white"] == 1.5
-    assert w["non_white"] == 3.5
+    white, non_white = scaled.weights[0]
+    assert white == 1.5
+    assert non_white == 3.5
     with pytest.raises(ValidationError, match="no drive share"):
         scale_by_drive_share(a, {})
     with pytest.raises(ValidationError, match="outside"):
         scale_by_drive_share(a, {"T000000": 1.2})
+
+
+def test_scale_names_the_smallest_home_without_a_drive_share():
+    # Homes are checked once each in sorted order, so with several bad homes
+    # the error names the smallest.
+    ts = grid_tracts(1, 21, attr_fn=lambda r, c: {"group_share": 0.5})
+    od = ODTable.from_rows((f"T000{c:03d}", "T000000", 1) for c in range(20, -1, -1))
+    a = assign_groups(od, ts, mode="fractional")
+    with pytest.raises(ValidationError, match="no drive share for home tract 'T000001'"):
+        scale_by_drive_share(a, {"T000000": 0.5, "T000003": 1.5})
+    with pytest.raises(ValidationError, match="tract 'T000001': drive share 1.5 outside"):
+        scale_by_drive_share(a, {"T000000": 0.5, "T000001": 1.5})
+
+
+def assignment_held_bytes(od_pairs, mode):
+    """(pairs, bytes held by an assignment plus its drive-share copy) on a
+    16x16 synth scenario."""
+    sc = generate(ScenarioSpec(rows=16, cols=16, od_pairs=od_pairs, seed=3))
+    drive = {t.tract_id: 0.75 for t in sc.tracts}
+    tracemalloc.start()
+    try:
+        a = assign_groups(sc.od, sc.tracts, mode=mode, seed=3)
+        scaled = scale_by_drive_share(a, drive)
+        held = tracemalloc.get_traced_memory()[0]
+        del a, scaled
+        return len(sc.od.rows), held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["fractional", "bernoulli"])
+def test_trip_weights_hold_a_few_floats_per_pair(mode):
+    # One float per group and pair in each assignment; a dict of weights per
+    # pair would hold hundreds of bytes.
+    n_small, small = assignment_held_bytes(400, mode)
+    n_large, large = assignment_held_bytes(1600, mode)
+    assert n_large - n_small > 1000
+    assert (large - small) / (n_large - n_small) <= 64
 
 
 def test_nearest_node_smallest_id_tie():
@@ -224,7 +261,7 @@ def test_nearest_node_empty_graph():
 def assert_traversals_match_per_pair_routes(od, tracts, graph, edge_map):
     trav, unreachable = route_traversals(od, tracts, graph, edge_map)
     want = {}
-    for home, work in od.pairs:
+    for home, work, _ in od.rows:
         o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
         d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
         route = shortest_path(graph, o, d)
@@ -430,6 +467,18 @@ def test_simulate_holds_one_home_of_routes_at_a_time():
     assert simulate_peak_bytes(1600) <= 1.5 * simulate_peak_bytes(400)
 
 
+def test_simulate_rejects_an_assignment_for_another_od_table():
+    ts, g, em = line_world(3)
+    rows = [("T000000", "T000002", 4)]
+    od = ODTable.from_rows(rows)
+    other = ODTable.from_rows(rows + [("T000001", "T000000", 2)])
+    with pytest.raises(ValidationError, match="another OD table"):
+        simulate(od, ts, g, em, assign_groups(other, ts))
+    # an equal table built separately is the same OD table
+    table = simulate(od, ts, g, em, assign_groups(ODTable.from_rows(rows), ts))
+    assert table.C["T000000"] == {"white": 2.0, "non_white": 2.0}
+
+
 def test_traversal_roundtrip_exact(tmp_path, step_scenario):
     sc = step_scenario
     a = assign_groups(sc.od, sc.tracts, mode="bernoulli", seed=9)
@@ -535,7 +584,8 @@ def test_simulate_matches_add_loop_reference(rng, attribution, assign_mode, excl
     zero = ODTable.from_rows([(ids[0], ids[-2], 0), (ids[1], ids[6], 0), (ids[4], ids[10], 3),
                               (ids[6], ids[8], 5), (ids[0], ids[11], 2)])
     za = assign_groups(zero, ts, mode=assign_mode, seed=5)
-    assert za.weights[(ids[6], ids[8])]["white"] == 0.0  # share 0: one group weighs 0
+    white = za.weights[zero.rows.index((ids[6], ids[8], 5)), GROUPS.index("white")]
+    assert white == 0.0  # share 0: one group weighs 0
     table = assert_matches_reference(zero, ts, g, em, za, exclude_home)
     assert table.n_unreachable == 1
 
