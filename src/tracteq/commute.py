@@ -301,7 +301,8 @@ def simulate(
               else (((h, w), traversals.get((h, w))) for h, w, _ in od.rows))
 
     # Each row starts at 0.0 for every group and takes the pairs' additions
-    # in sorted pair order; a D row is made only for a nonzero weight.
+    # in sorted pair order; a D row is made only for a nonzero weight. A
+    # pair adds to each of its tracts' rows once, so their order is free.
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
     n_unreachable = 0
@@ -318,7 +319,7 @@ def simulate(
         nonzero = [(g, w) for g, w in by_group if w]
         if not nonzero:
             continue
-        for tid in sorted(per_tract):
+        for tid in per_tract:
             if exclude_home and tid == home:
                 continue
             km = per_tract[tid] / 1000.0

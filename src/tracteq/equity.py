@@ -15,7 +15,7 @@ from typing import Iterable
 from .commute import TraversalTable
 from .data_model import HighwayNetworkGeom, TractSet
 from .errors import ValidationError
-from .geometry import polyline_intersects_polygon
+from .geometry import EPS, bounding_box, boxes_overlap, polyline_intersects_polygon
 
 log = logging.getLogger(__name__)
 
@@ -95,8 +95,25 @@ def corridor_subset(
             f"unknown route label {route_label!r}; available: "
             + ", ".join(highways.labels)
         )
+    line_boxes = [bounding_box(line.points) for line in lines]
     hits: list[str] = []
     for tract in tracts:
-        if any(polyline_intersects_polygon(line.points, tract.polygon) for line in lines):
+        box = bounding_box(tract.polygon)
+        pad = _contact_pad(box)
+        if any(boxes_overlap(box, line_box, pad)
+               and polyline_intersects_polygon(line.points, tract.polygon)
+               for line, line_box in zip(lines, line_boxes)):
             hits.append(tract.tract_id)
     return tuple(sorted(hits))
+
+
+def _contact_pad(box: tuple[float, float, float, float]) -> float:
+    """Gap between a ring's box and a polyline's box across which the exact
+    test can still report contact.
+
+    A contact point lies within EPS of the polyline and within EPS of the
+    ring, except in segment_param_hits' near-parallel branch: there a ring
+    edge of length L may stray up to EPS * max(1, L) further from the
+    polyline. L is at most the box's width plus height.
+    """
+    return EPS * (2.0 + (box[2] - box[0]) + (box[3] - box[1]))

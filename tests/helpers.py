@@ -13,6 +13,7 @@ from tracteq.geometry import (
     bounding_box,
     boxes_overlap,
     point_in_polygon,
+    polyline_intersects_polygon,
     segment_polygon_breakpoints,
 )
 from tracteq.network import OUTSIDE_ZONE, Edge, EdgeTractMap, Graph, shortest_path
@@ -253,6 +254,16 @@ def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> Ed
             edge_parts = tuple(sorted(acc.items()))
         parts[edge.key] = edge_parts
     return EdgeTractMap(parts)
+
+
+def corridor_subset_linear(tracts: TractSet, highways, route_label: str) -> tuple[str, ...]:
+    """corridor_subset by the exact test on every tract and polyline, with no
+    box prefilter."""
+    lines = [line for line in highways.polylines if line.label == route_label]
+    return tuple(sorted(
+        t.tract_id for t in tracts
+        if any(polyline_intersects_polygon(line.points, t.polygon) for line in lines)
+    ))
 
 
 def simulate_reference(od, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,

@@ -2,7 +2,10 @@
 run, plus the error paths that should turn into exit codes instead of
 tracebacks."""
 
+import ast
 import filecmp
+import gc
+import inspect
 import json
 import os
 import shutil
@@ -579,3 +582,67 @@ def test_failed_stage_leaves_no_torn_file(scenario_dir, run_dir, tmp_path, monke
     assert open_temps, "the failure was meant to hit mid-write"
     assert (out / "gwr_local_local.csv").read_bytes() == before
     assert not [n for n in os.listdir(out) if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, monkeypatch):
+    inside = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda args: inside.append(gc.isenabled()) or 0)
+    was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert inside == [False]
+    assert gc.get_freeze_count() == frozen
+
+
+def test_run_leaves_no_cycles_that_grow_with_its_inputs(tmp_path):
+    # main runs without the cyclic collector, so a cycle made per pair or
+    # per tract would leak. After a warm-up run, a 6x6 run (25 pairs) and a
+    # 14x14 one (400 pairs) must leave the same garbage: argparse's and
+    # logging's, which does not grow with the inputs.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    found = []
+    try:
+        for i, (grid, pairs) in enumerate(((6, 25), (6, 25), (14, 400))):
+            scen = tmp_path / f"scenario{i}"
+            assert main([
+                "synth", "--out", str(scen), "--rows", str(grid), "--cols", str(grid),
+                "--od-pairs", str(pairs), "--seed", "3", "--highway-row", str(grid // 2),
+                "--step",
+            ]) == 0
+            gc.collect()
+            assert main(["run", "--config", str(scen / "config.json"),
+                         "--out", str(scen / "out")]) == 0
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[1] == found[2], found
+
+
+def test_console_script_and_module_run_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["tracteq"]
+    module, _, func = script.partition(":")
+    assert module == "tracteq.cli"
+
+    main_block = [
+        node for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(main_block) == 1
+    calls = [node.func.id for node in ast.walk(main_block[0])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls == [func]
+    assert callable(getattr(cli, func))

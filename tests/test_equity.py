@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_tracts
+from helpers import corridor_subset_linear, grid_tracts
 from tracteq.commute import TraversalTable
 from tracteq.data_model import HighwayNetworkGeom, HighwayPolyline
 from tracteq.equity import corridor_subset, inequity_index, population_weighted_mean
 from tracteq.errors import ValidationError
+from tracteq.geometry import EPS
 
 GROUPS = ("white", "non_white")
 
@@ -152,6 +153,46 @@ def test_corridor_along_shared_edge_touches_both():
         HighwayPolyline("H1", "interstate", ((0.0, 1000.0), (2000.0, 1000.0))),
     ))
     assert corridor_subset(ts, hw, "H1") == ("T000000", "T000001", "T001000", "T001001")
+
+
+def test_corridor_box_prefilter_matches_exact_scan():
+    rng = np.random.default_rng(5)
+    ts = grid_tracts(6, 6)
+    for trial in range(40):
+        lines = []
+        for i in range(int(rng.integers(1, 4))):
+            n_points = int(rng.integers(2, 6))
+            # Odd trials put vertices on the 500 m lattice, so lines run
+            # along tract edges and through corners.
+            points = (rng.integers(-1, 14, size=(n_points, 2)) * 500.0 if trial % 2
+                      else rng.uniform(-500.0, 6500.0, size=(n_points, 2)))
+            points = tuple((float(x), float(y)) for x, y in points)
+            lines.append(HighwayPolyline("H1" if i % 2 == 0 else "H2", "interstate", points))
+        hw = HighwayNetworkGeom(tuple(lines))
+        for label in hw.labels:
+            assert corridor_subset(ts, hw, label) == corridor_subset_linear(ts, hw, label), trial
+
+
+def _slope_line(y0: float, slope: float, x0: float, x1: float) -> HighwayPolyline:
+    return HighwayPolyline("H1", "interstate", ((x0, y0 + slope * x0), (x1, y0 + slope * x1)))
+
+
+@pytest.mark.parametrize("line, hits", [
+    # Through the corner the four tracts share.
+    (HighwayPolyline("H1", "interstate", ((500.0, 1500.0), (1500.0, 500.0))),
+     ("T000000", "T000001", "T001000", "T001001")),
+    # Parallel to the south edge, within and beyond the boundary tolerance.
+    (_slope_line(-EPS / 2, 0.0, 100.0, 900.0), ("T000000",)),
+    (_slope_line(-3 * EPS, 0.0, 100.0, 900.0), ()),
+    # Near-parallel to the south edge: within EPS of its west end, it counts
+    # as touching along the whole edge, ~0.8 um below the tract's box.
+    (_slope_line(-EPS / 2, -0.9 * EPS, 900.0, 1000.0), ("T000000",)),
+])
+def test_corridor_boundary_contacts(line, hits):
+    ts = grid_tracts(2, 2)
+    hw = HighwayNetworkGeom((line,))
+    assert corridor_subset_linear(ts, hw, "H1") == hits
+    assert corridor_subset(ts, hw, "H1") == hits
 
 
 def test_corridor_unknown_label_lists_available():
