@@ -15,7 +15,7 @@ import csv
 import itertools
 import os
 from dataclasses import fields
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +88,20 @@ def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str
                     yield skipped + reader.line_num, row
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from None
+
+
+def read_number(path: str, lineno: int, row: dict[str, str], column: str,
+                kind: Callable[[str], float] = float) -> float:
+    """row[column] read by kind (float or int), or a ValidationError naming
+    the file, line, cell and column."""
+    cell = row[column]
+    try:
+        return kind(cell)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(
+            f"{path} line {lineno}: {cell!r} in column {column!r} is not {noun}"
+        ) from None
 
 
 def to_dict(obj, exclude: Iterable[str] = ()) -> dict:

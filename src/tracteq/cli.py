@@ -230,6 +230,11 @@ def _stage_gwr(ctx: Context) -> str:
         n, p = design.X.shape
         k_min = cfg.k_min if cfg.k_min is not None else min(max(p + 2, 10), n)
         k_max = cfg.k_max if cfg.k_max is not None else n
+        if not p + 1 <= k_min <= k_max <= n:
+            raise ValidationError(
+                f"model {model.name!r}: gwr k range [{k_min}, {k_max}] must lie "
+                f"within [{p + 1}, {n}] (terms + 1, tracts)"
+            )
         best_k, best_aicc = select_bandwidth(
             design, tracts, k_min, k_max, method=cfg.search_method, aicc_loo=cfg.aicc_loo,
         )

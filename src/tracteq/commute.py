@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .artifacts import fmt, read_csv, write_csv
+from .artifacts import fmt, read_csv, read_number, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
 from .network import EdgeTractMap, Graph, tract_distances_from
@@ -65,27 +65,27 @@ def load_od(path: str, tracts: TractSet | None = None) -> ODTable:
     When a TractSet is given, rows naming unknown tracts are dropped and
     counted in the log.
     """
-    rows: list[tuple[str, str, int]] = []
     dropped = 0
-    for lineno, row in read_csv(path, ("home", "work", "count")):
-        home, work, cell = row["home"], row["work"], row["count"]
-        try:
-            count = int(cell)
-        except ValueError:
-            raise ValidationError(
-                f"{path} line {lineno}: count must be an integer, got {cell!r}"
-            ) from None
-        if count < 0:
-            raise ValidationError(f"{path} line {lineno}: negative count {count}")
-        if tracts is not None and (home not in tracts or work not in tracts):
-            dropped += 1
-            continue
-        rows.append((home, work, count))
+
+    def rows() -> Iterator[tuple[str, str, int]]:
+        nonlocal dropped
+        for lineno, row in read_csv(path, ("home", "work", "count")):
+            home, work = row["home"], row["work"]
+            count = read_number(path, lineno, row, "count", int)
+            if count < 0:
+                raise ValidationError(f"{path} line {lineno}: negative count {count}")
+            if tracts is not None and (home not in tracts or work not in tracts):
+                dropped += 1
+                continue
+            yield home, work, count
+
+    # The rows stream into the merge, so no list of every raw row is held.
+    table = ODTable.from_rows(rows())
     if dropped:
         log.warning("dropped %d OD row(s) naming unknown tracts", dropped)
-    if not rows:
+    if not table.rows:
         raise ValidationError(f"{path}: no usable OD rows")
-    return ODTable.from_rows(rows)
+    return table
 
 
 @dataclass(frozen=True)
@@ -209,12 +209,8 @@ def read_traversal(path: str) -> TraversalTable:
         tid, g = row["tract_id"], row["group"]
         if g not in groups:
             groups.append(g)
-        try:
-            d, c = float(row["D_km"]), float(row["C_count"])
-        except ValueError:
-            raise ValidationError(f"{path} line {lineno}: non-numeric D_km or C_count") from None
-        D.setdefault(tid, {})[g] = d
-        C.setdefault(tid, {})[g] = c
+        D.setdefault(tid, {})[g] = read_number(path, lineno, row, "D_km")
+        C.setdefault(tid, {})[g] = read_number(path, lineno, row, "C_count")
     return TraversalTable(groups=tuple(groups), D=D, C=C)
 
 

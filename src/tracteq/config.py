@@ -2,10 +2,15 @@
 
 The `columns` map names every analysis variable (key -> {column, transform,
 role}); models pick their controls either from the named presets or as an
-explicit key list. The config hash covers the resolved configuration, so two
-runs with equal hashes and seeds must produce byte-identical numeric
-artifacts. Worker count is a command-line concern and never part of the
-hash.
+explicit key list. The config hash covers the JSON as written, not the
+resolved configuration: relative input paths are hashed as written, not
+resolved, and the contents of the input files are not covered. So two runs
+with equal hashes give byte-identical artifacts only when their inputs are
+the same files. Worker count is a command-line concern and never part of
+the hash.
+
+The integer, boolean and speed keys are checked where they are parsed: a
+value of the wrong JSON type is a ValidationError naming the key.
 """
 
 from __future__ import annotations
@@ -140,6 +145,18 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+_KINDS = {"an integer": int, "a number": (int, float), "true or false": bool}
+
+
+def _require(value, noun: str, key: str):
+    """value if JSON gave it as noun says; true and false count only as
+    booleans, not as numbers."""
+    kind = _KINDS[noun]
+    if isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+        return value
+    raise ValidationError(f"config key {key} must be {noun}, got {value!r}")
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
@@ -182,22 +199,35 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         "group_share": "group_share",
     }
     demographics.update(raw.get("demographics") or {})
+    k_min, k_max = gwr.get("k_min"), gwr.get("k_max")
+    for key, k in (("gwr.k_min", k_min), ("gwr.k_max", k_max)):
+        if k is not None:
+            _require(k, "an integer", key)
+    if k_min is not None and k_max is not None and k_min > k_max:
+        raise ValidationError(f"config key gwr.k_min ({k_min}) exceeds gwr.k_max ({k_max})")
+    class_speeds = {}
+    for road_class, speed in (raw.get("class_speeds") or {}).items():
+        key = f"class_speeds.{road_class}"
+        if not _require(speed, "a number", key) > 0:
+            raise ValidationError(f"config key {key} must be positive, got {speed!r}")
+        class_speeds[road_class] = float(speed)
 
     config = RunConfig(
         inputs=inputs,
         columns=columns,
         models=tuple(models),
         demographics=demographics,
-        k_min=gwr.get("k_min"),
-        k_max=gwr.get("k_max"),
+        k_min=k_min,
+        k_max=k_max,
         search_method=gwr.get("method", "golden"),
-        aicc_loo=bool(gwr.get("aicc_loo", False)),
+        aicc_loo=_require(gwr.get("aicc_loo", False), "true or false", "gwr.aicc_loo"),
         sim_mode=sim.get("mode", "fractional"),
-        seed=int(sim.get("seed", 0)),
-        exclude_home=bool(sim.get("exclude_home", False)),
+        seed=_require(sim.get("seed", 0), "an integer", "simulation.seed"),
+        exclude_home=_require(sim.get("exclude_home", False), "true or false",
+                              "simulation.exclude_home"),
         attribution_mode=sim.get("attribution", "midpoint"),
         drive_share_column=sim.get("drive_share_column"),
-        class_speeds={k: float(v) for k, v in (raw.get("class_speeds") or {}).items()},
+        class_speeds=class_speeds,
         output_dir=os.path.normpath(os.path.join(base_dir, raw.get("output_dir", "out"))),
         raw=raw,
     )

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv
+from .artifacts import read_csv, read_number
 from .errors import ParseError, ValidationError
 from .geometry import (
     Point,
@@ -23,6 +23,7 @@ from .geometry import (
     point_segment_distance,
     polygon_area,
     polygon_centroid,
+    require_finite,
 )
 
 log = logging.getLogger(__name__)
@@ -221,16 +222,8 @@ def _points(coords, where: str) -> tuple[Point, ...]:
         points = tuple((float(x), float(y)) for x, y in coords or [])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: bad coordinate ({exc})") from None
-    return _require_finite(points, where)
-
-
-def _require_finite(points: tuple[Point, ...], where: str) -> tuple[Point, ...]:
-    """points, unless a vertex is NaN or infinite (json.load accepts both)."""
-    isfinite = math.isfinite
-    for x, y in points:
-        if not (isfinite(x) and isfinite(y)):
-            raise ValidationError(f"{where}: non-finite coordinate ({x}, {y})")
-    return points
+    # json.load accepts NaN and Infinity.
+    return require_finite(points, where)
 
 
 def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
@@ -253,7 +246,7 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
                 ring = tuple(normalize_ring(poly[0]))
             except (TypeError, ValueError):
                 continue
-            a = polygon_area(_require_finite(ring, where))
+            a = polygon_area(require_finite(ring, where))
             if a > best_area:
                 best, best_area = ring, a
         if best is None:
@@ -286,16 +279,8 @@ def read_attribute_table(path: str) -> dict[str, dict[str, float]]:
             raise ValidationError(f"{path} line {lineno}: empty tract_id")
         if tid in rows:
             raise ValidationError(f"{path} line {lineno}: duplicate tract_id {tid!r}")
-        attrs: dict[str, float] = {}
-        for col, cell in row.items():
-            try:
-                attrs[col] = float(cell) if cell else math.nan
-            except ValueError:
-                raise ValidationError(
-                    f"{path} line {lineno}: non-numeric value {cell!r} "
-                    f"in column {col!r}"
-                ) from None
-        rows[tid] = attrs
+        rows[tid] = {col: read_number(path, lineno, row, col) if cell else math.nan
+                     for col, cell in row.items()}
     return rows
 
 

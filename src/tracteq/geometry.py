@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import ValidationError
+
 Point = tuple[float, float]
 
 # On-boundary tolerance in meters. Grid inputs hit boundaries exactly; this
@@ -26,6 +28,15 @@ def normalize_ring(points: Sequence[Point]) -> list[Point]:
     if len(pts) < 3:
         raise ValueError(f"polygon ring needs >= 3 distinct vertices, got {len(pts)}")
     return pts
+
+
+def require_finite(points: Sequence[Point], where: str) -> Sequence[Point]:
+    """points if every vertex is finite, else a ValidationError naming where."""
+    isfinite = math.isfinite
+    for x, y in points:
+        if not (isfinite(x) and isfinite(y)):
+            raise ValidationError(f"{where}: non-finite coordinate ({x}, {y})")
+    return points
 
 
 def polygon_area(points: Sequence[Point]) -> float:

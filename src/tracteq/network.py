@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .artifacts import read_csv
+from .artifacts import read_csv, read_number
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
@@ -30,6 +30,7 @@ from .geometry import (
     bounding_box,
     boxes_overlap,
     point_in_polygon,
+    require_finite,
     segment_polygon_breakpoints,
 )
 
@@ -159,35 +160,17 @@ def build_graph(
             raise ValidationError(f"{nodes_path} line {lineno}: empty node id")
         if nid in nodes:
             raise ValidationError(f"{nodes_path} line {lineno}: duplicate node {nid!r}")
-        try:
-            x, y = float(row["x"]), float(row["y"])
-        except ValueError:
-            raise ValidationError(
-                f"{nodes_path} line {lineno}: non-numeric coordinate"
-            ) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValidationError(
-                f"{nodes_path} line {lineno}: non-finite coordinate ({x}, {y})"
-            )
-        nodes[nid] = (x, y)
+        point = (read_number(nodes_path, lineno, row, "x"),
+                 read_number(nodes_path, lineno, row, "y"))
+        require_finite((point,), f"{nodes_path} line {lineno}")
+        nodes[nid] = point
 
     edges: list[Edge] = []
     for lineno, row in read_csv(edges_path, ("u", "v", "length_m")):
         road_class = row.get("class") or "default"
-        try:
-            length = float(row["length_m"])
-        except ValueError:
-            raise ValidationError(
-                f"{edges_path} line {lineno}: non-numeric length"
-            ) from None
-        speed_cell = row.get("speed_ms")
-        if speed_cell:
-            try:
-                speed = float(speed_cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{edges_path} line {lineno}: non-numeric speed"
-                ) from None
+        length = read_number(edges_path, lineno, row, "length_m")
+        if row.get("speed_ms"):
+            speed = read_number(edges_path, lineno, row, "speed_ms")
         else:
             speed = speeds.get(road_class, speeds.get("default", 0.0))
             if speed <= 0:

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import tracteq
-from tracteq.artifacts import from_dict, read_csv, to_dict, write_atomic, write_csv
+from tracteq.artifacts import (
+    from_dict,
+    read_csv,
+    read_number,
+    to_dict,
+    write_atomic,
+    write_csv,
+)
 from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
 from tracteq.data_model import read_attribute_table
 from tracteq.errors import ParseError, ValidationError
@@ -179,6 +186,9 @@ READERS = {
                   "tract_id,group,D_km,C_count\nA,white,1.5,2.0\n",
                   "tract_id,group,D_km,C_count\nA,white,x,1\n"),
 }
+# The column and cell of each reader's bad row.
+BAD_CELLS = {"attributes": ("v", "oops"), "nodes": ("x", "zero"), "edges": ("length_m", "long"),
+             "od": ("count", "1.5"), "traversal": ("D_km", "x")}
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -195,8 +205,10 @@ def test_reader_input_format(name, tmp_path):
     # header on line 3, the bad row on line 4
     bad_path = tmp_path / f"{name}_bad.csv"
     bad_path.write_text(comments + bad)
-    with pytest.raises(ValidationError, match=r"line 4\b"):
+    column, cell = BAD_CELLS[name]
+    with pytest.raises(ValidationError, match=r"line 4\b") as bad_row:
         read(str(bad_path), tmp_path)
+    assert f"{cell!r} in column {column!r} is not" in str(bad_row.value)
 
     headerless = tmp_path / f"{name}_headerless.csv"
     columns = required.split(",")
@@ -204,6 +216,20 @@ def test_reader_input_format(name, tmp_path):
     with pytest.raises(ValidationError,
                        match=re.escape(f"{headerless}: header must include {required}")):
         read(str(headerless), tmp_path)
+
+
+def test_read_number_names_the_file_line_cell_and_column():
+    row = {"a": "1.5", "b": "nan", "c": "-inf", "n": "-7", "bad": "1e"}
+    assert read_number("f.csv", 2, row, "a") == 1.5
+    assert np.isnan(read_number("f.csv", 2, row, "b"))
+    assert read_number("f.csv", 2, row, "c") == -np.inf
+    assert read_number("f.csv", 2, row, "n", int) == -7
+    with pytest.raises(ValidationError,
+                       match=re.escape("f.csv line 2: '1e' in column 'bad' is not a number")):
+        read_number("f.csv", 2, row, "bad")
+    with pytest.raises(ValidationError,
+                       match=re.escape("f.csv line 3: '1.5' in column 'a' is not an integer")):
+        read_number("f.csv", 3, row, "a", int)
 
 
 def test_only_artifacts_knows_the_file_formats():

@@ -401,6 +401,29 @@ def test_bad_config_json_exits_2(tmp_path):
     assert main(["ingest", "--config", str(bad)]) == 2
 
 
+def test_malformed_config_value_exits_2_without_traceback(scenario_dir, tmp_path):
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw["simulation"].update(seed="abc"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "ingest", "--config", config,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert "simulation.seed" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("gwr", [{"k_min": 2}, {"k_max": 37}, {"k_min": 40}])
+def test_gwr_k_range_outside_the_design_exits_2(scenario_dir, tmp_path, caplog, gwr):
+    # 36 tracts and 2 terms: k must lie within [3, 36].
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw["gwr"].update(gwr))
+    assert main(["gwr", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "must lie within [3, 36]" in caplog.text
+    assert not (tmp_path / "out" / "gwr_local.json").exists()
+
+
 def _config_variant(scenario_dir, path, edit):
     """The scenario's config with absolute input paths, edited and written to path."""
     raw = json.loads((scenario_dir / "config.json").read_text())

@@ -139,3 +139,45 @@ def test_sim_settings_parsed():
     assert cfg.attribution_mode == "split"
     assert cfg.drive_share_column == "drive"
     assert cfg.class_speeds == {"alley": 5.0}
+
+
+MALFORMED = [
+    ("simulation", {"seed": "abc"}, "simulation.seed"),
+    ("simulation", {"seed": 2.5}, "simulation.seed"),
+    ("simulation", {"seed": True}, "simulation.seed"),
+    ("gwr", {"k_min": 5.5}, "gwr.k_min"),
+    ("gwr", {"k_min": "7"}, "gwr.k_min"),
+    ("gwr", {"k_max": False}, "gwr.k_max"),
+    ("gwr", {"k_min": 9, "k_max": 8}, "gwr.k_min"),
+    ("simulation", {"exclude_home": "false"}, "simulation.exclude_home"),
+    ("simulation", {"exclude_home": 0}, "simulation.exclude_home"),
+    ("gwr", {"aicc_loo": "no"}, "gwr.aicc_loo"),
+    ("class_speeds", {"street": "fast"}, "class_speeds.street"),
+    ("class_speeds", {"street": True}, "class_speeds.street"),
+    ("class_speeds", {"street": 0}, "class_speeds.street"),
+    ("class_speeds", {"street": -3.0}, "class_speeds.street"),
+    ("class_speeds", {"street": float("nan")}, "class_speeds.street"),
+]
+
+
+@pytest.mark.parametrize("section,values,key", MALFORMED)
+def test_parse_rejects_malformed_values_naming_the_key(section, values, key):
+    raw = minimal_raw()
+    raw[section] = values
+    with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
+        parse_config(raw)
+
+
+def test_parse_keeps_valid_typed_values():
+    raw = minimal_raw()
+    raw["gwr"] = {"k_min": 8, "k_max": 8, "aicc_loo": False}
+    raw["simulation"] = {"seed": 0, "exclude_home": False}
+    raw["class_speeds"] = {"street": 7, "alley": float("inf")}
+    cfg = parse_config(raw)
+    assert (cfg.k_min, cfg.k_max, cfg.aicc_loo) == (8, 8, False)
+    assert (cfg.seed, cfg.exclude_home) == (0, False)
+    assert cfg.class_speeds == {"street": 7.0, "alley": float("inf")}
+    assert type(cfg.class_speeds["street"]) is float
+    defaults = parse_config(minimal_raw())
+    assert (defaults.k_min, defaults.k_max, defaults.seed) == (None, None, 0)
+    assert defaults.aicc_loo is False and defaults.exclude_home is False
