@@ -353,7 +353,6 @@ def _stage_equity(ctx: Context) -> str:
 
 
 def _stage_report(ctx: Context) -> str:
-    from .gwr import GwrSummary
     from .ols import OlsFit
     from .report import format_gwr_table, format_ols_table
 
@@ -366,10 +365,12 @@ def _stage_report(ctx: Context) -> str:
     ]
     if ols_fits:
         sections.append(format_ols_table(ols_fits))
-    for m in models:
-        if m.estimator == "gwr":
-            summary = from_dict(GwrSummary, _read_json(ctx, f"gwr_{m.name}.json"))
-            sections.append(format_gwr_table(m.name, summary))
+    gwr_models = [m for m in models if m.estimator == "gwr"]
+    if gwr_models:  # an OLS-only run never loads the GWR module
+        from .gwr import GwrSummary
+    for m in gwr_models:
+        summary = from_dict(GwrSummary, _read_json(ctx, f"gwr_{m.name}.json"))
+        sections.append(format_gwr_table(m.name, summary))
     for group in GROUPS:
         name = f"equity_summary_{group}.txt"
         if os.path.exists(ctx.path(name)):

@@ -2,8 +2,10 @@
 
 Trips route once per origin-destination pair (free-flow routing makes every
 worker on a pair take the same path), from one routing tree per home tract.
-simulate adds each home's routes into the per-tract sums as soon as its tree
-is read, so its own memory does not grow with the number of pairs. Trip
+simulate reads each home's tree into per-tract meter terms for each of its
+destinations (network._tract_terms_from) and adds every pair's km from them
+in sorted pair order, so its own memory does not grow with the number of
+pairs. Trip
 weights are one float per group and OD row (16 B per pair). Group labels
 come either from a deterministic fractional split or from counter-based coin
 flips keyed by (seed, home, work, worker index), so bernoulli draws never
@@ -26,7 +28,7 @@ import numpy as np
 from .artifacts import fmt, read_csv, read_number, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
-from .network import EdgeTractMap, Graph, tract_distances_from
+from .network import EdgeTractMap, Graph, _tract_meters, _tract_terms_from
 
 log = logging.getLogger(__name__)
 
@@ -227,23 +229,30 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
+def _homes(od: ODTable) -> Iterator[tuple[str, list[str]]]:
+    """(home, its work tracts) for od's rows in order; a home's rows are
+    consecutive."""
+    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
+        yield home, [w for _, w, _ in rows]
+
+
 def _home_routes(
     od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap
-) -> Iterator[tuple[tuple[str, str], dict[str, float] | None]]:
-    """Yield ((home, work), {tract_id: meters} or None) for od's rows in
-    order, from one routing tree per home tract (its rows are consecutive),
-    so only one home's meters are alive at a time."""
+) -> Iterator[tuple[str, list[str], list[dict[str, list[float]] | None]]]:
+    """Yield (home, works, terms) per home tract for od's rows in order,
+    terms[i] being the per-tract meter terms of the route to works[i]
+    ({tract_id: [meters, ...]}, None when unreachable). Each home's terms
+    come from one routing tree (network._tract_terms_from), so only one
+    home's terms are alive at a time."""
     node_for = {
         tid: nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tid)]))
         for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})
     }
-    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
-        works = [w for _, w, _ in rows]
-        meters = tract_distances_from(
+    for home, works in _homes(od):
+        by_node = _tract_terms_from(
             graph, node_for[home], {node_for[w] for w in works}, edge_map
         )
-        for work in works:
-            yield (home, work), meters[node_for[work]]
+        yield home, works, [by_node[node_for[w]] for w in works]
 
 
 def _log_unreachable(n_unreachable: int, n_pairs: int) -> None:
@@ -261,15 +270,26 @@ def route_traversals(
 ) -> tuple[dict[tuple[str, str], dict[str, float] | None], int]:
     """Shortest-path per-tract meters for every OD pair.
 
-    Returns a map from pair to {tract_id: meters} (None when unreachable)
-    plus the unreachable count. Pairs whose endpoints snap to the same node
-    yield an empty route and contribute nothing. `workers` is accepted for
-    compatibility and does not change routing.
+    Returns a map from pair to {tract_id: meters}, keys sorted (None when
+    unreachable), plus the unreachable count: the meter terms that
+    simulate reads off each home's tree (_home_routes), summed per tract.
+    Pairs whose endpoints snap to the same node yield an empty route and
+    contribute nothing. `workers` is accepted for compatibility and does
+    not change routing.
     """
-    traversals = dict(_home_routes(od, tracts, graph, edge_map))
+    traversals = {
+        (home, work): None if terms is None else _tract_meters(terms)
+        for home, works, routes in _home_routes(od, tracts, graph, edge_map)
+        for work, terms in zip(works, routes)
+    }
     unreachable = sum(1 for r in traversals.values() if r is None)
     _log_unreachable(unreachable, len(traversals))
     return traversals, unreachable
+
+
+def _single_terms(meters: dict[str, float] | None) -> dict[str, tuple[float]] | None:
+    """Precomputed per-tract meters as terms of one each."""
+    return None if meters is None else {tid: (m,) for tid, m in meters.items()}
 
 
 def simulate(
@@ -288,13 +308,19 @@ def simulate(
     bit-identical across reruns and worker counts. By default the home tract
     counts among the traversed tracts; exclude_home drops its distance
     contribution (commuter counts keep the home tract either way).
-    Routes are added as each home's tree is read, or taken from precomputed
-    traversals (route_traversals) to amortize routing across assignments.
+    Each pair's km are added from the meter terms that its home's tree
+    gives (_home_routes): a tract's meters are math.fsum of its terms, a
+    single term as is, so they equal tract_distances_from's. Precomputed
+    traversals (route_traversals), which amortize routing across
+    assignments, are read as single terms.
     """
     if assignment.od != od:
         raise ValidationError("trip assignment was made for another OD table")
-    routes = (_home_routes(od, tracts, graph, edge_map) if traversals is None
-              else (((h, w), traversals.get((h, w))) for h, w, _ in od.rows))
+    if traversals is None:
+        homes = _home_routes(od, tracts, graph, edge_map)
+    else:
+        homes = ((home, works, [_single_terms(traversals.get((home, w))) for w in works])
+                 for home, works in _homes(od))
 
     # Each row starts at 0.0 for every group and takes the pairs' additions
     # in sorted pair order; a D row is made only for a nonzero weight. A
@@ -302,28 +328,35 @@ def simulate(
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
     n_unreachable = 0
-    for ((home, _), per_tract), weight_row in zip(routes, assignment.weights):
-        if per_tract is None:
-            n_unreachable += 1
-            continue
-        by_group = list(zip(GROUPS, weight_row.tolist()))
-        row = C.get(home)
-        if row is None:
-            row = C[home] = dict.fromkeys(GROUPS, 0.0)
-        for g, w in by_group:
-            row[g] += w
-        nonzero = [(g, w) for g, w in by_group if w]
-        if not nonzero:
-            continue
-        for tid in per_tract:
-            if exclude_home and tid == home:
+    fsum = math.fsum
+    first = 0
+    for home, works, routes in homes:
+        last = first + len(works)
+        weight_rows = assignment.weights[first:last].tolist()
+        first = last
+        for per_tract, weight_row in zip(routes, weight_rows):
+            if per_tract is None:
+                n_unreachable += 1
                 continue
-            km = per_tract[tid] / 1000.0
-            row = D.get(tid)
+            by_group = list(zip(GROUPS, weight_row))
+            row = C.get(home)
             if row is None:
-                row = D[tid] = dict.fromkeys(GROUPS, 0.0)
-            for g, w in nonzero:
-                row[g] += w * km
+                row = C[home] = dict.fromkeys(GROUPS, 0.0)
+            for g, w in by_group:
+                row[g] += w
+            nonzero = [(g, w) for g, w in by_group if w]
+            if not nonzero:
+                continue
+            for tid, terms in per_tract.items():
+                if exclude_home and tid == home:
+                    continue
+                km = (terms[0] if len(terms) == 1 else fsum(terms)) / 1000.0
+                row = D.get(tid)
+                if row is None:
+                    row = D[tid] = dict.fromkeys(GROUPS, 0.0)
+                for g, w in nonzero:
+                    row[g] += w * km
     _log_unreachable(n_unreachable, len(od.rows))
     return TraversalTable(groups=GROUPS, D=D, C=C, n_pairs=len(od.rows),
                           n_unreachable=n_unreachable)
+

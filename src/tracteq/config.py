@@ -9,8 +9,9 @@ with equal hashes give byte-identical artifacts only when their inputs are
 the same files. Worker count is a command-line concern and never part of
 the hash.
 
-The integer, boolean and speed keys are checked where they are parsed: a
-value of the wrong JSON type is a ValidationError naming the key.
+The integer, boolean and speed keys, the sections and their entries are
+checked where they are parsed: a value of the wrong JSON type is a
+ValidationError naming the key.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-_KINDS = {"an integer": int, "a number": (int, float), "true or false": bool}
+_KINDS = {"an integer": int, "a number": (int, float), "true or false": bool,
+          "a string": str, "an object": dict, "a list": list}
 
 
 def _require(value, noun: str, key: str):
@@ -157,22 +159,32 @@ def _require(value, noun: str, key: str):
     raise ValidationError(f"config key {key} must be {noun}, got {value!r}")
 
 
+def _section(raw: dict, key: str, noun: str = "an object"):
+    """raw[key] checked as noun; empty when absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return _KINDS[noun]()
+    return _require(value, noun, key)
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
 
     inputs = {
-        name: os.path.normpath(os.path.join(base_dir, path))
-        for name, path in (raw.get("inputs") or {}).items()
+        name: os.path.normpath(os.path.join(
+            base_dir, _require(path, "a string", f"inputs.{name}")))
+        for name, path in _section(raw, "inputs").items()
     }
 
     columns: dict[str, TransformSpec] = {}
     raw_columns = raw.get("columns")
     if raw_columns is None:
         raw_columns = DEFAULT_COLUMNS
-    for key, entry in raw_columns.items():
+    for key, entry in _require(raw_columns, "an object", "columns").items():
         merged = dict(DEFAULT_COLUMNS.get(key, {}))
-        merged.update(entry or {})
+        if entry is not None:
+            merged.update(_require(entry, "an object", f"columns.{key}"))
         if "column" not in merged:
             raise ValidationError(f"columns[{key!r}]: 'column' is required")
         columns[key] = TransformSpec(
@@ -182,7 +194,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         )
 
     models = []
-    for entry in raw.get("models") or []:
+    for i, entry in enumerate(_section(raw, "models", "a list")):
+        _require(entry, "an object", f"models[{i}]")
         models.append(
             ModelSpec(
                 name=str(entry.get("name", f"model{len(models) + 1}")),
@@ -191,14 +204,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             )
         )
 
-    gwr = raw.get("gwr") or {}
-    sim = raw.get("simulation") or {}
+    gwr = _section(raw, "gwr")
+    sim = _section(raw, "simulation")
     demographics = {
         "population": "population",
         "commuters": "commuters",
         "group_share": "group_share",
     }
-    demographics.update(raw.get("demographics") or {})
+    demographics.update(_section(raw, "demographics"))
     k_min, k_max = gwr.get("k_min"), gwr.get("k_max")
     for key, k in (("gwr.k_min", k_min), ("gwr.k_max", k_max)):
         if k is not None:
@@ -206,7 +219,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if k_min is not None and k_max is not None and k_min > k_max:
         raise ValidationError(f"config key gwr.k_min ({k_min}) exceeds gwr.k_max ({k_max})")
     class_speeds = {}
-    for road_class, speed in (raw.get("class_speeds") or {}).items():
+    for road_class, speed in _section(raw, "class_speeds").items():
         key = f"class_speeds.{road_class}"
         if not _require(speed, "a number", key) > 0:
             raise ValidationError(f"config key {key} must be positive, got {speed!r}")

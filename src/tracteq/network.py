@@ -5,11 +5,12 @@ ties between equal-time routes by lexicographic node-id sequence so every
 aggregate downstream is reproducible.
 
 shortest_path carries each candidate's whole node path and is the oracle.
-tract_distances_from serves many destinations from one Dijkstra tree over
+_tract_terms_from serves many destinations from one Dijkstra tree over
 node ranks (an id's index in sorted-id order, so ranks compare as ids do):
 the tree keeps no paths, a tie on time is broken on demand by walking both
-candidates up to their common ancestor, and per-tract meters are read off
-the tree without building routes.
+candidates up to their common ancestor, and each tract's meter terms are
+read off the tree without building routes. It is the one reader of the
+tree: tract_distances_from sums its terms, and so does commute.simulate.
 """
 
 from __future__ import annotations
@@ -115,6 +116,13 @@ class Graph:
         self.min_edge_time: tuple[float, ...] = tuple(
             min((tt for _, _, tt in adj), default=math.inf) for adj in self.rank_adjacency
         )
+        # Absorption needs t >= tt * 2**53, and tt is at least the smallest
+        # edge time, so no node settled before this time has an absorbed
+        # edge. A NaN time (an infinite length at an infinite speed) is
+        # never absorbed.
+        self.absorb_from: float = min(
+            (tt for tt in self.min_edge_time if tt == tt), default=math.inf
+        ) * 2.0**52
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
@@ -232,12 +240,23 @@ def tract_distances_from(
 ) -> dict[str, dict[str, float] | None]:
     """route_tract_distances of shortest_path from one origin to each
     destination (None when unreachable), keyed by the sorted distinct
-    destinations, from one search.
+    destinations, from one search (_tract_terms_from)."""
+    return {d: None if terms is None else _tract_meters(terms)
+            for d, terms in _tract_terms_from(graph, origin, destinations, edge_map).items()}
+
+
+def _tract_terms_from(
+    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
+) -> dict[str, dict[str, list[float]] | None]:
+    """Per-tract meter terms of shortest_path from one origin to each
+    destination (None when unreachable), keyed by the sorted distinct
+    destinations, from one search: math.fsum of a tract's terms is its
+    route_tract_distances value.
 
     Lexicographically smallest shortest paths have the prefix property, so
     one tie-broken Dijkstra tree (_search_tree) serves every destination;
-    each destination's predecessor chain is walked straight into per-tract
-    meters, so no Route is built. When an edge time is absorbed
+    each destination's predecessor chain is walked once, straight into its
+    terms, so no Route is built. When an edge time is absorbed
     (t + tt == t), the tie-break would depend on the order equal-time nodes
     settle in, so that origin falls back to one shortest_path per
     destination.
@@ -253,21 +272,11 @@ def tract_distances_from(
     tree = _search_tree(graph, source, {rank[d] for d in targets})
     if tree is None:
         routes = {d: shortest_path(graph, origin, d) for d in targets}
-        return {d: None if route is None else route_tract_distances(route, edge_map)
+        return {d: None if route is None else _route_terms(route, edge_map)
                 for d, route in routes.items()}
     _, pred, pred_edge, settled = tree
-    meters: dict[str, dict[str, float] | None] = {}
-    for d in targets:
-        r = rank[d]
-        if not settled[r]:
-            meters[d] = None
-            continue
-        back: list[Edge] = []
-        while r != source:
-            back.append(pred_edge[r])
-            r = pred[r]
-        meters[d] = _tract_meters(back, edge_map)
-    return meters
+    return {d: _chain_terms(pred, pred_edge, source, rank[d], edge_map)
+            if settled[rank[d]] else None for d in targets}
 
 
 def _search_tree(
@@ -297,7 +306,9 @@ def _search_tree(
     for r in targets:
         is_target[r] = True
     remaining = len(targets)
-    stop = math.inf
+    # With no target, only the origin is settled.
+    stop = math.inf if remaining else 0.0
+    absorb_from = graph.absorb_from
     while heap:
         time, u = heappop(heap)
         # Nodes at the last target's time are still expanded: an absorbed
@@ -307,16 +318,16 @@ def _search_tree(
         if settled[u]:
             continue
         settled[u] = True
-        if time + min_edge_time[u] == time and adjacency[u]:
+        if time >= absorb_from and time + min_edge_time[u] == time and adjacency[u]:
             return None
         if is_target[u]:
             remaining -= 1
-        if not remaining:
-            stop = time
+            if not remaining:
+                stop = time
         for v, edge, travel_time in adjacency[u]:
-            t = time + travel_time
             if settled[v]:
                 continue
+            t = time + travel_time
             best = dist[v]
             if t < best:
                 dist[v] = t
@@ -505,26 +516,44 @@ def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, flo
     back to total_length whenever the lengths themselves add without
     rounding.
     """
-    return _tract_meters(route.edges[::-1], edge_map)
+    return _tract_meters(_route_terms(route, edge_map))
 
 
-def _tract_meters(back: Iterable[Edge], edge_map: EdgeTractMap) -> dict[str, float]:
-    """Per-tract meters, keys sorted, over a route's edges listed from its
-    destination back to its origin. math.fsum is exact until its one final
-    rounding, so the order of a tract's terms does not matter. An edge
-    missing from the map raises for_edge's ConsistencyError for the first
-    such edge along the route."""
+def _route_terms(route: Route, edge_map: EdgeTractMap) -> dict[str, list[float]]:
+    """_chain_terms of a route, its nodes chained by their predecessors."""
+    nodes = route.nodes
+    return _chain_terms(dict(zip(nodes[1:], nodes)), dict(zip(nodes[1:], route.edges)),
+                        route.origin, route.destination, edge_map)
+
+
+def _chain_terms(pred, pred_edge, source, r, edge_map: EdgeTractMap) -> dict[str, list[float]]:
+    """Per-tract meter terms of the route that ends at r, read from r back
+    to source: pred[x] is the node before x and pred_edge[x] the edge into
+    it. An edge missing from the map raises for_edge's ConsistencyError for
+    the first such edge along the route."""
     parts = edge_map.parts
-    contributions: dict[str, list[float]] = {}
+    terms: dict[str, list[float]] = {}
     missing = None
-    for edge in back:
+    while r != source:
+        edge = pred_edge[r]
+        r = pred[r]
         try:
             edge_parts = parts[edge.u, edge.v]
         except KeyError:
             missing = edge  # the last one seen is the first along the route
             continue
         for tid, meters in edge_parts:
-            contributions.setdefault(tid, []).append(meters)
+            got = terms.get(tid)
+            if got is None:
+                terms[tid] = [meters]
+            else:
+                got.append(meters)
     if missing is not None:
         edge_map.for_edge(missing)  # raises ConsistencyError
-    return {tid: math.fsum(vals) for tid, vals in sorted(contributions.items())}
+    return terms
+
+
+def _tract_meters(terms: Mapping[str, list[float]]) -> dict[str, float]:
+    """Each tract's terms summed, keys sorted. math.fsum is exact until its
+    one final rounding, so the order of a tract's terms does not matter."""
+    return {tid: math.fsum(vals) for tid, vals in sorted(terms.items())}

@@ -167,19 +167,18 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
-def absorbed_edge_not_first_graph() -> Graph:
+def absorbed_edge_not_first_graph(big: float = 1e16) -> Graph:
     """A graph whose absorbed edges (t + tt == t) never come first in their
     node's adjacency, and where ignoring them changes a route.
 
-    Every node's first neighbour is "0", over a 3e16 s edge that no shortest
-    route uses. From "a", b, c, d and e all settle at 1e16 s, since every
-    0.5 s edge is absorbed there. The smallest route to d is (a, b, e, d),
-    but settling equal-time nodes by rank settles d from c first, which
-    gives (a, c, d). The nodes sit on two 1 km tracts of grid_tracts(1, 2)
-    so that the two routes cross different tracts; a and d sit on the tract
-    centroids.
+    Every node's first neighbour is "0", over a 3 * big s edge that no
+    shortest route uses. From "a", b, c, d and e all settle at big s, since
+    every 0.5 s edge is absorbed there (any big from 2**52 = 0.5 * 2**53 on
+    absorbs them). The smallest route to d is (a, b, e, d), but settling
+    equal-time nodes by rank settles d from c first, which gives (a, c, d).
+    The nodes sit on two 1 km tracts of grid_tracts(1, 2) so that the two
+    routes cross different tracts; a and d sit on the tract centroids.
     """
-    big = 1e16
     nodes = {
         "0": (100.0, 100.0),
         "a": (500.0, 500.0),

@@ -414,6 +414,35 @@ def test_malformed_config_value_exits_2_without_traceback(scenario_dir, tmp_path
     assert "Traceback" not in out.stderr
 
 
+def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_path):
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw.update(class_speeds=["x"]))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "ingest", "--config", config,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert "class_speeds" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_ols_only_run_loads_no_gwr_module(scenario_dir, tmp_path):
+    config = _config_variant(
+        scenario_dir, tmp_path / "config.json",
+        lambda raw: raw.update(models=[m for m in raw["models"] if m["estimator"] == "ols"]))
+    code = (
+        "import sys; from tracteq.cli import main; "
+        f"rc = main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(rc, 'tracteq.gwr' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.splitlines()[-1].split() == ["0", "False"], out.stderr
+    assert (tmp_path / "out" / "report.txt").exists()
+
+
 @pytest.mark.parametrize("gwr", [{"k_min": 2}, {"k_max": 37}, {"k_min": 40}])
 def test_gwr_k_range_outside_the_design_exits_2(scenario_dir, tmp_path, caplog, gwr):
     # 36 tracts and 2 terms: k must lie within [3, 36].

@@ -12,7 +12,7 @@ from helpers import (
     simulate_reference,
     tie_heavy_graph,
 )
-from tracteq import commute
+from tracteq import commute, network
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -26,7 +26,7 @@ from tracteq.commute import (
     simulate,
     write_traversal,
 )
-from tracteq.errors import ValidationError
+from tracteq.errors import ConsistencyError, ValidationError
 from tracteq.network import (
     Edge,
     Graph,
@@ -317,6 +317,46 @@ def test_route_traversals_absorbed_edge_falls_back():
     assert trav[("T000000", "T000000")] == {}
 
 
+@pytest.mark.parametrize("big", [1e16, 2.0**52])
+def test_simulate_absorbed_edge_falls_back(monkeypatch, big):
+    ts = grid_tracts(1, 2, attr_fn=lambda r, c: {"group_share": 0.25 + 0.5 * c})
+    g = absorbed_edge_not_first_graph(big)
+    em = build_edge_tract_map(g, ts)
+    od = ODTable.from_rows([("T000000", "T000001", 3), ("T000001", "T000000", 5),
+                            ("T000000", "T000000", 2)])
+    fallbacks = []
+    real = network.shortest_path
+    monkeypatch.setattr(network, "shortest_path",
+                        lambda *args: fallbacks.append(args[1:]) or real(*args))
+    for mode in ("fractional", "bernoulli"):
+        for exclude_home in (False, True):
+            fallbacks.clear()
+            assert_matches_reference(od, ts, g, em, assign_groups(od, ts, mode, seed=2),
+                                     exclude_home)
+            # only the tree from a, where 0.5 s edges are absorbed, falls back
+            assert sorted(fallbacks) == [("a", "a"), ("a", "d")]
+    # The route is (a, b, e, d); (a, c, d) would leave nothing in T000000.
+    one = ODTable.from_rows([("T000000", "T000001", 3)])
+    table = simulate(one, ts, g, em, assign_groups(one, ts))
+    km = big / 1000.0
+    assert table.D["T000000"] == {"white": 0.75 * km, "non_white": 2.25 * km}
+
+
+def test_simulate_missing_edge_names_first_along_route():
+    ts = grid_tracts(1, 2, attr_fn=lambda r, c: {"group_share": 0.5})
+    nodes = {"A": (500.0, 500.0), "B": (800.0, 500.0), "C": (1200.0, 500.0),
+             "D": (1500.0, 500.0)}
+    g = Graph(nodes, [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 1.0, 1.0),
+                      Edge("C", "D", 1.0, 1.0)])
+    em = build_edge_tract_map(g, ts)
+    del em.parts["B", "C"], em.parts["C", "D"]
+    od = ODTable.from_rows([("T000000", "T000001", 4)])
+    with pytest.raises(ConsistencyError, match="B->C"):
+        simulate(od, ts, g, em, assign_groups(od, ts))
+    with pytest.raises(ConsistencyError, match="B->C"):
+        route_traversals(od, ts, g, em)
+
+
 def test_route_traversals_counts_unreachable_pairs():
     ts = grid_tracts(1, 3, attr_fn=lambda r, c: {"group_share": 0.5})
     # T000000 and T000001 share a component; T000002 is cut off
@@ -433,14 +473,14 @@ def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, 
     for home, work, _ in sc.od.rows:
         works_of.setdefault(home, set()).add(node_of[work])
     want = [(node_of[home], works_of[home]) for home in sorted(works_of)]
-    real = commute.tract_distances_from
+    real = commute._tract_terms_from
     calls = []
 
     def spy(graph, origin, destinations, edge_map):
         calls.append((origin, set(destinations)))
         return real(graph, origin, destinations, edge_map)
 
-    monkeypatch.setattr(commute, "tract_distances_from", spy)
+    monkeypatch.setattr(commute, "_tract_terms_from", spy)
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
     simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
     assert calls == want

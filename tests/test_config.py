@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -166,6 +167,38 @@ def test_parse_rejects_malformed_values_naming_the_key(section, values, key):
     raw[section] = values
     with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
         parse_config(raw)
+
+
+MALFORMED_SHAPES = [
+    ("class_speeds", ["x"], "class_speeds"),
+    ("inputs", ["a"], "inputs"),
+    ("inputs", {"tracts": 5}, "inputs.tracts"),
+    ("simulation", [1], "simulation"),
+    ("gwr", "golden", "gwr"),
+    ("models", ["m1"], "models[0]"),
+    ("models", {"name": "m1"}, "models"),
+    ("columns", {"pm25": "pm25"}, "columns.pm25"),
+    ("columns", ["pm25"], "columns"),
+    ("demographics", ["a"], "demographics"),
+]
+
+
+@pytest.mark.parametrize("section,value,key", MALFORMED_SHAPES)
+def test_parse_rejects_malformed_sections_naming_the_key(section, value, key):
+    raw = minimal_raw()
+    raw[section] = value
+    with pytest.raises(ValidationError, match=rf"config key {re.escape(key)} must be"):
+        parse_config(raw)
+
+
+def test_parse_treats_null_sections_as_absent():
+    raw = minimal_raw()
+    raw.update(gwr=None, simulation=None, class_speeds=None, demographics=None)
+    raw["columns"]["vkt"] = None
+    cfg = parse_config(raw)
+    assert cfg.columns["vkt"].column == "vkt"
+    assert (cfg.k_min, cfg.sim_mode, cfg.class_speeds) == (None, "fractional", {})
+    assert cfg.demographics["group_share"] == "group_share"
 
 
 def test_parse_keeps_valid_typed_values():

@@ -410,6 +410,26 @@ def test_tract_distances_from_absorbed_edge_falls_back():
     }
 
 
+def test_absorption_at_the_least_absorbing_time_falls_back():
+    # The smallest edge time is 0.5 s, and 0.5 s is first absorbed at
+    # 0.5 * 2**53 = 2**52 s, a tie that rounds to even. Here b settles at
+    # exactly that time, so a gate on the absorption test that opens any
+    # later misses it.
+    g = absorbed_edge_not_first_graph(big=2.0**52)
+    assert min(g.min_edge_time) * 2**53 == 2.0**52
+    below = math.nextafter(2.0**52, 0)
+    assert 2.0**52 + 0.5 == 2.0**52 and below + 0.5 != below
+    assert network._search_tree(g, g.rank["a"], {g.rank["d"]}) is None
+    assert tract_distances_from(g, "a", ["d"], edge_identity_map(g)) == {
+        "d": {"a>b": 2.0**52, "b>e": 0.5, "e>d": 0.5}
+    }
+    tracts = grid_tracts(1, 2)
+    em = build_edge_tract_map(g, tracts)
+    ids = sorted(g.nodes)
+    for origin in ids:
+        assert_same_tract_distances(g, origin, ids, em)
+
+
 def test_tract_distances_from_missing_edge_names_first_along_route():
     nodes = {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0), "D": (3.0, 0.0)}
     g = Graph(nodes, [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 1.0, 1.0),
