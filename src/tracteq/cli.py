@@ -285,7 +285,7 @@ def _stage_simulate(ctx: Context) -> str:
         share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
         assignment = scale_by_drive_share(assignment, share)
     table = simulate(
-        od, tracts, graph, edge_map, assignment,
+        assignment, tracts, graph, edge_map,
         workers=ctx.workers, exclude_home=cfg.exclude_home,
     )
     write_traversal(table, ctx.path("traversal.csv"), [ctx.header])
@@ -565,6 +565,17 @@ def synth_run_config(scenario: Scenario, paths: dict[str, str], outdir: str) -> 
     }
 
 
+def _workers(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracteq",
@@ -585,13 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_stage, stage=stage)
     for name in ("ols", "gwr"):
         stage_parsers[name].add_argument("--model", help="run only the named model")
-    stage_parsers["simulate"].add_argument("--workers", type=int, default=1)
+    stage_parsers["simulate"].add_argument("--workers", type=_workers, default=1)
     stage_parsers["equity"].add_argument("--group", choices=GROUPS,
                                          help="summarize one group only")
 
     p = sub.add_parser("run", help="execute all configured stages in order")
     add_common(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("route", help="debug a single shortest path")

@@ -2,10 +2,10 @@
 
 Trips route once per origin-destination pair (free-flow routing makes every
 worker on a pair take the same path), from one routing tree per home tract.
-simulate reads each home's tree into per-tract meter terms for each of its
-destinations (network._tract_terms_from) and adds every pair's km from them
-in sorted pair order, so its own memory does not grow with the number of
-pairs. Trip
+simulate takes the pairs from a trip assignment's OD table, reads each
+home's tree into per-tract meter terms for each of its destinations
+(network._tract_terms_from) and adds every pair's km from them in sorted
+pair order, so its own memory does not grow with the number of pairs. Trip
 weights are one float per group and OD row (16 B per pair). Group labels
 come either from a deterministic fractional split or from counter-based coin
 flips keyed by (seed, home, work, worker index), so bernoulli draws never
@@ -229,26 +229,21 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
-def _homes(od: ODTable) -> Iterator[tuple[str, list[str]]]:
-    """(home, its work tracts) for od's rows in order; a home's rows are
-    consecutive."""
-    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
-        yield home, [w for _, w, _ in rows]
-
-
 def _home_routes(
     od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap
 ) -> Iterator[tuple[str, list[str], list[dict[str, list[float]] | None]]]:
     """Yield (home, works, terms) per home tract for od's rows in order,
     terms[i] being the per-tract meter terms of the route to works[i]
-    ({tract_id: [meters, ...]}, None when unreachable). Each home's terms
-    come from one routing tree (network._tract_terms_from), so only one
-    home's terms are alive at a time."""
+    ({tract_id: [meters, ...]}, None when unreachable). A home's rows are
+    consecutive, and its terms come from one routing tree
+    (network._tract_terms_from), so only one home's terms are alive at a
+    time."""
     node_for = {
         tid: nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tid)]))
         for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})
     }
-    for home, works in _homes(od):
+    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
+        works = [w for _, w, _ in rows]
         by_node = _tract_terms_from(
             graph, node_for[home], {node_for[w] for w in works}, edge_map
         )
@@ -266,7 +261,6 @@ def route_traversals(
     tracts: TractSet,
     graph: Graph,
     edge_map: EdgeTractMap,
-    workers: int = 1,
 ) -> tuple[dict[tuple[str, str], dict[str, float] | None], int]:
     """Shortest-path per-tract meters for every OD pair.
 
@@ -274,8 +268,9 @@ def route_traversals(
     unreachable), plus the unreachable count: the meter terms that
     simulate reads off each home's tree (_home_routes), summed per tract.
     Pairs whose endpoints snap to the same node yield an empty route and
-    contribute nothing. `workers` is accepted for compatibility and does
-    not change routing.
+    contribute nothing. simulate does not build this table; it serves
+    callers that need each pair's meters, such as the variance term of
+    acceptance criterion 9.
     """
     traversals = {
         (home, work): None if terms is None else _tract_meters(terms)
@@ -287,22 +282,16 @@ def route_traversals(
     return traversals, unreachable
 
 
-def _single_terms(meters: dict[str, float] | None) -> dict[str, tuple[float]] | None:
-    """Precomputed per-tract meters as terms of one each."""
-    return None if meters is None else {tid: (m,) for tid, m in meters.items()}
-
-
 def simulate(
-    od: ODTable,
+    assignment: TripAssignment,
     tracts: TractSet,
     graph: Graph,
     edge_map: EdgeTractMap,
-    assignment: TripAssignment,
     workers: int = 1,
     exclude_home: bool = False,
-    traversals: dict[tuple[str, str], dict[str, float] | None] | None = None,
 ) -> TraversalTable:
-    """Accumulate per-tract, per-group traversal km and commuter counts.
+    """Accumulate per-tract, per-group traversal km and commuter counts for
+    the pairs of assignment.od.
 
     Pairs are accumulated in sorted (home, work) order, so outputs are
     bit-identical across reruns and worker counts. By default the home tract
@@ -310,18 +299,10 @@ def simulate(
     contribution (commuter counts keep the home tract either way).
     Each pair's km are added from the meter terms that its home's tree
     gives (_home_routes): a tract's meters are math.fsum of its terms, a
-    single term as is, so they equal tract_distances_from's. Precomputed
-    traversals (route_traversals), which amortize routing across
-    assignments, are read as single terms.
+    single term as is, so they equal tract_distances_from's. `workers` is
+    accepted for compatibility and does not change routing.
     """
-    if assignment.od != od:
-        raise ValidationError("trip assignment was made for another OD table")
-    if traversals is None:
-        homes = _home_routes(od, tracts, graph, edge_map)
-    else:
-        homes = ((home, works, [_single_terms(traversals.get((home, w))) for w in works])
-                 for home, works in _homes(od))
-
+    od = assignment.od
     # Each row starts at 0.0 for every group and takes the pairs' additions
     # in sorted pair order; a D row is made only for a nonzero weight. A
     # pair adds to each of its tracts' rows once, so their order is free.
@@ -330,7 +311,7 @@ def simulate(
     n_unreachable = 0
     fsum = math.fsum
     first = 0
-    for home, works, routes in homes:
+    for home, works, routes in _home_routes(od, tracts, graph, edge_map):
         last = first + len(works)
         weight_rows = assignment.weights[first:last].tolist()
         first = last

@@ -79,10 +79,15 @@ class Graph:
         seen: set[tuple[str, str]] = set()
         adjacency: dict[str, list[tuple[str, Edge]]] = {k: [] for k in self.nodes}
         for e in self.edges:
-            if not (e.length > 0 and e.speed > 0):  # also rejects NaN
+            if not (e.length > 0 and e.speed > 0):
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: length and speed must be positive "
                     f"(got {e.length}, {e.speed})"
+                )
+            if math.isnan(e.travel_time):
+                raise ValidationError(
+                    f"edge {e.u}->{e.v}: travel time is NaN "
+                    f"(length {e.length} at speed {e.speed})"
                 )
             if e.u not in self.nodes or e.v not in self.nodes:
                 raise ValidationError(f"edge {e.u}->{e.v} references a missing node")
@@ -117,12 +122,8 @@ class Graph:
             min((tt for _, _, tt in adj), default=math.inf) for adj in self.rank_adjacency
         )
         # Absorption needs t >= tt * 2**53, and tt is at least the smallest
-        # edge time, so no node settled before this time has an absorbed
-        # edge. A NaN time (an infinite length at an infinite speed) is
-        # never absorbed.
-        self.absorb_from: float = min(
-            (tt for tt in self.min_edge_time if tt == tt), default=math.inf
-        ) * 2.0**52
+        # edge time, so no node settled before this time has an absorbed edge.
+        self.absorb_from: float = min(self.min_edge_time, default=math.inf) * 2.0**52
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:

@@ -8,7 +8,6 @@ import numpy as np
 
 from tracteq.commute import GROUPS
 from tracteq.data_model import DesignData, Tract, TractSet
-from tracteq.errors import ValidationError
 from tracteq.geometry import (
     bounding_box,
     boxes_overlap,
@@ -265,19 +264,17 @@ def corridor_subset_linear(tracts: TractSet, highways, route_label: str) -> tupl
     ))
 
 
-def simulate_reference(od, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
-                       assignment, exclude_home: bool = False):
-    """(D, C) of commute.simulate, computed pair by pair: nearest nodes by
-    full scan, one shortest_path per pair, per-tract meters by math.fsum,
-    and one add() per group and tract in sorted pair order."""
+def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
+                       exclude_home: bool = False):
+    """(D, C) of commute.simulate, computed pair by pair over assignment.od:
+    nearest nodes by full scan, one shortest_path per pair, per-tract meters
+    by math.fsum, and one add() per group and tract in sorted pair order."""
     D, C = {}, {}
 
     def add(table, tract, group, value):
         table.setdefault(tract, dict.fromkeys(GROUPS, 0.0))[group] += value
 
-    if assignment.od != od:
-        raise ValidationError("trip assignment was made for another OD table")
-    for (home, work, _count), weight_row in zip(od.rows, assignment.weights):
+    for (home, work, _count), weight_row in zip(assignment.od.rows, assignment.weights):
         by_group = dict(zip(GROUPS, weight_row.tolist()))
         o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
         d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])

@@ -310,23 +310,21 @@ def test_criterion_09_bernoulli_mean_matches_fractional():
         group_share=Surface("gradient", value=0.2, gx=0.6 / 5000.0),
         od_pairs=40, max_count=10, seed=17,
     ))
-    traversals, _ = route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
-    frac = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map,
-                    assign_groups(sc.od, sc.tracts, mode="fractional"),
-                    traversals=traversals)
+    frac = simulate(assign_groups(sc.od, sc.tracts, mode="fractional"),
+                    sc.tracts, sc.graph, sc.edge_map)
 
     n_seeds = 200
     acc = {}
     for s in range(n_seeds):
-        tab = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map,
-                       assign_groups(sc.od, sc.tracts, mode="bernoulli", seed=s),
-                       traversals=traversals)
+        tab = simulate(assign_groups(sc.od, sc.tracts, mode="bernoulli", seed=s),
+                       sc.tracts, sc.graph, sc.edge_map)
         for tid, by_g in tab.D.items():
             for g, v in by_g.items():
                 acc[(tid, g)] = acc.get((tid, g), 0.0) + v
 
     # binomial variance of a single seed's D per cell, from the OD geometry
     share = {t.tract_id: t.attributes["group_share"] for t in sc.tracts}
+    traversals, _ = route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
     var = {}
     for home, work, count in sc.od.rows:
         per_tract = traversals.get((home, work))
@@ -358,8 +356,8 @@ def test_criterion_09_bernoulli_mean_matches_fractional():
         group_share=Surface("constant", value=0.37),
         od_pairs=40, max_count=10, seed=17,
     ))
-    tab_u = simulate(sc_u.od, sc_u.tracts, sc_u.graph, sc_u.edge_map,
-                     assign_groups(sc_u.od, sc_u.tracts, mode="fractional"))
+    tab_u = simulate(assign_groups(sc_u.od, sc_u.tracts, mode="fractional"),
+                     sc_u.tracts, sc_u.graph, sc_u.edge_map)
     idx = inequity_index(tab_u)
     worst_uniform = max(abs(v) for by in idx.values.values() for v in by.values())
 

@@ -698,3 +698,15 @@ def test_console_script_and_module_run_the_same_entry():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert calls == [func]
     assert callable(getattr(cli, func))
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers=-3"], ["--workers", "two"]])
+def test_workers_below_one_exits_2(command, flag, scenario_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(scenario_dir / "config.json"), "--out", str(out),
+              *flag])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

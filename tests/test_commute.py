@@ -337,7 +337,7 @@ def test_simulate_absorbed_edge_falls_back(monkeypatch, big):
             assert sorted(fallbacks) == [("a", "a"), ("a", "d")]
     # The route is (a, b, e, d); (a, c, d) would leave nothing in T000000.
     one = ODTable.from_rows([("T000000", "T000001", 3)])
-    table = simulate(one, ts, g, em, assign_groups(one, ts))
+    table = simulate(assign_groups(one, ts), ts, g, em)
     km = big / 1000.0
     assert table.D["T000000"] == {"white": 0.75 * km, "non_white": 2.25 * km}
 
@@ -352,7 +352,7 @@ def test_simulate_missing_edge_names_first_along_route():
     del em.parts["B", "C"], em.parts["C", "D"]
     od = ODTable.from_rows([("T000000", "T000001", 4)])
     with pytest.raises(ConsistencyError, match="B->C"):
-        simulate(od, ts, g, em, assign_groups(od, ts))
+        simulate(assign_groups(od, ts), ts, g, em)
     with pytest.raises(ConsistencyError, match="B->C"):
         route_traversals(od, ts, g, em)
 
@@ -382,7 +382,7 @@ def test_simulate_single_pair_hand_totals():
     ts, g, em = line_world(3, share=0.25)
     od = ODTable.from_rows([("T000000", "T000002", 4)])
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(od, ts, g, em, a)  # weights: white 1.0, non_white 3.0
+    table = simulate(a, ts, g, em)  # weights: white 1.0, non_white 3.0
     for tid, km in (("T000000", 0.5), ("T000001", 1.0), ("T000002", 0.5)):
         assert table.D[tid]["white"] == pytest.approx(km)
         assert table.D[tid]["non_white"] == pytest.approx(3.0 * km)
@@ -397,7 +397,7 @@ def test_simulate_exclude_home_drops_home_distance_only():
     ts, g, em = line_world(3, share=0.5)
     od = ODTable.from_rows([("T000000", "T000002", 2)])
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(od, ts, g, em, a, exclude_home=True)
+    table = simulate(a, ts, g, em, exclude_home=True)
     assert "T000000" not in table.D
     assert table.D["T000001"]["white"] == pytest.approx(1.0)
     assert table.D["T000002"]["white"] == pytest.approx(0.5)
@@ -411,7 +411,7 @@ def test_simulate_two_pairs_accumulate():
         ("T000001", "T000002", 2),  # 1 km: 0.5 T1, 0.5 T2 per unit
     ])
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(od, ts, g, em, a)  # white weight 1 on each pair
+    table = simulate(a, ts, g, em)  # white weight 1 on each pair
     assert table.D["T000000"]["white"] == pytest.approx(0.5)
     assert table.D["T000001"]["white"] == pytest.approx(1.0 + 0.5)
     assert table.D["T000002"]["white"] == pytest.approx(0.5 + 0.5)
@@ -422,7 +422,7 @@ def test_simulate_same_tract_pair_contributes_commuters_only():
     ts, g, em = line_world(2, share=0.5)
     od = ODTable.from_rows([("T000000", "T000000", 6)])
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(od, ts, g, em, a)
+    table = simulate(a, ts, g, em)
     assert table.D == {}
     assert table.C["T000000"]["white"] == 3.0
 
@@ -438,7 +438,7 @@ def test_simulate_unreachable_pairs_skipped():
     em = build_edge_tract_map(g, ts, mode="midpoint")
     od = ODTable.from_rows([("T000000", "T000001", 5), ("T000000", "T000000", 3)])
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(od, ts, g, em, a)
+    table = simulate(a, ts, g, em)
     assert table.n_unreachable == 1
     assert table.D == {}  # cross pair unreachable; same-pair routes nowhere
     assert table.C["T000000"]["white"] == 1.5  # only the reachable pair counts
@@ -447,22 +447,11 @@ def test_simulate_unreachable_pairs_skipped():
 def test_simulate_workers_bitwise_identical(step_scenario):
     sc = step_scenario
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
-    t1 = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a, workers=1)
-    t8 = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a, workers=8)
+    t1 = simulate(a, sc.tracts, sc.graph, sc.edge_map, workers=1)
+    t8 = simulate(a, sc.tracts, sc.graph, sc.edge_map, workers=8)
     assert t1.D == t8.D
     assert t1.C == t8.C
     assert t1.n_unreachable == t8.n_unreachable
-
-
-def test_route_traversals_precompute_matches_inline(step_scenario):
-    sc = step_scenario
-    a = assign_groups(sc.od, sc.tracts, mode="fractional")
-    trav, unreachable = route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
-    direct = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
-    reused = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a, traversals=trav)
-    assert direct.D == reused.D
-    assert direct.C == reused.C
-    assert direct.n_unreachable == reused.n_unreachable == unreachable
 
 
 def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, monkeypatch):
@@ -482,7 +471,7 @@ def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, 
 
     monkeypatch.setattr(commute, "_tract_terms_from", spy)
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
-    simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
+    simulate(a, sc.tracts, sc.graph, sc.edge_map)
     assert calls == want
     calls.clear()
     route_traversals(sc.od, sc.tracts, sc.graph, sc.edge_map)
@@ -494,7 +483,7 @@ def simulate_peak_bytes(od_pairs):
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
     tracemalloc.start()
     try:
-        simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
+        simulate(a, sc.tracts, sc.graph, sc.edge_map)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,22 +496,10 @@ def test_simulate_holds_one_home_of_routes_at_a_time():
     assert simulate_peak_bytes(1600) <= 1.5 * simulate_peak_bytes(400)
 
 
-def test_simulate_rejects_an_assignment_for_another_od_table():
-    ts, g, em = line_world(3)
-    rows = [("T000000", "T000002", 4)]
-    od = ODTable.from_rows(rows)
-    other = ODTable.from_rows(rows + [("T000001", "T000000", 2)])
-    with pytest.raises(ValidationError, match="another OD table"):
-        simulate(od, ts, g, em, assign_groups(other, ts))
-    # an equal table built separately is the same OD table
-    table = simulate(od, ts, g, em, assign_groups(ODTable.from_rows(rows), ts))
-    assert table.C["T000000"] == {"white": 2.0, "non_white": 2.0}
-
-
 def test_traversal_roundtrip_exact(tmp_path, step_scenario):
     sc = step_scenario
     a = assign_groups(sc.od, sc.tracts, mode="bernoulli", seed=9)
-    table = simulate(sc.od, sc.tracts, sc.graph, sc.edge_map, a)
+    table = simulate(a, sc.tracts, sc.graph, sc.edge_map)
     path = tmp_path / "trav.csv"
     write_traversal(table, str(path), header_lines=["written by a test"])
     back = read_traversal(str(path))
@@ -547,7 +524,7 @@ def test_uniform_share_splits_distance_proportionally(step_scenario):
         attr_fn=lambda r, c: {"group_share": 0.37},
     )
     a = assign_groups(sc.od, uniform, mode="fractional")
-    table = simulate(sc.od, uniform, sc.graph, sc.edge_map, a)
+    table = simulate(a, uniform, sc.graph, sc.edge_map)
     for tid in table.tract_ids():
         d_total = table.D_total(tid)
         if d_total > 0:
@@ -591,8 +568,8 @@ def hexed(table):
 
 
 def assert_matches_reference(od, ts, g, em, assignment, exclude_home):
-    got = simulate(od, ts, g, em, assignment, exclude_home=exclude_home)
-    D, C = simulate_reference(od, ts, g, em, assignment, exclude_home=exclude_home)
+    got = simulate(assignment, ts, g, em, exclude_home=exclude_home)
+    D, C = simulate_reference(assignment, ts, g, em, exclude_home=exclude_home)
     assert got.D.keys() == D.keys() and got.C.keys() == C.keys()
     assert hexed(got.D) == hexed(D)
     assert hexed(got.C) == hexed(C)

@@ -90,6 +90,25 @@ def test_build_graph_accepts_infinite_length_and_speed(tmp_path):
     assert [e.travel_time for e in g.edges] == [math.inf, 0.0]
 
 
+def test_graph_rejects_nan_travel_time():
+    # inf / inf is NaN, and every comparison with NaN is false: shortest_path
+    # would return the NaN edge A-B while the routing tree goes A-C-B.
+    nodes = {"A": (0.0, 0.0), "B": (2.0, 0.0), "C": (1.0, 1.0)}
+    edges = [Edge("A", "B", math.inf, math.inf), Edge("A", "C", 1.0, 1.0),
+             Edge("C", "B", 1.0, 1.0)]
+    with pytest.raises(ValidationError, match=r"edge A->B: travel time is NaN"):
+        Graph(nodes, edges)
+
+
+def test_build_graph_rejects_infinite_length_at_infinite_speed(tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\nA,B,inf,inf\n")
+    with pytest.raises(ValidationError, match=r"edge A->B: travel time is NaN"):
+        build_graph(str(nodes), str(edges))
+
+
 def test_graph_rejects_duplicate_edge():
     nodes = {"A": (0, 0), "B": (1, 0)}
     with pytest.raises(ValidationError, match="duplicate edge"):
