@@ -90,13 +90,12 @@ class Context:
     """What a stage reads: the config, its hash and seed, the out dir, the
     subcommand filters, and the input layers, loaded on first use."""
 
-    def __init__(self, cfg: RunConfig, outdir: str, workers: int = 1,
+    def __init__(self, cfg: RunConfig, outdir: str,
                  model: str | None = None, group: str | None = None) -> None:
         self.cfg = cfg
         self.hash = config_hash(cfg.raw)
         self.seed = cfg.seed
         self.outdir = outdir
-        self.workers = workers
         self.model = model
         self.group = group
         self.header = f"tracteq v{__version__} config={self.hash} seed={self.seed}"
@@ -117,7 +116,6 @@ def _context(args) -> Context:
     cfg = load_config(args.config)
     return Context(
         cfg, args.out or cfg.output_dir,
-        workers=getattr(args, "workers", 1),
         model=getattr(args, "model", None),
         group=getattr(args, "group", None),
     )
@@ -284,10 +282,7 @@ def _stage_simulate(ctx: Context) -> str:
         values = tracts.attribute(cfg.drive_share_column)
         share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
         assignment = scale_by_drive_share(assignment, share)
-    table = simulate(
-        assignment, tracts, graph, edge_map,
-        workers=ctx.workers, exclude_home=cfg.exclude_home,
-    )
+    table = simulate(assignment, tracts, graph, edge_map, exclude_home=cfg.exclude_home)
     write_traversal(table, ctx.path("traversal.csv"), [ctx.header])
     total_km = table.total_km()
     _write_json(ctx, "simulate.json", {

@@ -287,20 +287,18 @@ def simulate(
     tracts: TractSet,
     graph: Graph,
     edge_map: EdgeTractMap,
-    workers: int = 1,
     exclude_home: bool = False,
 ) -> TraversalTable:
     """Accumulate per-tract, per-group traversal km and commuter counts for
     the pairs of assignment.od.
 
     Pairs are accumulated in sorted (home, work) order, so outputs are
-    bit-identical across reruns and worker counts. By default the home tract
-    counts among the traversed tracts; exclude_home drops its distance
-    contribution (commuter counts keep the home tract either way).
+    bit-identical across reruns. By default the home tract counts among the
+    traversed tracts; exclude_home drops its distance contribution
+    (commuter counts keep the home tract either way).
     Each pair's km are added from the meter terms that its home's tree
     gives (_home_routes): a tract's meters are math.fsum of its terms, a
-    single term as is, so they equal tract_distances_from's. `workers` is
-    accepted for compatibility and does not change routing.
+    single term as is, so they equal tract_distances_from's.
     """
     od = assignment.od
     # Each row starts at 0.0 for every group and takes the pairs' additions

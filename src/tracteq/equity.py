@@ -19,6 +19,11 @@ from .geometry import EPS, bounding_box, boxes_overlap, polyline_intersects_poly
 
 log = logging.getLogger(__name__)
 
+# The farthest apart a ring's box and a polyline's box can be while the
+# exact test still reports contact: a contact point lies within EPS of the
+# polyline and within EPS of the ring.
+CONTACT_PAD = 2.0 * EPS
+
 
 @dataclass(frozen=True)
 class InequityTable:
@@ -99,21 +104,9 @@ def corridor_subset(
     hits: list[str] = []
     for tract in tracts:
         box = bounding_box(tract.polygon)
-        pad = _contact_pad(box)
-        if any(boxes_overlap(box, line_box, pad)
+        if any(boxes_overlap(box, line_box, CONTACT_PAD)
                and polyline_intersects_polygon(line.points, tract.polygon)
                for line, line_box in zip(lines, line_boxes)):
             hits.append(tract.tract_id)
     return tuple(sorted(hits))
 
-
-def _contact_pad(box: tuple[float, float, float, float]) -> float:
-    """Gap between a ring's box and a polyline's box across which the exact
-    test can still report contact.
-
-    A contact point lies within EPS of the polyline and within EPS of the
-    ring, except in segment_param_hits' near-parallel branch: there a ring
-    edge of length L may stray up to EPS * max(1, L) further from the
-    polyline. L is at most the box's width plus height.
-    """
-    return EPS * (2.0 + (box[2] - box[0]) + (box[3] - box[1]))

@@ -78,15 +78,11 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def point_on_segment(p: Point, a: Point, b: Point, eps: float = EPS) -> bool:
-    return point_segment_distance(p, a, b) <= eps
-
-
-def point_in_polygon(p: Point, points: Sequence[Point], include_boundary: bool = True) -> bool:
-    """Even-odd containment test; boundary points resolved by `include_boundary`."""
+def point_in_polygon(p: Point, points: Sequence[Point]) -> bool:
+    """Even-odd containment test; a point within EPS of the boundary is inside."""
     for a, b in zip(points, points[1:] + points[:1]):
-        if point_on_segment(p, a, b):
-            return include_boundary
+        if point_segment_distance(p, a, b) <= EPS:
+            return True
     px, py = p
     inside = False
     x0, y0 = points[-1]
@@ -99,11 +95,13 @@ def point_in_polygon(p: Point, points: Sequence[Point], include_boundary: bool =
     return inside
 
 
-def segment_param_hits(p0: Point, p1: Point, a: Point, b: Point, eps: float = EPS) -> list[float]:
+def segment_param_hits(p0: Point, p1: Point, a: Point, b: Point) -> list[float]:
     """Parameters t in [0, 1] along p0->p1 where it meets segment ab.
 
-    A transversal crossing yields one t; a collinear overlap yields the two
-    overlap endpoints. No hit yields an empty list.
+    A transversal crossing yields one t. A parallel or nearly parallel ab
+    yields the two ends of the overlap with the part of ab within EPS of the
+    line p0->p1 (one t where they meet in a point). No hit yields an empty
+    list.
     """
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]
@@ -115,23 +113,35 @@ def segment_param_hits(p0: Point, p1: Point, a: Point, b: Point, eps: float = EP
     d_len = math.hypot(dx, dy)
     e_len = math.hypot(ex, ey)
     if d_len == 0.0:
-        return [0.0] if point_on_segment(p0, a, b, eps) else []
-    if abs(denom) > eps * d_len * max(e_len, 1.0):
+        return [0.0] if point_segment_distance(p0, a, b) <= EPS else []
+    if abs(denom) > EPS * d_len * max(e_len, 1.0):
         t = (rx * ey - ry * ex) / denom
         s = (rx * dy - ry * dx) / denom
-        slack_t = eps / d_len
-        slack_s = eps / e_len if e_len > 0 else 0.0
+        slack_t = EPS / d_len
+        slack_s = EPS / e_len if e_len > 0 else 0.0
         if -slack_t <= t <= 1.0 + slack_t and -slack_s <= s <= 1.0 + slack_s:
             return [min(1.0, max(0.0, t))]
         return []
-    # Parallel: distance from a to the p-line decides collinearity.
-    if abs(rx * dy - ry * dx) / d_len > eps:
+    # Parallel: the signed distance from the p-line runs linearly from ha at
+    # a to hb at b, and only the part [u0, u1] of ab within EPS of the line
+    # meets it.
+    ha = (dx * ry - dy * rx) / d_len
+    hb = ha + denom / d_len
+    u0, u1 = 0.0, 1.0
+    if ha != hb:
+        ends = sorted(((EPS - ha) / (hb - ha), (-EPS - ha) / (hb - ha)))
+        u0, u1 = max(u0, ends[0]), min(u1, ends[1])
+    elif abs(ha) > EPS:
+        return []
+    if u0 > u1:
         return []
     dd = dx * dx + dy * dy
     ta = (rx * dx + ry * dy) / dd
     tb = ((b[0] - p0[0]) * dx + (b[1] - p0[1]) * dy) / dd
-    lo = max(0.0, min(ta, tb))
-    hi = min(1.0, max(ta, tb))
+    t0 = ta if u0 == 0.0 else ta + u0 * (tb - ta)
+    t1 = tb if u1 == 1.0 else ta + u1 * (tb - ta)
+    lo = max(0.0, min(t0, t1))
+    hi = min(1.0, max(t0, t1))
     if lo > hi:
         return []
     return [lo, hi] if hi > lo else [lo]

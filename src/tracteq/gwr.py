@@ -16,10 +16,11 @@ Per candidate and chunk the search pays for the kernel rows (one exp per
 cell, with no check of distances it built itself), one q x m product
 rhs_t @ W.T for every local system, and the small batched solves; the k-th
 neighbor distances come from a partition of each chunk when a golden step
-adds one new k, or from a sort for a block of several. Where the
-bandwidths reach every tract's (p+1)-th neighbor, as they do in the search
-and in fit_gwr at bandwidth_scale >= 1, no row's active weights need
-counting.
+adds one new k, or from a sort for a block of several. A system with fewer
+active rows than terms is rank-deficient, so the solve marks it unsound
+and fit_local fails it; only leave-one-out systems, which subtract the
+tract's own row and keep that subtraction's rounding, have their active
+rows counted.
 
 Memory stays near one n x n matrix. select_bandwidth keeps the n x n
 distance matrix for the whole search, because rebuilding its rows for every
@@ -27,13 +28,17 @@ candidate would cost more than the candidate's fit. fit_gwr holds no n x n
 array: it builds each chunk's distance rows as it needs them. Each search
 and each fit allocates one chunk workspace (see _Workspace) and reuses it
 for every chunk's ordered distances, distance rows and kernel weights;
-fit_gwr's has a second chunk for its temporaries.
+fit_gwr allocates one more chunk for its temporaries.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +74,43 @@ CHUNK_CELLS = 1 << 18
 # fit_local applies to diag(R).
 PIVOT_MIN = 1e-4
 RANK_MARGIN = 1e3
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, with its thread-count functions typed; None,
+    after one warning, when numpy has no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        log.warning("numpy's bundled OpenBLAS not found: GWR runs on the caller's BLAS "
+                    "threads, so its last digits may change with their number")
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return lib
+
+
+def _one_blas_thread(fn):
+    """fn run with one OpenBLAS thread, the caller's count restored after:
+    BLAS splits its sums by thread, so GWR's last digits would otherwise
+    depend on OPENBLAS_NUM_THREADS."""
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        lib = _openblas()
+        if lib is None:
+            return fn(*args, **kwargs)
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -351,25 +393,13 @@ class _Workspace:
     chunk. A chunk is CHUNK_CELLS // n rows (at least one, at most n).
 
     W holds the chunk's distance rows or their order statistics and then its
-    kernel weights, keep the mask of weights above WEIGHT_FLOOR. With spare,
-    a second chunk of rows holds what fit_gwr computes beside W: the dy*dy
-    term of its distance rows, then W*W, the residuals and the deviations of
-    its diagnostics.
-
-    count_active says whether _solve_chunk counts each row's weights above
-    WEIGHT_FLOOR to find the systems with fewer than p of them. It may be
-    False only when no row can fall short: when every bandwidth is at least
-    the row's distance to its (p+1)-th nearest row, those p+1 rows weigh at
-    least e^-1/2 each, the row itself among them (weight 1), so each system
-    keeps p rows even without its own.
+    kernel weights, keep the mask of weights above WEIGHT_FLOOR.
     """
 
-    def __init__(self, n: int, spare: bool = False, count_active: bool = True) -> None:
+    def __init__(self, n: int) -> None:
         self.rows = min(n, max(1, CHUNK_CELLS // n))
         self.W = np.empty((self.rows, n))
         self.keep = np.empty((self.rows, n), dtype=bool)
-        self.spare = np.empty((self.rows, n)) if spare else None
-        self.count_active = count_active
 
 
 @dataclass
@@ -425,9 +455,6 @@ def _solve_chunk(
     fitted = np.einsum("mi,mi->m", Xc, beta)
     ok &= np.isfinite(hat_diag) & np.isfinite(fitted)
     ok &= np.isfinite(beta).all(axis=1)
-    if work.count_active:
-        active = keep.sum(axis=1)
-        ok &= active >= p
     refits: dict[int, LocalFit] = {}
     for r in np.flatnonzero(~ok):
         local = refits[r] = fit_local(data, W[r], s + r)
@@ -443,8 +470,9 @@ def _solve_chunk(
         )
         fitted = np.einsum("mi,mi->m", Xc, beta_loo)
         sound &= np.isfinite(fitted)
-        if work.count_active:
-            sound &= active - (w_own > 0.0) >= p
+        # The subtraction leaves rounding of the own row's size, which can
+        # make a short system of rows weighing ~1e-8 or less look sound.
+        sound &= keep.sum(axis=1) - (w_own > 0.0) >= p
         for r in np.flatnonzero(ok & ~sound):
             w_loo = W[r].copy()
             w_loo[s + r] = 0.0
@@ -462,6 +490,7 @@ def _fit_chunk(
     s: int,
     aicc_loo: bool,
     work: _Workspace,
+    tmp: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """fit_gwr's chunk: the solve core plus the diagnostics AICc does not read.
 
@@ -470,14 +499,14 @@ def _fit_chunk(
     ok mask. Tracts the core refitted take fit_local's SEs and R^2; any other
     SE or R^2 is the batched one, NaN where it is not finite, so the ok mask
     and AICc stay those of the solve core. W*W, the residuals and the
-    deviations go in turn to work.spare, so a chunk allocates nothing of its
-    size.
+    deviations go in turn to tmp (a chunk of rows of work's size), so a
+    chunk allocates nothing of its size.
     """
     X, y = data.X, data.y
     p = X.shape[1]
     c = _solve_chunk(data, d, bw, rhs_t, s, aicc_loo, work)
     W, beta = c.W, c.coefficients
-    tmp = work.spare[: len(W)]
+    tmp = tmp[: len(W)]
     with np.errstate(invalid="ignore", divide="ignore"):
         ww = np.multiply(W, W, out=tmp)
         B = (ww @ rhs_t[: p * p].T).reshape(-1, p, p)
@@ -583,14 +612,15 @@ def _pairwise_distances(data: DesignData, tracts: TractSet) -> np.ndarray:
     return _distance_matrix(pts, pts)
 
 
-def _distance_rows(pts: np.ndarray, s: int, work: _Workspace) -> np.ndarray:
+def _distance_rows(pts: np.ndarray, s: int, work: _Workspace, dy: np.ndarray) -> np.ndarray:
     """The distance rows of design rows s.. (one chunk), built in work.W
-    with work.spare for dy*dy; each cell has the bits of the n x n
-    matrix's."""
+    with dy (a chunk of rows of work's size) for dy*dy; each cell has the
+    bits of the n x n matrix's."""
     a = pts[s : s + work.rows]
-    return _distance_matrix(a, pts, out=work.W[: len(a)], dy=work.spare)
+    return _distance_matrix(a, pts, out=work.W[: len(a)], dy=dy)
 
 
+@_one_blas_thread
 def fit_gwr(
     data: DesignData,
     tracts: TractSet,
@@ -616,20 +646,20 @@ def fit_gwr(
     # No n x n matrix: each pass builds a chunk's distance rows in the
     # workspace. The first partitions them there for every bandwidth, so
     # that _check_bandwidths sees all n before any fit; the second fits.
-    # Below scale 1 a bandwidth may leave a tract fewer than p active rows,
-    # so only then are they counted.
+    # tmp takes dy*dy and then the diagnostics' temporaries.
     pts = _design_points(data, tracts)
-    work = _Workspace(n, spare=True, count_active=kernel.bandwidth_scale < 1.0)
+    work = _Workspace(n)
+    tmp = np.empty_like(work.W)
     kth = [kernel.neighbors_k - 1]
     bw = np.concatenate([
-        _order_stats(_distance_rows(pts, s, work), kth)[:, 0]
+        _order_stats(_distance_rows(pts, s, work, tmp), kth)[:, 0]
         for s in range(0, n, work.rows)
     ]) * kernel.bandwidth_scale
     _check_bandwidths(data, bw)
 
     rhs_t = _kernel_rhs(data)
     chunks = [
-        _fit_chunk(data, _distance_rows(pts, s, work), bw, rhs_t, s, aicc_loo, work)
+        _fit_chunk(data, _distance_rows(pts, s, work, tmp), bw, rhs_t, s, aicc_loo, work, tmp)
         for s in range(0, n, work.rows)
     ]
     coef, se_unit, hat_diag, r2_raw, fitted, ok = (np.concatenate(c) for c in zip(*chunks))
@@ -669,6 +699,7 @@ def fit_gwr(
     )
 
 
+@_one_blas_thread
 def select_bandwidth(
     data: DesignData,
     tracts: TractSet,
@@ -696,9 +727,7 @@ def select_bandwidth(
 
     distances = _pairwise_distances(data, tracts)
     rhs_t = _kernel_rhs(data)
-    # k_min > p, so every bandwidth reaches the (p+1)-th neighbor: no system
-    # can be short of active rows.
-    work = _Workspace(n, count_active=False)
+    work = _Workspace(n)
     cache: dict[int, float] = {}
 
     def evaluate(ks) -> None:

@@ -4,12 +4,12 @@ Edge travel cost is free-flow time (length / speed). Shortest paths break
 ties between equal-time routes by lexicographic node-id sequence so every
 aggregate downstream is reproducible.
 
-shortest_path carries each candidate's whole node path and is the oracle.
-_tract_terms_from serves many destinations from one Dijkstra tree over
-node ranks (an id's index in sorted-id order, so ranks compare as ids do):
-the tree keeps no paths, a tie on time is broken on demand by walking both
-candidates up to their common ancestor, and each tract's meter terms are
-read off the tree without building routes. It is the one reader of the
+Searches index nodes by rank, an id's index in sorted-id order, so ranks
+compare as ids do. shortest_path carries each candidate's whole path of
+ranks and is the oracle. _tract_terms_from serves many destinations from
+one Dijkstra tree: the tree keeps no paths, a tie on time is broken on
+demand by walking both candidates up to their common ancestor, and each
+tract's meter terms are read off the tree without building routes. It is the one reader of the
 tree: tract_distances_from sums its terms, and so does commute.simulate.
 """
 
@@ -97,22 +97,17 @@ class Graph:
             adjacency[e.u].append((e.v, e))
             if not e.oneway:
                 adjacency[e.v].append((e.u, e))
-        # (neighbour, edge, travel time) sorted by neighbour then edge key;
-        # each travel time is computed once, for searches that relax every
-        # edge many times.
-        self.timed_adjacency: dict[str, tuple[tuple[str, Edge, float], ...]] = {
-            k: tuple((nbr, e, e.travel_time)
-                     for nbr, e in sorted(v, key=lambda it: (it[0], it[1].key)))
-            for k, v in adjacency.items()
-        }
         # Searches index nodes by their rank in sorted-id order: comparing
         # two ranks gives the same answer as comparing the two ids, so the
-        # lexicographic tie-break can compare ranks. rank_adjacency[r] is
-        # timed_adjacency of the node of rank r, neighbours as ranks.
+        # lexicographic tie-break can compare ranks. rank_adjacency[r] holds
+        # the (neighbour rank, edge, travel time) of the node of rank r,
+        # sorted by neighbour then edge key; each travel time is computed
+        # once, for searches that relax every edge many times.
         self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
         self.rank_adjacency: tuple[tuple[tuple[int, Edge, float], ...], ...] = tuple(
-            tuple((self.rank[nbr], e, tt) for nbr, e, tt in self.timed_adjacency[nid])
+            tuple((self.rank[nbr], e, e.travel_time)
+                  for nbr, e in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
             for nid in self._ids
         )
         # Per rank, the smallest edge travel time (inf with no edges). t + tt
@@ -206,26 +201,29 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     if origin == destination:
         return Route(origin, destination, (origin,), (), 0.0, 0.0)
 
-    # Heap entries carry the whole node path: tuple comparison gives the
+    # Heap entries carry the whole path of ranks: tuple comparison gives the
     # lexicographic tie-break. The counter keeps Edge objects out of any
     # comparison.
+    adjacency = graph.rank_adjacency
+    target = graph.rank[destination]
     counter = 0
-    heap: list[tuple[float, tuple[str, ...], int, tuple[Edge, ...]]] = [
-        (0.0, (origin,), counter, ())
+    heap: list[tuple[float, tuple[int, ...], int, tuple[Edge, ...]]] = [
+        (0.0, (graph.rank[origin],), counter, ())
     ]
-    settled: set[str] = set()
+    settled: set[int] = set()
     while heap:
         time, path, _, edges = heapq.heappop(heap)
         node = path[-1]
         if node in settled:
             continue
         settled.add(node)
-        if node == destination:
+        if node == target:
             total_length = 0.0
             for e in edges:
                 total_length += e.length
-            return Route(origin, destination, path, edges, time, total_length)
-        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
+            nodes = tuple(graph._ids[r] for r in path)
+            return Route(origin, destination, nodes, edges, time, total_length)
+        for neighbor, edge, travel_time in adjacency[node]:
             if neighbor in settled:
                 continue
             counter += 1
@@ -451,7 +449,7 @@ class _TractGrid:
             b = padded[pos]
             if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
                 continue
-            if point_in_polygon(point, self.polygons[pos], include_boundary=True):
+            if point_in_polygon(point, self.polygons[pos]):
                 return self.ids[pos]
         return OUTSIDE_ZONE
 

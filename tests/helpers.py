@@ -79,8 +79,16 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
     """Exhaustive simple-path minimum by (time, node sequence).
 
     Times accumulate left to right exactly like the router, so equal routes
-    compare bit-identically.
+    compare bit-identically. The adjacency is built here from graph.edges,
+    in (neighbour, edge key) order, not read from the graph's own.
     """
+    adjacency: dict[str, list[tuple[str, Edge]]] = {nid: [] for nid in graph.nodes}
+    for e in graph.edges:
+        adjacency[e.u].append((e.v, e))
+        if not e.oneway:
+            adjacency[e.v].append((e.u, e))
+    for out in adjacency.values():
+        out.sort(key=lambda it: (it[0], it[1].key))
     best = None
     stack = [(0.0, (origin,), ())]
     while stack:
@@ -91,10 +99,10 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
             if best is None or key < (best[0], best[1]):
                 best = (time, path, edges)
             continue
-        for neighbor, edge, travel_time in graph.timed_adjacency[node]:
+        for neighbor, edge in adjacency[node]:
             if neighbor in path:
                 continue
-            stack.append((time + travel_time, path + (neighbor,), edges + (edge,)))
+            stack.append((time + edge.travel_time, path + (neighbor,), edges + (edge,)))
     return best
 
 
@@ -218,7 +226,7 @@ def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
         b = boxes[i]
         if not (b[0] - 1e-9 <= x <= b[2] + 1e-9 and b[1] - 1e-9 <= y <= b[3] + 1e-9):
             continue
-        if point_in_polygon(point, tracts[i].polygon, include_boundary=True):
+        if point_in_polygon(point, tracts[i].polygon):
             return tracts[i].tract_id
     return OUTSIDE_ZONE
 

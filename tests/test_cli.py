@@ -427,6 +427,31 @@ def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_pa
     assert "Traceback" not in out.stderr
 
 
+def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # At 30 x 30 tracts the GWR products are large enough for OpenBLAS to
+    # split their sums over two threads, which moved the last digits of the
+    # gwr_local artifacts before GWR pinned one thread (smaller grids did
+    # not show it).
+    scenario = tmp_path / "scenario"
+    assert main(["synth", "--out", str(scenario), "--rows", "30", "--cols", "30", "--step",
+                 "--group-gradient", "--highway-row", "15", "--od-pairs", "100",
+                 "--seed", "1"]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-m", "tracteq.cli", "run", "--config",
+                              str(scenario / "config.json"), "--out", str(out)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert "gwr_local_local.csv" in names and sorted(os.listdir(outs[1])) == names
+    _, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+
+
 def test_ols_only_run_loads_no_gwr_module(scenario_dir, tmp_path):
     config = _config_variant(
         scenario_dir, tmp_path / "config.json",

@@ -444,16 +444,6 @@ def test_simulate_unreachable_pairs_skipped():
     assert table.C["T000000"]["white"] == 1.5  # only the reachable pair counts
 
 
-def test_simulate_workers_bitwise_identical(step_scenario):
-    sc = step_scenario
-    a = assign_groups(sc.od, sc.tracts, mode="fractional")
-    t1 = simulate(a, sc.tracts, sc.graph, sc.edge_map, workers=1)
-    t8 = simulate(a, sc.tracts, sc.graph, sc.edge_map, workers=8)
-    assert t1.D == t8.D
-    assert t1.C == t8.C
-    assert t1.n_unreachable == t8.n_unreachable
-
-
 def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, monkeypatch):
     sc = step_scenario
     node_of = {tid: nearest_node(sc.graph, tuple(sc.tracts.centroids[sc.tracts.index_of(tid)]))

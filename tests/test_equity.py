@@ -184,9 +184,11 @@ def _slope_line(y0: float, slope: float, x0: float, x1: float) -> HighwayPolylin
     # Parallel to the south edge, within and beyond the boundary tolerance.
     (_slope_line(-EPS / 2, 0.0, 100.0, 900.0), ("T000000",)),
     (_slope_line(-3 * EPS, 0.0, 100.0, 900.0), ()),
-    # Near-parallel to the south edge: within EPS of its west end, it counts
-    # as touching along the whole edge, ~0.8 um below the tract's box.
-    (_slope_line(-EPS / 2, -0.9 * EPS, 900.0, 1000.0), ("T000000",)),
+    # Near-parallel to the south edge: its line passes within EPS of the
+    # edge's west end, but the line itself stays ~0.8 um below the tract.
+    (_slope_line(-EPS / 2, -0.9 * EPS, 900.0, 1000.0), ()),
+    # Near-parallel and within EPS of the south edge from end to end.
+    (_slope_line(-EPS / 4, -EPS / 2000.0, 100.0, 900.0), ("T000000",)),
 ])
 def test_corridor_boundary_contacts(line, hits):
     ts = grid_tracts(2, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from tracteq.data_model import Tract, TractSet
 from tracteq.geometry import (
+    EPS,
     bounding_box,
     boxes_overlap,
     normalize_ring,
@@ -94,20 +95,18 @@ def test_point_in_polygon_basic():
 
 
 def test_point_in_polygon_boundary_switch():
-    assert point_in_polygon((1.0, 0.5), SQUARE, include_boundary=True)
-    assert not point_in_polygon((1.0, 0.5), SQUARE, include_boundary=False)
-    assert point_in_polygon((0.0, 0.0), SQUARE, include_boundary=True)
-    assert not point_in_polygon((0.0, 0.0), SQUARE, include_boundary=False)
+    assert point_in_polygon((1.0, 0.5), SQUARE)
+    assert point_in_polygon((0.0, 0.0), SQUARE)
 
 
 def test_point_in_polygon_concave():
     assert point_in_polygon((0.5, 1.5), L_SHAPE)
-    assert not point_in_polygon((1.5, 1.5), L_SHAPE, include_boundary=False)
+    assert not point_in_polygon((1.5, 1.5), L_SHAPE)
 
 
 def test_point_in_polygon_ray_through_vertex():
     # ray from (0.5, 1.0) passes through vertex (1.0, 1.0) of the notch
-    assert point_in_polygon((0.5, 1.0), L_SHAPE, include_boundary=False)
+    assert point_in_polygon((0.5, 1.0), L_SHAPE)
 
 
 def test_point_in_polygon_grid_against_matplotlib_free_oracle():
@@ -145,6 +144,23 @@ def test_segment_param_hits_collinear_overlap():
 def test_segment_param_hits_collinear_partial_overlap_clamps():
     hits = segment_param_hits((0.0, 0.0), (10.0, 0.0), (8.0, 0.0), (15.0, 0.0))
     assert hits == [0.8, 1.0]
+
+
+def test_segment_param_hits_crossing_at_a_tiny_angle():
+    # Just steep enough for the transversal branch: one hit at the crossing.
+    hits = segment_param_hits((0.0, 0.0), (10.0, 0.0), (0.0, -6 * EPS), (10.0, 6 * EPS))
+    assert hits == [pytest.approx(0.5)]
+
+
+def test_segment_param_hits_near_parallel_counts_only_the_part_within_eps():
+    # ab rises 0.4 EPS per meter from EPS/2 below the line: within EPS of
+    # it up to x = 3.75 only, though its end a is within EPS.
+    hits = segment_param_hits((0.0, 0.0), (10.0, 0.0), (0.0, -EPS / 2), (10.0, 3.5 * EPS))
+    assert hits == [0.0, pytest.approx(0.375)]
+    # Crossing the line in the near-parallel branch with both ends more
+    # than EPS away: the part within EPS, around the crossing.
+    hits = segment_param_hits((0.0, 0.0), (10.0, 0.0), (0.0, -4 * EPS), (10.0, 4 * EPS))
+    assert hits == [pytest.approx(0.375), pytest.approx(0.625)]
 
 
 def test_segment_param_hits_endpoint_touch():
@@ -246,8 +262,7 @@ def test_closed_and_open_rings_agree(ring):
     assert polygon_area(closed).hex() == polygon_area(ring).hex()
     points = probe_points(ring)
     for p in points:
-        for boundary in (True, False):
-            assert point_in_polygon(p, closed, boundary) == point_in_polygon(p, ring, boundary)
+        assert point_in_polygon(p, closed) == point_in_polygon(p, ring)
     rng = np.random.default_rng(11)
     segments = [(points[i], points[j]) for i, j in rng.integers(0, len(points), (300, 2))]
     segments += list(zip(ring, ring[1:] + ring[:1]))  # collinear with an edge

@@ -1,3 +1,5 @@
+import functools
+import logging
 import math
 import tracemalloc
 
@@ -418,6 +420,128 @@ def test_narrow_kernel_fails_exactly_the_tracts_short_of_active_rows(monkeypatch
     )
     assert all(not messages.get(tid) for tid in set(ts.ids) - set(short))
     assert not np.isnan(fit.local_coefficients[active == 4]).any()
+
+
+def short_design(rng, n, p, kind):
+    """An n x p design with an intercept; kind "dummy" makes the last column
+    0/1, "collinear" makes it affine in another, "duplicated" repeats each
+    even row in the next and "scaled" spreads the column scales over 1e-6
+    to 1e6."""
+    X = np.column_stack([np.ones(n), rng.normal(0.0, 1.0, (n, p - 1))])
+    if kind == "dummy":
+        X[:, -1] = rng.integers(0, 2, n)
+    elif kind == "collinear":
+        X[:, -1] = 2.0 * X[:, 1] - 0.5 if p > 2 else 3.0
+    elif kind == "duplicated":
+        X[1::2] = X[: n // 2 * 2 : 2]
+    elif kind == "scaled":
+        X[:, 1:] *= 10.0 ** rng.uniform(-6.0, 6.0, p - 1)
+    return X
+
+
+def short_weights(rng, n, p, rows):
+    """rows kernel rows over n tracts: row r weighs its own tract r % n at 1
+    and at most p - 1 others between just above WEIGHT_FLOOR and 1, so its
+    leave-in system has at most p active rows and its leave-one-out
+    system fewer than p."""
+    W = np.zeros((rows, n))
+    for r in range(rows):
+        own = r % n
+        others = rng.choice(np.delete(np.arange(n), own), int(rng.integers(0, p)),
+                            replace=False)
+        W[r, others] = 10.0 ** rng.uniform(np.log10(gwr.WEIGHT_FLOOR) + 0.01, 0.0, len(others))
+        W[r, own] = 1.0
+    return W
+
+
+def normal_systems(X, y, W):
+    """The stacked X'WX and X'Wy of each row of W, formed as _solve_chunk
+    forms them."""
+    p = X.shape[1]
+    G = (gwr._kernel_rhs(design_from_arrays(y, X)) @ W.T).T
+    return G[:, : p * p].reshape(-1, p, p), G[:, p * p : p * p + p]
+
+
+@pytest.mark.parametrize("kind", ["plain", "dummy", "collinear", "duplicated", "scaled"])
+def test_solve_normal_marks_every_system_short_of_active_rows_unsound(kind):
+    # Such a system is rank-deficient, so its equilibrated Cholesky pivots
+    # fall to round-off (or NaN): fit_gwr needs no count of active rows to
+    # send it to fit_local, which fails it. Leave-in systems keep their own
+    # row at weight 1; leave-one-out ones drop it, here before the product.
+    rng = np.random.default_rng(17)
+    n = 30
+    for p in range(2, 7):
+        for _ in range(4):
+            X, y = short_design(rng, n, p, kind), rng.normal(0.0, 1.0, n)
+            W = short_weights(rng, n, p, 300)
+            active = (W > gwr.WEIGHT_FLOOR).sum(axis=1)
+            for leave_out in (False, True):
+                if leave_out:
+                    W[np.arange(len(W)), np.arange(len(W)) % n] = 0.0
+                    active = active - 1
+                short = active < p
+                assert short.sum() > 100
+                _, _, sound = gwr._solve_normal(*normal_systems(X, y, W))
+                assert not sound[short].any(), (p, leave_out)
+
+
+def test_narrow_kernel_fails_the_leave_one_out_fits_short_of_other_rows():
+    # A row of ten tracts at k = 3 and scale 0.0737: each end tract keeps
+    # one neighbor, at weight ~1e-10, so its leave-in fit stands while its
+    # leave-one-out system has one row for two terms. Taking the own row
+    # out of the sums leaves rounding of its size, which lets some of these
+    # systems pass the solve's pivot test, so such rows are counted.
+    tracts = grid_tracts(1, 10)
+    kernel = KernelSpec(neighbors_k=3, bandwidth_scale=0.0737)
+    ends = {tracts.ids[0], tracts.ids[-1]}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(10), rng.normal(0.0, 1.0, 10)])
+        data = design_from_arrays(rng.normal(0.0, 1.0, 10), X, ids=tracts.ids)
+        assert not ends & set(fit_gwr(data, tracts, kernel).failed)
+        assert ends <= set(fit_gwr(data, tracts, kernel, aicc_loo=True).failed)
+
+
+def test_gwr_runs_on_one_blas_thread_and_restores_the_callers(gradient_scenario, monkeypatch):
+    lib = gwr._openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    count = lib.scipy_openblas_get_num_threads64_
+    seen = []
+    real_solve = gwr._solve_chunk
+
+    def spy(*args):
+        seen.append(count())
+        return real_solve(*args)
+
+    monkeypatch.setattr(gwr, "_solve_chunk", spy)
+    sc = gradient_scenario
+    before = count()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        select_bandwidth(sc.design, sc.tracts, 4, 8)
+        assert count() == 2
+        fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=8))
+        assert count() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert len(seen) == 6 and set(seen) == {1}
+
+
+def test_gwr_without_openblas_warns_once_and_runs(gradient_scenario, monkeypatch, caplog):
+    sc = gradient_scenario
+    kernel = KernelSpec(neighbors_k=8)
+    want = fit_gwr(sc.design, sc.tracts, kernel)
+    monkeypatch.setattr(gwr.glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(gwr, "_openblas", functools.cache(gwr._openblas.__wrapped__))
+    with caplog.at_level(logging.WARNING, logger="tracteq.gwr"):
+        fit = fit_gwr(sc.design, sc.tracts, kernel)
+        select_bandwidth(sc.design, sc.tracts, 4, 8)
+    assert [r.getMessage() for r in caplog.records if "OpenBLAS" in r.getMessage()] == [
+        "numpy's bundled OpenBLAS not found: GWR runs on the caller's BLAS threads, "
+        "so its last digits may change with their number"
+    ]
+    assert fit.aicc.hex() == want.aicc.hex()
 
 
 def test_select_bandwidth_singleton_range(gradient_scenario):

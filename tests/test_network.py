@@ -131,7 +131,7 @@ def test_build_graph_from_files(tmp_path):
     assert g.edges[2].speed == 13.9  # "default" fallback
     assert g.edges[2].oneway
     # oneway A->C means C has no back-edge to A
-    assert all(nbr != "A" for nbr, _, _ in g.timed_adjacency["C"])
+    assert all(nbr != g.rank["A"] for nbr, _, _ in g.rank_adjacency[g.rank["C"]])
 
 
 def test_build_graph_class_speed_override(tmp_path):
@@ -627,9 +627,9 @@ def assert_grid_matches_linear(monkeypatch, graph, tracts):
     def spy(module, key):
         real = module.point_in_polygon
 
-        def recording(point, polygon, include_boundary=True):
+        def recording(point, polygon):
             calls[key].append((point, polygon))
-            return real(point, polygon, include_boundary=include_boundary)
+            return real(point, polygon)
 
         monkeypatch.setattr(module, "point_in_polygon", recording)
 
