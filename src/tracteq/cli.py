@@ -4,13 +4,15 @@ The analysis is one table of stages, STAGES: ingest, ols, gwr, simulate,
 equity and report. `run` executes the table in order and each stage
 subcommand executes its own row. A stage imports the analysis modules it
 runs (gwr, ols, equity, report) when it runs, so a stage subcommand loads
-only its own. Every artifact carries the toolkit version, the config hash
-and the seed (a `#` header line, an XML comment on an SVG's first line, or
-a `meta` object in JSON and GeoJSON). A stage refuses to read an artifact
-written under another config, and `run` first deletes every file in the
-out dir that another config wrote and this run does not write. Numeric
-cells are written with repr so identical runs are byte-identical
-regardless of worker count.
+only its own. The report stage renders the OLS table from the
+ols_<model>.json files and copies each GWR and equity section from the
+summary text file that the gwr or equity stage wrote. Every artifact
+carries the toolkit version, the config hash and the seed (a `#` header
+line, an XML comment on an SVG's first line, or a `meta` object in JSON
+and GeoJSON). A stage refuses to read an artifact written under another
+config, and `run` first deletes every file in the out dir that another
+config wrote and this run does not write. Numeric cells are written with
+repr so identical runs are byte-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ from .commute import (
     GROUPS,
     assign_groups,
     load_od,
-    nearest_node,
     read_traversal,
     scale_by_drive_share,
     simulate,
+    tract_node,
     write_traversal,
 )
 from .config import RunConfig, config_hash, load_config
 from .data_model import (
+    DEMOGRAPHICS,
     HighwayNetworkGeom,
     TractSet,
     build_design,
@@ -157,6 +160,13 @@ def _artifact(ctx: Context, name: str) -> str:
 def _read_json(ctx: Context, name: str) -> dict:
     with open(_artifact(ctx, name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _section(ctx: Context, name: str) -> str:
+    """The text of a headed artifact after its stamp line."""
+    with open(_artifact(ctx, name), encoding="utf-8") as fh:
+        fh.readline()
+        return fh.read()
 
 
 def _written_under(path: str) -> str | None:
@@ -280,6 +290,9 @@ def _stage_simulate(ctx: Context) -> str:
     assignment = assign_groups(od, tracts, mode=cfg.sim_mode, seed=cfg.seed)
     if cfg.drive_share_column:
         values = tracts.attribute(cfg.drive_share_column)
+        if np.all(np.isnan(values)):
+            raise ValidationError(
+                f"drive share column {cfg.drive_share_column!r} absent from attribute table")
         share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
         assignment = scale_by_drive_share(assignment, share)
     table = simulate(assignment, tracts, graph, edge_map, exclude_home=cfg.exclude_home)
@@ -349,7 +362,7 @@ def _stage_equity(ctx: Context) -> str:
 
 def _stage_report(ctx: Context) -> str:
     from .ols import OlsFit
-    from .report import format_gwr_table, format_ols_table
+    from .report import format_ols_table
 
     models = ctx.cfg.models
     sections = [f"# {ctx.header}"]
@@ -360,18 +373,10 @@ def _stage_report(ctx: Context) -> str:
     ]
     if ols_fits:
         sections.append(format_ols_table(ols_fits))
-    gwr_models = [m for m in models if m.estimator == "gwr"]
-    if gwr_models:  # an OLS-only run never loads the GWR module
-        from .gwr import GwrSummary
-    for m in gwr_models:
-        summary = from_dict(GwrSummary, _read_json(ctx, f"gwr_{m.name}.json"))
-        sections.append(format_gwr_table(m.name, summary))
-    for group in GROUPS:
-        name = f"equity_summary_{group}.txt"
-        if os.path.exists(ctx.path(name)):
-            with open(_artifact(ctx, name), encoding="utf-8") as fh:
-                body = "".join(ln for ln in fh if not ln.startswith("#"))
-            sections.append(body.rstrip("\n") + "\n")
+    sections += [_section(ctx, f"gwr_{m.name}_summary.txt")
+                 for m in models if m.estimator == "gwr"]
+    equity = (f"equity_summary_{group}.txt" for group in GROUPS)
+    sections += [_section(ctx, name) for name in equity if os.path.exists(ctx.path(name))]
     text = "\n".join(sections)
     _write_text(ctx, "report.txt", text)
     return text
@@ -478,8 +483,7 @@ def cmd_route(args) -> int:
         for flag, tract_id in (("--home", args.home), ("--work", args.work)):
             if tract_id not in tracts:
                 raise ValidationError(f"{flag}: tract {tract_id!r} is not in {args.tracts}")
-        origin = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.home)]))
-        dest = nearest_node(graph, tuple(tracts.centroids[tracts.index_of(args.work)]))
+        origin, dest = (tract_node(graph, tracts, t) for t in (args.home, args.work))
     else:
         if not (args.origin and args.dest):
             raise ValidationError("need --origin/--dest nodes or --home/--work tracts")
@@ -541,11 +545,7 @@ def synth_run_config(scenario: Scenario, paths: dict[str, str], outdir: str) -> 
     return {
         "inputs": rel,
         "columns": columns,
-        "demographics": {
-            "population": "population",
-            "commuters": "commuters",
-            "group_share": "group_share",
-        },
+        "demographics": dict(DEMOGRAPHICS),
         "models": [
             {"name": "global", "estimator": "ols", "controls": predictors},
             {"name": "local", "estimator": "gwr", "controls": predictors},

@@ -130,8 +130,6 @@ def assign_groups(
         p = tracts[tracts.index_of(home)].attributes.get(tracts.group_share_column)
         if p is None or not math.isfinite(p):
             raise ValidationError(f"tract {home!r} has no group share")
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"tract {home!r}: group share {p} outside [0,1]")
         return float(p)
 
     share = _home_column(od, share_of)
@@ -152,13 +150,13 @@ def assign_groups(
 def scale_by_drive_share(
     assignment: TripAssignment, drive_share: Mapping[str, float]
 ) -> TripAssignment:
-    """Multiply every group weight by the home tract's driving share."""
+    """Multiply every group weight by the home tract's driving share; a home
+    that drive_share lacks or gives as NaN is an error."""
 
     def share_of(home: str) -> float:
-        try:
-            share = float(drive_share[home])
-        except KeyError:
-            raise ValidationError(f"no drive share for home tract {home!r}") from None
+        share = float(drive_share.get(home, math.nan))
+        if math.isnan(share):
+            raise ValidationError(f"no drive share for home tract {home!r}")
         if not 0.0 <= share <= 1.0:
             raise ValidationError(f"tract {home!r}: drive share {share} outside [0,1]")
         return share
@@ -229,6 +227,12 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
+def tract_node(graph: Graph, tracts: TractSet, tract_id: str) -> str:
+    """The graph node a tract's trips start and end at: the nearest node to
+    its centroid."""
+    return nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tract_id)]))
+
+
 def _home_routes(
     od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap
 ) -> Iterator[tuple[str, list[str], list[dict[str, list[float]] | None]]]:
@@ -238,10 +242,8 @@ def _home_routes(
     consecutive, and its terms come from one routing tree
     (network._tract_terms_from), so only one home's terms are alive at a
     time."""
-    node_for = {
-        tid: nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tid)]))
-        for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})
-    }
+    node_for = {tid: tract_node(graph, tracts, tid)
+                for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})}
     for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
         works = [w for _, w, _ in rows]
         by_node = _tract_terms_from(

@@ -9,9 +9,11 @@ with equal hashes give byte-identical artifacts only when their inputs are
 the same files. Worker count is a command-line concern and never part of
 the hash.
 
-The integer, boolean and speed keys, the sections and their entries are
-checked where they are parsed: a value of the wrong JSON type is a
-ValidationError naming the key.
+parse_config is the one place that gives each key its default; RunConfig
+has none of its own. The demographic column names default to
+data_model.DEMOGRAPHICS. The integer, boolean and speed keys, the sections
+and their entries are checked where they are parsed: a value of the wrong
+JSON type is a ValidationError naming the key.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .data_model import TransformSpec
+from .data_model import DEMOGRAPHICS, TransformSpec
 from .errors import ValidationError
 
 # Control presets. "limited" is the small specification (the demographic,
@@ -90,25 +92,19 @@ class RunConfig:
     inputs: dict[str, str]
     columns: dict[str, TransformSpec]
     models: tuple[ModelSpec, ...]
-    demographics: dict[str, str] = field(
-        default_factory=lambda: {
-            "population": "population",
-            "commuters": "commuters",
-            "group_share": "group_share",
-        }
-    )
-    k_min: int | None = None
-    k_max: int | None = None
-    search_method: str = "golden"
-    aicc_loo: bool = False
-    sim_mode: str = "fractional"
-    seed: int = 0
-    exclude_home: bool = False
-    attribution_mode: str = "midpoint"
-    drive_share_column: str | None = None
-    class_speeds: dict[str, float] = field(default_factory=dict)
-    output_dir: str = "out"
-    raw: dict = field(default_factory=dict, compare=False)
+    demographics: dict[str, str]
+    k_min: int | None
+    k_max: int | None
+    search_method: str
+    aicc_loo: bool
+    sim_mode: str
+    seed: int
+    exclude_home: bool
+    attribution_mode: str
+    drive_share_column: str | None
+    class_speeds: dict[str, float]
+    output_dir: str
+    raw: dict = field(compare=False)
 
     @property
     def response_key(self) -> str:
@@ -206,12 +202,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     gwr = _section(raw, "gwr")
     sim = _section(raw, "simulation")
-    demographics = {
-        "population": "population",
-        "commuters": "commuters",
-        "group_share": "group_share",
-    }
-    demographics.update(_section(raw, "demographics"))
+    demographics = {**DEMOGRAPHICS, **_section(raw, "demographics")}
     k_min, k_max = gwr.get("k_min"), gwr.get("k_max")
     for key, k in (("gwr.k_min", k_min), ("gwr.k_max", k_max)):
         if k is not None:
@@ -273,11 +264,7 @@ def replication_config(
     return {
         "inputs": dict(inputs),
         "columns": {k: dict(v) for k, v in DEFAULT_COLUMNS.items()},
-        "demographics": {
-            "population": "population",
-            "commuters": "commuters",
-            "group_share": "prop_white",
-        },
+        "demographics": {**DEMOGRAPHICS, "group_share": "prop_white"},
         "models": [
             {"name": "model1", "estimator": "ols", "controls": "limited"},
             {"name": "model2", "estimator": "ols", "controls": "full"},

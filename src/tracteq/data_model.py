@@ -30,6 +30,14 @@ log = logging.getLogger(__name__)
 
 ROAD_CLASSES = ("interstate", "us_route", "state_route")
 
+# The attribute column read for each demographic a TractSet checks and the
+# simulation reads, unless the run config's "demographics" section renames it.
+DEMOGRAPHICS = {
+    "population": "population",
+    "commuters": "commuters",
+    "group_share": "group_share",
+}
+
 
 @dataclass(frozen=True)
 class Tract:
@@ -52,16 +60,16 @@ class TractSet:
 
     Attribute columns are free-form; the demographic columns used by the
     simulation (population, commuters, group share) are looked up by the
-    configurable names given at construction. Instances are immutable after
-    construction and safe to share across threads.
+    names given at construction, DEMOGRAPHICS by default. Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(
         self,
         tracts: Sequence[Tract],
-        population_column: str = "population",
-        commuters_column: str = "commuters",
-        group_share_column: str = "group_share",
+        population_column: str = DEMOGRAPHICS["population"],
+        commuters_column: str = DEMOGRAPHICS["commuters"],
+        group_share_column: str = DEMOGRAPHICS["group_share"],
     ) -> None:
         if not tracts:
             raise ValidationError("tract set is empty")
@@ -175,11 +183,6 @@ class DesignData:
     def n(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def k(self) -> int:
-        """Predictor count, excluding the intercept."""
-        return self.X.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class HighwayPolyline:
@@ -287,9 +290,9 @@ def read_attribute_table(path: str) -> dict[str, dict[str, float]]:
 def load_tracts(
     geojson_path: str,
     attributes_path: str,
-    population_column: str = "population",
-    commuters_column: str = "commuters",
-    group_share_column: str = "group_share",
+    population_column: str = DEMOGRAPHICS["population"],
+    commuters_column: str = DEMOGRAPHICS["commuters"],
+    group_share_column: str = DEMOGRAPHICS["group_share"],
 ) -> TractSet:
     """Join tract polygons with their attribute rows into a TractSet.
 

@@ -46,15 +46,13 @@ import numpy as np
 from .data_model import DesignData, TractSet
 from .errors import SelectionError
 from .ols import RANK_RTOL
+from .report import SIG_T
 
 log = logging.getLogger(__name__)
 
 # Kernel weights below this are truncated to zero so far-away rows drop out
 # of the local solves entirely.
 WEIGHT_FLOOR = 1e-12
-
-# Two-sided significance threshold used in the local-coefficient summaries.
-T_CRIT = 1.96
 
 # AICc ties within this tolerance are broken toward larger neighbor counts.
 TIE_TOL = 1e-9
@@ -170,10 +168,6 @@ class GwrFit:
     def n(self) -> int:
         return self.local_coefficients.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.local_coefficients.shape[1] - 1
-
 
 @dataclass(frozen=True)
 class GwrSummary:
@@ -181,7 +175,7 @@ class GwrSummary:
     mean: np.ndarray
     min: np.ndarray
     max: np.ndarray
-    pct_sig_neg: np.ndarray  # share of tracts with t < -T_CRIT, in [0, 1]
+    pct_sig_neg: np.ndarray  # share of tracts with t < -SIG_T, in [0, 1]
     pct_sig_pos: np.ndarray
     mean_local_r2: float
     min_local_r2: float
@@ -764,8 +758,6 @@ def select_bandwidth(
             span = hi - lo
             x1 = hi - int(round(span * invphi))
             x2 = lo + int(round(span * invphi))
-            if x1 >= x2:
-                x1 = max(lo, x2 - 1)
             evaluate((x1, x2))
             f1, f2 = cache[x1], cache[x2]
             if f1 < f2 - TIE_TOL:
@@ -787,7 +779,7 @@ def select_bandwidth(
 
 
 def summarize_gwr(fit: GwrFit) -> GwrSummary:
-    """Per-term mean/min/max and +-1.96 significance shares over clean tracts."""
+    """Per-term mean/min/max and +-SIG_T significance shares over clean tracts."""
     ok = ~np.isnan(fit.local_coefficients[:, 0])
     n_used = int(ok.sum())
     n_failed = fit.n - n_used
@@ -800,8 +792,8 @@ def summarize_gwr(fit: GwrFit) -> GwrSummary:
         mean=coef.mean(axis=0),
         min=coef.min(axis=0),
         max=coef.max(axis=0),
-        pct_sig_neg=(t < -T_CRIT).mean(axis=0),
-        pct_sig_pos=(t > T_CRIT).mean(axis=0),
+        pct_sig_neg=(t < -SIG_T).mean(axis=0),
+        pct_sig_pos=(t > SIG_T).mean(axis=0),
         mean_local_r2=float(fit.local_r2[ok].mean()),
         min_local_r2=float(fit.local_r2[ok].min()),
         max_local_r2=float(fit.local_r2[ok].max()),

@@ -3,7 +3,7 @@
 The regression tables follow the usual applied layout: one estimate column
 per global model with the standard error parenthesized beneath, and for
 local models the per-term mean/min/max plus the shares of tracts whose local
-t passes +-1.96. All output is deterministic text.
+t passes +-SIG_T. All output is deterministic text.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ if TYPE_CHECKING:
     from .gwr import GwrSummary
     from .ols import OlsFit
 
+# Two-sided significance cut-off of a t statistic: an OLS estimate beyond it
+# is starred, and the GWR summaries count the local t beyond it.
 SIG_T = 1.96
 
 DIVERGING_COLORS = (
@@ -82,7 +84,7 @@ def format_ols_table(fits: Sequence[tuple[str, OlsFit]]) -> str:
 def format_gwr_table(name: str, summary: GwrSummary) -> str:
     """Per-term local-coefficient distribution and significance shares."""
     rows: list[list[str]] = [
-        ["term", "mean", "min", "max", "t<-1.96", "t>1.96"]
+        ["term", "mean", "min", "max", f"t<-{SIG_T}", f"t>{SIG_T}"]
     ]
     for i, term in enumerate(summary.column_names):
         rows.append(

@@ -27,11 +27,11 @@ from .data_model import (
     TransformSpec,
     build_design,
 )
-from .network import Edge, EdgeTractMap, Graph, build_edge_tract_map
+from .network import DEFAULT_CLASS_SPEEDS, Edge, EdgeTractMap, Graph, build_edge_tract_map
 from .report import tracts_to_geojson
 
-STREET_SPEED = 13.9
-HIGHWAY_SPEED = 27.8
+STREET_SPEED = DEFAULT_CLASS_SPEEDS["street"]
+HIGHWAY_SPEED = DEFAULT_CLASS_SPEEDS["highway"]
 
 
 @dataclass(frozen=True)

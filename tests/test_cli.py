@@ -352,6 +352,13 @@ def test_route_unknown_home_or_work_tract_exits_2(scenario_dir, caplog, flag):
     assert f"{flag}: tract 'NOPE'" in caplog.text
 
 
+def test_route_without_endpoints_exits_2(scenario_dir, caplog):
+    rc = main(["route", "--nodes", str(scenario_dir / "nodes.csv"),
+               "--edges", str(scenario_dir / "edges.csv"), "--origin", "N000000"])
+    assert rc == 2
+    assert "need --origin/--dest nodes or --home/--work tracts" in caplog.text
+
+
 def test_route_home_without_layers_errors(scenario_dir):
     rc = main(["route", "--nodes", str(scenario_dir / "nodes.csv"),
                "--edges", str(scenario_dir / "edges.csv"),
@@ -466,6 +473,77 @@ def test_ols_only_run_loads_no_gwr_module(scenario_dir, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout.splitlines()[-1].split() == ["0", "False"], out.stderr
     assert (tmp_path / "out" / "report.txt").exists()
+
+
+def test_report_on_a_gwr_config_loads_no_gwr_module(scenario_dir, run_dir, tmp_path):
+    # The report copies each GWR section from gwr_<model>_summary.txt.
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    (out / "report.txt").unlink()
+    config = str(scenario_dir / "config.json")
+    assert any(m.estimator == "gwr" for m in load_config(config).models)
+    code = (
+        "import sys; from tracteq.cli import main; "
+        f"rc = main(['report', '--config', {config!r}, '--out', {str(out)!r}]); "
+        "print(rc, 'tracteq.gwr' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.stdout.splitlines()[-1].split() == ["0", "False"], result.stderr
+    assert (out / "report.txt").read_bytes() == (run_dir / "report.txt").read_bytes()
+
+
+def _traversal(path):
+    """(tract_id, group) -> (D_km, C_count) of a traversal.csv."""
+    rows = read_lines(path)[2:]
+    return {tuple(r.split(",")[:2]): tuple(float(v) for v in r.split(",")[2:]) for r in rows}
+
+
+@pytest.fixture
+def drive_share_scenario(tmp_path):
+    """An 8 x 8 scenario whose attribute table has a `drive` column of 0.5."""
+    scen = tmp_path / "scen"
+    assert main(["synth", "--out", str(scen), "--rows", "8", "--cols", "8",
+                 "--od-pairs", "200", "--seed", "5"]) == 0
+    lines = read_lines(scen / "attributes.csv")
+    (scen / "attributes.csv").write_text(
+        "\n".join([lines[0] + ",drive"] + [ln + ",0.5" for ln in lines[1:]]) + "\n")
+    return scen
+
+
+def test_drive_share_column_scales_every_traversal_value(drive_share_scenario, tmp_path):
+    # A share of 0.5 is a power of two, so every scaled value is exactly half.
+    scen = drive_share_scenario
+    plain = _config_variant(scen, tmp_path / "plain.json", lambda raw: None)
+    halved = _config_variant(scen, tmp_path / "halved.json",
+                             lambda raw: raw["simulation"].update(drive_share_column="drive"))
+    tables = []
+    for config, out in ((plain, tmp_path / "plain"), (halved, tmp_path / "halved")):
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        tables.append(_traversal(out / "traversal.csv"))
+    full, half = tables
+    assert half.keys() == full.keys() and len(full) > 100
+    for key, values in full.items():
+        assert half[key] == tuple(v / 2 for v in values), key
+
+
+def test_drive_share_column_errors_name_the_column_or_the_tract(
+        drive_share_scenario, tmp_path, caplog):
+    scen = drive_share_scenario
+    absent = _config_variant(scen, tmp_path / "absent.json",
+                             lambda raw: raw["simulation"].update(drive_share_column="x"))
+    assert main(["simulate", "--config", absent, "--out", str(tmp_path / "out")]) == 2
+    assert "drive share column 'x' absent from attribute table" in caplog.text
+
+    home = read_lines(scen / "od.csv")[1].split(",")[0]
+    lines = read_lines(scen / "attributes.csv")
+    (scen / "attributes.csv").write_text("\n".join(
+        ln.removesuffix("0.5") if ln.startswith(home + ",") else ln for ln in lines) + "\n")
+    blank = _config_variant(scen, tmp_path / "blank.json",
+                            lambda raw: raw["simulation"].update(drive_share_column="drive"))
+    assert main(["simulate", "--config", blank, "--out", str(tmp_path / "out")]) == 2
+    assert f"no drive share for home tract {home!r}" in caplog.text
 
 
 @pytest.mark.parametrize("gwr", [{"k_min": 2}, {"k_max": 37}, {"k_min": 40}])
@@ -619,9 +697,24 @@ def test_same_config_rerun_reads_no_stamp_before_its_stages(scenario_dir, tmp_pa
     rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
     assert rc == 0
     # only the stages' own reads of their inputs; the sweep reads nothing
-    read_by_stages = {"traversal.csv", "ols_global.json", "gwr_local.json",
+    read_by_stages = {"traversal.csv", "ols_global.json", "gwr_local_summary.txt",
                       "equity_summary_white.txt", "equity_summary_non_white.txt"}
     assert set(calls) <= read_by_stages
+
+
+def test_unparsable_json_artifact_carries_no_config(scenario_dir, run_dir, tmp_path, caplog):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    # run's sweep keeps a file that no stage writes and whose stamp it cannot read
+    (out / "extra.json").write_text('{"meta": {"config": ')
+    config = str(scenario_dir / "config.json")
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert (out / "extra.json").exists()
+    # a stage refuses a truncated input artifact instead of failing to parse it
+    text = (out / "ols_global.json").read_text()
+    (out / "ols_global.json").write_text(text[: len(text) // 2])
+    assert main(["report", "--config", config, "--out", str(out)]) == 2
+    assert "ols_global.json was written under config None" in caplog.text
 
 
 def test_report_and_equity_refuse_artifacts_of_another_config(scenario_dir, run_dir, tmp_path):

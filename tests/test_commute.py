@@ -152,6 +152,13 @@ def test_assign_unknown_mode_and_missing_share():
         assign_groups(od, bare, mode="fractional")
 
 
+def test_assign_refuses_a_home_outside_the_tract_set():
+    ts, _, _ = line_world(2)
+    od = ODTable.from_rows([("T000009", "T000001", 3)])
+    with pytest.raises(ValidationError, match="OD home tract 'T000009' not in tract set"):
+        assign_groups(od, ts, mode="fractional")
+
+
 def test_assign_names_the_smallest_home_without_a_share():
     # Homes are checked in sorted order, so the error does not depend on
     # string hashing when several homes are bad.
@@ -173,6 +180,13 @@ def test_scale_by_drive_share():
         scale_by_drive_share(a, {})
     with pytest.raises(ValidationError, match="outside"):
         scale_by_drive_share(a, {"T000000": 1.2})
+
+
+def test_scale_refuses_a_nan_drive_share():
+    ts, _, _ = line_world(2, share=0.3)
+    a = assign_groups(ODTable.from_rows([("T000000", "T000001", 10)]), ts, mode="fractional")
+    with pytest.raises(ValidationError, match="no drive share for home tract 'T000000'"):
+        scale_by_drive_share(a, {"T000000": math.nan})
 
 
 def test_scale_names_the_smallest_home_without_a_drive_share():

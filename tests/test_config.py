@@ -191,6 +191,18 @@ def test_parse_rejects_malformed_sections_naming_the_key(section, value, key):
         parse_config(raw)
 
 
+def test_parse_rejects_a_root_that_is_no_object():
+    with pytest.raises(ValidationError, match="config root must be a JSON object"):
+        parse_config([minimal_raw()])
+
+
+def test_parse_requires_the_column_of_a_key_without_defaults():
+    raw = minimal_raw()
+    raw["columns"]["extra"] = {"transform": "log"}
+    with pytest.raises(ValidationError, match=r"columns\['extra'\]: 'column' is required"):
+        parse_config(raw)
+
+
 def test_parse_treats_null_sections_as_absent():
     raw = minimal_raw()
     raw.update(gwr=None, simulation=None, class_speeds=None, demographics=None)

@@ -402,3 +402,96 @@ def test_distance_on_highway_is_zero():
         HighwayPolyline("H", "interstate", ((0.0, 500.0), (1000.0, 500.0))),
     ))
     assert distance_to_nearest_highway(ts, hw)[0] == 0.0
+
+
+def test_tractset_rejects_no_tracts():
+    with pytest.raises(ValidationError, match="tract set is empty"):
+        TractSet([])
+
+
+def write_feature_collection(path, geometries):
+    features = [{"type": "Feature", "properties": {"tract_id": f"T{i}"}, "geometry": geometry}
+                for i, geometry in enumerate(geometries)]
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+
+
+@pytest.mark.parametrize("geometry,message", [
+    ({"type": "Polygon", "coordinates": []}, "Polygon has no rings"),
+    # an empty part and a two-vertex sliver: neither gives a ring
+    ({"type": "MultiPolygon", "coordinates": [[], [[[0, 0], [1, 1], [0, 0]]]]},
+     "MultiPolygon has no usable ring"),
+    ({"type": "Point", "coordinates": [0, 0]}, "unsupported geometry type 'Point'"),
+])
+def test_load_tracts_rejects_unusable_geometry(tmp_path, geometry, message):
+    geo = tmp_path / "t.geojson"
+    write_feature_collection(geo, [geometry])
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nT0,1\n")
+    with pytest.raises(ParseError, match=rf"t\.geojson feature 'T0': {message}"):
+        load_tracts(str(geo), str(attrs))
+
+
+def test_load_tracts_multipolygon_skips_an_empty_part(tmp_path):
+    geo = tmp_path / "t.geojson"
+    good = [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]
+    write_feature_collection(geo, [{"type": "MultiPolygon", "coordinates": [[], [good]]}])
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nT0,1\n")
+    ts = load_tracts(str(geo), str(attrs))
+    assert ts[0].polygon == ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{not json", r"t\.geojson: Expecting property name"),
+    (json.dumps({"type": "Feature", "features": []}), "not a GeoJSON FeatureCollection"),
+    (json.dumps({"type": "FeatureCollection"}), "not a GeoJSON FeatureCollection"),
+])
+def test_load_tracts_rejects_a_document_that_is_no_feature_collection(tmp_path, text, message):
+    geo = tmp_path / "t.geojson"
+    geo.write_text(text)
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    with pytest.raises(ParseError, match=message):
+        load_tracts(str(geo), str(attrs))
+
+
+def test_read_attribute_table_rejects_empty_id(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_text("tract_id,v\nA,1\n,2\n")
+    with pytest.raises(ValidationError, match=r"a\.csv line 3: empty tract_id"):
+        read_attribute_table(str(p))
+
+
+def test_load_tracts_rejects_duplicate_geometry_id(tmp_path):
+    geo = tmp_path / "t.geojson"
+    write_tracts_geojson(geo, ["A", "B", "A"])
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\nB,2\n")
+    with pytest.raises(ValidationError, match=r"t\.geojson: duplicate tract_id 'A'"):
+        load_tracts(str(geo), str(attrs))
+
+
+@pytest.mark.parametrize("road_class,geometry,error,message", [
+    ("footpath", {"type": "LineString", "coordinates": [[0, 0], [1, 0]]},
+     ValidationError, "highway 'H': class 'footpath' not in"),
+    ("interstate", {"type": "LineString", "coordinates": [[0, 0]]},
+     ValidationError, "highway 'H' has < 2 vertices"),
+    ("interstate", {"type": "MultiLineString", "coordinates": [[[0, 0], [1, 0]], []]},
+     ValidationError, "highway 'H' has < 2 vertices"),
+    ("interstate", {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [0, 1], [0, 0]]]},
+     ParseError, "feature 0: unsupported geometry type 'Polygon'"),
+])
+def test_load_highways_rejects_unusable_feature(tmp_path, road_class, geometry, error, message):
+    p = tmp_path / "h.geojson"
+    p.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "properties": {"label": "H", "class": road_class},
+                      "geometry": geometry}],
+    }))
+    with pytest.raises(error, match=message):
+        load_highways(str(p))
+
+
+def test_distance_to_a_highway_set_without_segments_errors():
+    with pytest.raises(ValidationError, match="highway set has no segments"):
+        distance_to_nearest_highway(grid_tracts(1, 1), HighwayNetworkGeom(()))

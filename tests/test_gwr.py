@@ -391,7 +391,8 @@ def test_gwr_tiny_bandwidth_all_fail():
 
 @pytest.mark.parametrize("aicc_loo", [False, True])
 def test_narrow_kernel_fails_exactly_the_tracts_short_of_active_rows(monkeypatch, aicc_loo):
-    # Below bandwidth_scale 1 the active rows are still counted. At k = 9 and
+    # Below bandwidth_scale 1 a tract can keep fewer active rows than terms;
+    # the solve marks such a rank-deficient system unsound. At k = 9 and
     # scale 0.08 on a 6 x 6 lattice each interior tract keeps only itself and
     # each boundary tract four rows, so only the interior ones fail, with
     # fit_local's message, with or without leave-one-out refits.
@@ -1047,8 +1048,9 @@ def test_fit_gwr_holds_no_distance_matrix(small_chunk_lattice):
 
 @pytest.mark.parametrize("aicc_loo", [False, True])
 def test_fit_gwr_allocates_no_chunk_temporaries(small_chunk_lattice, aicc_loo):
-    # Beyond the kernel rows and their keep mask: the one spare chunk (dy,
-    # W*W, residuals, deviations), rhs_t and numpy's fixed ufunc buffers.
+    # Beyond the kernel rows and their keep mask: the second chunk fit_gwr
+    # allocates beside the workspace (dy, W*W, residuals, deviations), rhs_t
+    # and numpy's fixed ufunc buffers.
     # Allocating W*W, the residuals or a dy chunk anew would add a chunk.
     data, tracts, _, chunk = small_chunk_lattice
     kernel = KernelSpec(neighbors_k=12)

@@ -81,6 +81,19 @@ def test_build_graph_rejects_non_finite_node_coordinate(tmp_path, row):
         build_graph(str(nodes), str(edges))
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("A,0,0\n,5,5\n", "line 3: empty node id"),
+    ("A,0,0\nB,5,5\nA,9,9\n", "line 4: duplicate node 'A'"),
+])
+def test_build_graph_rejects_empty_or_duplicate_node_id(tmp_path, rows, message):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(f"id,x,y\n{rows}")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms\n")
+    with pytest.raises(ValidationError, match=rf"nodes\.csv {message}"):
+        build_graph(str(nodes), str(edges))
+
+
 def test_build_graph_accepts_infinite_length_and_speed(tmp_path):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
@@ -171,6 +184,11 @@ def test_shortest_path_same_node():
 def test_shortest_path_unknown_node():
     with pytest.raises(ValidationError):
         shortest_path(diamond_graph(), "A", "Z")
+
+
+def test_shortest_path_unknown_origin():
+    with pytest.raises(ValidationError, match="unknown origin node 'Z'"):
+        shortest_path(diamond_graph(), "Z", "A")
 
 
 def test_shortest_path_unreachable():
