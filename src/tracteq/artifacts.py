@@ -1,5 +1,5 @@
-"""Artifact files: atomic writes, the one CSV format, and dataclass
-round-trips through JSON.
+"""Artifact files: atomic writes, the one CSV format, and dataclass fields
+as JSON values.
 
 Every artifact is written to a temporary file in its own directory and then
 moved into place with os.replace, so a stage that fails part-way leaves the
@@ -118,20 +118,3 @@ def to_dict(obj, exclude: Iterable[str] = ()) -> dict:
         out[f.name] = value
     return out
 
-
-def from_dict(cls, blob: dict, **given):
-    """Inverse of to_dict: fields annotated as arrays or tuples get that type
-    back. Keys of blob that are not fields are ignored; `given` supplies the
-    fields to_dict left out."""
-    values = dict(given)
-    for f in fields(cls):
-        if f.name in values:
-            continue
-        value = blob[f.name]
-        annotation = str(f.type)
-        if "ndarray" in annotation:
-            value = np.array(value)
-        elif annotation.startswith("tuple"):
-            value = tuple(value)
-        values[f.name] = value
-    return cls(**values)

@@ -4,9 +4,9 @@ The analysis is one table of stages, STAGES: ingest, ols, gwr, simulate,
 equity and report. `run` executes the table in order and each stage
 subcommand executes its own row. A stage imports the analysis modules it
 runs (gwr, ols, equity, report) when it runs, so a stage subcommand loads
-only its own. The report stage renders the OLS table from the
-ols_<model>.json files and copies each GWR and equity section from the
-summary text file that the gwr or equity stage wrote. Every artifact
+only its own, and writes exactly what `run` writes for that stage. The
+ols, gwr and equity stages each write their tables as summary text files,
+and the report stage joins those files and renders nothing. Every artifact
 carries the toolkit version, the config hash and the seed (a `#` header
 line, an XML comment on an SVG's first line, or a `meta` object in JSON
 and GeoJSON). A stage refuses to read an artifact written under another
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import numpy as np
 
 from . import __version__
-from .artifacts import fmt as _fmt, from_dict, to_dict, write_atomic, write_csv
+from .artifacts import fmt as _fmt, to_dict, write_atomic, write_csv
 from .commute import (
     GROUPS,
     assign_groups,
@@ -90,17 +90,14 @@ def _load_layers(cfg: RunConfig) -> tuple[TractSet, HighwayNetworkGeom | None]:
 
 
 class Context:
-    """What a stage reads: the config, its hash and seed, the out dir, the
-    subcommand filters, and the input layers, loaded on first use."""
+    """What a stage reads: the config, its hash and seed, the out dir, and
+    the input layers, loaded on first use."""
 
-    def __init__(self, cfg: RunConfig, outdir: str,
-                 model: str | None = None, group: str | None = None) -> None:
+    def __init__(self, cfg: RunConfig, outdir: str) -> None:
         self.cfg = cfg
         self.hash = config_hash(cfg.raw)
         self.seed = cfg.seed
         self.outdir = outdir
-        self.model = model
-        self.group = group
         self.header = f"tracteq v{__version__} config={self.hash} seed={self.seed}"
         self.meta = {"tool": f"tracteq v{__version__}", "config": self.hash, "seed": self.seed}
         self._layers: tuple[TractSet, HighwayNetworkGeom | None] | None = None
@@ -117,11 +114,7 @@ class Context:
 
 def _context(args) -> Context:
     cfg = load_config(args.config)
-    return Context(
-        cfg, args.out or cfg.output_dir,
-        model=getattr(args, "model", None),
-        group=getattr(args, "group", None),
-    )
+    return Context(cfg, args.out or cfg.output_dir)
 
 
 def _write_text(ctx: Context, name: str, text: str) -> None:
@@ -157,11 +150,6 @@ def _artifact(ctx: Context, name: str) -> str:
     return path
 
 
-def _read_json(ctx: Context, name: str) -> dict:
-    with open(_artifact(ctx, name), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _section(ctx: Context, name: str) -> str:
     """The text of a headed artifact after its stamp line."""
     with open(_artifact(ctx, name), encoding="utf-8") as fh:
@@ -183,12 +171,8 @@ def _written_under(path: str) -> str | None:
     return match.group(1) if match else None
 
 
-def _selected(ctx: Context, estimator: str) -> list:
-    models = [m for m in ctx.cfg.models
-              if m.estimator == estimator and ctx.model in (None, m.name)]
-    if not models:
-        raise ValidationError(f"no matching {estimator.upper()} model in config")
-    return models
+def _models(cfg: RunConfig, estimator: str) -> list:
+    return [m for m in cfg.models if m.estimator == estimator]
 
 
 def _stage_ingest(ctx: Context) -> str:
@@ -204,12 +188,15 @@ def _stage_ingest(ctx: Context) -> str:
 
 def _stage_ols(ctx: Context) -> str:
     from .ols import fit_ols
+    from .report import format_ols_table
 
     tracts, _ = ctx.layers
-    models = _selected(ctx, "ols")
+    models = _models(ctx.cfg, "ols")
+    fits = []
     for model in models:
         design = build_design(tracts, ctx.cfg.model_transforms(model))
         fit = fit_ols(design)
+        fits.append((model.name, fit))
         rows = [
             [term, _fmt(fit.coefficients[i]), _fmt(fit.robust_se[i]), _fmt(fit.t_stats[i])]
             for i, term in enumerate(fit.column_names)
@@ -223,6 +210,7 @@ def _stage_ols(ctx: Context) -> str:
             **to_dict(fit, exclude=("residuals",)),
         })
         log.info("ols %s: n=%d R^2=%.4f", model.name, fit.n, fit.r_squared)
+    _write_headed(ctx, "ols_summary.txt", format_ols_table(fits))
     return f"wrote OLS results for: {', '.join(m.name for m in models)}"
 
 
@@ -232,7 +220,7 @@ def _stage_gwr(ctx: Context) -> str:
 
     cfg = ctx.cfg
     tracts, _ = ctx.layers
-    models = _selected(ctx, "gwr")
+    models = _models(cfg, "gwr")
     for model in models:
         design = build_design(tracts, cfg.model_transforms(model))
         n, p = design.X.shape
@@ -313,7 +301,6 @@ def _stage_equity(ctx: Context) -> str:
 
     tracts, highways = ctx.layers
     index = inequity_index(read_traversal(_artifact(ctx, "traversal.csv")))
-    groups = [ctx.group] if ctx.group else list(GROUPS)
 
     rows = ([tid, g, _fmt(index.values[tid][g])] for tid in index.defined for g in index.groups)
     _write_csv(ctx, "equity.csv", ["tract_id", "group", "index"], rows,
@@ -334,9 +321,7 @@ def _stage_equity(ctx: Context) -> str:
         corridors = {label: corridor_subset(tracts, highways, label)
                      for label in highways.labels}
     highway_ids = set().union(*corridors.values())
-    for group in groups:
-        if group not in index.groups:
-            raise ValidationError(f"group {group!r} not in traversal table")
+    for group in GROUPS:
         entries = []
 
         def add_entry(label: str, subset) -> None:
@@ -357,27 +342,14 @@ def _stage_equity(ctx: Context) -> str:
         values = {tid: index.values[tid][group] for tid in index.defined}
         _write_text(ctx, f"equity_{group}.svg", f"<!-- {ctx.header} -->\n"
                     + svg_choropleth(tracts, values, title=f"inequity index ({group})"))
-    return f"wrote equity outputs for group(s): {', '.join(groups)}"
+    return f"wrote equity outputs for groups: {', '.join(GROUPS)}"
 
 
 def _stage_report(ctx: Context) -> str:
-    from .ols import OlsFit
-    from .report import format_ols_table
-
-    models = ctx.cfg.models
-    sections = [f"# {ctx.header}"]
-    ols_fits = [
-        (m.name, from_dict(OlsFit, _read_json(ctx, f"ols_{m.name}.json"),
-                           residuals=np.zeros(0)))
-        for m in models if m.estimator == "ols"
-    ]
-    if ols_fits:
-        sections.append(format_ols_table(ols_fits))
-    sections += [_section(ctx, f"gwr_{m.name}_summary.txt")
-                 for m in models if m.estimator == "gwr"]
-    equity = (f"equity_summary_{group}.txt" for group in GROUPS)
-    sections += [_section(ctx, name) for name in equity if os.path.exists(ctx.path(name))]
-    text = "\n".join(sections)
+    summaries = [name for stage in STAGES if stage.skip(ctx.cfg) is None
+                 for name in stage.outputs(ctx.cfg)
+                 if name.endswith(".txt") and name != "report.txt"]
+    text = "\n".join([f"# {ctx.header}"] + [_section(ctx, name) for name in summaries])
     _write_text(ctx, "report.txt", text)
     return text
 
@@ -386,7 +358,8 @@ def _stage_report(ctx: Context) -> str:
 class Stage:
     """One row of the analysis chain: `run(ctx)` writes `outputs(cfg)` and
     returns a one-line summary (the report stage returns the report).
-    `skip(cfg)` gives the reason the stage does not apply, or None."""
+    `skip(cfg)` gives the reason the stage does not apply, or None. The
+    `.txt` outputs are the stage's summaries, which the report joins."""
 
     name: str
     help: str
@@ -395,13 +368,12 @@ class Stage:
     skip: Callable[[RunConfig], str | None] = lambda cfg: None
 
 
-def _model_outputs(estimator: str, suffixes: tuple[str, ...]):
-    return lambda cfg: [f"{estimator}_{m.name}{s}" for m in cfg.models
-                        if m.estimator == estimator for s in suffixes]
+def _model_outputs(cfg: RunConfig, estimator: str, suffixes: tuple[str, ...]) -> list[str]:
+    return [f"{estimator}_{m.name}{s}" for m in _models(cfg, estimator) for s in suffixes]
 
 
 def _needs_model(estimator: str):
-    return lambda cfg: (None if any(m.estimator == estimator for m in cfg.models)
+    return lambda cfg: (None if _models(cfg, estimator)
                         else f"config has no {estimator.upper()} model")
 
 
@@ -414,9 +386,11 @@ STAGES = (
     Stage("ingest", "load and validate inputs", _stage_ingest,
           lambda cfg: ["ingest.json"]),
     Stage("ols", "fit global models", _stage_ols,
-          _model_outputs("ols", (".csv", ".json")), _needs_model("ols")),
+          lambda cfg: _model_outputs(cfg, "ols", (".csv", ".json")) + ["ols_summary.txt"],
+          _needs_model("ols")),
     Stage("gwr", "select a bandwidth and fit local models", _stage_gwr,
-          _model_outputs("gwr", ("_local.csv", ".geojson", "_summary.txt", ".json")),
+          lambda cfg: _model_outputs(cfg, "gwr",
+                                     ("_local.csv", ".geojson", "_summary.txt", ".json")),
           _needs_model("gwr")),
     Stage("simulate", "run the commute microsimulation", _stage_simulate,
           lambda cfg: ["traversal.csv", "simulate.json"], _needs_network),
@@ -424,7 +398,7 @@ STAGES = (
           lambda cfg: ["equity.csv", "equity.geojson"]
           + [f"equity_summary_{g}.txt" for g in GROUPS] + [f"equity_{g}.svg" for g in GROUPS],
           _needs_network),
-    Stage("report", "render tables from existing artifacts", _stage_report,
+    Stage("report", "join the summaries of the other stages", _stage_report,
           lambda cfg: ["report.txt"]),
 )
 
@@ -584,16 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", help="override the config output_dir")
 
-    stage_parsers = {}
     for stage in STAGES:
-        p = stage_parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
+        p = sub.add_parser(stage.name, help=stage.help)
         add_common(p)
         p.set_defaults(func=cmd_stage, stage=stage)
-    for name in ("ols", "gwr"):
-        stage_parsers[name].add_argument("--model", help="run only the named model")
-    stage_parsers["simulate"].add_argument("--workers", type=_workers, default=1)
-    stage_parsers["equity"].add_argument("--group", choices=GROUPS,
-                                         help="summarize one group only")
+        if stage.name == "simulate":
+            p.add_argument("--workers", type=_workers, default=1)
 
     p = sub.add_parser("run", help="execute all configured stages in order")
     add_common(p)

@@ -13,7 +13,9 @@ parse_config is the one place that gives each key its default; RunConfig
 has none of its own. The demographic column names default to
 data_model.DEMOGRAPHICS. The integer, boolean and speed keys, the sections
 and their entries are checked where they are parsed: a value of the wrong
-JSON type is a ValidationError naming the key.
+JSON type is a ValidationError naming the key. A model name keys its
+artifact file names, so it must be a non-empty string with no path
+separator or NUL, unique across the models.
 """
 
 from __future__ import annotations
@@ -192,9 +194,16 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     models = []
     for i, entry in enumerate(_section(raw, "models", "a list")):
         _require(entry, "an object", f"models[{i}]")
+        key = f"models[{i}].name"
+        name = _require(entry.get("name", f"model{i + 1}"), "a string", key)
+        if not name or any(c in name for c in "/\\\0"):
+            raise ValidationError(f"config key {key} must be a non-empty string with no "
+                                  f"'/', '\\' or NUL, got {name!r}")
+        if any(m.name == name for m in models):
+            raise ValidationError(f"config key {key} repeats the model name {name!r}")
         models.append(
             ModelSpec(
-                name=str(entry.get("name", f"model{len(models) + 1}")),
+                name=name,
                 estimator=str(entry.get("estimator", "ols")),
                 controls=resolve_controls(entry.get("controls", "limited")),
             )
@@ -232,7 +241,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         attribution_mode=sim.get("attribution", "midpoint"),
         drive_share_column=sim.get("drive_share_column"),
         class_speeds=class_speeds,
-        output_dir=os.path.normpath(os.path.join(base_dir, raw.get("output_dir", "out"))),
+        output_dir=os.path.normpath(os.path.join(
+            base_dir, _require(raw.get("output_dir", "out"), "a string", "output_dir"))),
         raw=raw,
     )
     if config.sim_mode not in ("bernoulli", "fractional"):

@@ -259,14 +259,25 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
 
 
 def _read_feature_collection(path: str) -> list[dict]:
+    """The features of a GeoJSON FeatureCollection: objects whose properties
+    and geometry are each an object or null."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if doc.get("type") != "FeatureCollection" or "features" not in doc:
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: not a GeoJSON FeatureCollection")
-    return doc["features"]
+    features = doc.get("features")
+    if not isinstance(features, list):
+        raise ParseError(f"{path}: not a GeoJSON FeatureCollection (features is not a list)")
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ParseError(f"{path} feature {i}: not an object")
+        for key in ("properties", "geometry"):
+            if not isinstance(feature.get(key) or {}, dict):
+                raise ParseError(f"{path} feature {i}: {key} is not an object")
+    return features
 
 
 def read_attribute_table(path: str) -> dict[str, dict[str, float]]:

@@ -1,5 +1,5 @@
-"""Atomic artifact writes, the one CSV reader and writer, and the
-dataclass <-> JSON round-trip."""
+"""Atomic artifact writes, the one CSV reader and writer, and dataclass
+fields as JSON values."""
 
 import ast
 import json
@@ -12,7 +12,6 @@ import pytest
 
 import tracteq
 from tracteq.artifacts import (
-    from_dict,
     read_csv,
     read_number,
     to_dict,
@@ -22,7 +21,6 @@ from tracteq.artifacts import (
 from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
 from tracteq.data_model import read_attribute_table
 from tracteq.errors import ParseError, ValidationError
-from tracteq.gwr import GwrSummary
 from tracteq.network import build_graph
 from tracteq.ols import OlsFit
 
@@ -82,29 +80,8 @@ def test_ols_fit_round_trips_without_residuals():
     blob = json.loads(json.dumps(to_dict(fit, exclude=("residuals",))))
     assert "residuals" not in blob
     assert blob["column_names"] == ["intercept", "x1"]
-    back = from_dict(OlsFit, blob, residuals=np.zeros(0))
-    assert back.column_names == fit.column_names
-    assert np.array_equal(back.coefficients, fit.coefficients)
-    assert np.array_equal(back.t_stats, fit.t_stats)
-    assert (back.r_squared, back.n, back.k) == (0.75, 40, 1)
-    assert back.residuals.size == 0
-
-
-def test_gwr_summary_round_trips():
-    summary = GwrSummary(
-        column_names=("intercept", "x1"), mean=np.array([1.0, 2.0]),
-        min=np.array([0.5, 1.0]), max=np.array([1.5, 3.0]),
-        pct_sig_neg=np.array([0.0, 0.125]), pct_sig_pos=np.array([1.0, 0.5]),
-        mean_local_r2=0.6, min_local_r2=0.2, max_local_r2=0.9,
-        neighbors_k=12, aicc=float("inf"), n_used=36, n_failed=0,
-    )
-    back = from_dict(GwrSummary, json.loads(json.dumps({"extra": 1, **to_dict(summary)})))
-    for name, value in vars(summary).items():
-        if isinstance(value, np.ndarray):
-            assert isinstance(getattr(back, name), np.ndarray)
-            assert np.array_equal(getattr(back, name), value), name
-        else:
-            assert getattr(back, name) == value, name
+    assert blob["coefficients"] == [1.5, -0.25] and blob["t_stats"] == [15.0, -1.25]
+    assert (blob["r_squared"], blob["n"], blob["k"]) == (0.75, 40, 1)
 
 
 def test_write_csv_then_read_csv_keeps_awkward_cells(tmp_path):

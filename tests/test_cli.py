@@ -77,7 +77,7 @@ def test_synth_writes_inputs_and_config(scenario_dir):
 
 def test_run_produces_all_artifacts(run_dir):
     expected = [
-        "ols_global.csv", "ols_global.json",
+        "ols_global.csv", "ols_global.json", "ols_summary.txt",
         "gwr_local_local.csv", "gwr_local.geojson",
         "gwr_local_summary.txt", "gwr_local.json",
         "traversal.csv", "simulate.json",
@@ -150,24 +150,6 @@ def test_report_collects_every_section(run_dir):
     assert "n " in text or "n=" in text or "  n" in text
 
 
-def test_ols_subcommand_and_model_filter(scenario_dir, tmp_path, capsys):
-    rc = main(["ols", "--config", str(scenario_dir / "config.json"),
-               "--out", str(tmp_path)])
-    assert rc == 0
-    assert "wrote OLS results for: global" in capsys.readouterr().out
-    assert (tmp_path / "ols_global.csv").exists()
-
-    rc = main(["ols", "--config", str(scenario_dir / "config.json"),
-               "--out", str(tmp_path), "--model", "nope"])
-    assert rc == 2
-
-
-def test_gwr_subcommand_model_filter(scenario_dir, tmp_path):
-    rc = main(["gwr", "--config", str(scenario_dir / "config.json"),
-               "--out", str(tmp_path), "--model", "global"])
-    assert rc == 2  # "global" is an OLS model, nothing matches
-
-
 def test_ingest_summary(scenario_dir, tmp_path, capsys):
     rc = main(["ingest", "--config", str(scenario_dir / "config.json"),
                "--out", str(tmp_path)])
@@ -228,26 +210,21 @@ def test_equity_requires_traversal(scenario_dir, tmp_path):
     assert rc == 2
 
 
-def test_equity_single_group(scenario_dir, tmp_path, capsys):
-    rc = main(["simulate", "--config", str(scenario_dir / "config.json"),
-               "--out", str(tmp_path)])
-    assert rc == 0
-    capsys.readouterr()
-    rc = main(["equity", "--config", str(scenario_dir / "config.json"),
-               "--out", str(tmp_path), "--group", "white"])
-    assert rc == 0
-    assert "wrote equity outputs for group(s): white" in capsys.readouterr().out
-    assert (tmp_path / "equity_summary_white.txt").exists()
-    assert not (tmp_path / "equity_summary_non_white.txt").exists()
-    assert (tmp_path / "equity_white.svg").exists()
-    summary = "\n".join(read_lines(tmp_path / "equity_summary_white.txt"))
-    assert "highway" in summary and "corridor H1" in summary
-
-
 def test_report_requires_artifacts(scenario_dir, tmp_path):
     rc = main(["report", "--config", str(scenario_dir / "config.json"),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_report_refuses_a_network_config_whose_equity_never_ran(scenario_dir, tmp_path,
+                                                                 caplog):
+    config = str(scenario_dir / "config.json")
+    for stage in ("ols", "gwr"):
+        assert main([stage, "--config", config, "--out", str(tmp_path)]) == 0
+    assert main(["report", "--config", config, "--out", str(tmp_path)]) == 2
+    missing = tmp_path / "equity_summary_white.txt"
+    assert f"missing artifact {missing} (run equity first)" in caplog.text
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_route_by_node_ids(tmp_path, capsys):
@@ -476,7 +453,8 @@ def test_ols_only_run_loads_no_gwr_module(scenario_dir, tmp_path):
 
 
 def test_report_on_a_gwr_config_loads_no_gwr_module(scenario_dir, run_dir, tmp_path):
-    # The report copies each GWR section from gwr_<model>_summary.txt.
+    # The report copies each section from a summary file; it fits and
+    # renders nothing.
     out = tmp_path / "out"
     shutil.copytree(run_dir, out)
     (out / "report.txt").unlink()
@@ -485,12 +463,13 @@ def test_report_on_a_gwr_config_loads_no_gwr_module(scenario_dir, run_dir, tmp_p
     code = (
         "import sys; from tracteq.cli import main; "
         f"rc = main(['report', '--config', {config!r}, '--out', {str(out)!r}]); "
-        "print(rc, 'tracteq.gwr' in sys.modules)"
+        "print(rc, *(f'tracteq.{m}' in sys.modules for m in ('gwr', 'ols', 'report')))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.stdout.splitlines()[-1].split() == ["0", "False"], result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["0", "False", "False", "False"], \
+        result.stderr
     assert (out / "report.txt").read_bytes() == (run_dir / "report.txt").read_bytes()
 
 
@@ -575,10 +554,15 @@ def test_run_writes_exactly_the_declared_outputs(scenario_dir, run_dir):
 
 
 def test_stage_subcommands_in_table_order_match_run(scenario_dir, run_dir, tmp_path):
+    cfg = load_config(str(scenario_dir / "config.json"))
+    written = set()
     for stage in cli.STAGES:
         rc = main([stage.name, "--config", str(scenario_dir / "config.json"),
                    "--out", str(tmp_path)])
         assert rc == 0, stage.name
+        # each subcommand writes all its row declares, and nothing else
+        assert set(os.listdir(tmp_path)) - written == set(stage.outputs(cfg)), stage.name
+        written |= set(stage.outputs(cfg))
     names = sorted(os.listdir(run_dir))
     assert sorted(os.listdir(tmp_path)) == names
     for name in names:
@@ -697,7 +681,7 @@ def test_same_config_rerun_reads_no_stamp_before_its_stages(scenario_dir, tmp_pa
     rc = main(["run", "--config", str(scenario_dir / "config.json"), "--out", str(out)])
     assert rc == 0
     # only the stages' own reads of their inputs; the sweep reads nothing
-    read_by_stages = {"traversal.csv", "ols_global.json", "gwr_local_summary.txt",
+    read_by_stages = {"traversal.csv", "ols_summary.txt", "gwr_local_summary.txt",
                       "equity_summary_white.txt", "equity_summary_non_white.txt"}
     assert set(calls) <= read_by_stages
 
@@ -710,11 +694,11 @@ def test_unparsable_json_artifact_carries_no_config(scenario_dir, run_dir, tmp_p
     config = str(scenario_dir / "config.json")
     assert main(["run", "--config", config, "--out", str(out)]) == 0
     assert (out / "extra.json").exists()
-    # a stage refuses a truncated input artifact instead of failing to parse it
-    text = (out / "ols_global.json").read_text()
-    (out / "ols_global.json").write_text(text[: len(text) // 2])
+    # a stage refuses an input artifact truncated inside its stamp line
+    text = (out / "ols_summary.txt").read_text()
+    (out / "ols_summary.txt").write_text(text[: text.index("config=")])
     assert main(["report", "--config", config, "--out", str(out)]) == 2
-    assert "ols_global.json was written under config None" in caplog.text
+    assert "ols_summary.txt was written under config None" in caplog.text
 
 
 def test_report_and_equity_refuse_artifacts_of_another_config(scenario_dir, run_dir, tmp_path):

@@ -158,6 +158,16 @@ MALFORMED = [
     ("class_speeds", {"street": 0}, "class_speeds.street"),
     ("class_speeds", {"street": -3.0}, "class_speeds.street"),
     ("class_speeds", {"street": float("nan")}, "class_speeds.street"),
+    # a model name keys artifact file names: a string, file-safe, unique
+    ("models", [{"name": None, "controls": ["vkt"]}], "models[0].name"),
+    ("models", [{"name": 5, "controls": ["vkt"]}], "models[0].name"),
+    ("models", [{"name": "", "controls": ["vkt"]}], "models[0].name"),
+    ("models", [{"name": "/../../escaped", "controls": ["vkt"]}], "models[0].name"),
+    ("models", [{"name": "a\\b", "controls": ["vkt"]}], "models[0].name"),
+    ("models", [{"name": "a", "controls": ["vkt"]}, {"name": "a", "controls": []}],
+     "models[1].name"),
+    # the default name of the second model is model2
+    ("models", [{"name": "model2", "controls": ["vkt"]}, {"controls": []}], "models[1].name"),
 ]
 
 
@@ -165,7 +175,7 @@ MALFORMED = [
 def test_parse_rejects_malformed_values_naming_the_key(section, values, key):
     raw = minimal_raw()
     raw[section] = values
-    with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
+    with pytest.raises(ValidationError, match=re.escape(key)):
         parse_config(raw)
 
 
@@ -180,6 +190,7 @@ MALFORMED_SHAPES = [
     ("columns", {"pm25": "pm25"}, "columns.pm25"),
     ("columns", ["pm25"], "columns"),
     ("demographics", ["a"], "demographics"),
+    ("output_dir", 5, "output_dir"),
 ]
 
 
@@ -189,6 +200,12 @@ def test_parse_rejects_malformed_sections_naming_the_key(section, value, key):
     raw[section] = value
     with pytest.raises(ValidationError, match=rf"config key {re.escape(key)} must be"):
         parse_config(raw)
+
+
+def test_parse_names_an_unnamed_model_by_its_position():
+    raw = minimal_raw()
+    raw["models"] = [{"controls": ["vkt"]}, {"name": "m", "controls": []}, {"controls": []}]
+    assert [m.name for m in parse_config(raw).models] == ["model1", "m", "model3"]
 
 
 def test_parse_rejects_a_root_that_is_no_object():

@@ -455,6 +455,29 @@ def test_load_tracts_rejects_a_document_that_is_no_feature_collection(tmp_path, 
         load_tracts(str(geo), str(attrs))
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([], r"\.geojson: not a GeoJSON FeatureCollection"),
+    ({"type": "FeatureCollection", "features": 5},
+     r"\.geojson: not a GeoJSON FeatureCollection \(features is not a list\)"),
+    ({"type": "FeatureCollection", "features": [5]}, r"\.geojson feature 0: not an object"),
+    ({"type": "FeatureCollection", "features": [{"type": "Feature", "properties": 5}]},
+     r"\.geojson feature 0: properties is not an object"),
+    ({"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": 5}]},
+     r"\.geojson feature 0: geometry is not an object"),
+])
+@pytest.mark.parametrize("loader", ["tracts", "highways"])
+def test_loaders_reject_a_malformed_document_naming_the_file(tmp_path, doc, message, loader):
+    geo = tmp_path / f"{loader}.geojson"
+    geo.write_text(json.dumps(doc))
+    attrs = tmp_path / "a.csv"
+    attrs.write_text("tract_id,v\nA,1\n")
+    with pytest.raises(ParseError, match=rf"{loader}{message}"):
+        if loader == "tracts":
+            load_tracts(str(geo), str(attrs))
+        else:
+            load_highways(str(geo))
+
+
 def test_read_attribute_table_rejects_empty_id(tmp_path):
     p = tmp_path / "a.csv"
     p.write_text("tract_id,v\nA,1\n,2\n")
