@@ -11,17 +11,18 @@ the hash.
 
 parse_config is the one place that gives each key its default; RunConfig
 has none of its own. The demographic column names default to
-data_model.DEMOGRAPHICS. The integer, boolean and speed keys, the sections
-and their entries are checked where they are parsed: a value of the wrong
-JSON type is a ValidationError naming the key. A model name keys its
-artifact file names, so it must be a non-empty string with no path
-separator or NUL, unique across the models.
+data_model.DEMOGRAPHICS, whose keys alone the config may rename. The
+integer, boolean and speed keys, the sections and their entries are
+checked where they are parsed: a bad value is a ValidationError naming the
+key. A model name keys its artifact file names, so it must be a non-empty
+string with no path separator or NUL, unique across the models.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -211,7 +212,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     gwr = _section(raw, "gwr")
     sim = _section(raw, "simulation")
-    demographics = {**DEMOGRAPHICS, **_section(raw, "demographics")}
+    demographics = dict(DEMOGRAPHICS)
+    for name, column in _section(raw, "demographics").items():
+        key = f"demographics.{name}"
+        if name not in DEMOGRAPHICS:
+            raise ValidationError(f"config key {key} is not one of {', '.join(DEMOGRAPHICS)}")
+        if not _require(column, "a string", key):
+            raise ValidationError(f"config key {key} must be a non-empty string, got ''")
+        demographics[name] = column
     k_min, k_max = gwr.get("k_min"), gwr.get("k_max")
     for key, k in (("gwr.k_min", k_min), ("gwr.k_max", k_max)):
         if k is not None:
@@ -221,8 +229,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     class_speeds = {}
     for road_class, speed in _section(raw, "class_speeds").items():
         key = f"class_speeds.{road_class}"
-        if not _require(speed, "a number", key) > 0:
-            raise ValidationError(f"config key {key} must be positive, got {speed!r}")
+        if not 0 < _require(speed, "a number", key) < math.inf:
+            raise ValidationError(f"config key {key} must be positive and finite, got {speed!r}")
         class_speeds[road_class] = float(speed)
 
     config = RunConfig(

@@ -2,15 +2,19 @@
 
 Edge travel cost is free-flow time (length / speed). Shortest paths break
 ties between equal-time routes by lexicographic node-id sequence so every
-aggregate downstream is reproducible.
+aggregate downstream is reproducible. Graph refuses an edge time that is
+not finite and positive, or so small beside the summed edge time that a
+route's float time could not add it (t + tt == t): times rise strictly
+along every route.
 
 Searches index nodes by rank, an id's index in sorted-id order, so ranks
 compare as ids do. shortest_path carries each candidate's whole path of
 ranks and is the oracle. _tract_terms_from serves many destinations from
 one Dijkstra tree: the tree keeps no paths, a tie on time is broken on
 demand by walking both candidates up to their common ancestor, and each
-tract's meter terms are read off the tree without building routes. It is the one reader of the
-tree: tract_distances_from sums its terms, and so does commute.simulate.
+tract's meter terms are read off the tree without building routes. It is
+the one reader of the tree: tract_distances_from sums its terms, and so
+does commute.simulate.
 """
 
 from __future__ import annotations
@@ -89,6 +93,11 @@ class Graph:
                     f"edge {e.u}->{e.v}: travel time is NaN "
                     f"(length {e.length} at speed {e.speed})"
                 )
+            if not 0.0 < e.travel_time < math.inf:
+                raise ValidationError(
+                    f"edge {e.u}->{e.v}: travel time must be finite and positive "
+                    f"(got {e.travel_time} s, length {e.length} at speed {e.speed})"
+                )
             if e.u not in self.nodes or e.v not in self.nodes:
                 raise ValidationError(f"edge {e.u}->{e.v} references a missing node")
             if e.key in seen:
@@ -110,15 +119,15 @@ class Graph:
                   for nbr, e in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
             for nid in self._ids
         )
-        # Per rank, the smallest edge travel time (inf with no edges). t + tt
-        # rises with tt, so a node settled at t has an absorbed edge
-        # (t + tt == t) exactly when its smallest one is absorbed.
-        self.min_edge_time: tuple[float, ...] = tuple(
-            min((tt for _, _, tt in adj), default=math.inf) for adj in self.rank_adjacency
-        )
-        # Absorption needs t >= tt * 2**53, and tt is at least the smallest
-        # edge time, so no node settled before this time has an absorbed edge.
-        self.absorb_from: float = min(self.min_edge_time, default=math.inf) * 2.0**52
+        # A route's float time stays below twice the summed edge time, and
+        # t + tt == t needs t >= tt * 2**53: a sum below the smallest edge
+        # time times 2**52 makes times rise strictly along every route.
+        least = min(self.edges, key=lambda e: e.travel_time, default=None)
+        total = sum(e.travel_time for e in self.edges)
+        if least is not None and total >= least.travel_time * 2.0**52:
+            raise ValidationError(
+                f"edge {least.u}->{least.v}: travel time {least.travel_time} s is too small "
+                f"for a route to add: the summed edge time {total} s is at least 2**52 times it")
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
@@ -255,10 +264,7 @@ def _tract_terms_from(
     Lexicographically smallest shortest paths have the prefix property, so
     one tie-broken Dijkstra tree (_search_tree) serves every destination;
     each destination's predecessor chain is walked once, straight into its
-    terms, so no Route is built. When an edge time is absorbed
-    (t + tt == t), the tie-break would depend on the order equal-time nodes
-    settle in, so that origin falls back to one shortest_path per
-    destination.
+    terms, so no Route is built.
     """
     if origin not in graph.nodes:
         raise ValidationError(f"unknown origin node {origin!r}")
@@ -268,29 +274,24 @@ def _tract_terms_from(
             raise ValidationError(f"unknown destination node {d!r}")
     rank = graph.rank
     source = rank[origin]
-    tree = _search_tree(graph, source, {rank[d] for d in targets})
-    if tree is None:
-        routes = {d: shortest_path(graph, origin, d) for d in targets}
-        return {d: None if route is None else _route_terms(route, edge_map)
-                for d, route in routes.items()}
-    _, pred, pred_edge, settled = tree
+    _, pred, pred_edge, settled = _search_tree(graph, source, {rank[d] for d in targets})
     return {d: _chain_terms(pred, pred_edge, source, rank[d], edge_map)
             if settled[rank[d]] else None for d in targets}
 
 
 def _search_tree(
     graph: Graph, source: int, targets: set[int]
-) -> tuple[list[float], list[int], list[Edge | None], list[bool]] | None:
+) -> tuple[list[float], list[int], list[Edge | None], list[bool]]:
     """Tie-broken Dijkstra over node ranks from source until every target
     is settled.
 
     Returns (dist, pred, pred_edge, settled), indexed by rank: time,
     predecessor rank (-1 when none), predecessor edge, and whether the node
-    was settled; or None when an edge of a settled node had its time
-    absorbed.
+    was settled. Times rise strictly along every edge (see Graph), so a node
+    settled after the last target reaches a settled node only at a larger
+    time: the search stops as that target settles.
     """
     adjacency = graph.rank_adjacency
-    min_edge_time = graph.min_edge_time
     n = len(adjacency)
     dist = [math.inf] * n
     pred = [-1] * n
@@ -305,24 +306,16 @@ def _search_tree(
     for r in targets:
         is_target[r] = True
     remaining = len(targets)
-    # With no target, only the origin is settled.
-    stop = math.inf if remaining else 0.0
-    absorb_from = graph.absorb_from
     while heap:
         time, u = heappop(heap)
-        # Nodes at the last target's time are still expanded: an absorbed
-        # edge among them could change that target's tie-break.
-        if time > stop:
-            break
         if settled[u]:
             continue
         settled[u] = True
-        if time >= absorb_from and time + min_edge_time[u] == time and adjacency[u]:
-            return None
         if is_target[u]:
             remaining -= 1
-            if not remaining:
-                stop = time
+        # With no target, only the origin is settled.
+        if not remaining:
+            break
         for v, edge, travel_time in adjacency[u]:
             if settled[v]:
                 continue
@@ -333,9 +326,6 @@ def _search_tree(
                 heappush(heap, (t, v))
             elif t != best or pred[v] == u:
                 continue
-            elif pred[v] < 0:
-                # first reached, and at an infinite time (t == best == inf)
-                heappush(heap, (t, v))
             elif not _tie_prefers(u, v, pred, depth):
                 continue
             pred[v] = u
@@ -352,10 +342,10 @@ def _tie_prefers(u: int, v: int, pred: list[int], depth: list[int]) -> bool:
     ancestor of u and p, so the first difference is between the two nodes
     just below it: ranks compare as ids do. When p itself is that ancestor
     (the prefix case), u's side is compared with v. The mirror case, u an
-    ancestor of p, cannot occur: times rise strictly along the tree (an
-    absorbed edge, t + tt == t, ends the search first), so every ancestor
-    of p settled before p, while u, the node being expanded, settled after
-    it.
+    ancestor of p, cannot occur: times rise strictly along the tree, since
+    Graph refuses an edge time that a route's time cannot add
+    (t + tt == t), so every ancestor of p settled before p, while u, the
+    node being expanded, settled after it.
     """
     x, y = u, pred[v]
     while depth[x] > depth[y] + 1:
@@ -515,14 +505,10 @@ def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, flo
     back to total_length whenever the lengths themselves add without
     rounding.
     """
-    return _tract_meters(_route_terms(route, edge_map))
-
-
-def _route_terms(route: Route, edge_map: EdgeTractMap) -> dict[str, list[float]]:
-    """_chain_terms of a route, its nodes chained by their predecessors."""
     nodes = route.nodes
-    return _chain_terms(dict(zip(nodes[1:], nodes)), dict(zip(nodes[1:], route.edges)),
-                        route.origin, route.destination, edge_map)
+    return _tract_meters(_chain_terms(
+        dict(zip(nodes[1:], nodes)), dict(zip(nodes[1:], route.edges)),
+        route.origin, route.destination, edge_map))
 
 
 def _chain_terms(pred, pred_edge, source, r, edge_map: EdgeTractMap) -> dict[str, list[float]]:

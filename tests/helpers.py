@@ -174,17 +174,16 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
-def absorbed_edge_not_first_graph(big: float = 1e16) -> Graph:
-    """A graph whose absorbed edges (t + tt == t) never come first in their
-    node's adjacency, and where ignoring them changes a route.
+def absorbed_edge_inputs(big: float) -> tuple[dict, list[Edge]]:
+    """Nodes and edges of a graph whose 0.5 s edges sit beside big s ones.
 
-    Every node's first neighbour is "0", over a 3 * big s edge that no
-    shortest route uses. From "a", b, c, d and e all settle at big s, since
-    every 0.5 s edge is absorbed there (any big from 2**52 = 0.5 * 2**53 on
-    absorbs them). The smallest route to d is (a, b, e, d), but settling
-    equal-time nodes by rank settles d from c first, which gives (a, c, d).
-    The nodes sit on two 1 km tracts of grid_tracts(1, 2) so that the two
-    routes cross different tracts; a and d sit on the tract centroids.
+    Every node but "0" has a 3 * big s edge to "0", which no shortest route
+    uses. From "a", the route (a, c, d) to d is 0.5 s faster than
+    (a, b, e, d). From big = 2**52 = 0.5 * 2**53 on, a route at big s cannot
+    add 0.5 s (t + tt == t): both routes would take big s and the tie-break
+    would pick (a, b, e, d). Graph refuses the edges from a much smaller big
+    on. The nodes sit on two 1 km tracts of grid_tracts(1, 2) so that the
+    two routes cross different tracts; a and d sit on the tract centroids.
     """
     nodes = {
         "0": (100.0, 100.0),
@@ -202,7 +201,7 @@ def absorbed_edge_not_first_graph(big: float = 1e16) -> Graph:
         Edge("e", "d", 0.5, 1.0),
         Edge("c", "d", 0.5, 1.0),
     ]
-    return Graph(nodes, edges)
+    return nodes, edges
 
 
 def edge_identity_map(graph: Graph) -> EdgeTractMap:

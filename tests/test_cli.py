@@ -358,6 +358,28 @@ def test_run_failure_leaves_marker(tmp_path):
     assert marker.startswith("simulate:")
 
 
+def test_infinite_edge_length_stops_simulate_and_run_naming_the_edge(tmp_path, caplog):
+    scen = tmp_path / "scen"
+    assert main(["synth", "--out", str(scen), "--rows", "3", "--cols", "3",
+                 "--seed", "3", "--highway-row", "1"]) == 0
+    edges = scen / "edges.csv"
+    lines = edges.read_text().splitlines(keepends=True)
+    edges.write_text("".join(line.replace(",500.0,", ",inf,", 1)
+                             if line.startswith("N000000,") else line for line in lines))
+    assert "N000000,N000001,inf," in edges.read_text()
+    message = "edge N000000->N000001: travel time must be finite and positive (got inf s"
+
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(scen / "config.json"), "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not (out / "traversal.csv").exists()
+
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(scen / "config.json"), "--out", str(out)]) == 1
+    assert (out / "FAILED").read_text().startswith(f"simulate: {message}")
+    assert not list(out.glob("equity*")) and not (out / "traversal.csv").exists()
+
+
 def test_run_without_network_inputs_skips_simulation(tmp_path):
     scen = tmp_path / "scen"
     rc = main(["synth", "--out", str(scen), "--rows", "4", "--cols", "4",

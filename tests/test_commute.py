@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from helpers import (
-    absorbed_edge_not_first_graph,
+    absorbed_edge_inputs,
     grid_tracts,
     nearest_node_brute,
     random_graph,
     simulate_reference,
     tie_heavy_graph,
 )
-from tracteq import commute, network
+from tracteq import commute
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -31,6 +31,7 @@ from tracteq.network import (
     Edge,
     Graph,
     build_edge_tract_map,
+    build_graph,
     route_tract_distances,
     shortest_path,
 )
@@ -322,38 +323,31 @@ def test_route_traversals_matches_per_pair_routes_tie_heavy_graphs(rng):
 
 
 def test_route_traversals_absorbed_edge_falls_back():
+    # At 1e16 s a route cannot add the 0.5 s edges, and the graph is refused.
+    # At 2**46 s it is accepted, and the route is the faster (a, c, d), all in
+    # T000001; (a, b, e, d) would put 2**46 + 0.5 m in T000000.
+    with pytest.raises(ValidationError, match="edge b->e"):
+        Graph(*absorbed_edge_inputs(1e16))
     tracts = grid_tracts(1, 2)
-    g = absorbed_edge_not_first_graph()
+    g = Graph(*absorbed_edge_inputs(2.0**46))
     trav = assert_traversals_match_per_pair_routes(
         all_pairs(tracts), tracts, g, build_edge_tract_map(g, tracts))
-    # The route is (a, b, e, d); (a, c, d) would give {"T000001": 1e16}.
-    assert trav[("T000000", "T000001")] == {"T000000": 1e16, "T000001": 0.5}
+    assert trav[("T000000", "T000001")] == {"T000001": 2.0**46 + 0.5}
     assert trav[("T000000", "T000000")] == {}
 
 
 @pytest.mark.parametrize("big", [1e16, 2.0**52])
-def test_simulate_absorbed_edge_falls_back(monkeypatch, big):
-    ts = grid_tracts(1, 2, attr_fn=lambda r, c: {"group_share": 0.25 + 0.5 * c})
-    g = absorbed_edge_not_first_graph(big)
-    em = build_edge_tract_map(g, ts)
-    od = ODTable.from_rows([("T000000", "T000001", 3), ("T000001", "T000000", 5),
-                            ("T000000", "T000000", 2)])
-    fallbacks = []
-    real = network.shortest_path
-    monkeypatch.setattr(network, "shortest_path",
-                        lambda *args: fallbacks.append(args[1:]) or real(*args))
-    for mode in ("fractional", "bernoulli"):
-        for exclude_home in (False, True):
-            fallbacks.clear()
-            assert_matches_reference(od, ts, g, em, assign_groups(od, ts, mode, seed=2),
-                                     exclude_home)
-            # only the tree from a, where 0.5 s edges are absorbed, falls back
-            assert sorted(fallbacks) == [("a", "a"), ("a", "d")]
-    # The route is (a, b, e, d); (a, c, d) would leave nothing in T000000.
-    one = ODTable.from_rows([("T000000", "T000001", 3)])
-    table = simulate(assign_groups(one, ts), ts, g, em)
-    km = big / 1000.0
-    assert table.D["T000000"] == {"white": 0.75 * km, "non_white": 2.25 * km}
+def test_simulate_absorbed_edge_falls_back(tmp_path, big):
+    # The street tables that the simulate stage reads are refused as they
+    # are read, naming the first 0.5 s edge.
+    nodes, edges = absorbed_edge_inputs(big)
+    nodes_csv = tmp_path / "nodes.csv"
+    nodes_csv.write_text("id,x,y\n" + "".join(f"{k},{x},{y}\n" for k, (x, y) in nodes.items()))
+    edges_csv = tmp_path / "edges.csv"
+    edges_csv.write_text("u,v,length_m,speed_ms\n"
+                         + "".join(f"{e.u},{e.v},{e.length!r},{e.speed}\n" for e in edges))
+    with pytest.raises(ValidationError, match=r"edge b->e: travel time 0\.5 s is too small"):
+        build_graph(str(nodes_csv), str(edges_csv))
 
 
 def test_simulate_missing_edge_names_first_along_route():

@@ -168,6 +168,14 @@ MALFORMED = [
      "models[1].name"),
     # the default name of the second model is model2
     ("models", [{"name": "model2", "controls": ["vkt"]}, {"controls": []}], "models[1].name"),
+    # an infinite speed gives its class's edges a zero travel time
+    ("class_speeds", {"street": float("inf")}, "class_speeds.street"),
+    ("class_speeds", {"street": -float("inf")}, "class_speeds.street"),
+    ("demographics", {"population": 5}, "demographics.population"),
+    ("demographics", {"commuters": ""}, "demographics.commuters"),
+    ("demographics", {"group_share": None}, "demographics.group_share"),
+    # a misspelt key would leave the default column in use
+    ("demographics", {"populaton": "pop"}, "demographics.populaton"),
 ]
 
 
@@ -234,11 +242,14 @@ def test_parse_keeps_valid_typed_values():
     raw = minimal_raw()
     raw["gwr"] = {"k_min": 8, "k_max": 8, "aicc_loo": False}
     raw["simulation"] = {"seed": 0, "exclude_home": False}
-    raw["class_speeds"] = {"street": 7, "alley": float("inf")}
+    raw["class_speeds"] = {"street": 7, "alley": 1e300}
+    raw["demographics"] = {"population": "pop_total"}
     cfg = parse_config(raw)
     assert (cfg.k_min, cfg.k_max, cfg.aicc_loo) == (8, 8, False)
     assert (cfg.seed, cfg.exclude_home) == (0, False)
-    assert cfg.class_speeds == {"street": 7.0, "alley": float("inf")}
+    assert cfg.class_speeds == {"street": 7.0, "alley": 1e300}
+    assert cfg.demographics == {"population": "pop_total", "commuters": "commuters",
+                                "group_share": "group_share"}
     assert type(cfg.class_speeds["street"]) is float
     defaults = parse_config(minimal_raw())
     assert (defaults.k_min, defaults.k_max, defaults.seed) == (None, None, 0)

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from helpers import (
-    absorbed_edge_not_first_graph,
+    absorbed_edge_inputs,
     build_edge_tract_map_linear,
     edge_identity_map,
     enumerate_best_path,
@@ -28,6 +28,7 @@ from tracteq.network import (
     shortest_path,
     tract_distances_from,
 )
+from tracteq.synth import ScenarioSpec, generate
 
 
 def diamond_graph():
@@ -95,12 +96,16 @@ def test_build_graph_rejects_empty_or_duplicate_node_id(tmp_path, rows, message)
 
 
 def test_build_graph_accepts_infinite_length_and_speed(tmp_path):
+    # An infinite length gives an infinite time and an infinite speed a zero
+    # time; a route cannot add either, so both are refused.
     nodes = tmp_path / "nodes.csv"
     nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
     edges = tmp_path / "edges.csv"
-    edges.write_text("u,v,length_m,speed_ms\nA,B,inf,10\nB,A,100,inf\n")
-    g = build_graph(str(nodes), str(edges))
-    assert [e.travel_time for e in g.edges] == [math.inf, 0.0]
+    for row, got in (("A,B,inf,10", "inf s"), ("B,A,100,inf", "0.0 s")):
+        edges.write_text(f"u,v,length_m,speed_ms\n{row}\n")
+        with pytest.raises(ValidationError, match=rf"edge {row[0]}->{row[2]}: travel time "
+                                                  rf"must be finite and positive \(got {got}"):
+            build_graph(str(nodes), str(edges))
 
 
 def test_graph_rejects_nan_travel_time():
@@ -304,65 +309,51 @@ def test_shortest_paths_from_prefix_tie_break():
     assert_same_routes(g, "A", ["C", "D"])
 
 
-def test_shortest_paths_from_absorbed_edge_falls_back(monkeypatch):
+def test_shortest_paths_from_absorbed_edge_falls_back():
     # B->C adds ~1e-30 s to a 1e6 s route, so t + tt == t: settle order
-    # among equal-time nodes would matter, and the origin uses shortest_path.
+    # among equal-time nodes would decide the route. The graph is refused,
+    # though a search from D to E never reaches B->C.
     nodes = {"A": (0, 0), "B": (1, 0), "C": (2, 0), "D": (1, 1), "E": (1, 2)}
-    g = Graph(nodes, [
+    edges = [
         Edge("A", "B", 1e6, 1.0),
         Edge("B", "C", 1e-30, 1.0),
         Edge("A", "D", 1e6, 1.0),
         Edge("D", "C", 1e6, 1.0),
         Edge("D", "E", 1.0, 1.0),
-    ])
-    assert 1e6 + g.edges[1].travel_time == 1e6
-    em = edge_identity_map(g)
-    calls = []
-    real = network.shortest_path
-
-    def counting(graph, origin, destination):
-        calls.append((origin, destination))
-        return real(graph, origin, destination)
-
-    monkeypatch.setattr(network, "shortest_path", counting)
-    meters = tract_distances_from(g, "A", ["C", "D"], em)
-    assert sorted(calls) == [("A", "C"), ("A", "D")]
-    monkeypatch.undo()
-    assert meters["C"] == {"A>B": 1e6, "B>C": 1e-30}
-    assert_same_routes(g, "A", ["C", "D"])
-    # the search for E stops before it reaches the absorbed edge: no fallback
-    calls.clear()
-    monkeypatch.setattr(network, "shortest_path", counting)
-    assert tract_distances_from(g, "D", ["E"], em) == {"E": {"D>E": 1.0}}
-    assert calls == []
+    ]
+    assert 1e6 + edges[1].travel_time == 1e6
+    with pytest.raises(ValidationError, match=r"edge B->C: travel time 1e-30 s is too small "
+                                              r"for a route to add"):
+        Graph(nodes, edges)
+    g = Graph(nodes, edges[:1] + edges[2:])
+    assert tract_distances_from(g, "D", ["E"], edge_identity_map(g)) == {"E": {"D>E": 1.0}}
 
 
 def test_shortest_paths_from_absorbed_edge_into_settled_target():
-    # D and Z both settle at 1e6 s, D first by id, but shortest_path settles
-    # Z first because (O, B, Z) < (O, D); Z->D is absorbed, so D's best route
-    # goes through Z. The tree must expand Z after D settles to see that.
+    # D and Z would both settle at 1e6 s, and Z->D would add nothing to Z's
+    # time, so D's route would depend on whether Z is expanded after D
+    # settles. The one-way edge Z->D is refused, by name.
     nodes = {"O": (0, 0), "B": (1, 1), "Z": (2, 1), "D": (2, 0)}
-    g = Graph(nodes, [
+    edges = [
         Edge("O", "D", 1e6, 1.0),
         Edge("O", "B", 5e5, 1.0),
         Edge("B", "Z", 5e5, 1.0),
         Edge("Z", "D", 1e-30, 1.0, oneway=True),
-    ])
-    meters = tract_distances_from(g, "O", ["D"], edge_identity_map(g))
-    assert meters["D"] == {"B>Z": 5e5, "O>B": 5e5, "Z>D": 1e-30}
-    assert_same_routes(g, "O", ["D"])
+    ]
+    with pytest.raises(ValidationError, match=r"edge Z->D: .* too small for a route to add"):
+        Graph(nodes, edges)
 
 
 def test_shortest_paths_from_infinite_time():
-    # A->B takes an infinite time; B is still reached, as by shortest_path.
+    # A->B would take an infinite time, which no finite route time exceeds.
     nodes = {"A": (0, 0), "B": (1, 0), "C": (2, 0)}
-    g = Graph(nodes, [
+    edges = [
         Edge("A", "B", math.inf, 1.0, oneway=True),
         Edge("A", "C", 1.0, 1.0),
-    ])
-    meters = tract_distances_from(g, "A", ["B", "C"], edge_identity_map(g))
-    assert meters["B"] == {"A>B": math.inf}
-    assert_same_routes(g, "A", ["B", "C"])
+    ]
+    with pytest.raises(ValidationError, match=r"edge A->B: travel time must be finite "
+                                              r"and positive \(got inf s"):
+        Graph(nodes, edges)
 
 
 def test_shortest_paths_from_no_destinations_and_origin_only():
@@ -430,41 +421,65 @@ def test_tract_distances_from_matches_route_tract_distances_tie_heavy(rng):
 
 
 def test_tract_distances_from_absorbed_edge_falls_back():
-    tracts = grid_tracts(1, 2)
-    g = absorbed_edge_not_first_graph()
-    em = build_edge_tract_map(g, tracts)
-    ids = sorted(g.nodes)
-    for origin in ids:
-        assert_same_tract_distances(g, origin, ids, em)
-    # The absorbed edge b->e comes after b->0 and b->a: only a check against
-    # each node's smallest edge time sees it.
-    assert network._search_tree(g, g.rank["a"], {g.rank["d"]}) is None
-    assert tract_distances_from(g, "a", ["d"], edge_identity_map(g)) == {
-        "d": {"a>b": 1e16, "b>e": 0.5, "e>d": 0.5}
-    }
-    assert tract_distances_from(g, "a", ["d"], em) == {
-        "d": {"T000000": 1e16, "T000001": 0.5}
-    }
+    # At 1e16 s the three 0.5 s edges would be absorbed; the first of them
+    # in edge order is named, though it is not first in b's adjacency.
+    with pytest.raises(ValidationError, match=r"edge b->e: travel time 0\.5 s is too small"):
+        Graph(*absorbed_edge_inputs(1e16))
 
 
 def test_absorption_at_the_least_absorbing_time_falls_back():
-    # The smallest edge time is 0.5 s, and 0.5 s is first absorbed at
-    # 0.5 * 2**53 = 2**52 s, a tie that rounds to even. Here b settles at
-    # exactly that time, so a gate on the absorption test that opens any
-    # later misses it.
-    g = absorbed_edge_not_first_graph(big=2.0**52)
-    assert min(g.min_edge_time) * 2**53 == 2.0**52
-    below = math.nextafter(2.0**52, 0)
-    assert 2.0**52 + 0.5 == 2.0**52 and below + 0.5 != below
-    assert network._search_tree(g, g.rank["a"], {g.rank["d"]}) is None
+    # 0.5 s is first absorbed at 0.5 * 2**53 = 2**52 s, a tie that rounds to
+    # even; a graph whose routes reach that time is refused. At 2**46 s the
+    # summed edge time, 17 * 2**46 + 1.5 s, is below 0.5 * 2**52 s: the graph
+    # is accepted and the tree takes the faster route (a, c, d), as the
+    # oracle does.
+    assert 2.0**52 + 0.5 == 2.0**52
+    with pytest.raises(ValidationError, match=r"edge b->e: .* is at least 2\*\*52 times it"):
+        Graph(*absorbed_edge_inputs(2.0**52))
+    g = Graph(*absorbed_edge_inputs(2.0**46))
     assert tract_distances_from(g, "a", ["d"], edge_identity_map(g)) == {
-        "d": {"a>b": 2.0**52, "b>e": 0.5, "e>d": 0.5}
+        "d": {"a>c": 2.0**46, "c>d": 0.5}
     }
-    tracts = grid_tracts(1, 2)
-    em = build_edge_tract_map(g, tracts)
     ids = sorted(g.nodes)
     for origin in ids:
-        assert_same_tract_distances(g, origin, ids, em)
+        assert_same_routes(g, origin, ids)
+
+
+def test_search_tree_times_rise_and_stopping_at_the_last_target_is_exact(rng):
+    # Every settled node is reached at a larger time than its predecessor,
+    # and a search that stops as its last target settles gives each target
+    # the predecessor and edge of a search that settles every node.
+    graphs = [random_graph(rng, int(rng.integers(2, 12))) for _ in range(10)]
+    graphs += [tie_heavy_graph(rng, 5, 6) for _ in range(3)]
+    graphs.append(generate(ScenarioSpec(rows=12, cols=12, seed=3, highway_row=6)).graph)
+    for g in graphs:
+        n = len(g.nodes)
+        for source in range(0, n, max(1, n // 8)):
+            full = network._search_tree(g, source, set(range(n)))
+            targets = {int(r) for r in rng.choice(n, size=min(3, n), replace=False)}
+            part = network._search_tree(g, source, targets)
+            for dist, pred, _, settled in (full, part):
+                for v in range(n):
+                    if settled[v] and v != source:
+                        assert dist[v] > dist[pred[v]]
+            _, pred, pred_edge, settled = part
+            for v in targets:
+                assert (settled[v], pred[v], pred_edge[v]) == (full[3][v], full[1][v], full[2][v])
+
+
+def test_graph_refuses_a_summed_edge_time_of_2_52_times_the_smallest():
+    nodes = {"A": (0, 0), "B": (1, 0), "C": (2, 0)}
+    below = [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 2.0**52 - 1.5, 1.0)]
+    assert sum(e.travel_time for e in below) == math.nextafter(2.0**52, 0)
+    Graph(nodes, below)
+    at = [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 2.0**52 - 1.0, 1.0)]
+    with pytest.raises(ValidationError, match=r"edge A->B: travel time 1\.0 s .* "
+                                              r"4503599627370496\.0 s is at least 2\*\*52"):
+        Graph(nodes, at)
+    # a sum that overflows to inf counts as at least 2**52 times any time
+    overflow = [Edge("A", "B", 1e308, 1.0), Edge("B", "C", 1e308, 1.0)]
+    with pytest.raises(ValidationError, match=r"edge A->B: .* summed edge time inf s"):
+        Graph(nodes, overflow)
 
 
 def test_tract_distances_from_missing_edge_names_first_along_route():
