@@ -69,9 +69,14 @@ def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str
 
     Leading lines that start with # are skipped; the next line names the
     columns and must include every required one. Cells are stripped, a short
-    row's missing cells read as "", and blank lines are skipped.
+    row's missing cells read as "", and blank lines are skipped. A file
+    that cannot be opened raises ParseError naming the path.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+    with fh:
         try:
             skipped = 0
             first = fh.readline()

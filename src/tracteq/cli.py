@@ -66,6 +66,9 @@ _HEADER_CONFIG = re.compile(r"\bconfig=(\S+)")
 
 
 def _load_layers(cfg: RunConfig) -> tuple[TractSet, HighwayNetworkGeom | None]:
+    for key in ("tracts", "attributes"):
+        if key not in cfg.inputs:
+            raise ValidationError(f"config key inputs.{key} is required")
     tracts = load_tracts(
         cfg.inputs["tracts"],
         cfg.inputs["attributes"],

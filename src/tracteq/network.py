@@ -8,13 +8,15 @@ route's float time could not add it (t + tt == t): times rise strictly
 along every route.
 
 Searches index nodes by rank, an id's index in sorted-id order, so ranks
-compare as ids do. shortest_path carries each candidate's whole path of
-ranks and is the oracle. _tract_terms_from serves many destinations from
-one Dijkstra tree: the tree keeps no paths, a tie on time is broken on
-demand by walking both candidates up to their common ancestor, and each
-tract's meter terms are read off the tree without building routes. It is
-the one reader of the tree: tract_distances_from sums its terms, and so
-does commute.simulate.
+compare as ids do. Every route comes from one tie-broken Dijkstra tree
+(_search_tree): the tree keeps no paths, and a tie on time is broken on
+demand by walking both candidates up to their common ancestor.
+shortest_path walks one destination's chain into a Route, which
+`tracteq route` prints. _tract_terms_from serves many destinations from
+one tree and reads each tract's meter terms off it without building
+routes: tract_distances_from sums its terms, and so does commute.simulate.
+The tests check the tree against a search that carries each candidate's
+whole path.
 """
 
 from __future__ import annotations
@@ -200,47 +202,30 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     """Minimal free-flow-time route, or None when unreachable.
 
     Among equal-time routes the lexicographically smallest node sequence
-    wins. Travel time accumulates left to right along the path, so totals are
-    bit-identical to an in-order sum over the returned edges.
+    wins. The route is read off the routing tree (_search_tree) that
+    simulate reads, walked back from the destination. total_time is the
+    destination's tree time, which is the left-to-right sum of its edge
+    times, and total_length adds the edge lengths left to right.
     """
     if origin not in graph.nodes:
         raise ValidationError(f"unknown origin node {origin!r}")
     if destination not in graph.nodes:
         raise ValidationError(f"unknown destination node {destination!r}")
-    if origin == destination:
-        return Route(origin, destination, (origin,), (), 0.0, 0.0)
-
-    # Heap entries carry the whole path of ranks: tuple comparison gives the
-    # lexicographic tie-break. The counter keeps Edge objects out of any
-    # comparison.
-    adjacency = graph.rank_adjacency
-    target = graph.rank[destination]
-    counter = 0
-    heap: list[tuple[float, tuple[int, ...], int, tuple[Edge, ...]]] = [
-        (0.0, (graph.rank[origin],), counter, ())
-    ]
-    settled: set[int] = set()
-    while heap:
-        time, path, _, edges = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            total_length = 0.0
-            for e in edges:
-                total_length += e.length
-            nodes = tuple(graph._ids[r] for r in path)
-            return Route(origin, destination, nodes, edges, time, total_length)
-        for neighbor, edge, travel_time in adjacency[node]:
-            if neighbor in settled:
-                continue
-            counter += 1
-            heapq.heappush(
-                heap,
-                (time + travel_time, path + (neighbor,), counter, edges + (edge,)),
-            )
-    return None
+    source, target = graph.rank[origin], graph.rank[destination]
+    dist, pred, pred_edge, settled = _search_tree(graph, source, {target})
+    if not settled[target]:
+        return None
+    r, nodes, edges = target, [destination], []
+    while r != source:
+        edges.append(pred_edge[r])
+        r = pred[r]
+        nodes.append(graph._ids[r])
+    nodes.reverse()
+    edges.reverse()
+    total_length = 0.0
+    for e in edges:
+        total_length += e.length
+    return Route(origin, destination, tuple(nodes), tuple(edges), dist[target], total_length)
 
 
 def tract_distances_from(

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
 from tracteq.commute import GROUPS
 from tracteq.data_model import DesignData, Tract, TractSet
+from tracteq.errors import ValidationError
 from tracteq.geometry import (
     bounding_box,
     boxes_overlap,
@@ -15,7 +17,7 @@ from tracteq.geometry import (
     polyline_intersects_polygon,
     segment_polygon_breakpoints,
 )
-from tracteq.network import OUTSIDE_ZONE, Edge, EdgeTractMap, Graph, shortest_path
+from tracteq.network import OUTSIDE_ZONE, Edge, EdgeTractMap, Graph, Route
 
 
 def square_tract(tid: str, col: int, row: int, size: float = 1000.0, **attrs) -> Tract:
@@ -104,6 +106,54 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
                 continue
             stack.append((time + edge.travel_time, path + (neighbor,), edges + (edge,)))
     return best
+
+
+def path_carrying_shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
+    """network.shortest_path by a search that carries each candidate's whole
+    path: the oracle the routing tree is checked against.
+
+    Among equal-time routes the lexicographically smallest node sequence
+    wins. Travel time accumulates left to right along the path, so totals are
+    bit-identical to an in-order sum over the returned edges.
+    """
+    if origin not in graph.nodes:
+        raise ValidationError(f"unknown origin node {origin!r}")
+    if destination not in graph.nodes:
+        raise ValidationError(f"unknown destination node {destination!r}")
+    if origin == destination:
+        return Route(origin, destination, (origin,), (), 0.0, 0.0)
+
+    # Heap entries carry the whole path of ranks: tuple comparison gives the
+    # lexicographic tie-break. The counter keeps Edge objects out of any
+    # comparison.
+    adjacency = graph.rank_adjacency
+    target = graph.rank[destination]
+    counter = 0
+    heap: list[tuple[float, tuple[int, ...], int, tuple[Edge, ...]]] = [
+        (0.0, (graph.rank[origin],), counter, ())
+    ]
+    settled: set[int] = set()
+    while heap:
+        time, path, _, edges = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == target:
+            total_length = 0.0
+            for e in edges:
+                total_length += e.length
+            nodes = tuple(graph._ids[r] for r in path)
+            return Route(origin, destination, nodes, edges, time, total_length)
+        for neighbor, edge, travel_time in adjacency[node]:
+            if neighbor in settled:
+                continue
+            counter += 1
+            heapq.heappush(
+                heap,
+                (time + travel_time, path + (neighbor,), counter, edges + (edge,)),
+            )
+    return None
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45) -> Graph:
@@ -274,8 +324,9 @@ def corridor_subset_linear(tracts: TractSet, highways, route_label: str) -> tupl
 def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
                        exclude_home: bool = False):
     """(D, C) of commute.simulate, computed pair by pair over assignment.od:
-    nearest nodes by full scan, one shortest_path per pair, per-tract meters
-    by math.fsum, and one add() per group and tract in sorted pair order."""
+    nearest nodes by full scan, one path_carrying_shortest_path per pair,
+    per-tract meters by math.fsum, and one add() per group and tract in
+    sorted pair order."""
     D, C = {}, {}
 
     def add(table, tract, group, value):
@@ -285,7 +336,7 @@ def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: Edg
         by_group = dict(zip(GROUPS, weight_row.tolist()))
         o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
         d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
-        route = shortest_path(graph, o, d)
+        route = path_carrying_shortest_path(graph, o, d)
         if route is None:
             continue
         contributions = {}

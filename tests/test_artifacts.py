@@ -195,6 +195,17 @@ def test_reader_input_format(name, tmp_path):
         read(str(headerless), tmp_path)
 
 
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_reader_refuses_a_missing_file_or_a_directory(name, tmp_path):
+    read = READERS[name][0]
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    for path, reason in ((tmp_path / "missing.csv", "No such file or directory"),
+                         (directory, "Is a directory")):
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {reason}")):
+            read(str(path), tmp_path)
+
+
 def test_read_number_names_the_file_line_cell_and_column():
     row = {"a": "1.5", "b": "nan", "c": "-inf", "n": "-7", "bad": "1e"}
     assert read_number("f.csv", 2, row, "a") == 1.5

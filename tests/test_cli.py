@@ -433,6 +433,32 @@ def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_pa
     assert "Traceback" not in out.stderr
 
 
+def test_route_with_a_missing_nodes_file_exits_2_without_traceback(scenario_dir, tmp_path):
+    missing = tmp_path / "missing.csv"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "route", "--nodes", str(missing),
+                          "--edges", str(scenario_dir / "edges.csv"),
+                          "--origin", "N000000", "--dest", "N000001"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert f"{missing}: No such file or directory" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("key", ["tracts", "attributes"])
+def test_config_without_a_tract_input_exits_2_naming_the_key(key, scenario_dir, tmp_path,
+                                                             caplog):
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw["inputs"].pop(key))
+    message = f"config key inputs.{key} is required"
+    assert main(["ingest", "--config", config, "--out", str(tmp_path / "ingest")]) == 2
+    assert message in caplog.text
+    out = tmp_path / "run"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    assert (out / "FAILED").read_text() == f"ingest: {message}\n"
+
+
 def test_run_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # At 30 x 30 tracts the GWR products are large enough for OpenBLAS to
     # split their sums over two threads, which moved the last digits of the

@@ -8,6 +8,7 @@ from helpers import (
     absorbed_edge_inputs,
     grid_tracts,
     nearest_node_brute,
+    path_carrying_shortest_path,
     random_graph,
     simulate_reference,
     tie_heavy_graph,
@@ -33,7 +34,6 @@ from tracteq.network import (
     build_edge_tract_map,
     build_graph,
     route_tract_distances,
-    shortest_path,
 )
 from tracteq.synth import ScenarioSpec, generate
 
@@ -279,7 +279,7 @@ def assert_traversals_match_per_pair_routes(od, tracts, graph, edge_map):
     for home, work, _ in od.rows:
         o = nearest_node_brute(graph, tracts.centroids[tracts.index_of(home)])
         d = nearest_node_brute(graph, tracts.centroids[tracts.index_of(work)])
-        route = shortest_path(graph, o, d)
+        route = path_carrying_shortest_path(graph, o, d)
         want[(home, work)] = None if route is None else route_tract_distances(route, edge_map)
     assert list(trav) == list(want)
     for pair, per_tract in want.items():

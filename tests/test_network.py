@@ -11,6 +11,7 @@ from helpers import (
     edge_identity_map,
     enumerate_best_path,
     grid_tracts,
+    path_carrying_shortest_path,
     random_graph,
     square_tract,
     tie_heavy_graph,
@@ -109,8 +110,9 @@ def test_build_graph_accepts_infinite_length_and_speed(tmp_path):
 
 
 def test_graph_rejects_nan_travel_time():
-    # inf / inf is NaN, and every comparison with NaN is false: shortest_path
-    # would return the NaN edge A-B while the routing tree goes A-C-B.
+    # inf / inf is NaN, and every comparison with NaN is false: the
+    # path-carrying search would return the NaN edge A-B while the routing
+    # tree goes A-C-B.
     nodes = {"A": (0.0, 0.0), "B": (2.0, 0.0), "C": (1.0, 1.0)}
     edges = [Edge("A", "B", math.inf, math.inf), Edge("A", "C", 1.0, 1.0),
              Edge("C", "B", 1.0, 1.0)]
@@ -237,11 +239,45 @@ def test_shortest_path_matches_enumeration_small_random(rng):
             assert got.edges == want[2]
 
 
+def assert_tree_routes_match_oracle(graph):
+    """shortest_path, which reads the routing tree, against the path-carrying
+    search from every 7th origin to every node: the same nodes, the same
+    Edge objects, bit-identical time and length, and None alike."""
+    ids = sorted(graph.nodes)
+    for origin in ids[::7]:
+        for dest in ids:
+            got = shortest_path(graph, origin, dest)
+            want = path_carrying_shortest_path(graph, origin, dest)
+            if want is None:
+                assert got is None, (origin, dest)
+                continue
+            assert (got.origin, got.destination, got.nodes) == (origin, dest, want.nodes)
+            assert len(got.edges) == len(want.edges), (origin, dest)
+            assert all(a is b for a, b in zip(got.edges, want.edges)), (origin, dest)
+            assert got.total_time.hex() == want.total_time.hex(), (origin, dest)
+            assert got.total_length.hex() == want.total_length.hex(), (origin, dest)
+
+
+def test_shortest_path_matches_path_carrying_search_random(rng):
+    for trial in range(40):
+        assert_tree_routes_match_oracle(random_graph(rng, int(rng.integers(2, 30))))
+
+
+def test_shortest_path_matches_path_carrying_search_tie_heavy(rng):
+    for trial in range(15):
+        assert_tree_routes_match_oracle(tie_heavy_graph(rng, 5, 6))
+
+
+def test_shortest_path_matches_path_carrying_search_synth_grid():
+    spec = ScenarioSpec(rows=12, cols=12, seed=3, highway_row=6)
+    assert_tree_routes_match_oracle(generate(spec).graph)
+
+
 def assert_same_tract_distances(graph, origin, destinations, edge_map):
     got = tract_distances_from(graph, origin, destinations, edge_map)
     assert list(got) == sorted(set(destinations))
     for dest, meters in got.items():
-        route = shortest_path(graph, origin, dest)
+        route = path_carrying_shortest_path(graph, origin, dest)
         if route is None:
             assert meters is None, (origin, dest)
             continue
@@ -252,7 +288,8 @@ def assert_same_tract_distances(graph, origin, destinations, edge_map):
 
 # The routing tree's shortest paths from one origin, read through
 # tract_distances_from under edge_identity_map: each edge is its own zone, so
-# meters equal to the oracle's mean the tree took shortest_path's route.
+# meters equal to the oracle's mean the tree took path_carrying_shortest_path's
+# route.
 
 
 def assert_same_routes(graph, origin, destinations):
@@ -382,17 +419,23 @@ def test_shortest_paths_from_unreachable_and_same_node():
 
 
 def test_edge_identity_map_sees_a_wrong_tie_break(monkeypatch, rng):
-    # The tests above compare routes by their per-edge meters: a tie-break
-    # that is reversed, or that never replaces a predecessor, must fail them.
+    # The tests above compare routes by their per-edge meters: the real
+    # tie-break must pass them on these graphs, and a tie-break that is
+    # reversed, or that never replaces a predecessor, must fail them.
     real = network._tie_prefers
     graphs = [tie_heavy_graph(rng, 5, 6) for _ in range(3)]
+
+    def assert_all_routes_same():
+        for g in graphs:
+            ids = sorted(g.nodes)
+            for origin in ids:
+                assert_same_routes(g, origin, ids)
+
+    assert_all_routes_same()
     for mutant in (lambda *args: not real(*args), lambda *args: False):
         monkeypatch.setattr(network, "_tie_prefers", mutant)
         with pytest.raises(AssertionError):
-            for g in graphs:
-                ids = sorted(g.nodes)
-                for origin in ids:
-                    assert_same_routes(g, origin, ids)
+            assert_all_routes_same()
 
 
 def test_tract_distances_from_matches_route_tract_distances_random(rng):
