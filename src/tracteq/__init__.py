@@ -50,10 +50,8 @@ _MODULE_EXPORTS: dict[str, tuple[str, ...]] = {
         "GwrFit",
         "GwrSummary",
         "KernelSpec",
-        "adaptive_bandwidth",
         "fit_gwr",
         "fit_local",
-        "gaussian_weights",
         "select_bandwidth",
         "summarize_gwr",
     ),

@@ -1,11 +1,15 @@
-"""Artifact files: atomic writes, the one CSV format, and dataclass fields
-as JSON values.
+"""Artifact files: atomic writes, the one CSV format, reading input files,
+and dataclass fields as JSON values.
 
 Every artifact is written to a temporary file in its own directory and then
 moved into place with os.replace, so a stage that fails part-way leaves the
 previous file, or none, but never a torn one. A CSV file is optional "# "
 lines, the column row, then the rows; only a cell holding a comma, a quote
 or a newline is quoted.
+
+Every input file, CSV or JSON, is opened by one rule: UTF-8, with a leading
+byte order mark dropped. A file that cannot be opened, decoded or parsed is a
+ParseError whose message names the path once.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import json
 import os
 from dataclasses import fields
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,19 +69,36 @@ def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence[str]],
     write_atomic(path, lines())
 
 
+def _open_input(path: str) -> IO[str]:
+    """path opened for reading as UTF-8, a leading byte order mark dropped;
+    a ParseError naming the path when it cannot be opened."""
+    try:
+        return open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+
+
+def read_json(path: str):
+    """The JSON document in path; a ParseError naming the path when it
+    cannot be opened, decoded or parsed."""
+    with _open_input(path) as fh:
+        try:
+            return json.load(fh)
+        # ValueError covers decode and syntax errors and over-long integers;
+        # deep nesting exhausts the parser's recursion limit.
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
 def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str, str]]]:
     """(physical line number, {column: cell}) for each row of a CSV file.
 
     Leading lines that start with # are skipped; the next line names the
     columns and must include every required one. Cells are stripped, a short
     row's missing cells read as "", and blank lines are skipped. A file
-    that cannot be opened raises ParseError naming the path.
+    that cannot be opened or decoded raises ParseError naming the path.
     """
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from None
-    with fh:
+    with _open_input(path) as fh:
         try:
             skipped = 0
             first = fh.readline()

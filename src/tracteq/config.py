@@ -26,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .artifacts import read_json
 from .data_model import DEMOGRAPHICS, TransformSpec
 from .errors import ValidationError
 
@@ -266,12 +267,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    """The run config in the JSON file at path, its relative paths resolved
+    against the file's directory."""
+    return parse_config(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def replication_config(

@@ -7,7 +7,6 @@ reprojection or topology repair happens here.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_number
+from .artifacts import read_csv, read_json, read_number
 from .errors import ParseError, ValidationError
 from .geometry import (
     Point,
@@ -95,6 +94,14 @@ class TractSet:
         self._centroids = np.array(
             [polygon_centroid(t.polygon) for t in self.tracts], dtype=float
         )
+        # A NaN or infinite vertex makes its ring's centroid NaN, so one test
+        # of the centroids finds every such vertex; huge finite ones can
+        # overflow it too.
+        bad = np.flatnonzero(~np.isfinite(self._centroids).all(axis=1))
+        if bad.size:
+            t = self.tracts[bad[0]]
+            require_finite(t.polygon, f"tract {t.tract_id!r}")
+            raise ValidationError(f"tract {t.tract_id!r}: centroid is not finite")
 
     @staticmethod
     def _check_range(t: Tract, column: str, lo: float, hi: float) -> None:
@@ -261,11 +268,7 @@ def _feature_ring(feature: dict, where: str) -> tuple[Point, ...]:
 def _read_feature_collection(path: str) -> list[dict]:
     """The features of a GeoJSON FeatureCollection: objects whose properties
     and geometry are each an object or null."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(f"{path}: not a GeoJSON FeatureCollection")
     features = doc.get("features")

@@ -1,8 +1,9 @@
 """Geographically weighted regression with an adaptive Gaussian kernel.
 
-Each tract gets its own weighted least-squares fit, with weights decaying by
-centroid distance under a bandwidth set adaptively as the distance to the
-neighbors_k-th nearest tract (the tract itself counts as its first neighbor).
+Each design row gets its own weighted least-squares fit, with weights
+decaying by centroid distance (_kernel) under a bandwidth set adaptively as
+the distance to the neighbors_k-th nearest design row (the row itself counts
+as its first neighbor; tracts the complete-case filter dropped do not count).
 The neighbor count is chosen by minimizing small-sample-corrected AIC.
 
 fit_gwr solves every local fit for one bandwidth at once from the normal
@@ -62,7 +63,8 @@ EXHAUSTIVE_LIMIT = 25
 
 # Every chunk of the search and of fit_gwr spans this many cells (rows x n),
 # so the reused workspace and each chunk temporary stay at 2 MiB whatever
-# the number of tracts.
+# the number of tracts. It also fixes GWR's last bits: the product
+# rhs_t @ W.T rounds differently when a chunk's row count changes.
 CHUNK_CELLS = 1 << 18
 
 # A batched local system is marginal, and is refitted by fit_local, when its
@@ -186,48 +188,21 @@ class GwrSummary:
     n_failed: int
 
 
-def gaussian_weights(
-    distances: np.ndarray, bandwidth, out: np.ndarray | None = None
-) -> np.ndarray:
-    """w_i = exp(-(d_i / b)^2 / 2); 1 at d=0, strictly decreasing in d.
-
-    bandwidth is a scalar or an array broadcasting against distances (one
-    bandwidth per row of a distance matrix). The weights go to out when it
-    is given, which may be distances itself.
-    """
-    if not np.all(np.asarray(bandwidth) > 0):
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    d = np.asarray(distances, dtype=float)
-    # The NaN-skipping minimum, rather than any(d < 0): no mask of d's size.
-    if d.size and np.fmin.reduce(d, axis=None) < 0:
-        raise ValueError("distances must be nonnegative")
-    return _kernel(d, bandwidth, out)
-
-
 def _kernel(d: np.ndarray, bandwidth, out: np.ndarray | None = None) -> np.ndarray:
-    """gaussian_weights without its checks, for distance rows this module
-    built (never negative) under bandwidths _check_bandwidths passed.
+    """The Gaussian kernel weights exp(-(d / bandwidth)^2 / 2), with the bits
+    of np.exp(-0.5 * (d / bandwidth) ** 2): 1 at d = 0 and strictly
+    decreasing in d.
 
-    In place: at most one array of the output's size, the same bits as
-    np.exp(-0.5 * (d / bandwidth) ** 2).
+    bandwidth is a scalar or an array broadcasting against d (one bandwidth
+    per row of distance rows). The weights go to out when it is given, which
+    may be d itself, and otherwise to one new array. Nothing is checked: d
+    holds distances this module built (never negative), under bandwidths
+    _check_bandwidths passed.
     """
     w = np.asarray(np.divide(d, bandwidth, out=out))
     w *= w
     w *= -0.5
     return np.exp(w, out=w)
-
-
-def adaptive_bandwidth(tracts: TractSet, j: int, neighbors_k: int) -> float:
-    """Centroid distance from tract j to its neighbors_k-th nearest tract.
-
-    The tract itself counts as its own first neighbor at distance zero, so
-    neighbors_k = 1 gives bandwidth 0.
-    """
-    n = len(tracts)
-    if not 1 <= neighbors_k <= n:
-        raise ValueError(f"neighbors_k={neighbors_k} outside [1, {n}]")
-    d = _distance_matrix(tracts.centroids[j : j + 1], tracts.centroids)
-    return float(_order_stats(d, [neighbors_k - 1])[0, 0])
 
 
 def _distance_matrix(
@@ -556,7 +531,7 @@ def _check_bandwidths(data: DesignData, bw: np.ndarray) -> None:
         names = ", ".join(data.tract_ids[i] for i in bad_bw[:5])
         raise ValueError(
             f"adaptive bandwidth is zero or NaN for {bad_bw.size} tract(s) ({names}); "
-            "duplicate centroids within neighbors_k, or a NaN centroid"
+            "duplicate centroids within neighbors_k"
         )
 
 

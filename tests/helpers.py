@@ -49,6 +49,11 @@ def design_from_arrays(y, X, ids=None, names=None) -> DesignData:
     )
 
 
+def gaussian_kernel(distances, bandwidth) -> np.ndarray:
+    """Gaussian kernel weights by their formula: the bits gwr._kernel must give."""
+    return np.exp(-0.5 * (distances / bandwidth) ** 2)
+
+
 def normal_equations_beta(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
@@ -196,8 +201,10 @@ def nearest_node_brute(graph: Graph, point) -> str | None:
 
 def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     """Grid with few distinct lengths and speeds (so many routes tie exactly),
-    some one-way streets, and some node pairs joined by both A->B and B->A."""
-    nodes = {f"g{r}{c}": (float(c), float(r)) for r in range(rows) for c in range(cols)}
+    some one-way streets, and some node pairs joined by both A->B and B->A.
+    Node ids are g<row><col>, each index two digits wide, so they stay unique
+    and sort in row-major order up to 100 rows and columns."""
+    nodes = {f"g{r:02d}{c:02d}": (float(c), float(r)) for r in range(rows) for c in range(cols)}
     edges = []
 
     def add(u: str, v: str) -> None:
@@ -213,9 +220,9 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
 
     for r in range(rows):
         for c in range(cols):
-            here = f"g{r}{c}"
-            for nbr in ((f"g{r}{c + 1}" if c + 1 < cols else None),
-                        (f"g{r + 1}{c}" if r + 1 < rows else None)):
+            here = f"g{r:02d}{c:02d}"
+            for nbr in ((f"g{r:02d}{c + 1:02d}" if c + 1 < cols else None),
+                        (f"g{r + 1:02d}{c:02d}" if r + 1 < rows else None)):
                 if nbr is None:
                     continue
                 add(here, nbr)

@@ -1,5 +1,5 @@
-"""Atomic artifact writes, the one CSV reader and writer, and dataclass
-fields as JSON values."""
+"""Atomic artifact writes, the one CSV reader and writer, the one rule for
+reading input files, and dataclass fields as JSON values."""
 
 import ast
 import json
@@ -13,13 +13,15 @@ import pytest
 import tracteq
 from tracteq.artifacts import (
     read_csv,
+    read_json,
     read_number,
     to_dict,
     write_atomic,
     write_csv,
 )
 from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
-from tracteq.data_model import read_attribute_table
+from tracteq.config import load_config
+from tracteq.data_model import load_highways, load_tracts, read_attribute_table
 from tracteq.errors import ParseError, ValidationError
 from tracteq.network import build_graph
 from tracteq.ols import OlsFit
@@ -204,6 +206,71 @@ def test_reader_refuses_a_missing_file_or_a_directory(name, tmp_path):
                          (directory, "Is a directory")):
         with pytest.raises(ParseError, match=re.escape(f"{path}: {reason}")):
             read(str(path), tmp_path)
+
+
+def _tracts(path, tmp_path):
+    attributes = tmp_path / "attributes_ok.csv"
+    attributes.write_text("tract_id,v\nT0,1\n")
+    return [(t.tract_id, t.polygon, t.attributes) for t in load_tracts(path, str(attributes))]
+
+
+def _feature_collection(properties, geometry):
+    feature = {"type": "Feature", "properties": properties, "geometry": geometry}
+    return json.dumps({"type": "FeatureCollection", "features": [feature]})
+
+
+# reader and a good file of each JSON input
+JSON_READERS = {
+    "config": (lambda p, _: load_config(p),
+               json.dumps({"models": [{"name": "m1", "estimator": "ols"}]})),
+    "tracts": (_tracts, _feature_collection(
+        {"tract_id": "T0"},
+        {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]]})),
+    "highways": (lambda p, _: load_highways(p), _feature_collection(
+        {"label": "I-5", "class": "interstate"},
+        {"type": "LineString", "coordinates": [[0, 0], [1, 0]]})),
+}
+# reader and a good file of every input: the five CSV tables, the run config
+# and the two GeoJSON layers
+INPUTS = {**{name: (read, good) for name, (read, _, good, _) in READERS.items()},
+          **JSON_READERS}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_an_unreadable_input_is_a_parse_error_naming_its_path_once(name, tmp_path):
+    read = INPUTS[name][0]
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    malformed = tmp_path / "malformed"
+    # For a CSV file, an unclosed quote swallows the rest.
+    malformed.write_text("{not json" if name in JSON_READERS else '"' + "x" * 200_000)
+    latin = tmp_path / "latin"
+    latin.write_bytes(b"caf\xe9\n")
+    for path in (tmp_path / "missing", directory, malformed, latin):
+        with pytest.raises(ParseError) as error:
+            read(str(path), tmp_path)
+        assert str(error.value).count(str(path)) == 1, str(error.value)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_an_input_reads_the_same_with_a_leading_byte_order_mark(name, tmp_path):
+    read, good = INPUTS[name]
+    plain = tmp_path / "plain"
+    plain.write_text(good, encoding="utf-8")
+    marked = tmp_path / "marked"
+    marked.write_text("\ufeff" + good, encoding="utf-8")
+    assert read(str(marked), tmp_path) == read(str(plain), tmp_path)
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+    ("1" * 5000, "Exceeds the limit"),
+])
+def test_read_json_refuses_a_document_json_load_cannot_build(tmp_path, text, reason):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {reason}")):
+        read_json(str(path))
 
 
 def test_read_number_names_the_file_line_cell_and_column():

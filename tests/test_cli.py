@@ -433,6 +433,23 @@ def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_pa
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("name", ["config", "tracts", "highways"])
+def test_a_non_utf8_input_exits_2_without_traceback(name, scenario_dir, tmp_path):
+    latin = tmp_path / f"{name}.latin1"
+    latin.write_bytes('{"name": "café"}'.encode("latin-1"))
+    config = str(latin) if name == "config" else _config_variant(
+        scenario_dir, tmp_path / "config.json", lambda raw: raw["inputs"].update({name: str(latin)}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "ingest", "--config", config,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert f"{latin}: 'utf-8' codec can't decode byte 0xe9" in out.stderr
+    assert out.stderr.count(str(latin)) == 1
+    assert "Traceback" not in out.stderr
+
+
 def test_route_with_a_missing_nodes_file_exits_2_without_traceback(scenario_dir, tmp_path):
     missing = tmp_path / "missing.csv"
     src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))

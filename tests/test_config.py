@@ -12,7 +12,7 @@ from tracteq.config import (
     replication_config,
     resolve_controls,
 )
-from tracteq.errors import ValidationError
+from tracteq.errors import ParseError, ValidationError
 
 
 def minimal_raw():
@@ -109,7 +109,7 @@ def test_load_config_resolves_relative_to_file(tmp_path):
 def test_load_config_bad_json(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match=re.escape(f"{p}: Expecting property name")):
         load_config(str(p))
 
 

@@ -404,6 +404,22 @@ def test_distance_on_highway_is_zero():
     assert distance_to_nearest_highway(ts, hw)[0] == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tractset_rejects_a_non_finite_vertex(value):
+    for vertex in range(4):
+        for axis in range(2):
+            ring = [list(p) for p in UNIT]
+            ring[vertex][axis] = value
+            with pytest.raises(ValidationError, match=r"^tract 'B': non-finite coordinate"):
+                TractSet([Tract("A", UNIT), Tract("B", tuple(map(tuple, ring)))])
+
+
+def test_tractset_rejects_finite_vertices_whose_centroid_overflows():
+    huge = tuple((x * 1e200, y * 1e200) for x, y in UNIT)
+    with pytest.raises(ValidationError, match=r"^tract 'B': centroid is not finite"):
+        TractSet([Tract("A", UNIT), Tract("B", huge)])
+
+
 def test_tractset_rejects_no_tracts():
     with pytest.raises(ValidationError, match="tract set is empty"):
         TractSet([])

@@ -8,7 +8,13 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from helpers import criterion1_designs, design_from_arrays, grid_tracts, square_tract
+from helpers import (
+    criterion1_designs,
+    design_from_arrays,
+    gaussian_kernel,
+    grid_tracts,
+    square_tract,
+)
 from tracteq import gwr
 from tracteq.data_model import Tract, TractSet
 from tracteq.errors import SelectionError
@@ -16,19 +22,18 @@ from tracteq.gwr import (
     TIE_TOL,
     GwrFit,
     KernelSpec,
-    adaptive_bandwidth,
     compute_aicc,
     fit_gwr,
     fit_local,
-    gaussian_weights,
     select_bandwidth,
     summarize_gwr,
 )
 from tracteq.ols import RANK_RTOL, fit_ols
 
 
+# gwr._kernel is the one source of Gaussian weights, for the search and the fit.
 def test_gaussian_weights_anchor_points():
-    w = gaussian_weights(np.array([0.0, 2.0, 4.0]), 2.0)
+    w = gwr._kernel(np.array([0.0, 2.0, 4.0]), 2.0)
     assert w[0] == 1.0
     assert math.isclose(w[1], math.exp(-0.5), rel_tol=1e-15)
     assert math.isclose(w[2], math.exp(-2.0), rel_tol=1e-15)
@@ -36,12 +41,12 @@ def test_gaussian_weights_anchor_points():
 
 def test_gaussian_weights_monotone():
     d = np.linspace(0, 10, 50)
-    w = gaussian_weights(d, 3.0)
+    w = gwr._kernel(d, 3.0)
     assert np.all(np.diff(w) < 0)
 
 
 def test_gaussian_weights_flat_at_huge_bandwidth():
-    w = gaussian_weights(np.array([0.0, 5000.0]), 1e12)
+    w = gwr._kernel(np.array([0.0, 5000.0]), 1e12)
     assert np.all(w > 1.0 - 1e-9)
 
 
@@ -50,31 +55,22 @@ def test_gaussian_weights_equal_the_direct_formula(rng):
     d[:, 0] = 0.0
     kept = d.copy()
     for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
-        assert np.array_equal(gaussian_weights(d, b), np.exp(-0.5 * (d / b) ** 2))
+        assert np.array_equal(gwr._kernel(d, b), gaussian_kernel(d, b))
     assert np.array_equal(d, kept)
-    assert gaussian_weights(2.0, 2.0) == np.exp(-0.5)
-
-
-def test_gaussian_weights_validation():
-    with pytest.raises(ValueError):
-        gaussian_weights(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        gaussian_weights(np.array([-1.0]), 1.0)
+    assert gwr._kernel(2.0, 2.0) == np.exp(-0.5)
 
 
 def test_private_kernel_is_gaussian_weights_bit_for_bit(rng):
-    # The search and fit kernel skips the checks, not an operation: the same
-    # bits for a scalar and a per-row bandwidth, written to a new array or
-    # in place over the distances.
+    # The same bits as the formula for a scalar and a per-row bandwidth,
+    # written to a new array or in place over the distances.
     d = rng.uniform(0.0, 5000.0, size=(7, 40))
     d[:, [0, 5]] = 0.0
     for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
-        want = gaussian_weights(d, b).tobytes()
+        want = gaussian_kernel(d, b).tobytes()
         assert gwr._kernel(d, b).tobytes() == want
-        for weigh in (gwr._kernel, gaussian_weights):
-            aliased = d.copy()
-            assert weigh(aliased, b, out=aliased) is aliased
-            assert aliased.tobytes() == want
+        aliased = d.copy()
+        assert gwr._kernel(aliased, b, out=aliased) is aliased
+        assert aliased.tobytes() == want
 
 
 def test_kernel_spec_validation():
@@ -85,14 +81,15 @@ def test_kernel_spec_validation():
 
 
 def test_adaptive_bandwidth_collinear():
-    ts = TractSet([square_tract(f"T{i}", i, 0, 1000.0) for i in range(4)])
     # self is the first neighbor, so k=3 reaches the tract 2000 m away
-    assert adaptive_bandwidth(ts, 0, 1) == 0.0
-    assert adaptive_bandwidth(ts, 0, 2) == 1000.0
-    assert adaptive_bandwidth(ts, 0, 3) == 2000.0
-    assert adaptive_bandwidth(ts, 1, 4) == 2000.0
-    with pytest.raises(ValueError):
-        adaptive_bandwidth(ts, 0, 5)
+    ts = TractSet([square_tract(f"T{i}", i, 0, 1000.0) for i in range(5)])
+    data = design_from_arrays(np.arange(5.0), np.ones((5, 1)), ids=ts.ids)
+    want = {2: [1000.0] * 5, 3: [2000.0, 1000.0, 1000.0, 1000.0, 2000.0],
+            5: [4000.0, 3000.0, 2000.0, 3000.0, 4000.0]}
+    for k, bandwidths in want.items():
+        assert fit_gwr(data, ts, KernelSpec(k)).bandwidths.tolist() == bandwidths
+    with pytest.raises(ValueError, match=r"outside \[2, 5\]"):
+        fit_gwr(data, ts, KernelSpec(6))
 
 
 def test_fit_local_uniform_weights_is_ols(rng):
@@ -267,18 +264,38 @@ def test_pairwise_distances_match_cdist(monkeypatch):
         np.repeat(rng.uniform(0, 1000, (10, 2)), 3, axis=0),  # duplicate centroids
         rng.uniform(0, 1000, (1, 2)),
     ]
+    among_all_tracts_differs = False
     for pts in point_sets:
         ts = TractSet([point_tract(f"T{i:03d}", x, y) for i, (x, y) in enumerate(pts)])
-        want = cdist(ts.centroids, ts.centroids)
-        for j in range(len(ts)):
-            got = [adaptive_bandwidth(ts, j, k) for k in range(1, len(ts) + 1)]
-            assert np.array_equal(got, np.sort(want[j]))
+        every_tract = design_from_arrays(np.zeros(len(ts)), np.ones((len(ts), 1)), ids=ts.ids)
+        assert_bandwidths_are_sorted_cdist_columns(every_tract, ts)
         # design rows in an order and subset of their own
         idx = rng.permutation(len(ts))[: max(1, len(ts) - 3)]
         ids = [ts.ids[i] for i in idx]
         data = design_from_arrays(np.zeros(len(ids)), np.ones((len(ids), 1)), ids=ids)
         want = cdist(ts.centroids[idx], ts.centroids[idx])
         assert np.array_equal(gwr._pairwise_distances(data, ts), want)
+        assert_bandwidths_are_sorted_cdist_columns(data, ts)
+        # Counting neighbours among all tracts would give other bandwidths.
+        among_all_tracts = np.sort(cdist(ts.centroids[idx], ts.centroids), axis=1)
+        among_all_tracts_differs |= not np.array_equal(
+            among_all_tracts[:, : len(idx)], np.sort(want, axis=1))
+    assert among_all_tracts_differs
+
+
+def assert_bandwidths_are_sorted_cdist_columns(data, ts):
+    """fit_gwr's bandwidth at every k is column k of the sorted distances
+    from each design row to the design rows; a k that gives some row a zero
+    bandwidth is refused."""
+    idx = [ts.index_of(tid) for tid in data.tract_ids]
+    ordered = np.sort(cdist(ts.centroids[idx], ts.centroids[idx]), axis=1)
+    for k in range(2, data.n + 1):
+        want = ordered[:, k - 1]
+        if np.all(want > 0.0):
+            assert np.array_equal(fit_gwr(data, ts, KernelSpec(k)).bandwidths, want)
+        else:
+            with pytest.raises(ValueError, match="duplicate centroids"):
+                fit_gwr(data, ts, KernelSpec(k))
 
 
 def fit_local_by_scipy_triangular_solves(data, weights, j):
@@ -325,7 +342,7 @@ def local_weight_cases(source, request):
         for k, scale in ((3, 1.0), (5, 1.0), (12, 1.0), (n, 1.0), (n, 1e6), (4, 1e-3)):
             bw = np.partition(d, k - 1, axis=1)[:, k - 1] * scale
             for j in range(n):
-                yield data, gaussian_weights(d[j], bw[j]), j
+                yield data, gaussian_kernel(d[j], bw[j]), j
 
 
 @pytest.mark.parametrize("source", ["criterion_1", "step_scenario", "gradient_scenario"])
@@ -400,7 +417,7 @@ def test_narrow_kernel_fails_exactly_the_tracts_short_of_active_rows(monkeypatch
     kernel = KernelSpec(neighbors_k=9, bandwidth_scale=0.08)
     d = cdist(ts.centroids, ts.centroids)
     bw = np.sort(d, axis=1)[:, 8] * kernel.bandwidth_scale
-    active = (gaussian_weights(d, bw[:, None]) > gwr.WEIGHT_FLOOR).sum(axis=1)
+    active = (gaussian_kernel(d, bw[:, None]) > gwr.WEIGHT_FLOOR).sum(axis=1)
     assert sorted(set(active)) == [1, 4]
     short = tuple(tid for tid, a in zip(ts.ids, active) if a < 2)
     assert len(short) == 16
@@ -626,7 +643,7 @@ def oracle_gwr(data, tracts, kernel, aicc_loo=False):
     bw = np.partition(distances, k - 1, axis=1)[:, k - 1] * kernel.bandwidth_scale
     fits, fitted = [], []
     for j in range(n):
-        w = gaussian_weights(distances[j], bw[j])
+        w = gaussian_kernel(distances[j], bw[j])
         local = fit_local(data, w, j)
         value = local.fitted
         if aicc_loo and local.ok:
@@ -770,20 +787,20 @@ def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
     distances = cdist(ts.centroids, ts.centroids)
     bw = np.partition(distances, 3, axis=1)[:, 3] * kernel.bandwidth_scale
     for j in marginal:
-        local = fit_local(data, gaussian_weights(distances[j], bw[j]), j)
+        local = fit_local(data, gaussian_kernel(distances[j], bw[j]), j)
         assert local.ok == (j != n - 1)
         assert np.array_equal(fit.local_coefficients[j], local.coefficients, equal_nan=True)
         assert np.array_equal(fit.hat_diag[j], local.hat_diag, equal_nan=True)
         assert np.array_equal(fit.local_r2[j], local.local_r2, equal_nan=True)
         assert np.array_equal(fit.local_r2_raw[j], local.local_r2_raw, equal_nan=True)
-    assert "active rows" in fit_local(data, gaussian_weights(distances[-1], bw[-1]), n - 1).message
+    assert "active rows" in fit_local(data, gaussian_kernel(distances[-1], bw[-1]), n - 1).message
 
     # Without the lone tract nothing fails, so the fallback SEs are reported.
     kept = design_from_arrays(data.y[:-1], X[:-1], ids=ts.ids[:-1])
     fit = fit_gwr(kept, ts, kernel)
     assert not fit.failed
     for j in (0, 1, 2):
-        local = fit_local(kept, gaussian_weights(distances[j, :-1], bw[j]), j)
+        local = fit_local(kept, gaussian_kernel(distances[j, :-1], bw[j]), j)
         assert np.array_equal(fit.local_se[j], local.se_unit * math.sqrt(fit.sigma2))
 
 

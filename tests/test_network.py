@@ -266,6 +266,9 @@ def test_shortest_path_matches_path_carrying_search_random(rng):
 def test_shortest_path_matches_path_carrying_search_tie_heavy(rng):
     for trial in range(15):
         assert_tree_routes_match_oracle(tie_heavy_graph(rng, 5, 6))
+    # A 12 x 12 grid: routes of 22 edges and more, corner to corner, and ids
+    # with two-digit rows and columns.
+    assert_tree_routes_match_oracle(tie_heavy_graph(rng, 12, 12))
 
 
 def test_shortest_path_matches_path_carrying_search_synth_grid():

@@ -26,8 +26,8 @@ EXPORTS = {
     "equity": ("InequityTable", "corridor_subset", "inequity_index", "population_weighted_mean"),
     "errors": ("ConsistencyError", "ParseError", "SelectionError", "SingularityError",
                "TracteqError", "ValidationError"),
-    "gwr": ("GwrFit", "GwrSummary", "KernelSpec", "adaptive_bandwidth", "fit_gwr", "fit_local",
-            "gaussian_weights", "select_bandwidth", "summarize_gwr"),
+    "gwr": ("GwrFit", "GwrSummary", "KernelSpec", "fit_gwr", "fit_local", "select_bandwidth",
+            "summarize_gwr"),
     "network": ("Edge", "EdgeTractMap", "Graph", "Route", "build_edge_tract_map", "build_graph",
                 "route_tract_distances", "shortest_path"),
     "ols": ("OlsFit", "fit_ols", "robust_covariance"),
@@ -74,7 +74,7 @@ def test_bare_import_loads_no_submodule_until_used():
 
 def test_every_exported_name_is_its_module_attribute():
     names = [name for group in EXPORTS.values() for name in group]
-    assert len(names) == 56
+    assert len(names) == 54
     assert sorted(tracteq.__all__) == sorted(names)
     listed = dir(tracteq)
     for module_name, group in EXPORTS.items():
