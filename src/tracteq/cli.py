@@ -25,7 +25,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
@@ -482,26 +482,27 @@ def cmd_synth(args) -> int:
     # synth is the one module no analysis stage uses: load it only here.
     from .synth import ScenarioSpec, Surface, generate, write_scenario
 
-    if args.step:
-        x1 = Surface("step", value=args.beta_low, high_value=args.beta_high,
-                     axis="x", threshold=args.cols * args.cell_size / 2.0)
-    else:
-        x1 = Surface("constant", value=2.0)
-    group = (Surface("gradient", value=0.25, gx=0.5 / (args.cols * args.cell_size))
-             if args.group_gradient else Surface("constant", value=0.5))
+    # The spec checks the grid before the surfaces below divide by its width.
+    # Its default surfaces (x1 = 2, group share 0.5) are what the flags replace.
     spec = ScenarioSpec(
         rows=args.rows,
         cols=args.cols,
         cell_size=args.cell_size,
-        surfaces={"intercept": Surface("constant", value=1.0), "x1": x1},
         noise_sigma=args.sigma,
-        group_share=group,
         od_pairs=args.od_pairs,
         max_count=args.max_count,
         seed=args.seed,
         highway_row=args.highway_row,
         attribution_mode=args.attribution,
     )
+    width = spec.cols * spec.cell_size
+    if args.step:
+        x1 = Surface("step", value=args.beta_low, high_value=args.beta_high,
+                     axis="x", threshold=width / 2.0)
+        spec = replace(spec, surfaces={**spec.surfaces, "x1": x1})
+    if args.group_gradient:
+        spec = replace(
+            spec, group_share=Surface("gradient", value=0.25, gx=0.5 / width))
     scenario = generate(spec)
     paths = write_scenario(scenario, args.out)
     raw = synth_run_config(scenario, paths, args.out)

@@ -9,13 +9,14 @@ with equal hashes give byte-identical artifacts only when their inputs are
 the same files. Worker count is a command-line concern and never part of
 the hash.
 
-parse_config is the one place that gives each key its default; RunConfig
-has none of its own. The demographic column names default to
-data_model.DEMOGRAPHICS, whose keys alone the config may rename. The
-integer, boolean and speed keys, the sections and their entries are
-checked where they are parsed: a bad value is a ValidationError naming the
-key. A model name keys its artifact file names, so it must be a non-empty
-string with no path separator or NUL, unique across the models.
+parse_config checks each object whose keys are fixed (the root, gwr,
+simulation, demographics, a model, a columns entry) against one table,
+_KEYS, of each key's kind and default; RunConfig has no defaults of its
+own. An unknown key, a value of the wrong kind, or a null where null does
+not mean absent is a ValidationError naming the key by its full path.
+inputs, columns and class_speeds are keyed by names the config chooses. A
+model name keys its artifact file names, so it must be a non-empty string
+with no path separator or NUL, unique across the models.
 """
 
 from __future__ import annotations
@@ -34,49 +35,18 @@ from .errors import ValidationError
 # income, truck, and highway-proximity controls); "full" adds the built-form
 # controls on top.
 LIMITED_CONTROLS: tuple[str, ...] = (
-    "vkt",
-    "prop_white",
-    "med_income",
-    "truck_volume",
-    "dist_highway",
-)
+    "vkt", "prop_white", "med_income", "truck_volume", "dist_highway")
 FULL_CONTROLS: tuple[str, ...] = LIMITED_CONTROLS + (
-    "intersection_density",
-    "grade_mean",
-    "prop_single_family",
-    "med_rooms",
-    "mean_household_size",
-    "pop_density",
-    "med_home_value",
-)
+    "intersection_density", "grade_mean", "prop_single_family", "med_rooms",
+    "mean_household_size", "pop_density", "med_home_value")
 
-# Default transform for each canonical variable key.
+# Default entry of each canonical variable key: the column of the same name,
+# log-transformed where listed; pm25 is the response, the rest predictors.
+_LOGGED = ("pm25", "vkt", "truck_volume", "grade_mean", "pop_density", "med_home_value")
 DEFAULT_COLUMNS: dict[str, dict[str, str]] = {
-    "pm25": {"column": "pm25", "transform": "log", "role": "response"},
-    "vkt": {"column": "vkt", "transform": "log", "role": "predictor"},
-    "prop_white": {"column": "prop_white", "transform": "identity", "role": "predictor"},
-    "med_income": {"column": "med_income", "transform": "identity", "role": "predictor"},
-    "truck_volume": {"column": "truck_volume", "transform": "log", "role": "predictor"},
-    "dist_highway": {"column": "dist_highway", "transform": "identity", "role": "predictor"},
-    "intersection_density": {
-        "column": "intersection_density",
-        "transform": "identity",
-        "role": "predictor",
-    },
-    "grade_mean": {"column": "grade_mean", "transform": "log", "role": "predictor"},
-    "prop_single_family": {
-        "column": "prop_single_family",
-        "transform": "identity",
-        "role": "predictor",
-    },
-    "med_rooms": {"column": "med_rooms", "transform": "identity", "role": "predictor"},
-    "mean_household_size": {
-        "column": "mean_household_size",
-        "transform": "identity",
-        "role": "predictor",
-    },
-    "pop_density": {"column": "pop_density", "transform": "log", "role": "predictor"},
-    "med_home_value": {"column": "med_home_value", "transform": "log", "role": "predictor"},
+    key: {"column": key, "transform": "log" if key in _LOGGED else "identity",
+          "role": "response" if key == "pm25" else "predictor"}
+    for key in ("pm25",) + FULL_CONTROLS
 }
 
 
@@ -85,10 +55,6 @@ class ModelSpec:
     name: str
     estimator: str  # ols | gwr
     controls: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.estimator not in ("ols", "gwr"):
-            raise ValidationError(f"model {self.name!r}: unknown estimator {self.estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -146,89 +112,125 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-_KINDS = {"an integer": int, "a number": (int, float), "true or false": bool,
-          "a string": str, "an object": dict, "a list": list}
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "'limited', 'full' or a list": lambda v: v in ("limited", "full") or isinstance(v, list),
+}
+
+# Each fixed-key object of the config: key -> (kind, default). A kind is a
+# _KINDS noun or a tuple of the strings allowed.
+_KEYS = {
+    "root": {
+        "inputs": ("an object", {}),
+        "columns": ("an object", DEFAULT_COLUMNS),
+        "models": ("a list", []),
+        "demographics": ("an object", {}),
+        "gwr": ("an object", {}),
+        "simulation": ("an object", {}),
+        "class_speeds": ("an object", {}),
+        "output_dir": ("a string", "out"),
+    },
+    "gwr": {
+        "k_min": ("an integer", None),
+        "k_max": ("an integer", None),
+        "method": (("golden", "exhaustive"), "golden"),
+        "aicc_loo": ("true or false", False),
+    },
+    "simulation": {
+        "mode": (("bernoulli", "fractional"), "fractional"),
+        "seed": ("an integer", 0),
+        "exclude_home": ("true or false", False),
+        "attribution": (("midpoint", "split"), "midpoint"),
+        "drive_share_column": ("a non-empty string", None),
+    },
+    "demographics": {key: ("a non-empty string", column) for key, column in DEMOGRAPHICS.items()},
+    "model": {  # the n-th model's name defaults to model<n>
+        "name": ("a string", None),
+        "estimator": (("ols", "gwr"), "ols"),
+        "controls": ("'limited', 'full' or a list", "limited"),
+    },
+    "column": {  # a DEFAULT_COLUMNS key's defaults are its entry there
+        "column": ("a non-empty string", None),
+        "transform": (("identity", "log"), "identity"),
+        "role": (("response", "predictor"), "predictor"),
+    },
+}
 
 
-def _require(value, noun: str, key: str):
-    """value if JSON gave it as noun says; true and false count only as
-    booleans, not as numbers."""
-    kind = _KINDS[noun]
-    if isinstance(value, kind) and (kind is bool) == isinstance(value, bool):
+def _require(value, kind, key: str):
+    """value if it is of kind: a _KINDS noun or a tuple of allowed strings."""
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        kind = f"one of {', '.join(kind)}"
+    elif _KINDS[kind](value):
         return value
-    raise ValidationError(f"config key {key} must be {noun}, got {value!r}")
+    raise ValidationError(f"config key {key} must be {kind}, got {value!r}")
 
 
-def _section(raw: dict, key: str, noun: str = "an object"):
-    """raw[key] checked as noun; empty when absent or null."""
-    value = raw.get(key)
-    if value is None:
-        return _KINDS[noun]()
-    return _require(value, noun, key)
+def _fields(obj, row: str, path: str, **defaults) -> dict:
+    """The object obj at path checked against _KEYS[row]: its first unknown
+    key in document order is refused, each value is checked against its
+    kind, and each absent key gets its default (defaults overrides the
+    table's). Null counts as absent for an object or a list and for a key
+    whose default is null; anywhere else it is refused."""
+    keys, prefix = _KEYS[row], f"{path}." if path else ""
+    for key in _require(obj, "an object", path):
+        if key not in keys:
+            raise ValidationError(f"config key {prefix}{key} is not one of {', '.join(keys)}")
+    fields = {}
+    for key, (kind, default) in keys.items():
+        default, value = defaults.get(key, default), obj.get(key)
+        if value is None and (key not in obj or default is None or kind in ("an object", "a list")):
+            fields[key] = default
+        else:
+            fields[key] = _require(value, kind, prefix + key)
+    return fields
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
+    root = _fields(raw, "root", "")
 
     inputs = {
         name: os.path.normpath(os.path.join(
             base_dir, _require(path, "a string", f"inputs.{name}")))
-        for name, path in _section(raw, "inputs").items()
+        for name, path in root["inputs"].items()
     }
 
     columns: dict[str, TransformSpec] = {}
-    raw_columns = raw.get("columns")
-    if raw_columns is None:
-        raw_columns = DEFAULT_COLUMNS
-    for key, entry in _require(raw_columns, "an object", "columns").items():
-        merged = dict(DEFAULT_COLUMNS.get(key, {}))
-        if entry is not None:
-            merged.update(_require(entry, "an object", f"columns.{key}"))
-        if "column" not in merged:
-            raise ValidationError(f"columns[{key!r}]: 'column' is required")
-        columns[key] = TransformSpec(
-            column=merged["column"],
-            transform=merged.get("transform", "identity"),
-            role=merged.get("role", "predictor"),
-        )
+    for key, entry in root["columns"].items():
+        spec = _fields({} if entry is None else entry, "column", f"columns.{key}",
+                       **DEFAULT_COLUMNS.get(key, {}))
+        if spec["column"] is None:
+            raise ValidationError(f"config key columns.{key}.column is required")
+        columns[key] = TransformSpec(**spec)
 
     models = []
-    for i, entry in enumerate(_section(raw, "models", "a list")):
-        _require(entry, "an object", f"models[{i}]")
-        key = f"models[{i}].name"
-        name = _require(entry.get("name", f"model{i + 1}"), "a string", key)
+    for i, entry in enumerate(root["models"]):
+        model = _fields(entry, "model", f"models[{i}]", name=f"model{i + 1}")
+        name, key = model["name"], f"models[{i}].name"
         if not name or any(c in name for c in "/\\\0"):
             raise ValidationError(f"config key {key} must be a non-empty string with no "
                                   f"'/', '\\' or NUL, got {name!r}")
         if any(m.name == name for m in models):
             raise ValidationError(f"config key {key} repeats the model name {name!r}")
-        models.append(
-            ModelSpec(
-                name=name,
-                estimator=str(entry.get("estimator", "ols")),
-                controls=resolve_controls(entry.get("controls", "limited")),
-            )
-        )
+        models.append(ModelSpec(name, model["estimator"], resolve_controls(model["controls"])))
 
-    gwr = _section(raw, "gwr")
-    sim = _section(raw, "simulation")
-    demographics = dict(DEMOGRAPHICS)
-    for name, column in _section(raw, "demographics").items():
-        key = f"demographics.{name}"
-        if name not in DEMOGRAPHICS:
-            raise ValidationError(f"config key {key} is not one of {', '.join(DEMOGRAPHICS)}")
-        if not _require(column, "a string", key):
-            raise ValidationError(f"config key {key} must be a non-empty string, got ''")
-        demographics[name] = column
-    k_min, k_max = gwr.get("k_min"), gwr.get("k_max")
-    for key, k in (("gwr.k_min", k_min), ("gwr.k_max", k_max)):
-        if k is not None:
-            _require(k, "an integer", key)
-    if k_min is not None and k_max is not None and k_min > k_max:
-        raise ValidationError(f"config key gwr.k_min ({k_min}) exceeds gwr.k_max ({k_max})")
+    gwr = _fields(root["gwr"], "gwr", "gwr")
+    sim = _fields(root["simulation"], "simulation", "simulation")
+    if gwr["k_min"] is not None and gwr["k_max"] is not None and gwr["k_min"] > gwr["k_max"]:
+        raise ValidationError(
+            f"config key gwr.k_min ({gwr['k_min']}) exceeds gwr.k_max ({gwr['k_max']})")
     class_speeds = {}
-    for road_class, speed in _section(raw, "class_speeds").items():
+    for road_class, speed in root["class_speeds"].items():
         key = f"class_speeds.{road_class}"
         if not 0 < _require(speed, "a number", key) < math.inf:
             raise ValidationError(f"config key {key} must be positive and finite, got {speed!r}")
@@ -238,28 +240,20 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         inputs=inputs,
         columns=columns,
         models=tuple(models),
-        demographics=demographics,
-        k_min=k_min,
-        k_max=k_max,
-        search_method=gwr.get("method", "golden"),
-        aicc_loo=_require(gwr.get("aicc_loo", False), "true or false", "gwr.aicc_loo"),
-        sim_mode=sim.get("mode", "fractional"),
-        seed=_require(sim.get("seed", 0), "an integer", "simulation.seed"),
-        exclude_home=_require(sim.get("exclude_home", False), "true or false",
-                              "simulation.exclude_home"),
-        attribution_mode=sim.get("attribution", "midpoint"),
-        drive_share_column=sim.get("drive_share_column"),
+        demographics=_fields(root["demographics"], "demographics", "demographics"),
+        k_min=gwr["k_min"],
+        k_max=gwr["k_max"],
+        search_method=gwr["method"],
+        aicc_loo=gwr["aicc_loo"],
+        sim_mode=sim["mode"],
+        seed=sim["seed"],
+        exclude_home=sim["exclude_home"],
+        attribution_mode=sim["attribution"],
+        drive_share_column=sim["drive_share_column"],
         class_speeds=class_speeds,
-        output_dir=os.path.normpath(os.path.join(
-            base_dir, _require(raw.get("output_dir", "out"), "a string", "output_dir"))),
+        output_dir=os.path.normpath(os.path.join(base_dir, root["output_dir"])),
         raw=raw,
     )
-    if config.sim_mode not in ("bernoulli", "fractional"):
-        raise ValidationError(f"unknown simulation mode {config.sim_mode!r}")
-    if config.search_method not in ("golden", "exhaustive"):
-        raise ValidationError(f"unknown search method {config.search_method!r}")
-    if config.attribution_mode not in ("midpoint", "split"):
-        raise ValidationError(f"unknown attribution mode {config.attribution_mode!r}")
     # Fail fast on dangling column keys before any computation starts.
     for model in config.models:
         config.model_transforms(model)
@@ -268,8 +262,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """The run config in the JSON file at path, its relative paths resolved
-    against the file's directory."""
-    return parse_config(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+    against the file's directory. Its errors name the file."""
+    raw = read_json(path)
+    try:
+        return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def replication_config(

@@ -108,7 +108,7 @@ class TractSet:
         v = t.attributes.get(column)
         if v is None or (isinstance(v, float) and math.isnan(v)):
             return
-        if not (lo <= v <= hi):
+        if not (lo <= v <= hi) or math.isinf(v):
             raise ValidationError(
                 f"tract {t.tract_id!r}: {column}={v!r} outside [{lo}, {hi}]"
             )

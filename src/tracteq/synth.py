@@ -27,6 +27,7 @@ from .data_model import (
     TransformSpec,
     build_design,
 )
+from .errors import ValidationError
 from .network import DEFAULT_CLASS_SPEEDS, Edge, EdgeTractMap, Graph, build_edge_tract_map
 from .report import tracts_to_geojson
 
@@ -88,13 +89,19 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid must be at least 2x2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ValidationError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
+        if not 0 < self.cell_size < math.inf:
+            raise ValidationError(f"cell_size must be positive and finite, got {self.cell_size!r}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if "intercept" not in self.surfaces:
-            raise ValueError("surfaces must include an 'intercept' entry")
+            raise ValidationError("surfaces must include an 'intercept' entry")
+        if self.od_pairs < 0:
+            raise ValidationError(f"od_pairs must be >= 0, got {self.od_pairs}")
+        if self.max_count < 1:
+            raise ValidationError(f"max_count must be >= 1, got {self.max_count}")
         if self.highway_row is not None and not 0 <= self.highway_row <= self.rows:
-            raise ValueError(f"highway_row {self.highway_row} outside [0, {self.rows}]")
+            raise ValidationError(f"highway_row {self.highway_row} outside [0, {self.rows}]")
 
 
 @dataclass(frozen=True)

@@ -433,6 +433,61 @@ def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_pa
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("command,edit,message", [
+    ("ols", lambda raw: raw["columns"]["x1"].update(column=["x1"]),
+     "config key columns.x1.column must be a non-empty string, got ['x1']"),
+    ("simulate", lambda raw: raw["simulation"].update(drive_share_column=["d"]),
+     "config key simulation.drive_share_column must be a non-empty string, got ['d']"),
+    ("ols", lambda raw: raw.update(simulaton={"mode": "bernoulli"}),
+     "config key simulaton is not one of"),
+])
+def test_a_list_for_a_column_name_or_a_misspelt_key_exits_2_naming_the_file(
+        scenario_dir, tmp_path, caplog, command, edit, message):
+    config = _config_variant(scenario_dir, tmp_path / "config.json", edit)
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{config}: {message}" in caplog.text
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--rows", "1"], "grid must be at least 2x2, got 1x4"),
+    (["--highway-row", "9"], "highway_row 9 outside [0, 4]"),
+    (["--sigma", "-1"], "noise_sigma must be finite and >= 0, got -1.0"),
+    (["--max-count", "0", "--od-pairs", "3"], "max_count must be >= 1, got 0"),
+    (["--od-pairs", "-2"], "od_pairs must be >= 0, got -2"),
+    (["--cell-size", "0", "--group-gradient"], "cell_size must be positive and finite, got 0.0"),
+])
+def test_synth_refuses_a_bad_argument_with_exit_2(tmp_path, caplog, args, message):
+    out = tmp_path / "scenario"
+    assert main(["synth", "--out", str(out), "--rows", "4", "--cols", "4", *args]) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+def test_synth_flags_set_the_surfaces_they_name(tmp_path, monkeypatch):
+    from tracteq import synth
+    from tracteq.synth import Surface
+
+    seen = []
+
+    def stop(spec):
+        seen.append(spec)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(synth, "generate", stop)
+    for flags in ([], ["--step", "--group-gradient"]):
+        with pytest.raises(SystemExit):
+            main(["synth", "--out", str(tmp_path), "--rows", "2", "--cols", "4",
+                  "--cell-size", "10", *flags])
+    plain, flagged = seen
+    assert plain.surfaces == {"intercept": Surface("constant", value=1.0),
+                              "x1": Surface("constant", value=2.0)}
+    assert plain.group_share == Surface("constant", value=0.5)
+    assert flagged.surfaces == {"intercept": Surface("constant", value=1.0),
+                                "x1": Surface("step", value=1.0, high_value=3.0,
+                                              axis="x", threshold=20.0)}
+    assert flagged.group_share == Surface("gradient", value=0.25, gx=0.5 / 40)
+
+
 @pytest.mark.parametrize("name", ["config", "tracts", "highways"])
 def test_a_non_utf8_input_exits_2_without_traceback(name, scenario_dir, tmp_path):
     latin = tmp_path / f"{name}.latin1"

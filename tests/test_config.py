@@ -1,9 +1,12 @@
 import json
+import os
 import re
 
 import pytest
 
+from tracteq.cli import synth_run_config
 from tracteq.config import (
+    _KEYS,
     FULL_CONTROLS,
     LIMITED_CONTROLS,
     config_hash,
@@ -224,7 +227,7 @@ def test_parse_rejects_a_root_that_is_no_object():
 def test_parse_requires_the_column_of_a_key_without_defaults():
     raw = minimal_raw()
     raw["columns"]["extra"] = {"transform": "log"}
-    with pytest.raises(ValidationError, match=r"columns\['extra'\]: 'column' is required"):
+    with pytest.raises(ValidationError, match=r"config key columns\.extra\.column is required"):
         parse_config(raw)
 
 
@@ -236,6 +239,8 @@ def test_parse_treats_null_sections_as_absent():
     assert cfg.columns["vkt"].column == "vkt"
     assert (cfg.k_min, cfg.sim_mode, cfg.class_speeds) == (None, "fractional", {})
     assert cfg.demographics["group_share"] == "group_share"
+    raw.update(inputs=None, models=None)
+    assert parse_config(raw).inputs == {} and parse_config(raw).models == ()
 
 
 def test_parse_keeps_valid_typed_values():
@@ -254,3 +259,148 @@ def test_parse_keeps_valid_typed_values():
     defaults = parse_config(minimal_raw())
     assert (defaults.k_min, defaults.k_max, defaults.seed) == (None, None, 0)
     assert defaults.aicc_loo is False and defaults.exclude_home is False
+
+
+def _set(raw, path, value):
+    """raw with the value at path set, making the objects on the way."""
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return raw
+
+
+# (row of _KEYS, path in minimal_raw, unknown key, full key in the message)
+UNKNOWN_KEYS = [
+    ("root", (), "simulaton", "simulaton"),
+    ("gwr", ("gwr",), "kmin", "gwr.kmin"),
+    ("simulation", ("simulation",), "seeed", "simulation.seeed"),
+    ("demographics", ("demographics",), "populaton", "demographics.populaton"),
+    ("model", ("models", 0), "estimater", "models[0].estimater"),
+    ("column", ("columns", "vkt"), "transfrom", "columns.vkt.transfrom"),
+]
+
+
+@pytest.mark.parametrize("row,path,key,name", UNKNOWN_KEYS)
+def test_parse_refuses_an_unknown_key_naming_its_full_path(row, path, key, name):
+    raw = _set(minimal_raw(), path + (key,), "log")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"config key {name} is not one of {', '.join(_KEYS[row])}")):
+        parse_config(raw)
+
+
+def test_unknown_key_cases_cover_every_fixed_key_object():
+    assert {row for row, *_ in UNKNOWN_KEYS} == set(_KEYS)
+
+
+def test_parse_names_the_first_unknown_key_in_document_order():
+    raw = minimal_raw()
+    raw["gwr"] = {"method": "golden", "kmax": 9, "kmin": 3}
+    with pytest.raises(ValidationError, match=r"config key gwr\.kmax is not"):
+        parse_config(raw)
+
+
+# (row of _KEYS, path in minimal_raw, a value of the wrong kind, the message's end)
+WRONG_KINDS = [
+    ("root", ("inputs",), 5, "must be an object, got 5"),
+    ("root", ("columns",), [], "must be an object, got []"),
+    ("root", ("models",), {}, "must be a list, got {}"),
+    ("root", ("demographics",), "x", "must be an object, got 'x'"),
+    ("root", ("gwr",), 1, "must be an object, got 1"),
+    ("root", ("simulation",), True, "must be an object, got True"),
+    ("root", ("class_speeds",), "fast", "must be an object, got 'fast'"),
+    ("root", ("output_dir",), ["o"], "must be a string, got ['o']"),
+    ("gwr", ("gwr", "k_min"), 5.5, "must be an integer, got 5.5"),
+    ("gwr", ("gwr", "k_max"), "8", "must be an integer, got '8'"),
+    ("gwr", ("gwr", "method"), "grid", "must be one of golden, exhaustive, got 'grid'"),
+    ("gwr", ("gwr", "aicc_loo"), 1, "must be true or false, got 1"),
+    ("simulation", ("simulation", "mode"), "poisson",
+     "must be one of bernoulli, fractional, got 'poisson'"),
+    ("simulation", ("simulation", "seed"), 2.5, "must be an integer, got 2.5"),
+    ("simulation", ("simulation", "exclude_home"), "yes", "must be true or false, got 'yes'"),
+    ("simulation", ("simulation", "attribution"), "nearest",
+     "must be one of midpoint, split, got 'nearest'"),
+    ("simulation", ("simulation", "drive_share_column"), ["d"],
+     "must be a non-empty string, got ['d']"),
+    ("demographics", ("demographics", "population"), 5, "must be a non-empty string, got 5"),
+    ("demographics", ("demographics", "commuters"), [], "must be a non-empty string, got []"),
+    ("demographics", ("demographics", "group_share"), "", "must be a non-empty string, got ''"),
+    ("model", ("models", 0, "name"), 5, "must be a string, got 5"),
+    ("model", ("models", 0, "estimator"), "kriging", "must be one of ols, gwr, got 'kriging'"),
+    ("model", ("models", 0, "controls"), "everything",
+     "must be 'limited', 'full' or a list, got 'everything'"),
+    ("column", ("columns", "vkt", "column"), ["vkt"], "must be a non-empty string, got ['vkt']"),
+    ("column", ("columns", "vkt", "transform"), "sqrt",
+     "must be one of identity, log, got 'sqrt'"),
+    ("column", ("columns", "vkt", "role"), "target",
+     "must be one of response, predictor, got 'target'"),
+]
+
+
+def _key_name(path):
+    return re.sub(r"\.(\d+)", r"[\1]", ".".join(str(k) for k in path))
+
+
+@pytest.mark.parametrize("row,path,value,message", WRONG_KINDS)
+def test_parse_refuses_a_value_of_the_wrong_kind(row, path, value, message):
+    raw = _set(minimal_raw(), path, value)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"config key {_key_name(path)} {message}")):
+        parse_config(raw)
+
+
+def test_wrong_kind_cases_cover_every_key():
+    covered = {(row, path[-1]) for row, path, *_ in WRONG_KINDS}
+    assert covered == {(row, key) for row, keys in _KEYS.items() for key in keys}
+
+
+NULL_REFUSED = [("output_dir",), ("gwr", "method"), ("gwr", "aicc_loo"),
+                ("simulation", "mode"), ("simulation", "seed"),
+                ("simulation", "exclude_home"), ("simulation", "attribution"),
+                ("demographics", "population"), ("models", 0, "estimator"),
+                ("models", 0, "controls"), ("columns", "vkt", "column"),
+                ("columns", "vkt", "transform"), ("columns", "vkt", "role")]
+
+
+@pytest.mark.parametrize("path", NULL_REFUSED)
+def test_parse_refuses_null_where_it_is_no_absence(path):
+    raw = _set(minimal_raw(), path, None)
+    with pytest.raises(ValidationError, match=re.escape(f"config key {_key_name(path)} must be")):
+        parse_config(raw)
+
+
+def test_parse_treats_null_keys_with_a_null_default_as_absent():
+    raw = minimal_raw()
+    raw["gwr"] = {"k_min": None, "k_max": None}
+    raw["simulation"] = {"drive_share_column": None}
+    cfg = parse_config(raw)
+    assert (cfg.k_min, cfg.k_max, cfg.drive_share_column) == (None, None, None)
+
+
+def test_load_config_errors_name_the_file(tmp_path):
+    for doc, message in (({"output_dir": 5}, "config key output_dir must be a string, got 5"),
+                         ([], "config root must be a JSON object")):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_config(str(path))
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        example = re.search(r"## Config\n\n```json\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = parse_config(json.loads(example), base_dir="/data")
+    assert [m.estimator for m in cfg.models] == ["ols", "gwr"]
+    assert (cfg.sim_mode, cfg.seed, cfg.class_speeds) == ("bernoulli", 7, {"street": 11.0})
+
+
+def test_synth_run_config_parses():
+    from tracteq.synth import ScenarioSpec, generate
+
+    scenario = generate(ScenarioSpec(rows=3, cols=3, od_pairs=2, seed=4))
+    paths = {k: f"/s/{k}.csv" for k in ("tracts", "attributes", "nodes", "edges", "od")}
+    cfg = parse_config(synth_run_config(scenario, paths, "/s"), base_dir="/s")
+    assert [(m.name, m.estimator, m.controls) for m in cfg.models] == [
+        ("global", "ols", ("x1",)), ("local", "gwr", ("x1",))]
+    assert (cfg.response_key, cfg.seed, cfg.output_dir) == ("y", 4, "/s/out")

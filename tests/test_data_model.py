@@ -60,6 +60,18 @@ def test_tractset_rejects_negative_population():
         TractSet([Tract("A", UNIT, {"population": -5.0})])
 
 
+@pytest.mark.parametrize("column", ["population", "commuters"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_tractset_rejects_an_infinite_count(column, value):
+    with pytest.raises(ValidationError, match=rf"tract 'A': {column}={value!r} outside \[0\.0, inf\]"):
+        TractSet([Tract("A", UNIT, {column: value})])
+
+
+def test_tractset_keeps_a_nan_count_as_missing():
+    ts = TractSet([Tract("A", UNIT, {"population": math.nan, "commuters": math.nan})])
+    assert math.isnan(ts.attribute("population")[0])
+
+
 def test_attribute_fills_missing_with_nan():
     ts = TractSet([Tract("A", UNIT, {"v": 2.0}), Tract("B", UNIT, {})])
     vals = ts.attribute("v")

@@ -9,6 +9,7 @@ from tracteq import synth
 from tracteq.cli import main
 from tracteq.commute import load_od
 from tracteq.data_model import load_highways, load_tracts
+from tracteq.errors import ValidationError
 from tracteq.network import build_graph
 from tracteq.ols import fit_ols
 from tracteq.synth import (
@@ -35,14 +36,24 @@ def test_surface_families():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="2x2"):
+    with pytest.raises(ValidationError, match="2x2"):
         ScenarioSpec(rows=1, cols=5)
-    with pytest.raises(ValueError, match="noise_sigma"):
+    with pytest.raises(ValidationError, match="noise_sigma"):
         ScenarioSpec(rows=2, cols=2, noise_sigma=-0.1)
-    with pytest.raises(ValueError, match="intercept"):
+    with pytest.raises(ValidationError, match="intercept"):
         ScenarioSpec(rows=2, cols=2, surfaces={"x1": Surface("constant", value=1.0)})
-    with pytest.raises(ValueError, match="highway_row"):
+    with pytest.raises(ValidationError, match="highway_row"):
         ScenarioSpec(rows=2, cols=2, highway_row=3)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("od_pairs", -2), ("max_count", 0), ("cell_size", 0.0), ("cell_size", -1.0),
+    ("cell_size", math.inf), ("cell_size", math.nan), ("noise_sigma", math.inf),
+    ("noise_sigma", math.nan),
+])
+def test_spec_refuses_a_count_or_size_out_of_range(field, value):
+    with pytest.raises(ValidationError, match=rf"{field} must be .*, got {value!r}"):
+        ScenarioSpec(rows=2, cols=2, **{field: value})
 
 
 def test_noiseless_response_is_exact_surface_combination():
