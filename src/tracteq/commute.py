@@ -300,7 +300,8 @@ def simulate(
     (commuter counts keep the home tract either way).
     Each pair's km are added from the meter terms that its home's tree
     gives (_home_routes): a tract's meters are math.fsum of its terms, a
-    single term as is, so they equal tract_distances_from's.
+    single term as is, so they equal route_tract_distances of the pair's
+    shortest_path route.
     """
     od = assignment.od
     # Each row starts at 0.0 for every group and takes the pairs' additions

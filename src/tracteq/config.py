@@ -9,14 +9,16 @@ with equal hashes give byte-identical artifacts only when their inputs are
 the same files. Worker count is a command-line concern and never part of
 the hash.
 
-parse_config checks each object whose keys are fixed (the root, gwr,
-simulation, demographics, a model, a columns entry) against one table,
-_KEYS, of each key's kind and default; RunConfig has no defaults of its
-own. An unknown key, a value of the wrong kind, or a null where null does
-not mean absent is a ValidationError naming the key by its full path.
-inputs, columns and class_speeds are keyed by names the config chooses. A
-model name keys its artifact file names, so it must be a non-empty string
-with no path separator or NUL, unique across the models.
+parse_config checks each object whose keys are fixed (the root, inputs,
+gwr, simulation, demographics, a model, a columns entry) against one
+table, _KEYS, of each key's kind and default; RunConfig has no defaults of
+its own. An unknown key, a value of the wrong kind, or a null where null
+does not mean absent is a ValidationError naming the key by its full path.
+An input that is absent or null stays out of RunConfig.inputs, so each
+stage still names the input it lacks. columns and class_speeds are keyed
+by names the config chooses. A model name keys its artifact file names, so
+it must be a non-empty string with no path separator or NUL, unique across
+the models.
 """
 
 from __future__ import annotations
@@ -136,6 +138,8 @@ _KEYS = {
         "class_speeds": ("an object", {}),
         "output_dir": ("a string", "out"),
     },
+    "inputs": {name: ("a string", None) for name in (
+        "tracts", "attributes", "nodes", "edges", "od", "highways")},
     "gwr": {
         "k_min": ("an integer", None),
         "k_max": ("an integer", None),
@@ -200,9 +204,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     root = _fields(raw, "root", "")
 
     inputs = {
-        name: os.path.normpath(os.path.join(
-            base_dir, _require(path, "a string", f"inputs.{name}")))
-        for name, path in root["inputs"].items()
+        name: os.path.normpath(os.path.join(base_dir, path))
+        for name, path in _fields(root["inputs"], "inputs", "inputs").items()
+        if path is not None
     }
 
     columns: dict[str, TransformSpec] = {}

@@ -13,22 +13,29 @@ refits every tract whose batched system is marginal. select_bandwidth runs
 only the solve core each candidate's AICc needs; the SEs and local R^2 are
 computed by fit_gwr alone (the "lite" search fit of mgwr, Oshan et al. 2019).
 
-Per candidate and chunk the search pays for the kernel rows (one exp per
-cell, with no check of distances it built itself), one q x m product
-rhs_t @ W.T for every local system, and the small batched solves; the k-th
-neighbor distances come from a partition of each chunk when a golden step
-adds one new k, or from a sort for a block of several. A system with fewer
-active rows than terms is rank-deficient, so the solve marks it unsound
-and fit_local fails it; only leave-one-out systems, which subtract the
-tract's own row and keep that subtraction's rounding, have their active
-rows counted.
+Distances are held squared, as in FastGWR and mgwr: the n x n matrix of
+the search and each chunk of fit_gwr's rows hold dx*dx + dy*dy, the k-th
+neighbor order statistics are taken on those, and each bandwidth is the
+square root of its order statistic, which has the bits of the k-th nearest
+distance because sqrt is monotone and correctly rounded. Per candidate and
+chunk the search pays for the kernel rows (one multiply and one exp per
+cell, with no check of distances it built itself), their truncation at
+WEIGHT_FLOOR in place, one q x m product rhs_t @ W.T for every local
+system, and the small batched solves; the k-th neighbor distances of a
+block of candidates come from one partition of each chunk at the block's
+largest k and a sort of the columns before it. A system with fewer active
+rows than terms is rank-deficient, so the solve marks it unsound and
+fit_local fails it; only leave-one-out systems, which subtract the tract's
+own row and keep that subtraction's rounding, have their active rows
+counted.
 
 Memory stays near one n x n matrix. select_bandwidth keeps the n x n
-distance matrix for the whole search, because rebuilding its rows for every
-candidate would cost more than the candidate's fit. fit_gwr holds no n x n
-array: it builds each chunk's distance rows as it needs them. Each search
-and each fit allocates one chunk workspace (see _Workspace) and reuses it
-for every chunk's ordered distances, distance rows and kernel weights;
+squared-distance matrix for the whole search, because rebuilding its rows
+for every candidate would cost more than the candidate's fit. fit_gwr holds
+no n x n array: it builds each chunk's squared-distance rows as it needs
+them. Each search and each fit allocates one chunk workspace (see
+_Workspace) and reuses it for every chunk's order statistics,
+squared-distance rows and kernel weights;
 fit_gwr allocates one more chunk for its temporaries.
 """
 
@@ -188,20 +195,23 @@ class GwrSummary:
     n_failed: int
 
 
-def _kernel(d: np.ndarray, bandwidth, out: np.ndarray | None = None) -> np.ndarray:
-    """The Gaussian kernel weights exp(-(d / bandwidth)^2 / 2), with the bits
-    of np.exp(-0.5 * (d / bandwidth) ** 2): 1 at d = 0 and strictly
-    decreasing in d.
+def _kernel(d2: np.ndarray, bandwidth, out: np.ndarray | None = None) -> np.ndarray:
+    """The Gaussian kernel weights exp(-(d / bandwidth)^2 / 2) from the
+    squared distances d2 = d*d, with the bits of
+    np.exp(d2 * (-0.5 / (bandwidth * bandwidth))): one multiply and one exp
+    per cell, 1 at d = 0 and non-increasing in d. Wherever they are kept
+    they are within 1e-13 relative of the textbook formula (the tests'
+    bound; 1.1e-14 measured).
 
-    bandwidth is a scalar or an array broadcasting against d (one bandwidth
-    per row of distance rows). The weights go to out when it is given, which
-    may be d itself, and otherwise to one new array. Nothing is checked: d
-    holds distances this module built (never negative), under bandwidths
+    bandwidth is a scalar or an array broadcasting against d2 (one bandwidth
+    per row of squared-distance rows); its factor is formed once, so the
+    search and fit_gwr, given the same bandwidths, give the same bits. The
+    weights go to out when it is given, which may be d2 itself, and
+    otherwise to one new array. Nothing is checked: d2 holds squared
+    distances this module built (never negative), under bandwidths
     _check_bandwidths passed.
     """
-    w = np.asarray(np.divide(d, bandwidth, out=out))
-    w *= w
-    w *= -0.5
+    w = np.asarray(np.multiply(d2, -0.5 / (bandwidth * bandwidth), out=out))
     return np.exp(w, out=w)
 
 
@@ -211,13 +221,15 @@ def _distance_matrix(
     out: np.ndarray | None = None,
     dy: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Euclidean distances between the points of a (m x 2) and b (n x 2).
+    """Squared Euclidean distances between the points of a (m x 2) and
+    b (n x 2).
 
-    Each cell is sqrt(dx*dx + dy*dy), in that order of operations, so it is
-    bit-identical to the usual pairwise-distance routines. Rows are built in
-    chunks of CHUNK_CELLS, so the only temporary beside the m x n result is
-    one chunk of dy*dy. The result goes to out (m x n) when it is given, and
-    dy*dy to dy (at least one chunk of rows by n) when it is given.
+    Each cell is dx*dx + dy*dy, in that order of operations, so its square
+    root is bit-identical to the usual pairwise-distance routines. Rows are
+    built in chunks of CHUNK_CELLS, so the only temporary beside the m x n
+    result is one chunk of dy*dy. The result goes to out (m x n) when it is
+    given, and dy*dy to dy (at least one chunk of rows by n) when it is
+    given.
     """
     out = np.empty((len(a), len(b))) if out is None else out
     rows = max(1, CHUNK_CELLS // max(1, len(b)))
@@ -230,18 +242,18 @@ def _distance_matrix(
         np.subtract(a[s : s + rows, 1:], b[:, 1], out=dy_block)
         dy_block *= dy_block
         block += dy_block
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _order_stats(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns cols of rows sorted along axis 1, as a new array; rows is
-    reordered in place. One column takes a partition, more a full sort,
-    which numpy runs faster than a partition at several kth. Either way each
-    value is an exact order statistic of its row."""
-    if len(cols) == 1:
-        rows.partition(cols[0], axis=1)
-    else:
-        rows.sort(axis=1)
+    reordered in place. A partition at the largest column puts its order
+    statistic in place and every smaller value before it, and a sort of
+    those columns puts the rest in place, so each value is an exact order
+    statistic of its row."""
+    last = max(cols)
+    rows.partition(last, axis=1)
+    rows[:, :last].sort(axis=1)
     return rows[:, cols]
 
 
@@ -361,14 +373,15 @@ class _Workspace:
     """One chunk's rows, allocated once per search or fit and reused by every
     chunk. A chunk is CHUNK_CELLS // n rows (at least one, at most n).
 
-    W holds the chunk's distance rows or their order statistics and then its
-    kernel weights, keep the mask of weights above WEIGHT_FLOOR.
+    W holds the chunk's squared-distance rows or their order statistics and
+    then its kernel weights, drop the mask of weights at or below
+    WEIGHT_FLOOR.
     """
 
     def __init__(self, n: int) -> None:
         self.rows = min(n, max(1, CHUNK_CELLS // n))
         self.W = np.empty((self.rows, n))
-        self.keep = np.empty((self.rows, n), dtype=bool)
+        self.drop = np.empty((self.rows, n), dtype=bool)
 
 
 @dataclass
@@ -387,21 +400,22 @@ class _Solved:
 
 def _solve_chunk(
     data: DesignData,
-    d: np.ndarray,
+    d2: np.ndarray,
     bw: np.ndarray,
     rhs_t: np.ndarray,
     s: int,
     aicc_loo: bool,
     work: _Workspace,
 ) -> _Solved:
-    """Local fits for tracts s..s+len(d)-1 from their distance rows d, all at
-    once, with only what AICc reads: coefficients, hat diagonal, fitted
-    values and ok.
+    """Local fits for tracts s..s+len(d2)-1 from their squared-distance rows
+    d2, all at once, with only what AICc reads: coefficients, hat diagonal,
+    fitted values and ok.
 
-    The kernel rows and their keep mask are written into work (d may be
-    work.W itself), so they are valid until the next chunk. Column i of
-    rhs_t is [vec(x_i x_i'), x_i y_i, y_i] (see _kernel_rhs), so rhs_t @ W.T
-    gives every local X'WX, X'Wy and the weighted sum of y in one product.
+    The kernel rows and their drop mask are written into work (d2 may be
+    work.W itself), so they are valid until the next chunk; the weights at
+    or below WEIGHT_FLOOR are zeroed in place. Column i of rhs_t is
+    [vec(x_i x_i'), x_i y_i, y_i] (see _kernel_rhs), so rhs_t @ W.T gives
+    every local X'WX, X'Wy and the weighted sum of y in one product.
     Tracts whose batched system is marginal, or whose coefficients, hat
     value or fitted value is not finite, are refitted by fit_local, so the
     bandwidth search and fit_gwr make the same fallbacks and the same
@@ -409,11 +423,11 @@ def _solve_chunk(
     """
     X = data.X
     p = X.shape[1]
-    e = s + len(d)
+    e = s + len(d2)
     own = np.arange(e - s), np.arange(s, e)
-    W = _kernel(d, bw[s:e, None], out=work.W[: e - s])
-    keep = np.greater(W, WEIGHT_FLOOR, out=work.keep[: e - s])
-    W *= keep
+    W = _kernel(d2, bw[s:e, None], out=work.W[: e - s])
+    drop = np.less_equal(W, WEIGHT_FLOOR, out=work.drop[: e - s])
+    np.copyto(W, 0.0, where=drop)
     w_own = W[own]
     # The q x m product is faster than W @ rhs with one BLAS thread.
     G = (rhs_t @ W.T).T
@@ -441,7 +455,7 @@ def _solve_chunk(
         sound &= np.isfinite(fitted)
         # The subtraction leaves rounding of the own row's size, which can
         # make a short system of rows weighing ~1e-8 or less look sound.
-        sound &= keep.sum(axis=1) - (w_own > 0.0) >= p
+        sound &= W.shape[1] - np.count_nonzero(drop, axis=1) - (w_own > 0.0) >= p
         for r in np.flatnonzero(ok & ~sound):
             w_loo = W[r].copy()
             w_loo[s + r] = 0.0
@@ -453,7 +467,7 @@ def _solve_chunk(
 
 def _fit_chunk(
     data: DesignData,
-    d: np.ndarray,
+    d2: np.ndarray,
     bw: np.ndarray,
     rhs_t: np.ndarray,
     s: int,
@@ -473,7 +487,7 @@ def _fit_chunk(
     """
     X, y = data.X, data.y
     p = X.shape[1]
-    c = _solve_chunk(data, d, bw, rhs_t, s, aicc_loo, work)
+    c = _solve_chunk(data, d2, bw, rhs_t, s, aicc_loo, work)
     W, beta = c.W, c.coefficients
     tmp = tmp[: len(W)]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -496,7 +510,7 @@ def _fit_chunk(
 
 def _search_aicc(
     data: DesignData,
-    distances: np.ndarray,
+    d2: np.ndarray,
     bw: np.ndarray,
     rhs_t: np.ndarray,
     aicc_loo: bool,
@@ -504,11 +518,12 @@ def _search_aicc(
 ) -> float:
     """fit_gwr's AICc at the bandwidths bw, from the solve core alone: the
     bandwidth search reads nothing else, so it skips the SEs and local R^2.
-    Chunks span work.rows rows of the n x n distances, as fit_gwr's do."""
+    Chunks span work.rows rows of the n x n squared distances d2, as
+    fit_gwr's do."""
     _check_bandwidths(data, bw)
     parts = []
     for s in range(0, data.n, work.rows):
-        c = _solve_chunk(data, distances[s : s + work.rows], bw, rhs_t, s, aicc_loo, work)
+        c = _solve_chunk(data, d2[s : s + work.rows], bw, rhs_t, s, aicc_loo, work)
         parts.append((c.hat_diag, c.fitted, c.ok))
     hat_diag, fitted, ok = (np.concatenate(part) for part in zip(*parts))
     return _aicc_terms(data, hat_diag, fitted, ok)[3]
@@ -577,14 +592,15 @@ def _design_points(data: DesignData, tracts: TractSet) -> np.ndarray:
 
 
 def _pairwise_distances(data: DesignData, tracts: TractSet) -> np.ndarray:
+    """The n x n squared distances between the design rows."""
     pts = _design_points(data, tracts)
     return _distance_matrix(pts, pts)
 
 
 def _distance_rows(pts: np.ndarray, s: int, work: _Workspace, dy: np.ndarray) -> np.ndarray:
-    """The distance rows of design rows s.. (one chunk), built in work.W
-    with dy (a chunk of rows of work's size) for dy*dy; each cell has the
-    bits of the n x n matrix's."""
+    """The squared-distance rows of design rows s.. (one chunk), built in
+    work.W with dy (a chunk of rows of work's size) for dy*dy; each cell has
+    the bits of the n x n matrix's."""
     a = pts[s : s + work.rows]
     return _distance_matrix(a, pts, out=work.W[: len(a)], dy=dy)
 
@@ -612,18 +628,18 @@ def fit_gwr(
         raise ValueError(
             f"neighbors_k={kernel.neighbors_k} outside [{p + 1}, {n}] for this design"
         )
-    # No n x n matrix: each pass builds a chunk's distance rows in the
-    # workspace. The first partitions them there for every bandwidth, so
+    # No n x n matrix: each pass builds a chunk's squared-distance rows in
+    # the workspace. The first partitions them there for every bandwidth, so
     # that _check_bandwidths sees all n before any fit; the second fits.
     # tmp takes dy*dy and then the diagnostics' temporaries.
     pts = _design_points(data, tracts)
     work = _Workspace(n)
     tmp = np.empty_like(work.W)
     kth = [kernel.neighbors_k - 1]
-    bw = np.concatenate([
+    bw = np.sqrt(np.concatenate([
         _order_stats(_distance_rows(pts, s, work, tmp), kth)[:, 0]
         for s in range(0, n, work.rows)
-    ]) * kernel.bandwidth_scale
+    ])) * kernel.bandwidth_scale
     _check_bandwidths(data, bw)
 
     rhs_t = _kernel_rhs(data)
@@ -694,7 +710,7 @@ def select_bandwidth(
             f"need {p + 1} <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
         )
 
-    distances = _pairwise_distances(data, tracts)
+    d2 = _pairwise_distances(data, tracts)
     rhs_t = _kernel_rhs(data)
     work = _Workspace(n)
     cache: dict[int, float] = {}
@@ -702,14 +718,14 @@ def select_bandwidth(
     def evaluate(ks) -> None:
         """AICc for every k in ks not tried yet.
 
-        The k-th neighbor distances of a block of k come from one pass over
-        row chunks: each chunk of distance rows is copied into the workspace
-        and reordered there by _order_stats, and only the block's columns
-        are kept. A block of one k (a golden step that reuses one of its
-        two points) takes a partition; a block of more (a golden step with
-        two new points, the final scan of up to EXHAUSTIVE_LIMIT k) takes
-        one full sort. An order statistic is exact, so they equal fit_gwr's
-        own partition, and no sorted n x n copy is made.
+        The k-th neighbor distances of a block of k (one k for a golden
+        step that reuses one of its two points, two for a step with two new
+        points, up to EXHAUSTIVE_LIMIT for the final scan) come from one
+        pass over row chunks: each chunk of squared-distance rows is copied
+        into the workspace and reordered there by _order_stats, and only the
+        block's columns are kept; the bandwidths are their square roots. An
+        order statistic is exact, so they equal fit_gwr's own, and no sorted
+        n x n copy is made.
         """
         todo = sorted({k for k in ks if k not in cache})
         for start in range(0, len(todo), EXHAUSTIVE_LIMIT):
@@ -717,12 +733,13 @@ def select_bandwidth(
             cols = np.asarray(block) - 1
             kth = np.empty((n, len(block)))
             for s in range(0, n, work.rows):
-                chunk = distances[s : s + work.rows]
+                chunk = d2[s : s + work.rows]
                 rows = work.W[: len(chunk)]
                 rows[...] = chunk
                 kth[s : s + len(chunk)] = _order_stats(rows, cols)
+            bw = np.sqrt(kth, out=kth)
             for j, k in enumerate(block):
-                aicc = _search_aicc(data, distances, kth[:, j], rhs_t, aicc_loo, work)
+                aicc = _search_aicc(data, d2, bw[:, j], rhs_t, aicc_loo, work)
                 # NaN never reaches the comparisons below: it would order arbitrarily.
                 cache[k] = math.inf if math.isnan(aicc) else aicc
 

@@ -14,9 +14,8 @@ demand by walking both candidates up to their common ancestor.
 shortest_path walks one destination's chain into a Route, which
 `tracteq route` prints. _tract_terms_from serves many destinations from
 one tree and reads each tract's meter terms off it without building
-routes: tract_distances_from sums its terms, and so does commute.simulate.
-The tests check the tree against a search that carries each candidate's
-whole path.
+routes; commute.simulate sums those terms. The tests check the tree against
+a search that carries each candidate's whole path.
 """
 
 from __future__ import annotations
@@ -162,7 +161,9 @@ def build_graph(
     """Read node (id,x,y) and edge (u,v,length_m,speed_ms,class,oneway) tables.
 
     An empty speed cell falls back to the class table, then to its "default"
-    entry.
+    entry; an empty class cell is the class "default". A class_speeds class
+    other than "default" that no edge has is refused, since it is most
+    likely a misspelling of one that some edge has.
     """
     speeds = dict(DEFAULT_CLASS_SPEEDS)
     if class_speeds:
@@ -195,6 +196,12 @@ def build_graph(
                 )
         oneway = row.get("oneway", "").lower() in ("1", "true", "yes")
         edges.append(Edge(row["u"], row["v"], length, speed, oneway, road_class))
+    unused = sorted(set(class_speeds or ()) - {"default"} - {e.road_class for e in edges})
+    if unused:
+        raise ValidationError(
+            f"{edges_path}: no edge has the class_speeds class "
+            + ", ".join(repr(c) for c in unused)
+        )
     return Graph(nodes, edges)
 
 
@@ -226,16 +233,6 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     for e in edges:
         total_length += e.length
     return Route(origin, destination, tuple(nodes), tuple(edges), dist[target], total_length)
-
-
-def tract_distances_from(
-    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
-) -> dict[str, dict[str, float] | None]:
-    """route_tract_distances of shortest_path from one origin to each
-    destination (None when unreachable), keyed by the sorted distinct
-    destinations, from one search (_tract_terms_from)."""
-    return {d: None if terms is None else _tract_meters(terms)
-            for d, terms in _tract_terms_from(graph, origin, destinations, edge_map).items()}
 
 
 def _tract_terms_from(

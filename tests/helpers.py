@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -17,7 +18,15 @@ from tracteq.geometry import (
     polyline_intersects_polygon,
     segment_polygon_breakpoints,
 )
-from tracteq.network import OUTSIDE_ZONE, Edge, EdgeTractMap, Graph, Route
+from tracteq.network import (
+    OUTSIDE_ZONE,
+    Edge,
+    EdgeTractMap,
+    Graph,
+    Route,
+    _tract_meters,
+    _tract_terms_from,
+)
 
 
 def square_tract(tid: str, col: int, row: int, size: float = 1000.0, **attrs) -> Tract:
@@ -49,9 +58,11 @@ def design_from_arrays(y, X, ids=None, names=None) -> DesignData:
     )
 
 
-def gaussian_kernel(distances, bandwidth) -> np.ndarray:
-    """Gaussian kernel weights by their formula: the bits gwr._kernel must give."""
-    return np.exp(-0.5 * (distances / bandwidth) ** 2)
+def gaussian_kernel(sq_distances, bandwidth) -> np.ndarray:
+    """Gaussian kernel weights exp(-(d / bandwidth)^2 / 2) from the squared
+    distances d*d, as one multiply by -0.5 / bandwidth^2 and one exp: the
+    bits gwr._kernel must give."""
+    return np.exp(sq_distances * (-0.5 / (bandwidth * bandwidth)))
 
 
 def normal_equations_beta(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,6 +170,17 @@ def path_carrying_shortest_path(graph: Graph, origin: str, destination: str) -> 
                 (time + travel_time, path + (neighbor,), counter, edges + (edge,)),
             )
     return None
+
+
+def tract_distances_from(
+    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
+) -> dict[str, dict[str, float] | None]:
+    """route_tract_distances of shortest_path from one origin to each
+    destination (None when unreachable), keyed by the sorted distinct
+    destinations, from the one search commute.simulate reads
+    (network._tract_terms_from)."""
+    return {d: None if terms is None else _tract_meters(terms)
+            for d, terms in _tract_terms_from(graph, origin, destinations, edge_map).items()}
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45) -> Graph:

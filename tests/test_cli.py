@@ -433,6 +433,31 @@ def test_malformed_config_section_exits_2_without_traceback(scenario_dir, tmp_pa
     assert "Traceback" not in out.stderr
 
 
+def test_misspelt_input_exits_2_naming_the_key_without_traceback(scenario_dir, tmp_path):
+    # Unchecked, the misspelt highways input would run without a highway layer.
+    def misspell(raw):
+        raw["inputs"]["highway"] = raw["inputs"].pop("highways")
+
+    config = _config_variant(scenario_dir, tmp_path / "config.json", misspell)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "run", "--config", config,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert f"{config}: config key inputs.highway is not one of" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_class_speed_no_edge_has_exits_2_naming_class_and_file(scenario_dir, tmp_path, caplog):
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw.update(class_speeds={"stret": 1.0}))
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    edges = scenario_dir / "edges.csv"
+    assert f"{edges}: no edge has the class_speeds class 'stret'" in caplog.text
+
+
 @pytest.mark.parametrize("command,edit,message", [
     ("ols", lambda raw: raw["columns"]["x1"].update(column=["x1"]),
      "config key columns.x1.column must be a non-empty string, got ['x1']"),

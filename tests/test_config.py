@@ -278,6 +278,7 @@ UNKNOWN_KEYS = [
     ("demographics", ("demographics",), "populaton", "demographics.populaton"),
     ("model", ("models", 0), "estimater", "models[0].estimater"),
     ("column", ("columns", "vkt"), "transfrom", "columns.vkt.transfrom"),
+    ("inputs", ("inputs",), "highway", "inputs.highway"),
 ]
 
 
@@ -334,6 +335,12 @@ WRONG_KINDS = [
      "must be one of identity, log, got 'sqrt'"),
     ("column", ("columns", "vkt", "role"), "target",
      "must be one of response, predictor, got 'target'"),
+    ("inputs", ("inputs", "tracts"), 5, "must be a string, got 5"),
+    ("inputs", ("inputs", "attributes"), ["a.csv"], "must be a string, got ['a.csv']"),
+    ("inputs", ("inputs", "nodes"), {}, "must be a string, got {}"),
+    ("inputs", ("inputs", "edges"), True, "must be a string, got True"),
+    ("inputs", ("inputs", "od"), 1.5, "must be a string, got 1.5"),
+    ("inputs", ("inputs", "highways"), ["h"], "must be a string, got ['h']"),
 ]
 
 
@@ -373,8 +380,30 @@ def test_parse_treats_null_keys_with_a_null_default_as_absent():
     raw = minimal_raw()
     raw["gwr"] = {"k_min": None, "k_max": None}
     raw["simulation"] = {"drive_share_column": None}
+    raw["inputs"]["od"] = None
     cfg = parse_config(raw)
     assert (cfg.k_min, cfg.k_max, cfg.drive_share_column) == (None, None, None)
+    assert "od" not in cfg.inputs
+
+
+def test_parse_keeps_absent_inputs_absent():
+    # Each stage names the input it lacks, so an absent input gets no entry.
+    assert set(parse_config(minimal_raw(), base_dir="/data").inputs) == {"tracts", "attributes"}
+    names = ("tracts", "attributes", "nodes", "edges", "od", "highways")
+    raw = minimal_raw()
+    raw["inputs"] = {name: f"{name}.dat" for name in reversed(names)}
+    cfg = parse_config(raw, base_dir="/data")
+    assert cfg.inputs == {name: f"/data/{name}.dat" for name in names}
+    assert parse_config({"inputs": {}}).inputs == {}
+
+
+def test_parse_refuses_a_misspelt_input_naming_it():
+    raw = minimal_raw()
+    raw["inputs"]["highway"] = "highways.geojson"
+    with pytest.raises(ValidationError, match=re.escape(
+            "config key inputs.highway is not one of tracts, attributes, nodes, edges, od, "
+            "highways")):
+        parse_config(raw)
 
 
 def test_load_config_errors_name_the_file(tmp_path):

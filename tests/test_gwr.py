@@ -33,7 +33,7 @@ from tracteq.ols import RANK_RTOL, fit_ols
 
 # gwr._kernel is the one source of Gaussian weights, for the search and the fit.
 def test_gaussian_weights_anchor_points():
-    w = gwr._kernel(np.array([0.0, 2.0, 4.0]), 2.0)
+    w = gwr._kernel(np.array([0.0, 2.0, 4.0]) ** 2, 2.0)
     assert w[0] == 1.0
     assert math.isclose(w[1], math.exp(-0.5), rel_tol=1e-15)
     assert math.isclose(w[2], math.exp(-2.0), rel_tol=1e-15)
@@ -41,34 +41,47 @@ def test_gaussian_weights_anchor_points():
 
 def test_gaussian_weights_monotone():
     d = np.linspace(0, 10, 50)
-    w = gwr._kernel(d, 3.0)
+    w = gwr._kernel(d * d, 3.0)
     assert np.all(np.diff(w) < 0)
 
 
 def test_gaussian_weights_flat_at_huge_bandwidth():
-    w = gwr._kernel(np.array([0.0, 5000.0]), 1e12)
+    w = gwr._kernel(np.array([0.0, 5000.0]) ** 2, 1e12)
     assert np.all(w > 1.0 - 1e-9)
 
 
 def test_gaussian_weights_equal_the_direct_formula(rng):
-    d = rng.uniform(0.0, 5000.0, size=(7, 40))
-    d[:, 0] = 0.0
-    kept = d.copy()
+    d2 = rng.uniform(0.0, 5000.0, size=(7, 40)) ** 2
+    d2[:, 0] = 0.0
+    kept = d2.copy()
     for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
-        assert np.array_equal(gwr._kernel(d, b), gaussian_kernel(d, b))
-    assert np.array_equal(d, kept)
-    assert gwr._kernel(2.0, 2.0) == np.exp(-0.5)
+        assert np.array_equal(gwr._kernel(d2, b), gaussian_kernel(d2, b))
+    assert np.array_equal(d2, kept)
+    assert gwr._kernel(4.0, 2.0) == np.exp(-0.5)
+
+
+def test_kernel_contract_is_the_textbook_gaussian_where_weights_are_kept():
+    # Squaring d and scaling by -0.5 / b^2 rounds differently from
+    # -0.5 * (d / b)^2, so the weights differ from the textbook formula in
+    # their last bits: by under 1e-13 relative for d / b up to 7.5, which
+    # covers every kept weight, since exp(-7.5^2 / 2) is below WEIGHT_FLOOR.
+    assert math.exp(-0.5 * 7.5**2) < gwr.WEIGHT_FLOOR < math.exp(-0.5 * 7.4**2)
+    for b in (1.0, 0.3, 1234.5, 7.7e3, 2.5e5):
+        d = np.linspace(0.0, 7.5, 20001) * b
+        want = np.exp(-((d / b) ** 2) / 2)
+        np.testing.assert_allclose(gaussian_kernel(d * d, b), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(gwr._kernel(d * d, b), want, rtol=1e-13, atol=0.0)
 
 
 def test_private_kernel_is_gaussian_weights_bit_for_bit(rng):
     # The same bits as the formula for a scalar and a per-row bandwidth,
     # written to a new array or in place over the distances.
-    d = rng.uniform(0.0, 5000.0, size=(7, 40))
-    d[:, [0, 5]] = 0.0
+    d2 = rng.uniform(0.0, 5000.0, size=(7, 40)) ** 2
+    d2[:, [0, 5]] = 0.0
     for b in (1234.5, rng.uniform(100.0, 3000.0, size=(7, 1))):
-        want = gaussian_kernel(d, b).tobytes()
-        assert gwr._kernel(d, b).tobytes() == want
-        aliased = d.copy()
+        want = gaussian_kernel(d2, b).tobytes()
+        assert gwr._kernel(d2, b).tobytes() == want
+        aliased = d2.copy()
         assert gwr._kernel(aliased, b, out=aliased) is aliased
         assert aliased.tobytes() == want
 
@@ -246,7 +259,7 @@ def test_bandwidths_chunked_match_whole_matrix_partition(step_scenario, monkeypa
     # a small chunk puts chunk boundaries mid-matrix
     sc = step_scenario
     monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * sc.design.n)
-    d = gwr._pairwise_distances(sc.design, sc.tracts)
+    d = np.sqrt(gwr._pairwise_distances(sc.design, sc.tracts))
     ordered = np.sort(d, axis=1)
     for k in (3, 12, 40, len(d)):
         want = np.partition(d, k - 1, axis=1)[:, k - 1]
@@ -274,7 +287,9 @@ def test_pairwise_distances_match_cdist(monkeypatch):
         ids = [ts.ids[i] for i in idx]
         data = design_from_arrays(np.zeros(len(ids)), np.ones((len(ids), 1)), ids=ids)
         want = cdist(ts.centroids[idx], ts.centroids[idx])
-        assert np.array_equal(gwr._pairwise_distances(data, ts), want)
+        assert np.array_equal(np.sqrt(gwr._pairwise_distances(data, ts)), want)
+        assert np.array_equal(gwr._pairwise_distances(data, ts),
+                              cdist(ts.centroids[idx], ts.centroids[idx], "sqeuclidean"))
         assert_bandwidths_are_sorted_cdist_columns(data, ts)
         # Counting neighbours among all tracts would give other bandwidths.
         among_all_tracts = np.sort(cdist(ts.centroids[idx], ts.centroids), axis=1)
@@ -333,16 +348,16 @@ def local_weight_cases(source, request):
             yield design_from_arrays(y, X), weights, int(rng.integers(len(y)))
         return
     sc = request.getfixturevalue(source)
-    d = gwr._pairwise_distances(sc.design, sc.tracts)
+    d2 = gwr._pairwise_distances(sc.design, sc.tracts)
     scaled = design_from_arrays(
         sc.design.y, sc.design.X * np.array([1.0, 1e-12]), ids=sc.design.tract_ids
     )
     n = sc.design.n
     for data in (sc.design, scaled):
         for k, scale in ((3, 1.0), (5, 1.0), (12, 1.0), (n, 1.0), (n, 1e6), (4, 1e-3)):
-            bw = np.partition(d, k - 1, axis=1)[:, k - 1] * scale
+            bw = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1]) * scale
             for j in range(n):
-                yield data, gaussian_kernel(d[j], bw[j]), j
+                yield data, gaussian_kernel(d2[j], bw[j]), j
 
 
 @pytest.mark.parametrize("source", ["criterion_1", "step_scenario", "gradient_scenario"])
@@ -417,7 +432,8 @@ def test_narrow_kernel_fails_exactly_the_tracts_short_of_active_rows(monkeypatch
     kernel = KernelSpec(neighbors_k=9, bandwidth_scale=0.08)
     d = cdist(ts.centroids, ts.centroids)
     bw = np.sort(d, axis=1)[:, 8] * kernel.bandwidth_scale
-    active = (gaussian_kernel(d, bw[:, None]) > gwr.WEIGHT_FLOOR).sum(axis=1)
+    d2 = cdist(ts.centroids, ts.centroids, "sqeuclidean")
+    active = (gaussian_kernel(d2, bw[:, None]) > gwr.WEIGHT_FLOOR).sum(axis=1)
     assert sorted(set(active)) == [1, 4]
     short = tuple(tid for tid, a in zip(ts.ids, active) if a < 2)
     assert len(short) == 16
@@ -639,11 +655,12 @@ def oracle_gwr(data, tracts, kernel, aicc_loo=False):
     n = data.n
     idx = [tracts.index_of(tid) for tid in data.tract_ids]
     distances = cdist(tracts.centroids[idx], tracts.centroids[idx])
+    d2 = cdist(tracts.centroids[idx], tracts.centroids[idx], "sqeuclidean")
     k = kernel.neighbors_k
     bw = np.partition(distances, k - 1, axis=1)[:, k - 1] * kernel.bandwidth_scale
     fits, fitted = [], []
     for j in range(n):
-        w = gaussian_kernel(distances[j], bw[j])
+        w = gaussian_kernel(d2[j], bw[j])
         local = fit_local(data, w, j)
         value = local.fitted
         if aicc_loo and local.ok:
@@ -785,22 +802,23 @@ def test_gwr_marginal_tracts_fall_back_to_fit_local(fit_local_calls):
     assert fit.failed == ("Z",)
     assert fit.aicc == math.inf
     distances = cdist(ts.centroids, ts.centroids)
+    d2 = cdist(ts.centroids, ts.centroids, "sqeuclidean")
     bw = np.partition(distances, 3, axis=1)[:, 3] * kernel.bandwidth_scale
     for j in marginal:
-        local = fit_local(data, gaussian_kernel(distances[j], bw[j]), j)
+        local = fit_local(data, gaussian_kernel(d2[j], bw[j]), j)
         assert local.ok == (j != n - 1)
         assert np.array_equal(fit.local_coefficients[j], local.coefficients, equal_nan=True)
         assert np.array_equal(fit.hat_diag[j], local.hat_diag, equal_nan=True)
         assert np.array_equal(fit.local_r2[j], local.local_r2, equal_nan=True)
         assert np.array_equal(fit.local_r2_raw[j], local.local_r2_raw, equal_nan=True)
-    assert "active rows" in fit_local(data, gaussian_kernel(distances[-1], bw[-1]), n - 1).message
+    assert "active rows" in fit_local(data, gaussian_kernel(d2[-1], bw[-1]), n - 1).message
 
     # Without the lone tract nothing fails, so the fallback SEs are reported.
     kept = design_from_arrays(data.y[:-1], X[:-1], ids=ts.ids[:-1])
     fit = fit_gwr(kept, ts, kernel)
     assert not fit.failed
     for j in (0, 1, 2):
-        local = fit_local(kept, gaussian_kernel(distances[j, :-1], bw[j]), j)
+        local = fit_local(kept, gaussian_kernel(d2[j, :-1], bw[j]), j)
         assert np.array_equal(fit.local_se[j], local.se_unit * math.sqrt(fit.sigma2))
 
 
@@ -843,7 +861,7 @@ def search_evals(monkeypatch):
     evals = []
     real_search, real_terms = gwr._search_aicc, gwr._aicc_terms
 
-    def spy(data, distances, bw, rhs, aicc_loo, work):
+    def spy(data, d2, bw, rhs, aicc_loo, work):
         terms = []
 
         def terms_spy(*args):
@@ -852,7 +870,7 @@ def search_evals(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(gwr, "_aicc_terms", terms_spy)
-            aicc = real_search(data, distances, bw, rhs, aicc_loo, work)
+            aicc = real_search(data, d2, bw, rhs, aicc_loo, work)
         ((failed, _, _, searched),) = terms
         assert float(aicc).hex() == float(searched).hex()
         evals.append((np.array(bw), failed, aicc))
@@ -865,7 +883,7 @@ def search_evals(monkeypatch):
 def assert_evals_match_fit_gwr(data, tracts, evals, ks, aicc_loo):
     """Evaluation i ran at k = ks[i] and gave fit_gwr's failed set and AICc
     bit for bit."""
-    ordered = np.sort(gwr._pairwise_distances(data, tracts), axis=1)
+    ordered = np.sort(np.sqrt(gwr._pairwise_distances(data, tracts)), axis=1)
     assert len(evals) == len(ks)
     for k, (bw, failed, aicc) in zip(ks, evals):
         assert np.array_equal(bw, ordered[:, k - 1]), k
@@ -912,12 +930,12 @@ def test_search_aicc_makes_fit_gwr_fallbacks_on_fallback_designs(
     ]
     outcomes = set()
     for data, tracts, kernel in cases:
-        distances = gwr._pairwise_distances(data, tracts)
+        d2 = gwr._pairwise_distances(data, tracts)
         k = kernel.neighbors_k
-        bw = np.partition(distances, k - 1, axis=1)[:, k - 1] * kernel.bandwidth_scale
+        bw = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1]) * kernel.bandwidth_scale
         fit_local_calls.clear()
         rhs, work = gwr._kernel_rhs(data), gwr._Workspace(data.n)
-        gwr._search_aicc(data, distances, bw, rhs, aicc_loo, work)
+        gwr._search_aicc(data, d2, bw, rhs, aicc_loo, work)
         searched = list(fit_local_calls)
         fit_local_calls.clear()
         fit = fit_gwr(data, tracts, kernel, aicc_loo=aicc_loo)
@@ -989,9 +1007,9 @@ def test_search_chunk_boundaries_match_fit_gwr(
 
 def test_single_k_partition_matches_sort_path(search_evals, monkeypatch):
     # A lattice ties many distances, and five-row chunks leave a short last
-    # chunk (99 = 19*5 + 4). Each k-th column from a one-k partition equals
-    # that column of a full sort, alone and inside a golden search whose
-    # one-k steps partition and whose two-k steps and final scan sort.
+    # chunk (99 = 19*5 + 4). Each k-th column from a one-k block equals that
+    # column of a full sort, alone and inside a golden search whose steps
+    # take blocks of one and two k and whose final scan a block of several.
     data, tracts = lattice_design(9, 11, seed=3)
     monkeypatch.setattr(gwr, "CHUNK_CELLS", 5 * data.n)
     assert data.n % gwr._Workspace(data.n).rows
@@ -1018,6 +1036,32 @@ def test_single_k_partition_matches_sort_path(search_evals, monkeypatch):
     assert sizes[0] == 2 and 1 in sizes and sizes[-1] > 1
     ks = [c + 1 for block in blocks for c in block]
     assert_evals_match_fit_gwr(data, tracts, list(search_evals), ks, aicc_loo=False)
+
+
+def test_order_stats_equal_columns_of_a_full_sort():
+    # Squared distances on a regular grid tie many values in every row.
+    # Blocks of 1, 2 and 25 columns, with column 0 and the last column among
+    # them, give exactly those columns of np.sort, and leave each row a
+    # reordering of itself. Rows are longer than 256 values, below which
+    # numpy's partition may sort the whole row and hide a missing sort.
+    data, tracts = lattice_design(18, 20, seed=3)
+    d2 = gwr._pairwise_distances(data, tracts)
+    n = data.n
+    assert all(len(np.unique(row)) < n - 30 for row in d2)
+    blocks = [
+        [0], [1], [11], [n // 2], [n - 2], [n - 1],
+        [0, 1], [0, n - 1], [3, 40], [n - 2, n - 1],
+        list(range(25)), list(range(30, 55)), list(range(n - 25, n)),
+        np.unique(np.linspace(0, n - 1, 25).astype(int)).tolist(),
+    ]
+    assert {len(cols) for cols in blocks} == {1, 2, 25}
+    ordered = np.sort(d2, axis=1)
+    for cols in blocks:
+        for s in (0, 37, n - 5):
+            rows = d2[s : s + 5].copy()
+            got = gwr._order_stats(rows, np.asarray(cols))
+            assert np.array_equal(got, ordered[s : s + 5][:, cols]), cols
+            assert np.array_equal(np.sort(rows, axis=1), ordered[s : s + 5])
 
 
 def lattice_design(rows, cols, seed):
@@ -1107,8 +1151,8 @@ def test_gwr_nonfinite_batched_se_is_nan_and_keeps_aicc(
     assert not want.failed and not fit_local_calls
     real_solve = gwr._solve_chunk
 
-    def spoil_first_row(data, d, bw, rhs, s, aicc_loo, work):
-        c = real_solve(data, d, bw, rhs, s, aicc_loo, work)
+    def spoil_first_row(data, d2, bw, rhs, s, aicc_loo, work):
+        c = real_solve(data, d2, bw, rhs, s, aicc_loo, work)
         if s == 0:
             c.M[0] = spoiled * np.eye(c.M.shape[1])
         return c

@@ -15,6 +15,7 @@ from helpers import (
     random_graph,
     square_tract,
     tie_heavy_graph,
+    tract_distances_from,
 )
 from tracteq import network
 from tracteq.data_model import Tract, TractSet
@@ -27,7 +28,6 @@ from tracteq.network import (
     build_graph,
     route_tract_distances,
     shortest_path,
-    tract_distances_from,
 )
 from tracteq.synth import ScenarioSpec, generate
 
@@ -163,6 +163,21 @@ def test_build_graph_class_speed_override(tmp_path):
     assert g.edges[0].speed == 20.0
     with pytest.raises(ValidationError, match="no speed"):
         build_graph(str(nodes), str(edges), class_speeds={"arterial": 0.0, "default": 0.0})
+
+
+def test_build_graph_refuses_a_class_speed_no_edge_has(tmp_path):
+    # An empty class cell is the class "default", which may always be set.
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("id,x,y\nA,0,0\nB,100,0\nC,200,0\n")
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms,class,oneway\nA,B,100,,street,0\nB,C,100,,,0\n")
+    g = build_graph(str(nodes), str(edges), class_speeds={"street": 10.0, "default": 5.0})
+    assert [e.speed for e in g.edges] == [10.0, 5.0]
+    for speeds, named in (({"stret": 1.0}, "'stret'"),
+                          ({"street": 1.0, "highway": 2.0, "alley": 3.0}, "'alley', 'highway'")):
+        with pytest.raises(ValidationError) as err:
+            build_graph(str(nodes), str(edges), class_speeds=speeds)
+        assert str(err.value) == f"{edges}: no edge has the class_speeds class {named}"
 
 
 def test_build_graph_header_checks(tmp_path):

@@ -93,8 +93,8 @@ def test_every_exported_name_is_its_module_attribute():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         tracteq.no_such_name
-    assert callable(tracteq.network.tract_distances_from)
-    assert not hasattr(tracteq, "tract_distances_from")  # defined, but not exported
+    assert callable(tracteq.gwr.compute_aicc)
+    assert not hasattr(tracteq, "compute_aicc")  # defined, but not exported
     with pytest.raises(ImportError):
         exec("from tracteq import no_such_name", {})
 
