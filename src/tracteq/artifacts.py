@@ -94,9 +94,10 @@ def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str
     """(physical line number, {column: cell}) for each row of a CSV file.
 
     Leading lines that start with # are skipped; the next line names the
-    columns and must include every required one. Cells are stripped, a short
-    row's missing cells read as "", and blank lines are skipped. A file
-    that cannot be opened or decoded raises ParseError naming the path.
+    columns, none twice (blank names may repeat), and must include every
+    required one. Cells are stripped, a short row's missing cells read as
+    "", and blank lines are skipped. A file that cannot be opened or decoded
+    raises ParseError naming the path.
     """
     with _open_input(path) as fh:
         try:
@@ -108,6 +109,9 @@ def read_csv(path: str, required: Sequence[str]) -> Iterator[tuple[int, dict[str
             columns = [c.strip() for c in next((row for row in reader if row), [])]
             if not set(required) <= set(columns):
                 raise ValidationError(f"{path}: header must include {','.join(required)}")
+            repeated = [c for i, c in enumerate(columns) if c and c in columns[:i]]
+            if repeated:
+                raise ValidationError(f"{path}: header names column {repeated[0]!r} twice")
             pad = [""] * len(columns)
             for cells in reader:
                 if cells:

@@ -229,15 +229,13 @@ def _stage_gwr(ctx: Context) -> str:
         n, p = design.X.shape
         k_min = cfg.k_min if cfg.k_min is not None else min(max(p + 2, 10), n)
         k_max = cfg.k_max if cfg.k_max is not None else n
-        if not p + 1 <= k_min <= k_max <= n:
-            raise ValidationError(
-                f"model {model.name!r}: gwr k range [{k_min}, {k_max}] must lie "
-                f"within [{p + 1}, {n}] (terms + 1, tracts)"
+        try:
+            best_k, best_aicc = select_bandwidth(
+                design, tracts, k_min, k_max, method=cfg.search_method, aicc_loo=cfg.aicc_loo,
             )
-        best_k, best_aicc = select_bandwidth(
-            design, tracts, k_min, k_max, method=cfg.search_method, aicc_loo=cfg.aicc_loo,
-        )
-        fit = fit_gwr(design, tracts, KernelSpec(neighbors_k=best_k), aicc_loo=cfg.aicc_loo)
+            fit = fit_gwr(design, tracts, KernelSpec(neighbors_k=best_k), aicc_loo=cfg.aicc_loo)
+        except ValidationError as exc:
+            raise ValidationError(f"model {model.name!r}: {exc}") from None
         summary = summarize_gwr(fit)
 
         terms = fit.column_names
@@ -328,7 +326,7 @@ def _stage_equity(ctx: Context) -> str:
         entries = []
 
         def add_entry(label: str, subset) -> None:
-            chosen = sorted(set(subset) & set(index.values))
+            chosen = index.values.keys() & subset
             if not chosen:
                 return
             value = population_weighted_mean(index, tracts, chosen, group)

@@ -56,16 +56,11 @@ class ODTable:
             tuple((h, w, c) for (h, w), c in sorted(merged.items()))
         )
 
-    @property
-    def total_workers(self) -> int:
-        return sum(c for _, _, c in self.rows)
 
-
-def load_od(path: str, tracts: TractSet | None = None) -> ODTable:
+def load_od(path: str, tracts: TractSet) -> ODTable:
     """Read a home,work,count table; counts must be nonnegative integers.
 
-    When a TractSet is given, rows naming unknown tracts are dropped and
-    counted in the log.
+    Rows naming tracts not in tracts are dropped and counted in the log.
     """
     dropped = 0
 
@@ -76,7 +71,7 @@ def load_od(path: str, tracts: TractSet | None = None) -> ODTable:
             count = read_number(path, lineno, row, "count", int)
             if count < 0:
                 raise ValidationError(f"{path} line {lineno}: negative count {count}")
-            if tracts is not None and (home not in tracts or work not in tracts):
+            if home not in tracts or work not in tracts:
                 dropped += 1
                 continue
             yield home, work, count
@@ -105,8 +100,8 @@ def _pair_counter(home: str, work: str) -> list[int]:
 
 
 def _home_column(od: ODTable, value_for: Callable[[str], float]) -> np.ndarray:
-    """value_for(home) per OD row, called once per home in sorted order."""
-    values = {home: value_for(home) for home in sorted({h for h, _, _ in od.rows})}
+    """value_for(home) per OD row, called once per home in (sorted) row order."""
+    values = {home: value_for(home) for home in dict.fromkeys(h for h, _, _ in od.rows)}
     return np.fromiter((values[h] for h, _, _ in od.rows), np.float64, len(od.rows))
 
 
@@ -201,7 +196,7 @@ def write_traversal(table: TraversalTable, path: str, header_lines: list[str] | 
 
 
 def read_traversal(path: str) -> TraversalTable:
-    """Inverse of write_traversal."""
+    """Inverse of write_traversal; a repeated (tract, group) row is an error."""
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
     groups: list[str] = []
@@ -209,6 +204,9 @@ def read_traversal(path: str) -> TraversalTable:
         tid, g = row["tract_id"], row["group"]
         if g not in groups:
             groups.append(g)
+        if g in D.get(tid, ()):
+            raise ValidationError(
+                f"{path} line {lineno}: duplicate row for tract {tid!r}, group {g!r}")
         D.setdefault(tid, {})[g] = read_number(path, lineno, row, "D_km")
         C.setdefault(tid, {})[g] = read_number(path, lineno, row, "C_count")
     return TraversalTable(groups=tuple(groups), D=D, C=C)
@@ -243,7 +241,7 @@ def _home_routes(
     (network._tract_terms_from), so only one home's terms are alive at a
     time."""
     node_for = {tid: tract_node(graph, tracts, tid)
-                for tid in sorted({t for h, w, _ in od.rows for t in (h, w)})}
+                for tid in dict.fromkeys(t for h, w, _ in od.rows for t in (h, w))}
     for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
         works = [w for _, w, _ in rows]
         by_node = _tract_terms_from(

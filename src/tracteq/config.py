@@ -1,13 +1,13 @@
 """Declarative run configuration: one JSON file drives a reproducible run.
 
 The `columns` map names every analysis variable (key -> {column, transform,
-role}); models pick their controls either from the named presets or as an
-explicit key list. The config hash covers the JSON as written, not the
-resolved configuration: relative input paths are hashed as written, not
-resolved, and the contents of the input files are not covered. So two runs
-with equal hashes give byte-identical artifacts only when their inputs are
-the same files. Worker count is a command-line concern and never part of
-the hash.
+role}); a model's controls are a preset name ("limited" or "full", see
+CONTROL_PRESETS) or a list of column keys, each a non-empty string. The
+config hash covers the JSON as written, not the resolved configuration:
+relative input paths are hashed as written, not resolved, and the contents
+of the input files are not covered. So two runs with equal hashes give
+byte-identical artifacts only when their inputs are the same files. Worker
+count is a command-line concern and never part of the hash.
 
 parse_config checks each object whose keys are fixed (the root, inputs,
 gwr, simulation, demographics, a model, a columns entry) against one
@@ -41,6 +41,7 @@ LIMITED_CONTROLS: tuple[str, ...] = (
 FULL_CONTROLS: tuple[str, ...] = LIMITED_CONTROLS + (
     "intersection_density", "grade_mean", "prop_single_family", "med_rooms",
     "mean_household_size", "pop_density", "med_home_value")
+CONTROL_PRESETS = {"limited": LIMITED_CONTROLS, "full": FULL_CONTROLS}
 
 # Default entry of each canonical variable key: the column of the same name,
 # log-transformed where listed; pm25 is the response, the rest predictors.
@@ -96,18 +97,6 @@ class RunConfig:
         return specs
 
 
-def resolve_controls(controls) -> tuple[str, ...]:
-    if controls == "limited":
-        return LIMITED_CONTROLS
-    if controls == "full":
-        return FULL_CONTROLS
-    if isinstance(controls, (list, tuple)):
-        return tuple(str(c) for c in controls)
-    raise ValidationError(
-        f"controls must be 'limited', 'full', or a column-key list, got {controls!r}"
-    )
-
-
 def config_hash(raw: dict) -> str:
     """Hash of the canonical JSON form, stamped on every artifact."""
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -122,7 +111,9 @@ _KINDS = {
     "a non-empty string": lambda v: isinstance(v, str) and v != "",
     "an object": lambda v: isinstance(v, dict),
     "a list": lambda v: isinstance(v, list),
-    "'limited', 'full' or a list": lambda v: v in ("limited", "full") or isinstance(v, list),
+    "'limited', 'full' or a list of non-empty strings": lambda v: (
+        v in CONTROL_PRESETS if isinstance(v, str)
+        else isinstance(v, list) and all(isinstance(c, str) and c != "" for c in v)),
 }
 
 # Each fixed-key object of the config: key -> (kind, default). A kind is a
@@ -157,7 +148,7 @@ _KEYS = {
     "model": {  # the n-th model's name defaults to model<n>
         "name": ("a string", None),
         "estimator": (("ols", "gwr"), "ols"),
-        "controls": ("'limited', 'full' or a list", "limited"),
+        "controls": ("'limited', 'full' or a list of non-empty strings", "limited"),
     },
     "column": {  # a DEFAULT_COLUMNS key's defaults are its entry there
         "column": ("a non-empty string", None),
@@ -226,7 +217,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                                   f"'/', '\\' or NUL, got {name!r}")
         if any(m.name == name for m in models):
             raise ValidationError(f"config key {key} repeats the model name {name!r}")
-        models.append(ModelSpec(name, model["estimator"], resolve_controls(model["controls"])))
+        controls = model["controls"]
+        controls = CONTROL_PRESETS[controls] if isinstance(controls, str) else tuple(controls)
+        models.append(ModelSpec(name, model["estimator"], controls))
 
     gwr = _fields(root["gwr"], "gwr", "gwr")
     sim = _fields(root["simulation"], "simulation", "simulation")

@@ -53,9 +53,11 @@ def _tract_ring(tract: Tract) -> tuple[Point, ...]:
 
 
 class TractSet:
-    """An ordered collection of tracts with cached centroids.
+    """The tracts sorted by tract_id, with cached centroids.
 
-    Each tract's ring is stored normalized: open, with float vertices.
+    This is the one tract order: a tract's index is its id's rank, and every
+    output lists tracts in it. Each tract's ring is stored normalized: open,
+    with float vertices.
 
     Attribute columns are free-form; the demographic columns used by the
     simulation (population, commuters, group share) are looked up by the
@@ -73,7 +75,8 @@ class TractSet:
         if not tracts:
             raise ValidationError("tract set is empty")
         self.tracts: tuple[Tract, ...] = tuple(
-            Tract(t.tract_id, _tract_ring(t), t.attributes) for t in tracts
+            Tract(t.tract_id, _tract_ring(t), t.attributes)
+            for t in sorted(tracts, key=lambda t: t.tract_id)
         )
         self.population_column = population_column
         self.commuters_column = commuters_column
@@ -311,8 +314,8 @@ def load_tracts(
     """Join tract polygons with their attribute rows into a TractSet.
 
     Features or attribute rows that fail the join are dropped and counted in
-    the log. Output order is sorted by tract_id so loads are canonical
-    regardless of file ordering.
+    the log. The TractSet sorts the tracts by tract_id, so loads are
+    canonical regardless of file ordering.
     """
     features = _read_feature_collection(geojson_path)
     polygons: dict[str, tuple[Point, ...]] = {}
@@ -328,7 +331,7 @@ def load_tracts(
 
     attributes = read_attribute_table(attributes_path)
 
-    matched = sorted(polygons.keys() & attributes.keys())
+    matched = polygons.keys() & attributes.keys()
     geom_only = len(polygons) - len(matched)
     attr_only = len(attributes) - len(matched)
     if geom_only or attr_only:

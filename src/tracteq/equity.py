@@ -3,6 +3,8 @@
 For tract j and group g the index is the group's share of distance driven
 through j minus its share of commuters living in j. Tracts with zero
 traversal or zero commuters are undefined and stay out of every summary.
+Tracts come in sorted-id order, that of TraversalTable.tract_ids and of a
+TractSet, so nothing here sorts them.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ CONTACT_PAD = 2.0 * EPS
 
 @dataclass(frozen=True)
 class InequityTable:
+    """Index values of defined tracts and ids of undefined ones, both in sorted-id order."""
+
     groups: tuple[str, ...]
     values: dict[str, dict[str, float]]  # tract -> group -> index, defined tracts only
     undefined: tuple[str, ...]
 
     @property
     def defined(self) -> list[str]:
-        return sorted(self.values)
+        return list(self.values)
 
 
 def inequity_index(traversal: TraversalTable) -> InequityTable:
@@ -54,9 +58,7 @@ def inequity_index(traversal: TraversalTable) -> InequityTable:
         }
     if undefined:
         log.info("%d tract(s) undefined (zero traversal or zero commuters)", len(undefined))
-    return InequityTable(
-        groups=traversal.groups, values=values, undefined=tuple(sorted(undefined))
-    )
+    return InequityTable(groups=traversal.groups, values=values, undefined=tuple(undefined))
 
 
 def population_weighted_mean(
@@ -65,10 +67,11 @@ def population_weighted_mean(
     subset: Iterable[str],
     group: str,
 ) -> float:
-    """Population-weighted mean of I over the defined tracts in a subset."""
+    """Population-weighted mean of I over the defined tracts of a subset, taken in id order."""
     if group not in index.groups:
         raise ValidationError(f"unknown group {group!r}; have {index.groups}")
-    chosen = sorted(set(subset) & set(index.values))
+    subset = set(subset)
+    chosen = [tid for tid in index.values if tid in subset]
     if not chosen:
         raise ValidationError("no defined tracts in the requested subset")
     num = []
@@ -90,7 +93,7 @@ def corridor_subset(
     highways: HighwayNetworkGeom,
     route_label: str,
 ) -> tuple[str, ...]:
-    """Tracts whose polygon intersects any polyline with the given label.
+    """Tracts, in TractSet order, whose polygon intersects any polyline with the given label.
 
     Touching counts as intersecting.
     """
@@ -108,5 +111,5 @@ def corridor_subset(
                and polyline_intersects_polygon(line.points, tract.polygon)
                for line, line_box in zip(lines, line_boxes)):
             hits.append(tract.tract_id)
-    return tuple(sorted(hits))
+    return tuple(hits)
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DesignData, TractSet
-from .errors import SelectionError
+from .errors import SelectionError, ValidationError
 from .ols import RANK_RTOL
 from .report import SIG_T
 
@@ -133,8 +133,6 @@ class KernelSpec:
     bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.neighbors_k < 1:
-            raise ValueError(f"neighbors_k must be >= 1, got {self.neighbors_k}")
         if not self.bandwidth_scale > 0:
             raise ValueError(f"bandwidth_scale must be > 0, got {self.bandwidth_scale}")
 
@@ -539,12 +537,20 @@ def _kernel_rhs(data: DesignData) -> np.ndarray:
     return np.vstack([xx.T, (X * y[:, None]).T, y])
 
 
+def _check_k_range(data: DesignData, k_min: int, k_max: int) -> None:
+    """The neighbour-count rule of the search and the fit: p + 1 <= k_min <= k_max <= n."""
+    n, p = data.X.shape
+    if not p + 1 <= k_min <= k_max <= n:
+        raise ValidationError(f"gwr k range [{k_min}, {k_max}] must lie within "
+                              f"[{p + 1}, {n}] (terms + 1, tracts)")
+
+
 def _check_bandwidths(data: DesignData, bw: np.ndarray) -> None:
     # NaN too: the kernel of the search and fit checks no bandwidth itself.
     bad_bw = np.flatnonzero(~(bw > 0.0))
     if bad_bw.size:
         names = ", ".join(data.tract_ids[i] for i in bad_bw[:5])
-        raise ValueError(
+        raise ValidationError(
             f"adaptive bandwidth is zero or NaN for {bad_bw.size} tract(s) ({names}); "
             "duplicate centroids within neighbors_k"
         )
@@ -623,11 +629,8 @@ def fit_gwr(
     whose leave-one-out refit under `aicc_loo`, failed; any failure makes
     AICc infinite.
     """
+    _check_k_range(data, kernel.neighbors_k, kernel.neighbors_k)
     n, p = data.X.shape
-    if not p + 1 <= kernel.neighbors_k <= n:
-        raise ValueError(
-            f"neighbors_k={kernel.neighbors_k} outside [{p + 1}, {n}] for this design"
-        )
     # No n x n matrix: each pass builds a chunk's squared-distance rows in
     # the workspace. The first partitions them there for every bandwidth, so
     # that _check_bandwidths sees all n before any fit; the second fits.
@@ -704,11 +707,8 @@ def select_bandwidth(
     """
     if method not in ("golden", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
-    n, p = data.X.shape
-    if not p + 1 <= k_min <= k_max <= n:
-        raise ValueError(
-            f"need {p + 1} <= k_min <= k_max <= {n}, got [{k_min}, {k_max}]"
-        )
+    _check_k_range(data, k_min, k_max)
+    n = data.n
 
     d2 = _pairwise_distances(data, tracts)
     rhs_t = _kernel_rhs(data)

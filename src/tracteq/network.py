@@ -366,7 +366,8 @@ class EdgeTractMap:
 class _TractGrid:
     """Uniform grid over the tracts' bounding boxes, each padded by EPS.
 
-    Each cell lists, in sorted-id order, every tract whose padded box
+    A tract's position is its TractSet index, so positions follow sorted-id
+    order. Each cell lists, in that order, every tract whose padded box
     touches it. A cell index is the floor of a coordinate's offset from the
     grid corner times cells per meter, clamped to the grid; that function
     only rises with the coordinate, so the cell of a point inside a padded
@@ -376,13 +377,12 @@ class _TractGrid:
     """
 
     def __init__(self, tracts: TractSet):
-        order = sorted(range(len(tracts)), key=lambda i: tracts[i].tract_id)
-        # Per position in sorted-id order: id, polygon, box and padded box.
-        self.ids = [tracts[i].tract_id for i in order]
-        self.polygons = [tracts[i].polygon for i in order]
+        # Per position: id, polygon, box and padded box.
+        self.ids = tracts.ids
+        self.polygons = [t.polygon for t in tracts]
         self.boxes = [bounding_box(p) for p in self.polygons]
         self.padded = [(b[0] - EPS, b[1] - EPS, b[2] + EPS, b[3] + EPS) for b in self.boxes]
-        self.side = max(1, math.isqrt(len(order)))
+        self.side = max(1, math.isqrt(len(tracts)))
         self.x0 = min(b[0] for b in self.padded)
         self.y0 = min(b[1] for b in self.padded)
         width = max(b[2] for b in self.padded) - self.x0

@@ -133,7 +133,7 @@ def tracts_to_geojson(
     """Join per-tract values onto polygons as a FeatureCollection string."""
     properties = properties or {}
     features = []
-    for tract in sorted(tracts, key=lambda t: t.tract_id):
+    for tract in tracts:
         ring = [[x, y] for x, y in tract.polygon]
         ring.append(ring[0])
         props: dict[str, object] = {"tract_id": tract.tract_id}
@@ -163,11 +163,10 @@ def svg_choropleth(
     tracts: TractSet,
     values: Mapping[str, float],
     title: str = "",
-    width: float = 800.0,
 ) -> str:
     """Diverging choropleth with equal-interval bins centered on zero.
 
-    Tracts without a value render gray. Output is a standalone SVG string.
+    Tracts without a value render gray. Output is a standalone SVG string 800 px wide.
     """
     xs = [x for t in tracts for x, _ in t.polygon]
     ys = [y for t in tracts for _, y in t.polygon]
@@ -175,6 +174,7 @@ def svg_choropleth(
     y0, y1 = min(ys), max(ys)
     span_x = max(x1 - x0, 1e-9)
     span_y = max(y1 - y0, 1e-9)
+    width = 800.0
     margin = 10.0
     legend_h = 60.0
     scale = (width - 2 * margin) / span_x
@@ -195,7 +195,7 @@ def svg_choropleth(
         parts.append(
             f'<title>{title}</title>'
         )
-    for tract in sorted(tracts, key=lambda t: t.tract_id):
+    for tract in tracts:
         d = "M " + " L ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in tract.polygon) + " Z"
         v = values.get(tract.tract_id)
         fill = MISSING_COLOR if v is None else _color_for(v, vmax)

@@ -247,7 +247,7 @@ def write_scenario(scenario: Scenario, outdir: str) -> dict[str, str]:
     columns = sorted({k for t in scenario.tracts for k in t.attributes})
     write_csv(path("attributes", ".csv"), ["tract_id", *columns], (
         [tract.tract_id, *(fmt(tract.attributes[c]) for c in columns)]
-        for tract in sorted(scenario.tracts, key=lambda t: t.tract_id)
+        for tract in scenario.tracts
     ))
 
     if scenario.highways is not None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tracteq
+from helpers import square_tract
 from tracteq.artifacts import (
     read_csv,
     read_json,
@@ -21,7 +22,7 @@ from tracteq.artifacts import (
 )
 from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
 from tracteq.config import load_config
-from tracteq.data_model import load_highways, load_tracts, read_attribute_table
+from tracteq.data_model import TractSet, load_highways, load_tracts, read_attribute_table
 from tracteq.errors import ParseError, ValidationError
 from tracteq.network import build_graph
 from tracteq.ols import OlsFit
@@ -104,6 +105,14 @@ def test_read_csv_strips_cells_and_pads_short_rows(tmp_path):
     ]
 
 
+def test_read_csv_lets_blank_column_names_repeat(tmp_path):
+    # A spreadsheet's trailing commas give blank names; only a named column
+    # must be unique.
+    path = tmp_path / "a.csv"
+    path.write_text("a,b,,\n1,2,,\n")
+    assert list(read_csv(str(path), ("a",))) == [(2, {"a": "1", "b": "2", "": ""})]
+
+
 def test_read_csv_undecodable_or_runaway_file_is_a_parse_error(tmp_path):
     latin = tmp_path / "latin.csv"
     latin.write_bytes(b"tract_id,name\nA,caf\xe9\n")
@@ -148,6 +157,10 @@ def _edges(path, tmp_path):
     return build_graph(str(nodes), path).edges
 
 
+def _od(path, tmp_path):
+    return load_od(path, TractSet([square_tract("A", 0, 0), square_tract("B", 1, 0)])).rows
+
+
 def _traversal(path, tmp_path):
     table = read_traversal(path)
     return table.groups, table.D, table.C
@@ -159,7 +172,7 @@ READERS = {
                    "tract_id,v\nA,1.5\nB,2\n", "tract_id,v\nA,oops\n"),
     "nodes": (_nodes, "id,x,y", NODES_OK, "id,x,y\nA,zero,0\n"),
     "edges": (_edges, "u,v,length_m", EDGES_OK, "u,v,length_m\nA,B,long\n"),
-    "od": (lambda p, _: load_od(p).rows, "home,work,count",
+    "od": (_od, "home,work,count",
            "home,work,count\nA,B,3\nB,A,1\n", "home,work,count\nA,B,1.5\n"),
     "traversal": (_traversal, "tract_id,group,D_km,C_count",
                   "tract_id,group,D_km,C_count\nA,white,1.5,2.0\n",
@@ -195,6 +208,15 @@ def test_reader_input_format(name, tmp_path):
     with pytest.raises(ValidationError,
                        match=re.escape(f"{headerless}: header must include {required}")):
         read(str(headerless), tmp_path)
+
+    # a header naming its last column a second time
+    repeated = tmp_path / f"{name}_repeated.csv"
+    header, rest = good.split("\n", 1)
+    column = header.split(",")[-1]
+    repeated.write_text(f"{header},{column}\n{rest}")
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{repeated}: header names column {column!r} twice")):
+        read(str(repeated), tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

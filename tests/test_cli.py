@@ -465,6 +465,12 @@ def test_class_speed_no_edge_has_exits_2_naming_class_and_file(scenario_dir, tmp
      "config key simulation.drive_share_column must be a non-empty string, got ['d']"),
     ("ols", lambda raw: raw.update(simulaton={"mode": "bernoulli"}),
      "config key simulaton is not one of"),
+    ("ols", lambda raw: raw["models"][0].update(controls=[5]),
+     "config key models[0].controls must be 'limited', 'full' or a list of non-empty "
+     "strings, got [5]"),
+    ("gwr", lambda raw: raw["models"][1].update(controls=[None]),
+     "config key models[1].controls must be 'limited', 'full' or a list of non-empty "
+     "strings, got [None]"),
 ])
 def test_a_list_for_a_column_name_or_a_misspelt_key_exits_2_naming_the_file(
         scenario_dir, tmp_path, caplog, command, edit, message):
@@ -678,6 +684,75 @@ def test_gwr_k_range_outside_the_design_exits_2(scenario_dir, tmp_path, caplog, 
     assert main(["gwr", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "must lie within [3, 36]" in caplog.text
     assert not (tmp_path / "out" / "gwr_local.json").exists()
+
+
+def test_coinciding_centroids_exit_2_naming_the_model_without_traceback(scenario_dir,
+                                                                        tmp_path):
+    # Three tracts on one ring: at k = 3 their third nearest neighbour is
+    # at distance 0, so their adaptive bandwidths are 0.
+    doc = json.loads((scenario_dir / "tracts.geojson").read_text())
+    for feature in doc["features"][1:3]:
+        feature["geometry"] = doc["features"][0]["geometry"]
+    tracts = tmp_path / "tracts.geojson"
+    tracts.write_text(json.dumps(doc))
+
+    def edit(raw):
+        raw["inputs"]["tracts"] = str(tracts)
+        raw["gwr"] = {"k_min": 3, "k_max": 3}
+
+    config = _config_variant(scenario_dir, tmp_path / "config.json", edit)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracteq.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "tracteq.cli", "gwr", "--config", config,
+                          "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert ("model 'local': adaptive bandwidth is zero or NaN for 3 tract(s) "
+            "(T000000, T000001, T000002)") in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def _repeat_last_column(path, header_line):
+    """Rewrite the CSV file at path with its column row (line header_line,
+    counting from 0) naming its last column twice; returns that column."""
+    lines = path.read_text().split("\n")
+    column = lines[header_line].split(",")[-1]
+    lines[header_line] += "," + column
+    path.write_text("\n".join(lines))
+    return column
+
+
+@pytest.mark.parametrize("name,stage", [("attributes", "ingest"), ("nodes", "simulate"),
+                                        ("edges", "simulate"), ("od", "simulate")])
+def test_an_input_naming_a_column_twice_exits_2_naming_file_and_column(
+        name, stage, scenario_dir, tmp_path, caplog):
+    copy = tmp_path / f"{name}.csv"
+    shutil.copy(scenario_dir / f"{name}.csv", copy)
+    column = _repeat_last_column(copy, 0)
+    config = _config_variant(scenario_dir, tmp_path / "config.json",
+                             lambda raw: raw["inputs"].update({name: str(copy)}))
+    assert main([stage, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{copy}: header names column {column!r} twice" in caplog.text
+
+
+def test_a_traversal_naming_a_column_twice_or_repeating_a_row_exits_2(scenario_dir, tmp_path,
+                                                                     caplog):
+    config = str(scenario_dir / "config.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    traversal = tmp_path / "traversal.csv"
+    written = traversal.read_text()
+
+    _repeat_last_column(traversal, 1)  # line 0 is the stamp
+    assert main(["equity", "--config", config, "--out", str(tmp_path)]) == 2
+    assert f"{traversal}: header names column 'C_count' twice" in caplog.text
+
+    lines = written.splitlines()
+    tract, group = lines[2].split(",")[:2]
+    traversal.write_text(written + lines[2] + "\n")
+    assert main(["equity", "--config", config, "--out", str(tmp_path)]) == 2
+    assert (f"{traversal} line {len(lines) + 1}: duplicate row for tract {tract!r}, "
+            f"group {group!r}") in caplog.text
+    assert not (tmp_path / "equity.csv").exists()
 
 
 def _config_variant(scenario_dir, path, edit):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import (
     path_carrying_shortest_path,
     random_graph,
     simulate_reference,
+    square_tract,
     tie_heavy_graph,
 )
 from tracteq import commute
@@ -27,6 +29,7 @@ from tracteq.commute import (
     simulate,
     write_traversal,
 )
+from tracteq.data_model import TractSet
 from tracteq.errors import ConsistencyError, ValidationError
 from tracteq.network import (
     Edge,
@@ -55,7 +58,7 @@ def line_world(n_tracts=3, share=0.5, mode="split"):
 def test_od_from_rows_merges_and_sorts():
     od = ODTable.from_rows([("B", "A", 3), ("A", "B", 2), ("B", "A", 4)])
     assert od.rows == (("A", "B", 2), ("B", "A", 7))
-    assert od.total_workers == 9
+    assert sum(c for _, _, c in od.rows) == 9
 
 
 def test_od_rejects_negative():
@@ -63,10 +66,14 @@ def test_od_rejects_negative():
         ODTable.from_rows([("A", "B", -1)])
 
 
+def ab_tracts():
+    return TractSet([square_tract("A", 0, 0), square_tract("B", 1, 0)])
+
+
 def test_load_od_basic(tmp_path):
     p = tmp_path / "od.csv"
     p.write_text("home,work,count\nA,B,3\nB,A,5\n")
-    od = load_od(str(p))
+    od = load_od(str(p), ab_tracts())
     assert od.rows == (("A", "B", 3), ("B", "A", 5))
 
 
@@ -74,14 +81,14 @@ def test_load_od_rejects_fractional_count(tmp_path):
     p = tmp_path / "od.csv"
     p.write_text("home,work,count\nA,B,3.5\n")
     with pytest.raises(ValidationError, match="integer"):
-        load_od(str(p))
+        load_od(str(p), ab_tracts())
 
 
 def test_load_od_rejects_negative(tmp_path):
     p = tmp_path / "od.csv"
     p.write_text("home,work,count\nA,B,-2\n")
     with pytest.raises(ValidationError, match="negative"):
-        load_od(str(p))
+        load_od(str(p), ab_tracts())
 
 
 def test_load_od_drops_unknown_tracts(tmp_path, caplog):
@@ -512,6 +519,15 @@ def test_read_traversal_requires_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("tract,group,km\nA,white,1\n")
     with pytest.raises(ValidationError, match="header"):
+        read_traversal(str(p))
+
+
+def test_read_traversal_refuses_a_repeated_tract_group_row(tmp_path):
+    p = tmp_path / "traversal.csv"
+    p.write_text("# a header line\ntract_id,group,D_km,C_count\n"
+                 "A,white,1.0,2.0\nA,non_white,0.5,1.0\nA,white,5.0,3.0\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{p} line 5: duplicate row for tract 'A', group 'white'")):
         read_traversal(str(p))
 
 

@@ -7,13 +7,13 @@ import pytest
 from tracteq.cli import synth_run_config
 from tracteq.config import (
     _KEYS,
+    DEFAULT_COLUMNS,
     FULL_CONTROLS,
     LIMITED_CONTROLS,
     config_hash,
     load_config,
     parse_config,
     replication_config,
-    resolve_controls,
 )
 from tracteq.errors import ParseError, ValidationError
 
@@ -30,12 +30,19 @@ def minimal_raw():
 
 
 def test_presets():
-    assert resolve_controls("limited") == LIMITED_CONTROLS
-    assert resolve_controls("full") == FULL_CONTROLS
+    raw = minimal_raw()
+    raw["columns"] = {**DEFAULT_COLUMNS, "a": {"column": "a"}, "b": {"column": "b"}}
+
+    def controls(value):
+        raw["models"][0]["controls"] = value
+        return parse_config(raw).models[0].controls
+
+    assert controls("limited") == LIMITED_CONTROLS
+    assert controls("full") == FULL_CONTROLS
     assert set(LIMITED_CONTROLS) < set(FULL_CONTROLS)
-    assert resolve_controls(["a", "b"]) == ("a", "b")
+    assert controls(["a", "b"]) == ("a", "b")
     with pytest.raises(ValidationError):
-        resolve_controls("everything")
+        controls("everything")
 
 
 def test_parse_minimal():
@@ -329,7 +336,7 @@ WRONG_KINDS = [
     ("model", ("models", 0, "name"), 5, "must be a string, got 5"),
     ("model", ("models", 0, "estimator"), "kriging", "must be one of ols, gwr, got 'kriging'"),
     ("model", ("models", 0, "controls"), "everything",
-     "must be 'limited', 'full' or a list, got 'everything'"),
+     "must be 'limited', 'full' or a list of non-empty strings, got 'everything'"),
     ("column", ("columns", "vkt", "column"), ["vkt"], "must be a non-empty string, got ['vkt']"),
     ("column", ("columns", "vkt", "transform"), "sqrt",
      "must be one of identity, log, got 'sqrt'"),
@@ -341,6 +348,12 @@ WRONG_KINDS = [
     ("inputs", ("inputs", "edges"), True, "must be a string, got True"),
     ("inputs", ("inputs", "od"), 1.5, "must be a string, got 1.5"),
     ("inputs", ("inputs", "highways"), ["h"], "must be a string, got ['h']"),
+    ("model", ("models", 0, "controls"), [5],
+     "must be 'limited', 'full' or a list of non-empty strings, got [5]"),
+    ("model", ("models", 0, "controls"), [None],
+     "must be 'limited', 'full' or a list of non-empty strings, got [None]"),
+    ("model", ("models", 0, "controls"), ["vkt", ""],
+     "must be 'limited', 'full' or a list of non-empty strings, got ['vkt', '']"),
 ]
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +20,11 @@ from tracteq.data_model import (
     read_attribute_table,
     with_column,
 )
+from tracteq.equity import corridor_subset
 from tracteq.errors import ParseError, ValidationError
-from tracteq.report import tracts_to_geojson
+from tracteq.network import build_edge_tract_map
+from tracteq.report import svg_choropleth, tracts_to_geojson
+from tracteq.synth import write_scenario
 
 UNIT = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -37,6 +42,49 @@ def write_tracts_geojson(path, ids, ring_fn=None):
             "geometry": {"type": "Polygon", "coordinates": [ring]},
         })
     path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+
+
+def shuffled_and_sorted(tracts):
+    """Two TractSets from the same tracts: one given in a shuffled order,
+    one given sorted by id."""
+    given = list(tracts)
+    order = np.random.default_rng(5).permutation(len(given))
+    assert not np.array_equal(order, np.arange(len(given)))
+    shuffled = TractSet([given[i] for i in order])
+    ordered = TractSet(sorted(given, key=lambda t: t.tract_id))
+    return shuffled, ordered
+
+
+def test_tractset_keeps_tracts_in_sorted_id_order(step_scenario):
+    shuffled, ordered = shuffled_and_sorted(step_scenario.tracts)
+    assert list(shuffled) == list(ordered)
+    assert shuffled.ids == ordered.ids == sorted(ordered.ids)
+    # A tract's index is its id's rank.
+    assert [shuffled.index_of(tid) for tid in sorted(ordered.ids)] == list(range(len(ordered)))
+    assert shuffled.centroids.tobytes() == ordered.centroids.tobytes()
+    spec = [TransformSpec("y", role="response"), TransformSpec("x1")]
+    a, b = build_design(shuffled, spec), build_design(ordered, spec)
+    assert a.tract_ids == b.tract_ids
+    assert a.X.tobytes() == b.X.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+def test_outputs_list_tracts_in_sorted_id_order(step_scenario, tmp_path):
+    sc = step_scenario
+    shuffled, ordered = shuffled_and_sorted(sc.tracts)
+    assert tracts_to_geojson(shuffled) == tracts_to_geojson(ordered)
+    values = {tid: (-1.0) ** i * i / 10.0 for i, tid in enumerate(ordered.ids[::3])}
+    assert svg_choropleth(shuffled, values) == svg_choropleth(ordered, values)
+    attributes = []
+    for name, tracts in (("shuffled", shuffled), ("ordered", ordered)):
+        paths = write_scenario(replace(sc, tracts=tracts), str(tmp_path / name))
+        attributes.append(Path(paths["attributes"]).read_bytes())
+    assert attributes[0] == attributes[1]
+    for label in sc.highways.labels:
+        hits = corridor_subset(shuffled, sc.highways, label)
+        assert hits and hits == corridor_subset(ordered, sc.highways, label)
+    for mode in ("midpoint", "split"):
+        assert (build_edge_tract_map(sc.graph, shuffled, mode).parts
+                == build_edge_tract_map(sc.graph, ordered, mode).parts)
 
 
 def test_tractset_rejects_duplicate_ids():

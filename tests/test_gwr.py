@@ -17,7 +17,7 @@ from helpers import (
 )
 from tracteq import gwr
 from tracteq.data_model import Tract, TractSet
-from tracteq.errors import SelectionError
+from tracteq.errors import SelectionError, ValidationError
 from tracteq.gwr import (
     TIE_TOL,
     GwrFit,
@@ -87,8 +87,11 @@ def test_private_kernel_is_gaussian_weights_bit_for_bit(rng):
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(neighbors_k=0)
+    # The neighbour count is checked where it meets a design, by fit_gwr.
+    ts = TractSet([square_tract(f"T{i}", i, 0, 1000.0) for i in range(5)])
+    data = design_from_arrays(np.arange(5.0), np.ones((5, 1)), ids=ts.ids)
+    with pytest.raises(ValidationError, match=r"k range \[0, 0\] must lie within \[2, 5\]"):
+        fit_gwr(data, ts, KernelSpec(neighbors_k=0))
     with pytest.raises(ValueError):
         KernelSpec(neighbors_k=5, bandwidth_scale=0.0)
 
@@ -101,7 +104,7 @@ def test_adaptive_bandwidth_collinear():
             5: [4000.0, 3000.0, 2000.0, 3000.0, 4000.0]}
     for k, bandwidths in want.items():
         assert fit_gwr(data, ts, KernelSpec(k)).bandwidths.tolist() == bandwidths
-    with pytest.raises(ValueError, match=r"outside \[2, 5\]"):
+    with pytest.raises(ValidationError, match=r"within \[2, 5\]"):
         fit_gwr(data, ts, KernelSpec(6))
 
 
@@ -309,7 +312,7 @@ def assert_bandwidths_are_sorted_cdist_columns(data, ts):
         if np.all(want > 0.0):
             assert np.array_equal(fit_gwr(data, ts, KernelSpec(k)).bandwidths, want)
         else:
-            with pytest.raises(ValueError, match="duplicate centroids"):
+            with pytest.raises(ValidationError, match="duplicate centroids"):
                 fit_gwr(data, ts, KernelSpec(k))
 
 
@@ -388,9 +391,9 @@ def test_gwr_loo_switch_increases_aicc_in_global_limit(gradient_scenario):
 
 def test_gwr_neighbors_k_range_enforced(gradient_scenario):
     sc = gradient_scenario
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         fit_gwr(sc.design, sc.tracts, KernelSpec(neighbors_k=sc.design.n + 1))
 
 
@@ -404,7 +407,7 @@ def test_gwr_duplicate_centroids_zero_bandwidth():
         np.array([1.0, 2.0, 3.0]), np.ones((3, 1)), ids=["A", "B", "C"],
         names=["intercept"],
     )
-    with pytest.raises(ValueError, match="duplicate centroids"):
+    with pytest.raises(ValidationError, match="duplicate centroids"):
         fit_gwr(data, ts, KernelSpec(neighbors_k=2))
 
 
@@ -607,9 +610,9 @@ def test_select_bandwidth_all_failures_raise():
 
 def test_select_bandwidth_validates_range(gradient_scenario):
     sc = gradient_scenario
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         select_bandwidth(sc.design, sc.tracts, 2, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         select_bandwidth(sc.design, sc.tracts, 10, 4)
     with pytest.raises(ValueError):
         select_bandwidth(sc.design, sc.tracts, 4, 10, method="grid")
