@@ -326,11 +326,9 @@ def _stage_equity(ctx: Context) -> str:
         entries = []
 
         def add_entry(label: str, subset) -> None:
-            chosen = index.values.keys() & subset
-            if not chosen:
-                return
-            value = population_weighted_mean(index, tracts, chosen, group)
-            entries.append((label, value, len(chosen)))
+            value, n_defined = population_weighted_mean(index, tracts, subset, group)
+            if n_defined:
+                entries.append((label, value, n_defined))
 
         add_entry("all", all_ids)
         if highways is not None:

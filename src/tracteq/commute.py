@@ -2,14 +2,21 @@
 
 Trips route once per origin-destination pair (free-flow routing makes every
 worker on a pair take the same path), from one routing tree per home tract.
-simulate takes the pairs from a trip assignment's OD table, reads each
-home's tree into per-tract meter terms for each of its destinations
-(network._tract_terms_from) and adds every pair's km from them in sorted
-pair order, so its own memory does not grow with the number of pairs. Trip
-weights are one float per group and OD row (16 B per pair). Group labels
-come either from a deterministic fractional split or from counter-based coin
-flips keyed by (seed, home, work, worker index), so bernoulli draws never
-depend on iteration or parallel order.
+simulate takes the pairs from a trip assignment's OD table in sorted order.
+After each home's tree, the pairs' chain walks append edge indices to a
+flat buffer (network._EdgeParts.route_meters); a flush, at the end of a
+home once the buffer holds network._FLUSH_STEPS steps, turns them into one
+meters figure per (pair, tract): a single term as is, a + b for two terms
+(equal to math.fsum of two floats) and math.fsum for three or more.
+simulate adds those with np.add.at into (zones x groups) arrays in pair
+order; np.add.at adds repeated indices one after another, so each cell
+takes the same additions in the same order as a loop over the sorted
+pairs, and the sums are bit-identical to it. Memory held for routing is
+bounded by the step count, not by the number of pairs. Trip weights are
+one float per group and OD row (16 B per pair). Group labels come either
+from a deterministic fractional split or from counter-based coin flips
+keyed by (seed, home, work, worker index), so bernoulli draws never depend
+on iteration or parallel order.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from .artifacts import fmt, read_csv, read_number, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
-from .network import EdgeTractMap, Graph, _tract_meters, _tract_terms_from
+from .network import OUTSIDE_ZONE, EdgeTractMap, Graph, _EdgeParts, _RouteBatch
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +47,7 @@ class ODTable:
     """Origin-destination worker counts, one row per (home, work) pair.
 
     Rows are sorted by (home, work); duplicate pairs are merged by summing.
+    from_rows refuses a count that is negative or not a whole number.
     """
 
     rows: tuple[tuple[str, str, int], ...]
@@ -48,10 +56,15 @@ class ODTable:
     def from_rows(rows) -> "ODTable":
         merged: dict[tuple[str, str], int] = {}
         for home, work, count in rows:
-            count = int(count)
-            if count < 0:
-                raise ValidationError(f"OD pair {home}->{work}: negative count {count}")
-            merged[(home, work)] = merged.get((home, work), 0) + count
+            try:
+                whole = int(count)
+            except (TypeError, ValueError, OverflowError):
+                whole = None
+            if whole is None or whole != count:
+                raise ValidationError(f"OD pair {home}->{work}: count {count} is not a whole number")
+            if whole < 0:
+                raise ValidationError(f"OD pair {home}->{work}: negative count {whole}")
+            merged[(home, work)] = merged.get((home, work), 0) + whole
         return ODTable(
             tuple((h, w, c) for (h, w), c in sorted(merged.items()))
         )
@@ -231,23 +244,25 @@ def tract_node(graph: Graph, tracts: TractSet, tract_id: str) -> str:
     return nearest_node(graph, tuple(tracts.centroids[tracts.index_of(tract_id)]))
 
 
-def _home_routes(
-    od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap
-) -> Iterator[tuple[str, list[str], list[dict[str, list[float]] | None]]]:
-    """Yield (home, works, terms) per home tract for od's rows in order,
-    terms[i] being the per-tract meter terms of the route to works[i]
-    ({tract_id: [meters, ...]}, None when unreachable). A home's rows are
-    consecutive, and its terms come from one routing tree
-    (network._tract_terms_from), so only one home's terms are alive at a
-    time."""
-    node_for = {tid: tract_node(graph, tracts, tid)
-                for tid in dict.fromkeys(t for h, w, _ in od.rows for t in (h, w))}
-    for home, rows in itertools.groupby(od.rows, key=itemgetter(0)):
-        works = [w for _, w, _ in rows]
-        by_node = _tract_terms_from(
-            graph, node_for[home], {node_for[w] for w in works}, edge_map
-        )
-        yield home, works, [by_node[node_for[w]] for w in works]
+def _pair_meters(
+    od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
+    first_zones: tuple[str, ...] = (),
+) -> tuple[list[str], Iterator[_RouteBatch]]:
+    """The zones and the batches of network._EdgeParts.route_meters for
+    od's rows in order: each home's rows are consecutive, and their routes
+    come from one routing tree. A tract od names that tracts lacks is an
+    error."""
+    node_for: dict[str, str] = {}
+    for row in od.rows:
+        for role, tid in zip(("home", "work"), row):
+            if tid not in node_for:
+                if tid not in tracts:
+                    raise ValidationError(f"OD {role} tract {tid!r} not in tract set")
+                node_for[tid] = tract_node(graph, tracts, tid)
+    parts = _EdgeParts(graph, edge_map, first_zones)
+    homes = ((node_for[home], [node_for[w] for _, w, _ in rows])
+             for home, rows in itertools.groupby(od.rows, key=itemgetter(0)))
+    return parts.zones, parts.route_meters(homes)
 
 
 def _log_unreachable(n_unreachable: int, n_pairs: int) -> None:
@@ -265,19 +280,21 @@ def route_traversals(
     """Shortest-path per-tract meters for every OD pair.
 
     Returns a map from pair to {tract_id: meters}, keys sorted (None when
-    unreachable), plus the unreachable count: the meter terms that
-    simulate reads off each home's tree (_home_routes), summed per tract.
-    Pairs whose endpoints snap to the same node yield an empty route and
-    contribute nothing. simulate does not build this table; it serves
-    callers that need each pair's meters, such as the variance term of
-    acceptance criterion 9.
+    unreachable), plus the unreachable count: the (pair, tract) meters that
+    simulate adds up (_pair_meters). Pairs whose endpoints snap to the same
+    node yield an empty route and contribute nothing. simulate does not
+    build this table; it serves callers that need each pair's meters, such
+    as the variance term of acceptance criterion 9.
     """
-    traversals = {
-        (home, work): None if terms is None else _tract_meters(terms)
-        for home, works, routes in _home_routes(od, tracts, graph, edge_map)
-        for work, terms in zip(works, routes)
-    }
-    unreachable = sum(1 for r in traversals.values() if r is None)
+    zones, batches = _pair_meters(od, tracts, graph, edge_map)
+    routes: list[dict[str, float] | None] = []
+    for _, reachable, pair, zone, meters in batches:
+        batch = [{} if ok else None for ok in reachable.tolist()]
+        for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
+            batch[p][zones[z]] = m  # zones are sorted, so keys come sorted
+        routes += batch
+    traversals = {(home, work): r for (home, work, _), r in zip(od.rows, routes)}
+    unreachable = routes.count(None)
     _log_unreachable(unreachable, len(traversals))
     return traversals, unreachable
 
@@ -296,47 +313,44 @@ def simulate(
     bit-identical across reruns. By default the home tract counts among the
     traversed tracts; exclude_home drops its distance contribution
     (commuter counts keep the home tract either way).
-    Each pair's km are added from the meter terms that its home's tree
-    gives (_home_routes): a tract's meters are math.fsum of its terms, a
-    single term as is, so they equal route_tract_distances of the pair's
-    shortest_path route.
+    Each pair's km in a tract are its meters there (_pair_meters) / 1000,
+    so they equal route_tract_distances of the pair's shortest_path route.
     """
     od = assignment.od
-    # Each row starts at 0.0 for every group and takes the pairs' additions
-    # in sorted pair order; a D row is made only for a nonzero weight. A
-    # pair adds to each of its tracts' rows once, so their order is free.
-    D: dict[str, dict[str, float]] = {}
-    C: dict[str, dict[str, float]] = {}
+    zones, batches = _pair_meters(od, tracts, graph, edge_map, (*tracts.ids, OUTSIDE_ZONE))
+    # Rows are zones, in tract rank order with OUTSIDE_ZONE next; each
+    # batch adds its pairs in pair order with np.add.at, which adds
+    # repeated indices one after another in index order. So each cell
+    # takes, in sorted pair order, the additions that a loop over the
+    # pairs makes, starting from 0.0: a pair adds once to each cell it
+    # touches. A D row is kept only if a nonzero weight reached it, a C row
+    # only if a reachable pair lives there.
+    D = np.zeros((len(zones), len(GROUPS)))
+    C = np.zeros((len(zones), len(GROUPS)))
+    d_rows = np.zeros(len(zones), bool)
+    c_rows = np.zeros(len(zones), bool)
+    rank = {tid: r for r, tid in enumerate(tracts.ids)}
     n_unreachable = 0
-    fsum = math.fsum
-    first = 0
-    for home, works, routes in _home_routes(od, tracts, graph, edge_map):
-        last = first + len(works)
-        weight_rows = assignment.weights[first:last].tolist()
-        first = last
-        for per_tract, weight_row in zip(routes, weight_rows):
-            if per_tract is None:
-                n_unreachable += 1
-                continue
-            by_group = list(zip(GROUPS, weight_row))
-            row = C.get(home)
-            if row is None:
-                row = C[home] = dict.fromkeys(GROUPS, 0.0)
-            for g, w in by_group:
-                row[g] += w
-            nonzero = [(g, w) for g, w in by_group if w]
-            if not nonzero:
-                continue
-            for tid, terms in per_tract.items():
-                if exclude_home and tid == home:
-                    continue
-                km = (terms[0] if len(terms) == 1 else fsum(terms)) / 1000.0
-                row = D.get(tid)
-                if row is None:
-                    row = D[tid] = dict.fromkeys(GROUPS, 0.0)
-                for g, w in nonzero:
-                    row[g] += w * km
+    for first, reachable, pair, zone, meters in batches:
+        rows = od.rows[first:first + len(reachable)]
+        home = np.fromiter((rank[h] for h, _, _ in rows), np.intp, len(rows))
+        weights = assignment.weights[first:first + len(rows)]
+        n_unreachable += len(rows) - int(np.count_nonzero(reachable))
+        np.add.at(C, home[reachable], weights[reachable])
+        c_rows[home[reachable]] = True
+        if exclude_home:
+            keep = zone != home[pair]
+            pair, zone, meters = pair[keep], zone[keep], meters[keep]
+        w = weights[pair]
+        km = meters / 1000.0
+        nonzero = w != 0.0
+        d_rows[zone[nonzero.any(axis=1)]] = True
+        j, g = np.nonzero(nonzero)
+        # On D's flat view, add.at takes numpy's fast one-index path.
+        np.add.at(D.reshape(-1), zone[j] * len(GROUPS) + g, w[j, g] * km[j])
     _log_unreachable(n_unreachable, len(od.rows))
-    return TraversalTable(groups=GROUPS, D=D, C=C, n_pairs=len(od.rows),
-                          n_unreachable=n_unreachable)
-
+    return TraversalTable(
+        groups=GROUPS,
+        D={zones[z]: dict(zip(GROUPS, D[z].tolist())) for z in np.flatnonzero(d_rows).tolist()},
+        C={zones[z]: dict(zip(GROUPS, C[z].tolist())) for z in np.flatnonzero(c_rows).tolist()},
+        n_pairs=len(od.rows), n_unreachable=n_unreachable)

@@ -66,14 +66,16 @@ def population_weighted_mean(
     tracts: TractSet,
     subset: Iterable[str],
     group: str,
-) -> float:
-    """Population-weighted mean of I over the defined tracts of a subset, taken in id order."""
+) -> tuple[float, int]:
+    """Population-weighted mean of I over the defined tracts of a subset,
+    taken in id order, and the number of those tracts; (nan, 0) when the
+    subset holds no defined tract."""
     if group not in index.groups:
         raise ValidationError(f"unknown group {group!r}; have {index.groups}")
     subset = set(subset)
     chosen = [tid for tid in index.values if tid in subset]
     if not chosen:
-        raise ValidationError("no defined tracts in the requested subset")
+        return math.nan, 0
     num = []
     den = []
     for tid in chosen:
@@ -85,7 +87,7 @@ def population_weighted_mean(
     total = math.fsum(den)
     if total <= 0.0:
         raise ValidationError("subset population sums to zero")
-    return math.fsum(num) / total
+    return math.fsum(num) / total, len(chosen)
 
 
 def corridor_subset(

@@ -11,11 +11,19 @@ Searches index nodes by rank, an id's index in sorted-id order, so ranks
 compare as ids do. Every route comes from one tie-broken Dijkstra tree
 (_search_tree): the tree keeps no paths, and a tie on time is broken on
 demand by walking both candidates up to their common ancestor.
+The tree's predecessor edges are indices into graph.edges.
 shortest_path walks one destination's chain into a Route, which
-`tracteq route` prints. _tract_terms_from serves many destinations from
-one tree and reads each tract's meter terms off it without building
-routes; commute.simulate sums those terms. The tests check the tree against
-a search that carries each candidate's whole path.
+`tracteq route` prints. _EdgeParts.route_meters serves many destinations
+from one tree without building routes: each chain walk appends edge
+indices to a flat buffer, and once it holds _FLUSH_STEPS steps, at the end
+of an origin's pairs, a flush expands the edges into their (zone, meters)
+parts through flat arrays aligned to graph.edges and groups them by (pair,
+zone) in pair order. A group's meters are its one term as is, a + b for two
+terms (the correctly rounded sum, as math.fsum gives) and math.fsum for
+three or more, so they equal route_tract_distances of the pair's route;
+commute.simulate adds them up. The step bound keeps the buffer's memory
+independent of the number of pairs. The tests check the tree against a
+search that carries each candidate's whole path.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -82,8 +90,8 @@ class Graph:
         }
         self.edges: tuple[Edge, ...] = tuple(edges)
         seen: set[tuple[str, str]] = set()
-        adjacency: dict[str, list[tuple[str, Edge]]] = {k: [] for k in self.nodes}
-        for e in self.edges:
+        adjacency: dict[str, list[tuple[str, Edge, int]]] = {k: [] for k in self.nodes}
+        for i, e in enumerate(self.edges):
             if not (e.length > 0 and e.speed > 0):
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: length and speed must be positive "
@@ -104,20 +112,21 @@ class Graph:
             if e.key in seen:
                 raise ValidationError(f"duplicate edge {e.u}->{e.v}")
             seen.add(e.key)
-            adjacency[e.u].append((e.v, e))
+            adjacency[e.u].append((e.v, e, i))
             if not e.oneway:
-                adjacency[e.v].append((e.u, e))
+                adjacency[e.v].append((e.u, e, i))
         # Searches index nodes by their rank in sorted-id order: comparing
         # two ranks gives the same answer as comparing the two ids, so the
         # lexicographic tie-break can compare ranks. rank_adjacency[r] holds
-        # the (neighbour rank, edge, travel time) of the node of rank r,
-        # sorted by neighbour then edge key; each travel time is computed
-        # once, for searches that relax every edge many times.
+        # the (neighbour rank, edge index into self.edges, travel time) of
+        # the node of rank r, sorted by neighbour then edge key; each travel
+        # time is computed once, for searches that relax every edge many
+        # times.
         self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
-        self.rank_adjacency: tuple[tuple[tuple[int, Edge, float], ...], ...] = tuple(
-            tuple((self.rank[nbr], e, e.travel_time)
-                  for nbr, e in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
+        self.rank_adjacency: tuple[tuple[tuple[int, int, float], ...], ...] = tuple(
+            tuple((self.rank[nbr], i, e.travel_time)
+                  for nbr, e, i in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
             for nid in self._ids
         )
         # A route's float time stays below twice the summed edge time, and
@@ -224,7 +233,7 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
         return None
     r, nodes, edges = target, [destination], []
     while r != source:
-        edges.append(pred_edge[r])
+        edges.append(graph.edges[pred_edge[r]])
         r = pred[r]
         nodes.append(graph._ids[r])
     nodes.reverse()
@@ -235,49 +244,24 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     return Route(origin, destination, tuple(nodes), tuple(edges), dist[target], total_length)
 
 
-def _tract_terms_from(
-    graph: Graph, origin: str, destinations: Iterable[str], edge_map: EdgeTractMap
-) -> dict[str, dict[str, list[float]] | None]:
-    """Per-tract meter terms of shortest_path from one origin to each
-    destination (None when unreachable), keyed by the sorted distinct
-    destinations, from one search: math.fsum of a tract's terms is its
-    route_tract_distances value.
-
-    Lexicographically smallest shortest paths have the prefix property, so
-    one tie-broken Dijkstra tree (_search_tree) serves every destination;
-    each destination's predecessor chain is walked once, straight into its
-    terms, so no Route is built.
-    """
-    if origin not in graph.nodes:
-        raise ValidationError(f"unknown origin node {origin!r}")
-    targets = sorted(set(destinations))
-    for d in targets:
-        if d not in graph.nodes:
-            raise ValidationError(f"unknown destination node {d!r}")
-    rank = graph.rank
-    source = rank[origin]
-    _, pred, pred_edge, settled = _search_tree(graph, source, {rank[d] for d in targets})
-    return {d: _chain_terms(pred, pred_edge, source, rank[d], edge_map)
-            if settled[rank[d]] else None for d in targets}
-
-
 def _search_tree(
     graph: Graph, source: int, targets: set[int]
-) -> tuple[list[float], list[int], list[Edge | None], list[bool]]:
+) -> tuple[list[float], list[int], list[int], list[bool]]:
     """Tie-broken Dijkstra over node ranks from source until every target
     is settled.
 
     Returns (dist, pred, pred_edge, settled), indexed by rank: time,
-    predecessor rank (-1 when none), predecessor edge, and whether the node
-    was settled. Times rise strictly along every edge (see Graph), so a node
-    settled after the last target reaches a settled node only at a larger
-    time: the search stops as that target settles.
+    predecessor rank (-1 when none), index into graph.edges of the
+    predecessor edge (-1 when none), and whether the node was settled.
+    Times rise strictly along every edge (see Graph), so a node settled
+    after the last target reaches a settled node only at a larger time: the
+    search stops as that target settles.
     """
     adjacency = graph.rank_adjacency
     n = len(adjacency)
     dist = [math.inf] * n
     pred = [-1] * n
-    pred_edge: list[Edge | None] = [None] * n
+    pred_edge = [-1] * n
     depth = [0] * n
     settled = [False] * n
     dist[source] = 0.0
@@ -524,3 +508,139 @@ def _tract_meters(terms: Mapping[str, list[float]]) -> dict[str, float]:
     """Each tract's terms summed, keys sorted. math.fsum is exact until its
     one final rounding, so the order of a tract's terms does not matter."""
     return {tid: math.fsum(vals) for tid, vals in sorted(terms.items())}
+
+
+# A routing batch (_EdgeParts.route_meters) is flushed at the first home
+# boundary at or past this many edge steps, so the steps held at a time do
+# not grow with the number of pairs.
+_FLUSH_STEPS = 1 << 11
+
+
+class _RouteBatch(NamedTuple):
+    """Per-zone meters of the pairs first, first + 1, ...: reachable[i]
+    tells whether pair first + i is reachable, and group j, in pair order
+    then zone order, holds the meters[j] of pair first + pair[j] in zone
+    zone[j]."""
+
+    first: int
+    reachable: np.ndarray  # bool, one per pair
+    pair: np.ndarray  # intp, one per (pair, zone) group
+    zone: np.ndarray  # intp
+    meters: np.ndarray  # float64
+
+
+class _EdgeParts:
+    """An EdgeTractMap's parts as flat arrays aligned to graph.edges.
+
+    Edge i's parts are zone[start[i]:start[i + 1]], indices into zones, and
+    meters[start[i]:start[i + 1]]; missing[i] marks an edge that the map
+    lacks, which has no parts. zones lists first_zones, then every other
+    zone of the map in sorted order.
+    """
+
+    def __init__(self, graph: Graph, edge_map: EdgeTractMap, first_zones: Iterable[str] = ()):
+        self.graph = graph
+        self.edge_map = edge_map
+        self.zones: list[str] = list(dict.fromkeys(first_zones))
+        rows = [edge_map.parts.get(e.key) for e in graph.edges]
+        self.missing = [r is None for r in rows]
+        self.any_missing = any(self.missing)
+        rows = [r or () for r in rows]
+        index = {z: k for k, z in enumerate(self.zones)}
+        extra = sorted({tid for r in rows for tid, _ in r} - index.keys())
+        index.update((z, k) for k, z in enumerate(extra, len(self.zones)))
+        self.zones += extra
+        counts = np.fromiter((len(r) for r in rows), np.intp, len(rows))
+        self.start = np.zeros(len(rows) + 1, np.intp)
+        np.cumsum(counts, out=self.start[1:])
+        total = int(self.start[-1])
+        self.zone = np.fromiter((index[tid] for r in rows for tid, _ in r), np.intp, total)
+        self.meters = np.fromiter((m for r in rows for _, m in r), np.float64, total)
+
+    def route_meters(
+        self, homes: Iterable[tuple[str, list[str]]]
+    ) -> Iterator[_RouteBatch]:
+        """Per-zone meters of each pair's shortest_path route, in batches.
+
+        homes yields (origin, destinations) ids of graph nodes, one
+        destination per pair, and pairs are numbered from 0 in that order. One routing tree
+        (_search_tree) serves each origin: each pair's chain is walked from
+        its destination back to the origin, appending edge indices to a
+        flat buffer, and no Route is built. Once the buffer holds
+        _FLUSH_STEPS steps, at the end of an origin's pairs, it is flushed
+        into a _RouteBatch of (pair, zone) groups. A group's meters are its
+        one part as is, a + b for two parts (the correctly rounded sum,
+        which math.fsum also gives) and math.fsum of three or more, so they
+        equal route_tract_distances of the pair's route. An edge missing
+        from the map raises for_edge's ConsistencyError for the first such
+        edge along the route to the origin's first destination, in id
+        order, whose route has one.
+        """
+        rank = self.graph.rank
+        steps: list[int] = []
+        ends: list[int] = []  # per pair: len(steps) after its walk
+        reachable: list[bool] = []
+        first = 0
+        for origin, destinations in homes:
+            source = rank[origin]
+            targets = [rank[d] for d in destinations]
+            _, pred, pred_edge, settled = _search_tree(self.graph, source, set(targets))
+            if self.any_missing:
+                self._check_routes(source, pred, pred_edge, settled, targets)
+            append = steps.append
+            for r in targets:
+                ok = settled[r]
+                if ok:
+                    while r != source:
+                        append(pred_edge[r])
+                        r = pred[r]
+                reachable.append(ok)
+                ends.append(len(steps))
+            if len(steps) >= _FLUSH_STEPS:
+                yield self._groups(first, steps, ends, reachable)
+                first += len(ends)
+                steps, ends, reachable = [], [], []
+        if ends:
+            yield self._groups(first, steps, ends, reachable)
+
+    def _groups(
+        self, first: int, steps: list[int], ends: list[int], reachable: list[bool]
+    ) -> _RouteBatch:
+        """One route_meters batch from a flat buffer of edge steps."""
+        edge = np.array(steps, dtype=np.intp)
+        lo = self.start[edge]
+        n_parts = self.start[edge + 1] - lo
+        step_pair = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        pair = np.repeat(step_pair, n_parts)
+        part = np.arange(len(pair)) + np.repeat(lo - (np.cumsum(n_parts) - n_parts), n_parts)
+        n_zones = len(self.zones)
+        key = pair * n_zones + self.zone[part]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        meters = self.meters[part[order]]
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        count = np.diff(head, append=len(key))
+        out = meters[head]
+        two = np.flatnonzero(count == 2)
+        out[two] += meters[head[two] + 1]
+        for g in np.flatnonzero(count > 2).tolist():
+            h = head[g]
+            out[g] = math.fsum(meters[h:h + count[g]].tolist())
+        key = key[head]
+        return _RouteBatch(first, np.array(reachable, dtype=bool), key // n_zones,
+                           key % n_zones, out)
+
+    def _check_routes(self, source, pred, pred_edge, settled, targets) -> None:
+        """Raise for the first missing edge along the route to the first
+        reachable target, in rank order, whose route has one."""
+        missing = self.missing
+        for r in sorted(set(targets)):
+            if not settled[r]:
+                continue
+            bad = -1
+            while r != source:
+                if missing[pred_edge[r]]:
+                    bad = pred_edge[r]  # the last one seen is the first along the route
+                r = pred[r]
+            if bad >= 0:
+                self.edge_map.for_edge(self.graph.edges[bad])  # raises ConsistencyError

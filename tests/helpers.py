@@ -24,8 +24,7 @@ from tracteq.network import (
     EdgeTractMap,
     Graph,
     Route,
-    _tract_meters,
-    _tract_terms_from,
+    _EdgeParts,
 )
 
 
@@ -167,7 +166,7 @@ def path_carrying_shortest_path(graph: Graph, origin: str, destination: str) -> 
             counter += 1
             heapq.heappush(
                 heap,
-                (time + travel_time, path + (neighbor,), counter, edges + (edge,)),
+                (time + travel_time, path + (neighbor,), counter, edges + (graph.edges[edge],)),
             )
     return None
 
@@ -177,10 +176,22 @@ def tract_distances_from(
 ) -> dict[str, dict[str, float] | None]:
     """route_tract_distances of shortest_path from one origin to each
     destination (None when unreachable), keyed by the sorted distinct
-    destinations, from the one search commute.simulate reads
-    (network._tract_terms_from)."""
-    return {d: None if terms is None else _tract_meters(terms)
-            for d, terms in _tract_terms_from(graph, origin, destinations, edge_map).items()}
+    destinations, from the routing tree and per-zone meters that
+    commute.simulate reads (network._EdgeParts.route_meters)."""
+    if origin not in graph.nodes:
+        raise ValidationError(f"unknown origin node {origin!r}")
+    targets = sorted(set(destinations))
+    for d in targets:
+        if d not in graph.nodes:
+            raise ValidationError(f"unknown destination node {d!r}")
+    parts = _EdgeParts(graph, edge_map)
+    out: dict[str, dict[str, float] | None] = {}
+    for first, reachable, pair, zone, meters in parts.route_meters([(origin, targets)]):
+        for i, ok in enumerate(reachable.tolist(), first):
+            out[targets[i]] = {} if ok else None
+        for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
+            out[targets[first + p]][parts.zones[z]] = m
+    return out
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45) -> Graph:

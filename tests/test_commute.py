@@ -15,7 +15,7 @@ from helpers import (
     square_tract,
     tie_heavy_graph,
 )
-from tracteq import commute
+from tracteq import network
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -64,6 +64,16 @@ def test_od_from_rows_merges_and_sorts():
 def test_od_rejects_negative():
     with pytest.raises(ValidationError):
         ODTable.from_rows([("A", "B", -1)])
+
+
+def test_od_from_rows_refuses_a_count_that_is_not_whole():
+    for count in (2.7, math.nan, math.inf, "3"):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"OD pair A->B: count {count} is not a whole number")):
+            ODTable.from_rows([("C", "D", 1), ("A", "B", count)])
+    od = ODTable.from_rows([("A", "B", 2.0), ("A", "B", np.int64(3))])
+    assert od.rows == (("A", "B", 5),)
+    assert type(od.rows[0][2]) is int
 
 
 def ab_tracts():
@@ -165,6 +175,15 @@ def test_assign_refuses_a_home_outside_the_tract_set():
     od = ODTable.from_rows([("T000009", "T000001", 3)])
     with pytest.raises(ValidationError, match="OD home tract 'T000009' not in tract set"):
         assign_groups(od, ts, mode="fractional")
+
+
+def test_simulate_refuses_a_work_tract_outside_the_tract_set():
+    ts, g, em = line_world(2)
+    od = ODTable.from_rows([("T000000", "T000001", 2), ("T000000", "Z", 3)])
+    a = assign_groups(od, ts, mode="fractional")
+    for run in (lambda: simulate(a, ts, g, em), lambda: route_traversals(od, ts, g, em)):
+        with pytest.raises(ValidationError, match="OD work tract 'Z' not in tract set"):
+            run()
 
 
 def test_assign_names_the_smallest_home_without_a_share():
@@ -467,14 +486,14 @@ def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, 
     for home, work, _ in sc.od.rows:
         works_of.setdefault(home, set()).add(node_of[work])
     want = [(node_of[home], works_of[home]) for home in sorted(works_of)]
-    real = commute._tract_terms_from
+    real = network._search_tree
     calls = []
 
-    def spy(graph, origin, destinations, edge_map):
-        calls.append((origin, set(destinations)))
-        return real(graph, origin, destinations, edge_map)
+    def spy(graph, source, targets):
+        calls.append((graph._ids[source], {graph._ids[r] for r in targets}))
+        return real(graph, source, targets)
 
-    monkeypatch.setattr(commute, "_tract_terms_from", spy)
+    monkeypatch.setattr(network, "_search_tree", spy)
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
     simulate(a, sc.tracts, sc.graph, sc.edge_map)
     assert calls == want
@@ -619,6 +638,36 @@ def test_simulate_matches_add_loop_reference(rng, attribution, assign_mode, excl
     assert white == 0.0  # share 0: one group weighs 0
     table = assert_matches_reference(zero, ts, g, em, za, exclude_home)
     assert table.n_unreachable == 1
+
+
+@pytest.mark.parametrize("exclude_home", [False, True])
+def test_simulate_flushing_after_every_home_gives_the_same_bits(rng, monkeypatch, exclude_home):
+    # Split attribution on accounting_world gives edges several parts, so
+    # a tract's meters in a pair take one, two or more terms.
+    ts, g = accounting_world(rng)
+    em = build_edge_tract_map(g, ts, mode="split")
+    assert max(len(parts) for parts in em.parts.values()) > 1
+    ids = ts.ids
+    counts = rng.integers(0, 9, size=len(ids) ** 2)
+    od = ODTable.from_rows(
+        (h, w, int(c)) for (h, w), c in zip(((h, w) for h in ids for w in ids), counts))
+    a = assign_groups(od, ts, mode="bernoulli", seed=5)
+    want = simulate(a, ts, g, em, exclude_home=exclude_home)
+    real = network._EdgeParts._groups
+    flushes = []
+
+    def spy(self, first, steps, ends, reachable):
+        flushes.append(first)
+        return real(self, first, steps, ends, reachable)
+
+    monkeypatch.setattr(network._EdgeParts, "_groups", spy)
+    monkeypatch.setattr(network, "_FLUSH_STEPS", 0)
+    got = simulate(a, ts, g, em, exclude_home=exclude_home)
+    assert len(flushes) == len({h for h, _, _ in od.rows})
+    assert hexed(got.D) == hexed(want.D)
+    assert hexed(got.C) == hexed(want.C)
+    assert (got.n_pairs, got.n_unreachable) == (want.n_pairs, want.n_unreachable)
+    assert want.n_unreachable > 0
 
 
 @pytest.mark.parametrize("assign_mode", ["fractional", "bernoulli"])

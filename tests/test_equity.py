@@ -101,8 +101,9 @@ def test_weighted_mean_hand_case():
     idx = inequity_index(t)
     assert idx.values["T000000"]["white"] == pytest.approx(0.05)
     assert idx.values["T000001"]["white"] == pytest.approx(-0.05)
-    got = population_weighted_mean(idx, ts, ["T000000", "T000001"], "white")
+    got, n_defined = population_weighted_mean(idx, ts, ["T000000", "T000001"], "white")
     assert got == pytest.approx((3 * 0.05 + 1 * -0.05) / 4)
+    assert n_defined == 2
 
 
 def test_weighted_mean_constant_index(rng):
@@ -110,8 +111,9 @@ def test_weighted_mean_constant_index(rng):
     D = {tid: {"white": 30.0, "non_white": 10.0} for tid in ts.ids}
     C = {tid: {"white": 3.0, "non_white": 1.0} for tid in ts.ids}
     idx = inequity_index(table(D, C))
-    got = population_weighted_mean(idx, ts, ts.ids, "white")
+    got, n_defined = population_weighted_mean(idx, ts, ts.ids, "white")
     assert got == pytest.approx(0.0, abs=1e-15)
+    assert n_defined == 4
 
 
 def test_weighted_mean_ignores_undefined_and_validates():
@@ -122,12 +124,14 @@ def test_weighted_mean_ignores_undefined_and_validates():
          "T000001": {"white": 1.0, "non_white": 1.0}},
     )
     idx = inequity_index(t)
-    got = population_weighted_mean(idx, ts, ts.ids, "white")
+    got, n_defined = population_weighted_mean(idx, ts, ts.ids, "white")
     assert got == pytest.approx(0.0, abs=1e-15)
+    assert n_defined == 1  # T000001 has no traversal
     with pytest.raises(ValidationError, match="unknown group"):
         population_weighted_mean(idx, ts, ts.ids, "hispanic")
-    with pytest.raises(ValidationError, match="no defined tracts"):
-        population_weighted_mean(idx, ts, ["T000001"], "white")
+    # A subset without a defined tract averages nothing.
+    got, n_defined = population_weighted_mean(idx, ts, ["T000001"], "white")
+    assert math.isnan(got) and n_defined == 0
 
 
 def test_weighted_mean_requires_population():
