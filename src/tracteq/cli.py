@@ -282,8 +282,7 @@ def _stage_simulate(ctx: Context) -> str:
         if np.all(np.isnan(values)):
             raise ValidationError(
                 f"drive share column {cfg.drive_share_column!r} absent from attribute table")
-        share = {t.tract_id: float(v) for t, v in zip(tracts, values)}
-        assignment = scale_by_drive_share(assignment, share)
+        assignment = scale_by_drive_share(assignment, values)
     table = simulate(assignment, tracts, graph, edge_map, exclude_home=cfg.exclude_home)
     write_traversal(table, ctx.path("traversal.csv"), [ctx.header])
     total_km = table.total_km()

@@ -1,8 +1,9 @@
 """Commute microsimulation: OD trips, demographic labels, per-tract distance.
 
-Trips route once per origin-destination pair (free-flow routing makes every
-worker on a pair take the same path), from one routing tree per home tract.
-simulate takes the pairs from a trip assignment's OD table in sorted order.
+The OD table is three columns over tract ranks (TractSet indices), 16 B per
+pair, that every consumer indexes per-tract arrays by. Trips route once per
+origin-destination pair (free-flow routing makes every worker on a pair take
+the same path), from one routing tree per home tract, in sorted pair order.
 After each home's tree, the pairs' chain walks append edge indices to a
 flat buffer (network._EdgeParts.route_meters); a flush, at the end of a
 home once the buffer holds network._FLUSH_STEPS steps, turns them into one
@@ -22,13 +23,12 @@ on iteration or parallel order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
 import math
 import struct
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,20 +42,47 @@ log = logging.getLogger(__name__)
 GROUPS = ("white", "non_white")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ODTable:
-    """Origin-destination worker counts, one row per (home, work) pair.
+    """Origin-destination worker counts over a TractSet's tracts.
 
-    Rows are sorted by (home, work); duplicate pairs are merged by summing.
-    from_rows refuses a count that is negative or not a whole number.
+    ids are the tract set's ids, in rank order; row i is the pair
+    (ids[home[i]], ids[work[i]]) with count[i] workers. Rows are sorted by
+    (home, work), and duplicate pairs are merged by an exact integer sum.
+    from_rows is the one place that checks rows: it refuses a tract outside
+    the set and a count that is negative, not a whole number, or that takes
+    the table's total count past the int64 range.
     """
 
-    rows: tuple[tuple[str, str, int], ...]
+    ids: tuple[str, ...]
+    home: np.ndarray  # int32 tract ranks
+    work: np.ndarray  # int32 tract ranks
+    count: np.ndarray  # int64
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @property
+    def rows(self) -> tuple[tuple[str, str, int], ...]:
+        """(home id, work id, count) per row, built on each call."""
+        return tuple((self.ids[h], self.ids[w], c) for h, w, c in zip(
+            self.home.tolist(), self.work.tolist(), self.count.tolist()))
 
     @staticmethod
-    def from_rows(rows) -> "ODTable":
-        merged: dict[tuple[str, str], int] = {}
+    def from_rows(rows: Iterable[tuple[str, str, int]], tracts: TractSet) -> "ODTable":
+        """The table of (home id, work id, count) rows, streamed into typed
+        arrays: no row is held as a Python object."""
+        n = len(tracts)
+        index_of = tracts.index_of
+        keys = array("q")  # home rank * n + work rank
+        counts = array("q")
+        total = 0
         for home, work, count in rows:
+            try:
+                keys.append(index_of(home) * n + index_of(work))
+            except KeyError:
+                role, tid = ("home", home) if home not in tracts else ("work", work)
+                raise ValidationError(f"OD {role} tract {tid!r} not in tract set") from None
             try:
                 whole = int(count)
             except (TypeError, ValueError, OverflowError):
@@ -64,10 +91,20 @@ class ODTable:
                 raise ValidationError(f"OD pair {home}->{work}: count {count} is not a whole number")
             if whole < 0:
                 raise ValidationError(f"OD pair {home}->{work}: negative count {whole}")
-            merged[(home, work)] = merged.get((home, work), 0) + whole
-        return ODTable(
-            tuple((h, w, c) for (h, w), c in sorted(merged.items()))
-        )
+            total += whole
+            if total > 2**63 - 1:
+                raise ValidationError(f"OD pair {home}->{work}: count {whole} takes the "
+                                      f"total count past the int64 limit {2**63 - 1}")
+            counts.append(whole)
+        key = np.frombuffer(keys, np.int64)
+        order = np.argsort(key)
+        key = key[order]
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        # The total fits int64, so every merged sum is exact.
+        count = np.add.reduceat(np.frombuffer(counts, np.int64)[order], head)
+        key = key[head]
+        return ODTable(tuple(tracts.ids), (key // n).astype(np.int32),
+                       (key % n).astype(np.int32), count)
 
 
 def load_od(path: str, tracts: TractSet) -> ODTable:
@@ -90,10 +127,10 @@ def load_od(path: str, tracts: TractSet) -> ODTable:
             yield home, work, count
 
     # The rows stream into the merge, so no list of every raw row is held.
-    table = ODTable.from_rows(rows())
+    table = ODTable.from_rows(rows(), tracts)
     if dropped:
         log.warning("dropped %d OD row(s) naming unknown tracts", dropped)
-    if not table.rows:
+    if not len(table):
         raise ValidationError(f"{path}: no usable OD rows")
     return table
 
@@ -104,18 +141,12 @@ class TripAssignment:
     in GROUPS order, and sums to the (possibly drive-share-scaled) count."""
 
     od: ODTable
-    weights: np.ndarray  # float64, len(od.rows) x len(GROUPS)
+    weights: np.ndarray  # float64, len(od) x len(GROUPS)
 
 
 def _pair_counter(home: str, work: str) -> list[int]:
     digest = hashlib.sha256(f"{home}\x1f{work}".encode()).digest()
     return list(struct.unpack("<4Q", digest))
-
-
-def _home_column(od: ODTable, value_for: Callable[[str], float]) -> np.ndarray:
-    """value_for(home) per OD row, called once per home in (sorted) row order."""
-    values = {home: value_for(home) for home in dict.fromkeys(h for h, _, _ in od.rows)}
-    return np.fromiter((values[h] for h, _, _ in od.rows), np.float64, len(od.rows))
 
 
 def assign_groups(
@@ -132,23 +163,19 @@ def assign_groups(
     if mode not in ("bernoulli", "fractional"):
         raise ValueError(f"unknown assignment mode {mode!r}")
 
-    def share_of(home: str) -> float:
-        if home not in tracts:
-            raise ValidationError(f"OD home tract {home!r} not in tract set")
-        p = tracts[tracts.index_of(home)].attributes.get(tracts.group_share_column)
-        if p is None or not math.isfinite(p):
-            raise ValidationError(f"tract {home!r} has no group share")
-        return float(p)
-
-    share = _home_column(od, share_of)
-    counts = np.fromiter((c for _, _, c in od.rows), np.float64, len(od.rows))
-    weights = np.empty((len(od.rows), len(GROUPS)))
+    share = tracts.attribute(tracts.group_share_column)[od.home]
+    bad = np.flatnonzero(~np.isfinite(share))
+    if bad.size:
+        raise ValidationError(f"tract {od.ids[od.home[bad[0]]]!r} has no group share")
+    counts = od.count.astype(np.float64)
+    weights = np.empty((len(od), len(GROUPS)))
     if mode == "fractional":
         np.multiply(counts, share, out=weights[:, 0])
     else:
-        for i, (home, work, count) in enumerate(od.rows):
+        for i, (home, work, count) in enumerate(
+                zip(od.home.tolist(), od.work.tolist(), od.count.tolist())):
             gen = np.random.Generator(
-                np.random.Philox(key=seed, counter=_pair_counter(home, work))
+                np.random.Philox(key=seed, counter=_pair_counter(od.ids[home], od.ids[work]))
             )
             weights[i, 0] = np.count_nonzero(gen.random(count) < share[i])
     np.subtract(counts, weights[:, 0], out=weights[:, 1])
@@ -156,21 +183,23 @@ def assign_groups(
 
 
 def scale_by_drive_share(
-    assignment: TripAssignment, drive_share: Mapping[str, float]
+    assignment: TripAssignment, drive_share: np.ndarray
 ) -> TripAssignment:
-    """Multiply every group weight by the home tract's driving share; a home
-    that drive_share lacks or gives as NaN is an error."""
+    """Multiply every group weight by the home tract's driving share.
 
-    def share_of(home: str) -> float:
-        share = float(drive_share.get(home, math.nan))
-        if math.isnan(share):
+    drive_share is indexed by tract rank, as TractSet.attribute returns a
+    column. A home whose share is NaN or outside [0, 1] is an error; the
+    first such home in row order, the smallest id, is named.
+    """
+    od = assignment.od
+    share = drive_share[od.home]
+    bad = np.flatnonzero(~((share >= 0.0) & (share <= 1.0)))
+    if bad.size:
+        home, value = od.ids[od.home[bad[0]]], float(share[bad[0]])
+        if math.isnan(value):
             raise ValidationError(f"no drive share for home tract {home!r}")
-        if not 0.0 <= share <= 1.0:
-            raise ValidationError(f"tract {home!r}: drive share {share} outside [0,1]")
-        return share
-
-    share = _home_column(assignment.od, share_of)
-    return TripAssignment(assignment.od, assignment.weights * share[:, None])
+        raise ValidationError(f"tract {home!r}: drive share {value} outside [0,1]")
+    return TripAssignment(od, assignment.weights * share[:, None])
 
 
 @dataclass(frozen=True)
@@ -250,18 +279,18 @@ def _pair_meters(
 ) -> tuple[list[str], Iterator[_RouteBatch]]:
     """The zones and the batches of network._EdgeParts.route_meters for
     od's rows in order: each home's rows are consecutive, and their routes
-    come from one routing tree. A tract od names that tracts lacks is an
-    error."""
-    node_for: dict[str, str] = {}
-    for row in od.rows:
-        for role, tid in zip(("home", "work"), row):
-            if tid not in node_for:
-                if tid not in tracts:
-                    raise ValidationError(f"OD {role} tract {tid!r} not in tract set")
-                node_for[tid] = tract_node(graph, tracts, tid)
+    come from one routing tree. Each tract that od uses takes its nearest
+    node once."""
+    used = np.zeros(len(od.ids), bool)
+    used[od.home] = True
+    used[od.work] = True
+    node = np.zeros(len(od.ids), np.intp)  # graph node rank per tract rank
+    for r in np.flatnonzero(used).tolist():
+        node[r] = graph.rank[nearest_node(graph, tuple(tracts.centroids[r]))]
+    starts = np.flatnonzero(np.diff(od.home, prepend=-1)).tolist()
     parts = _EdgeParts(graph, edge_map, first_zones)
-    homes = ((node_for[home], [node_for[w] for _, w, _ in rows])
-             for home, rows in itertools.groupby(od.rows, key=itemgetter(0)))
+    homes = ((int(node[od.home[s]]), node[od.work[s:e]].tolist())
+             for s, e in zip(starts, starts[1:] + [len(od)]))
     return parts.zones, parts.route_meters(homes)
 
 
@@ -329,13 +358,11 @@ def simulate(
     C = np.zeros((len(zones), len(GROUPS)))
     d_rows = np.zeros(len(zones), bool)
     c_rows = np.zeros(len(zones), bool)
-    rank = {tid: r for r, tid in enumerate(tracts.ids)}
     n_unreachable = 0
     for first, reachable, pair, zone, meters in batches:
-        rows = od.rows[first:first + len(reachable)]
-        home = np.fromiter((rank[h] for h, _, _ in rows), np.intp, len(rows))
-        weights = assignment.weights[first:first + len(rows)]
-        n_unreachable += len(rows) - int(np.count_nonzero(reachable))
+        home = od.home[first:first + len(reachable)]
+        weights = assignment.weights[first:first + len(home)]
+        n_unreachable += len(home) - int(np.count_nonzero(reachable))
         np.add.at(C, home[reachable], weights[reachable])
         c_rows[home[reachable]] = True
         if exclude_home:
@@ -348,9 +375,9 @@ def simulate(
         j, g = np.nonzero(nonzero)
         # On D's flat view, add.at takes numpy's fast one-index path.
         np.add.at(D.reshape(-1), zone[j] * len(GROUPS) + g, w[j, g] * km[j])
-    _log_unreachable(n_unreachable, len(od.rows))
+    _log_unreachable(n_unreachable, len(od))
     return TraversalTable(
         groups=GROUPS,
         D={zones[z]: dict(zip(GROUPS, D[z].tolist())) for z in np.flatnonzero(d_rows).tolist()},
         C={zones[z]: dict(zip(GROUPS, C[z].tolist())) for z in np.flatnonzero(c_rows).tolist()},
-        n_pairs=len(od.rows), n_unreachable=n_unreachable)
+        n_pairs=len(od), n_unreachable=n_unreachable)

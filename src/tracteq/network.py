@@ -467,46 +467,16 @@ def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint")
 def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, float]:
     """Per-tract meters along a route, keys sorted.
 
-    Per-tract totals use exact summation, so in midpoint mode the values sum
-    back to total_length whenever the lengths themselves add without
-    rounding.
+    Per-tract totals use math.fsum, which is exact until its one final
+    rounding, so the order of a tract's terms does not matter, and in
+    midpoint mode the values sum back to total_length whenever the lengths
+    themselves add without rounding. An edge missing from the map raises
+    for_edge's ConsistencyError for the first such edge along the route.
     """
-    nodes = route.nodes
-    return _tract_meters(_chain_terms(
-        dict(zip(nodes[1:], nodes)), dict(zip(nodes[1:], route.edges)),
-        route.origin, route.destination, edge_map))
-
-
-def _chain_terms(pred, pred_edge, source, r, edge_map: EdgeTractMap) -> dict[str, list[float]]:
-    """Per-tract meter terms of the route that ends at r, read from r back
-    to source: pred[x] is the node before x and pred_edge[x] the edge into
-    it. An edge missing from the map raises for_edge's ConsistencyError for
-    the first such edge along the route."""
-    parts = edge_map.parts
     terms: dict[str, list[float]] = {}
-    missing = None
-    while r != source:
-        edge = pred_edge[r]
-        r = pred[r]
-        try:
-            edge_parts = parts[edge.u, edge.v]
-        except KeyError:
-            missing = edge  # the last one seen is the first along the route
-            continue
-        for tid, meters in edge_parts:
-            got = terms.get(tid)
-            if got is None:
-                terms[tid] = [meters]
-            else:
-                got.append(meters)
-    if missing is not None:
-        edge_map.for_edge(missing)  # raises ConsistencyError
-    return terms
-
-
-def _tract_meters(terms: Mapping[str, list[float]]) -> dict[str, float]:
-    """Each tract's terms summed, keys sorted. math.fsum is exact until its
-    one final rounding, so the order of a tract's terms does not matter."""
+    for edge in route.edges:
+        for tid, meters in edge_map.for_edge(edge):
+            terms.setdefault(tid, []).append(meters)
     return {tid: math.fsum(vals) for tid, vals in sorted(terms.items())}
 
 
@@ -558,15 +528,16 @@ class _EdgeParts:
         self.meters = np.fromiter((m for r in rows for _, m in r), np.float64, total)
 
     def route_meters(
-        self, homes: Iterable[tuple[str, list[str]]]
+        self, homes: Iterable[tuple[int, list[int]]]
     ) -> Iterator[_RouteBatch]:
         """Per-zone meters of each pair's shortest_path route, in batches.
 
-        homes yields (origin, destinations) ids of graph nodes, one
-        destination per pair, and pairs are numbered from 0 in that order. One routing tree
-        (_search_tree) serves each origin: each pair's chain is walked from
-        its destination back to the origin, appending edge indices to a
-        flat buffer, and no Route is built. Once the buffer holds
+        homes yields (origin, destinations) as graph node ranks
+        (graph.rank), one destination per pair, and pairs are numbered from
+        0 in that order. One routing tree (_search_tree) serves each
+        origin: each pair's chain is walked from its destination back to
+        the origin, appending edge indices to a flat buffer, and no Route
+        is built. Once the buffer holds
         _FLUSH_STEPS steps, at the end of an origin's pairs, it is flushed
         into a _RouteBatch of (pair, zone) groups. A group's meters are its
         one part as is, a + b for two parts (the correctly rounded sum,
@@ -576,14 +547,11 @@ class _EdgeParts:
         edge along the route to the origin's first destination, in id
         order, whose route has one.
         """
-        rank = self.graph.rank
         steps: list[int] = []
         ends: list[int] = []  # per pair: len(steps) after its walk
         reachable: list[bool] = []
         first = 0
-        for origin, destinations in homes:
-            source = rank[origin]
-            targets = [rank[d] for d in destinations]
+        for source, targets in homes:
             _, pred, pred_edge, settled = _search_tree(self.graph, source, set(targets))
             if self.any_missing:
                 self._check_routes(source, pred, pred_edge, settled, targets)

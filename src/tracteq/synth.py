@@ -218,7 +218,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
         work = cells[int(rng.integers(0, n))]
         count = int(rng.integers(1, spec.max_count + 1))
         od_rows.append((tract_id(*home), tract_id(*work), count))
-    od = ODTable.from_rows(od_rows) if od_rows else ODTable(())
+    od = ODTable.from_rows(od_rows, tract_set)
 
     return Scenario(
         spec=spec,

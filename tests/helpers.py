@@ -186,7 +186,8 @@ def tract_distances_from(
             raise ValidationError(f"unknown destination node {d!r}")
     parts = _EdgeParts(graph, edge_map)
     out: dict[str, dict[str, float] | None] = {}
-    for first, reachable, pair, zone, meters in parts.route_meters([(origin, targets)]):
+    homes = [(graph.rank[origin], [graph.rank[d] for d in targets])]
+    for first, reachable, pair, zone, meters in parts.route_meters(homes):
         for i, ok in enumerate(reachable.tolist(), first):
             out[targets[i]] = {} if ok else None
         for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
