@@ -22,17 +22,16 @@ on iteration or parallel order.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import logging
 import math
 import struct
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import fmt, read_csv, read_number, write_csv
+from .artifacts import BLOCK_ROWS, Faults, first_repeat, fmt, read_csv, write_csv
 from .data_model import TractSet
 from .errors import ValidationError
 from .network import OUTSIDE_ZONE, EdgeTractMap, Graph, _EdgeParts, _RouteBatch
@@ -49,9 +48,10 @@ class ODTable:
     ids are the tract set's ids, in rank order; row i is the pair
     (ids[home[i]], ids[work[i]]) with count[i] workers. Rows are sorted by
     (home, work), and duplicate pairs are merged by an exact integer sum.
-    from_rows is the one place that checks rows: it refuses a tract outside
-    the set and a count that is negative, not a whole number, or that takes
-    the table's total count past the int64 range.
+    Both from_rows and load_od check their rows with _Pairs, which refuses
+    a count that is negative, not a whole number, or that takes the table's
+    total count past the int64 range, and a tract outside the set unless
+    the caller drops such rows.
     """
 
     ids: tuple[str, ...]
@@ -71,65 +71,124 @@ class ODTable:
     @staticmethod
     def from_rows(rows: Iterable[tuple[str, str, int]], tracts: TractSet) -> "ODTable":
         """The table of (home id, work id, count) rows, streamed into typed
-        arrays: no row is held as a Python object."""
-        n = len(tracts)
-        index_of = tracts.index_of
-        keys = array("q")  # home rank * n + work rank
-        counts = array("q")
-        total = 0
-        for home, work, count in rows:
-            try:
-                keys.append(index_of(home) * n + index_of(work))
-            except KeyError:
-                role, tid = ("home", home) if home not in tracts else ("work", work)
-                raise ValidationError(f"OD {role} tract {tid!r} not in tract set") from None
+        arrays block by block: no row is held as a Python object. A fault
+        names its pair."""
+        pairs = _Pairs(tracts)
+        rows = iter(rows)
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            homes, works, counts = (list(column) for column in zip(*block))
+            faults = Faults(len(block), lambda i: f"OD pair {homes[i]}->{works[i]}")
+            pairs.add(homes, works, counts, faults, drop_unknown=False)
+        return pairs.table()
+
+
+_INT64_MAX = 2**63 - 1
+
+
+class _Pairs:
+    """OD rows, checked a block at a time and gathered as typed arrays: the
+    one place that holds the count and tract rules."""
+
+    def __init__(self, tracts: TractSet):
+        self.tracts = tracts
+        self.keys: list[np.ndarray] = []  # home rank * n + work rank
+        self.counts: list[np.ndarray] = []
+        self.total = 0
+        self.dropped = 0
+
+    def add(self, homes: list[str], works: list[str], counts: list, faults: Faults,
+            drop_unknown: bool) -> None:
+        """Check a block of rows and keep them, or raise faults' first fault.
+
+        A row is checked in this order: both tracts in the set (unless
+        drop_unknown), a whole count, a nonnegative count; a row that names
+        another tract is then dropped under drop_unknown; and the count
+        must not take the total count past the int64 range.
+        """
+        home = self.tracts.ranks(homes)
+        work = self.tracts.ranks(works)
+        unknown = -1 in home or -1 in work
+        if unknown and not drop_unknown:
+            i = next(i for i, (h, w) in enumerate(zip(home, work)) if h < 0 or w < 0)
+            role, tid = ("home", homes[i]) if home[i] < 0 else ("work", works[i])
+            faults.note(i, f"OD {role} tract {tid!r} not in tract set")
+        wholes = self._wholes(counts[:faults.end], faults)
+        if wholes and min(wholes) < 0:
+            i = next(i for i, c in enumerate(wholes) if c < 0)
+            faults.note(i, f"{faults.where(i)}: negative count {wholes[i]}")
+        kept: Sequence[int] = range(faults.end)
+        wholes = wholes[:faults.end]
+        if unknown and drop_unknown:
+            kept = [i for i in kept if home[i] >= 0 and work[i] >= 0]
+            home, work, wholes = ([column[i] for i in kept] for column in (home, work, wholes))
+        total = self.total + sum(wholes)
+        if total > _INT64_MAX:
+            running = itertools.accumulate(wholes, initial=self.total)
+            k = next(k for k, t in enumerate(running) if t > _INT64_MAX) - 1
+            i = kept[k]
+            faults.note(i, f"{faults.where(i)}: count {wholes[k]} takes the total "
+                           f"count past the int64 limit {_INT64_MAX}")
+        faults.raise_first()
+        self.dropped += len(homes) - len(kept)
+        self.total = total
+        n = len(self.tracts)
+        self.keys.append(np.array(home, np.int64) * n + np.array(work, np.int64))
+        self.counts.append(np.array(wholes, np.int64))
+
+    @staticmethod
+    def _wholes(counts: list, faults: Faults) -> list[int]:
+        """counts as ints, stopping before the first that is not a whole
+        number, which is noted."""
+        try:
+            wholes = list(map(int, counts))
+            if wholes == counts:
+                return wholes
+        except (TypeError, ValueError, OverflowError):
+            pass
+        wholes = []
+        for i, count in enumerate(counts):
             try:
                 whole = int(count)
             except (TypeError, ValueError, OverflowError):
                 whole = None
             if whole is None or whole != count:
-                raise ValidationError(f"OD pair {home}->{work}: count {count} is not a whole number")
-            if whole < 0:
-                raise ValidationError(f"OD pair {home}->{work}: negative count {whole}")
-            total += whole
-            if total > 2**63 - 1:
-                raise ValidationError(f"OD pair {home}->{work}: count {whole} takes the "
-                                      f"total count past the int64 limit {2**63 - 1}")
-            counts.append(whole)
-        key = np.frombuffer(keys, np.int64)
+                faults.note(i, f"{faults.where(i)}: count {count} is not a whole number")
+                break
+            wholes.append(whole)
+        return wholes
+
+    def table(self) -> ODTable:
+        """The rows kept, sorted by pair, a repeated pair's counts summed."""
+        n = len(self.tracts)
+        key = np.concatenate(self.keys) if self.keys else np.zeros(0, np.int64)
+        counts = np.concatenate(self.counts) if self.counts else np.zeros(0, np.int64)
+        self.keys, self.counts = [], []
         order = np.argsort(key)
         key = key[order]
         head = np.flatnonzero(np.diff(key, prepend=-1))
         # The total fits int64, so every merged sum is exact.
-        count = np.add.reduceat(np.frombuffer(counts, np.int64)[order], head)
+        count = np.add.reduceat(counts[order], head)
         key = key[head]
-        return ODTable(tuple(tracts.ids), (key // n).astype(np.int32),
+        return ODTable(tuple(self.tracts.ids), (key // n).astype(np.int32),
                        (key % n).astype(np.int32), count)
 
 
 def load_od(path: str, tracts: TractSet) -> ODTable:
-    """Read a home,work,count table; counts must be nonnegative integers.
+    """Read a home,work,count table; counts must be nonnegative integers,
+    and their total must fit int64.
 
-    Rows naming tracts not in tracts are dropped and counted in the log.
+    Each block of rows becomes tract ranks and int counts and is checked by
+    _Pairs, so a fault names the file and line; rows naming tracts not in
+    tracts are dropped and counted in the log.
     """
-    dropped = 0
-
-    def rows() -> Iterator[tuple[str, str, int]]:
-        nonlocal dropped
-        for lineno, row in read_csv(path, ("home", "work", "count")):
-            home, work = row["home"], row["work"]
-            count = read_number(path, lineno, row, "count", int)
-            if count < 0:
-                raise ValidationError(f"{path} line {lineno}: negative count {count}")
-            if home not in tracts or work not in tracts:
-                dropped += 1
-                continue
-            yield home, work, count
-
-    # The rows stream into the merge, so no list of every raw row is held.
-    table = ODTable.from_rows(rows(), tracts)
-    if dropped:
-        log.warning("dropped %d OD row(s) naming unknown tracts", dropped)
+    pairs = _Pairs(tracts)
+    for block in read_csv(path, ("home", "work", "count")):
+        faults = block.faults()
+        counts = faults.numbers(block.cells["count"], "count", int)
+        pairs.add(block.cells["home"], block.cells["work"], counts, faults, drop_unknown=True)
+    table = pairs.table()
+    if pairs.dropped:
+        log.warning("dropped %d OD row(s) naming unknown tracts", pairs.dropped)
     if not len(table):
         raise ValidationError(f"{path}: no usable OD rows")
     return table
@@ -145,6 +204,9 @@ class TripAssignment:
 
 
 def _pair_counter(home: str, work: str) -> list[int]:
+    # Imported here: loading OpenSSL costs every run that draws no coin.
+    import hashlib
+
     digest = hashlib.sha256(f"{home}\x1f{work}".encode()).digest()
     return list(struct.unpack("<4Q", digest))
 
@@ -241,16 +303,24 @@ def read_traversal(path: str) -> TraversalTable:
     """Inverse of write_traversal; a repeated (tract, group) row is an error."""
     D: dict[str, dict[str, float]] = {}
     C: dict[str, dict[str, float]] = {}
-    groups: list[str] = []
-    for lineno, row in read_csv(path, ("tract_id", "group", "D_km", "C_count")):
-        tid, g = row["tract_id"], row["group"]
-        if g not in groups:
-            groups.append(g)
-        if g in D.get(tid, ()):
-            raise ValidationError(
-                f"{path} line {lineno}: duplicate row for tract {tid!r}, group {g!r}")
-        D.setdefault(tid, {})[g] = read_number(path, lineno, row, "D_km")
-        C.setdefault(tid, {})[g] = read_number(path, lineno, row, "C_count")
+    groups: dict[str, None] = {}
+    seen: set[tuple[str, str]] = set()
+    for block in read_csv(path, ("tract_id", "group", "D_km", "C_count")):
+        faults = block.faults()
+        tids, gs = block.cells["tract_id"], block.cells["group"]
+        keys = list(zip(tids, gs))
+        i = first_repeat(keys, seen)
+        if i is not None:
+            faults.note(i, f"{block.where(i)}: duplicate row for tract {tids[i]!r}, "
+                           f"group {gs[i]!r}")
+        d_km = faults.numbers(block.cells["D_km"], "D_km")
+        c_count = faults.numbers(block.cells["C_count"], "C_count")
+        faults.raise_first()
+        seen.update(keys)
+        groups.update(dict.fromkeys(gs))
+        for tid, g, d, c in zip(tids, gs, d_km, c_count):
+            D.setdefault(tid, {})[g] = d
+            C.setdefault(tid, {})[g] = c
     return TraversalTable(groups=tuple(groups), D=D, C=C)
 
 
@@ -267,6 +337,28 @@ def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     return ids[int(np.argmin(dx * dx + dy * dy))]
 
 
+# Cells (points x nodes) per chunk of _nearest_nodes' distance rows.
+_NEAREST_CELLS = 1 << 14
+
+
+def _nearest_nodes(graph: Graph, points: np.ndarray) -> np.ndarray:
+    """The rank of nearest_node of each of the (m, 2) points: the same
+    squared distances, computed for a chunk of points at a time, and
+    argmin's first minimum, so ties go to the smallest id."""
+    if not len(points):
+        return np.zeros(0, np.intp)
+    if not graph.nodes:
+        raise ValidationError("graph has no nodes")
+    _, coords = graph.node_coords()
+    step = max(1, _NEAREST_CELLS // len(coords))
+    out = np.empty(len(points), np.intp)
+    for s in range(0, len(points), step):
+        dx = coords[:, 0] - points[s:s + step, 0, None]
+        dy = coords[:, 1] - points[s:s + step, 1, None]
+        out[s:s + step] = np.argmin(dx * dx + dy * dy, axis=1)
+    return out
+
+
 def tract_node(graph: Graph, tracts: TractSet, tract_id: str) -> str:
     """The graph node a tract's trips start and end at: the nearest node to
     its centroid."""
@@ -280,13 +372,12 @@ def _pair_meters(
     """The zones and the batches of network._EdgeParts.route_meters for
     od's rows in order: each home's rows are consecutive, and their routes
     come from one routing tree. Each tract that od uses takes its nearest
-    node once."""
+    node once, in one chunked pass (_nearest_nodes)."""
     used = np.zeros(len(od.ids), bool)
     used[od.home] = True
     used[od.work] = True
     node = np.zeros(len(od.ids), np.intp)  # graph node rank per tract rank
-    for r in np.flatnonzero(used).tolist():
-        node[r] = graph.rank[nearest_node(graph, tuple(tracts.centroids[r]))]
+    node[used] = _nearest_nodes(graph, tracts.centroids[used])
     starts = np.flatnonzero(np.diff(od.home, prepend=-1)).tolist()
     parts = _EdgeParts(graph, edge_map, first_zones)
     homes = ((int(node[od.home[s]]), node[od.work[s:e]].tolist())

@@ -23,7 +23,6 @@ the models.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -99,6 +98,9 @@ class RunConfig:
 
 def config_hash(raw: dict) -> str:
     """Hash of the canonical JSON form, stamped on every artifact."""
+    # Imported here: loading OpenSSL costs every process that stamps nothing.
+    import hashlib
+
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 

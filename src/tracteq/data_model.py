@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, read_number
+from .artifacts import first_repeat, read_csv, read_json
 from .errors import ParseError, ValidationError
 from .geometry import (
     Point,
@@ -134,6 +134,11 @@ class TractSet:
             return self._index[tract_id]
         except KeyError:
             raise KeyError(f"unknown tract_id {tract_id!r}") from None
+
+    def ranks(self, tract_ids: Iterable[str]) -> list[int]:
+        """Each id's index, or -1 for an id not in the set."""
+        get = self._index.get
+        return [get(tid, -1) for tid in tract_ids]
 
     def __contains__(self, tract_id: str) -> bool:
         return tract_id in self._index
@@ -293,14 +298,28 @@ def read_attribute_table(path: str) -> dict[str, dict[str, float]]:
     non-numeric cell is an error naming the row and column.
     """
     rows: dict[str, dict[str, float]] = {}
-    for lineno, row in read_csv(path, ("tract_id",)):
-        tid = row.pop("tract_id")
-        if not tid:
-            raise ValidationError(f"{path} line {lineno}: empty tract_id")
-        if tid in rows:
-            raise ValidationError(f"{path} line {lineno}: duplicate tract_id {tid!r}")
-        rows[tid] = {col: read_number(path, lineno, row, col) if cell else math.nan
-                     for col, cell in row.items()}
+    for block in read_csv(path, ("tract_id",)):
+        faults = block.faults()
+        tids = block.cells["tract_id"]
+        if "" in tids:
+            i = tids.index("")
+            faults.note(i, f"{block.where(i)}: empty tract_id")
+        i = first_repeat(tids, rows)
+        if i is not None:
+            faults.note(i, f"{block.where(i)}: duplicate tract_id {tids[i]!r}")
+        names = [col for col in block.cells if col != "tract_id"]
+        columns = []
+        for col in names:
+            cells = block.cells[col]
+            if "" not in cells:
+                columns.append(faults.numbers(cells, col))
+                continue
+            # An empty cell reads as "nan" and then as math.nan itself.
+            values = faults.numbers([c or "nan" for c in cells], col)
+            columns.append([v if c else math.nan for v, c in zip(values, cells)])
+        faults.raise_first()
+        per_row = zip(*columns) if columns else [()] * len(tids)
+        rows.update(zip(tids, (dict(zip(names, values)) for values in per_row)))
     return rows
 
 

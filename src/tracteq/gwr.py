@@ -246,12 +246,16 @@ def _distance_matrix(
 def _order_stats(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Columns cols of rows sorted along axis 1, as a new array; rows is
     reordered in place. A partition at the largest column puts its order
-    statistic in place and every smaller value before it, and a sort of
-    those columns puts the rest in place, so each value is an exact order
-    statistic of its row."""
-    last = max(cols)
+    statistic in place and every smaller value before it; a partition of
+    that prefix at the smallest column does the same there, and a sort of
+    the columns between them puts the rest in place. So each value is an
+    exact order statistic of its row, and a one-column block takes one
+    partition."""
+    first, last = min(cols), max(cols)
     rows.partition(last, axis=1)
-    rows[:, :last].sort(axis=1)
+    if first < last:
+        rows[:, :last].partition(first, axis=1)
+        rows[:, first + 1 : last].sort(axis=1)
     return rows[:, cols]
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .artifacts import read_csv, read_number
+from .artifacts import first_repeat, read_csv
 from .data_model import TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
@@ -82,62 +82,75 @@ class Edge:
 
 
 class Graph:
-    """Immutable routing graph; adjacency is sorted for deterministic expansion."""
+    """Immutable routing graph; adjacency is sorted for deterministic expansion.
+
+    Searches index nodes by rank, an id's index in sorted-id order, so that
+    comparing two ranks gives the same answer as comparing the two ids and
+    the lexicographic tie-break can compare ranks. rank_adjacency[r] holds
+    the (neighbour rank, edge index into edges, travel time) of the node of
+    rank r, sorted by neighbour then edge key. Each edge's travel time is
+    computed once, and the lists come from one sort of a (from rank, to
+    rank, edge key, edge index) record per travel direction.
+    """
 
     def __init__(self, nodes: Mapping[str, tuple[float, float]], edges: Iterable[Edge]):
         self.nodes: dict[str, tuple[float, float]] = {
             str(k): (float(x), float(y)) for k, (x, y) in nodes.items()
         }
         self.edges: tuple[Edge, ...] = tuple(edges)
+        self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
+        self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
+        rank = self.rank
         seen: set[tuple[str, str]] = set()
-        adjacency: dict[str, list[tuple[str, Edge, int]]] = {k: [] for k in self.nodes}
+        times: list[float] = []
+        records: list[tuple[int, int, tuple[str, str], int, float]] = []
         for i, e in enumerate(self.edges):
             if not (e.length > 0 and e.speed > 0):
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: length and speed must be positive "
                     f"(got {e.length}, {e.speed})"
                 )
-            if math.isnan(e.travel_time):
+            travel_time = e.length / e.speed
+            if math.isnan(travel_time):
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: travel time is NaN "
                     f"(length {e.length} at speed {e.speed})"
                 )
-            if not 0.0 < e.travel_time < math.inf:
+            if not 0.0 < travel_time < math.inf:
                 raise ValidationError(
                     f"edge {e.u}->{e.v}: travel time must be finite and positive "
-                    f"(got {e.travel_time} s, length {e.length} at speed {e.speed})"
+                    f"(got {travel_time} s, length {e.length} at speed {e.speed})"
                 )
-            if e.u not in self.nodes or e.v not in self.nodes:
+            if e.u not in rank or e.v not in rank:
                 raise ValidationError(f"edge {e.u}->{e.v} references a missing node")
-            if e.key in seen:
+            key = (e.u, e.v)
+            if key in seen:
                 raise ValidationError(f"duplicate edge {e.u}->{e.v}")
-            seen.add(e.key)
-            adjacency[e.u].append((e.v, e, i))
+            seen.add(key)
+            times.append(travel_time)
+            u, v = rank[e.u], rank[e.v]
+            records.append((u, v, key, i, travel_time))
             if not e.oneway:
-                adjacency[e.v].append((e.u, e, i))
-        # Searches index nodes by their rank in sorted-id order: comparing
-        # two ranks gives the same answer as comparing the two ids, so the
-        # lexicographic tie-break can compare ranks. rank_adjacency[r] holds
-        # the (neighbour rank, edge index into self.edges, travel time) of
-        # the node of rank r, sorted by neighbour then edge key; each travel
-        # time is computed once, for searches that relax every edge many
-        # times.
-        self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
-        self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
+                records.append((v, u, key, i, travel_time))
+        # Keys are unique, so no two records of different edges tie before
+        # the edge index, and the travel time never decides the order.
+        records.sort()
+        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in self._ids]
+        for u, v, _, i, travel_time in records:
+            adjacency[u].append((v, i, travel_time))
         self.rank_adjacency: tuple[tuple[tuple[int, int, float], ...], ...] = tuple(
-            tuple((self.rank[nbr], i, e.travel_time)
-                  for nbr, e, i in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
-            for nid in self._ids
-        )
+            map(tuple, adjacency))
         # A route's float time stays below twice the summed edge time, and
         # t + tt == t needs t >= tt * 2**53: a sum below the smallest edge
         # time times 2**52 makes times rise strictly along every route.
-        least = min(self.edges, key=lambda e: e.travel_time, default=None)
-        total = sum(e.travel_time for e in self.edges)
-        if least is not None and total >= least.travel_time * 2.0**52:
-            raise ValidationError(
-                f"edge {least.u}->{least.v}: travel time {least.travel_time} s is too small "
-                f"for a route to add: the summed edge time {total} s is at least 2**52 times it")
+        if times:
+            least = min(times)
+            total = sum(times)
+            if total >= least * 2.0**52:
+                e = self.edges[times.index(least)]
+                raise ValidationError(
+                    f"edge {e.u}->{e.v}: travel time {least} s is too small "
+                    f"for a route to add: the summed edge time {total} s is at least 2**52 times it")
         self._node_coords: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def node_coords(self) -> tuple[tuple[str, ...], np.ndarray]:
@@ -177,34 +190,53 @@ def build_graph(
     speeds = dict(DEFAULT_CLASS_SPEEDS)
     if class_speeds:
         speeds.update(class_speeds)
+    fallback = speeds.get("default", 0.0)
 
     nodes: dict[str, tuple[float, float]] = {}
-    for lineno, row in read_csv(nodes_path, ("id", "x", "y")):
-        nid = row["id"]
-        if not nid:
-            raise ValidationError(f"{nodes_path} line {lineno}: empty node id")
-        if nid in nodes:
-            raise ValidationError(f"{nodes_path} line {lineno}: duplicate node {nid!r}")
-        point = (read_number(nodes_path, lineno, row, "x"),
-                 read_number(nodes_path, lineno, row, "y"))
-        require_finite((point,), f"{nodes_path} line {lineno}")
-        nodes[nid] = point
+    for block in read_csv(nodes_path, ("id", "x", "y")):
+        faults = block.faults()
+        ids = block.cells["id"]
+        if "" in ids:
+            i = ids.index("")
+            faults.note(i, f"{block.where(i)}: empty node id")
+        i = first_repeat(ids, nodes)
+        if i is not None:
+            faults.note(i, f"{block.where(i)}: duplicate node {ids[i]!r}")
+        xs = faults.numbers(block.cells["x"], "x")
+        ys = faults.numbers(block.cells["y"], "y")
+        points = list(zip(xs, ys))
+        # A sum is finite only if every term is.
+        if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):
+            for i, point in enumerate(points):
+                try:
+                    require_finite((point,), block.where(i))
+                except ValidationError as exc:
+                    faults.note(i, str(exc))
+                    break
+        faults.raise_first()
+        nodes.update(zip(ids, points))
 
     edges: list[Edge] = []
-    for lineno, row in read_csv(edges_path, ("u", "v", "length_m")):
-        road_class = row.get("class") or "default"
-        length = read_number(edges_path, lineno, row, "length_m")
-        if row.get("speed_ms"):
-            speed = read_number(edges_path, lineno, row, "speed_ms")
-        else:
-            speed = speeds.get(road_class, speeds.get("default", 0.0))
-            if speed <= 0:
-                raise ValidationError(
-                    f"{edges_path} line {lineno}: no speed and no class "
-                    f"default for {road_class!r}"
-                )
-        oneway = row.get("oneway", "").lower() in ("1", "true", "yes")
-        edges.append(Edge(row["u"], row["v"], length, speed, oneway, road_class))
+    for block in read_csv(edges_path, ("u", "v", "length_m")):
+        faults = block.faults()
+        cells = block.cells
+        blank = [""] * len(block.lines)
+        classes = [c or "default" for c in cells.get("class", blank)]
+        lengths = faults.numbers(cells["length_m"], "length_m")
+        # An empty speed cell reads as NaN here and takes its class speed below.
+        given = cells.get("speed_ms", blank)
+        edge_speeds = faults.numbers([s or "nan" for s in given], "speed_ms")
+        if "" in given:
+            for i, cell in enumerate(given[:faults.end]):
+                if not cell:
+                    speed = edge_speeds[i] = speeds.get(classes[i], fallback)
+                    if speed <= 0:
+                        faults.note(i, f"{block.where(i)}: no speed and no class "
+                                       f"default for {classes[i]!r}")
+                        break
+        faults.raise_first()
+        oneway = [c.lower() in ("1", "true", "yes") for c in cells.get("oneway", blank)]
+        edges += map(Edge, cells["u"], cells["v"], lengths, edge_speeds, oneway, classes)
     unused = sorted(set(class_speeds or ()) - {"default"} - {e.road_class for e in edges})
     if unused:
         raise ValidationError(

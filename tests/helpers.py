@@ -265,6 +265,23 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
+def rank_adjacency_by_node(graph: Graph) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Graph.rank_adjacency built one node at a time: each node's (neighbour,
+    edge, edge index) entries in edge order, one per travel direction,
+    sorted by neighbour id then edge key, with each travel time read off
+    the edge."""
+    adjacency: dict[str, list[tuple[str, Edge, int]]] = {nid: [] for nid in graph.nodes}
+    for i, e in enumerate(graph.edges):
+        adjacency[e.u].append((e.v, e, i))
+        if not e.oneway:
+            adjacency[e.v].append((e.u, e, i))
+    return tuple(
+        tuple((graph.rank[nbr], i, e.travel_time)
+              for nbr, e, i in sorted(adjacency[nid], key=lambda it: (it[0], it[1].key)))
+        for nid in sorted(graph.nodes)
+    )
+
+
 def absorbed_edge_inputs(big: float) -> tuple[dict, list[Edge]]:
     """Nodes and edges of a graph whose 0.5 s edges sit beside big s ones.
 

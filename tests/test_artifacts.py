@@ -13,9 +13,10 @@ import pytest
 import tracteq
 from helpers import square_tract
 from tracteq.artifacts import (
+    BLOCK_ROWS,
+    CsvBlock,
     read_csv,
     read_json,
-    read_number,
     to_dict,
     write_atomic,
     write_csv,
@@ -87,19 +88,30 @@ def test_ols_fit_round_trips_without_residuals():
     assert (blob["r_squared"], blob["n"], blob["k"]) == (0.75, 40, 1)
 
 
+def csv_rows(path, required):
+    """(physical line, {column: cell}) per row, from read_csv's blocks."""
+    rows = []
+    for block in read_csv(path, required):
+        assert 0 < len(block.lines) <= BLOCK_ROWS
+        assert {len(cells) for cells in block.cells.values()} == {len(block.lines)}
+        rows += [(line, {column: cells[i] for column, cells in block.cells.items()})
+                 for i, line in enumerate(block.lines)]
+    return rows
+
+
 def test_write_csv_then_read_csv_keeps_awkward_cells(tmp_path):
     path = tmp_path / "a.csv"
     rows = [["a,b", 'say "hi"', "#7"], ["#", ",", '"']]
     write_csv(str(path), ["c1", "c2", "c3"], rows, ["written by a test"])
     assert path.read_text().splitlines()[:2] == ["# written by a test", "c1,c2,c3"]
-    back = list(read_csv(str(path), ("c1", "c3")))
+    back = csv_rows(str(path), ("c1", "c3"))
     assert back == [(n, dict(zip(["c1", "c2", "c3"], row))) for n, row in zip((3, 4), rows)]
 
 
 def test_read_csv_strips_cells_and_pads_short_rows(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("# note\n a , b ,c\n 1 ,2\n\nx,y,z,extra\n")
-    assert list(read_csv(str(path), ("a", "b"))) == [
+    assert csv_rows(str(path), ("a", "b")) == [
         (3, {"a": "1", "b": "2", "c": ""}),
         (5, {"a": "x", "b": "y", "c": "z"}),
     ]
@@ -110,7 +122,7 @@ def test_read_csv_lets_blank_column_names_repeat(tmp_path):
     # must be unique.
     path = tmp_path / "a.csv"
     path.write_text("a,b,,\n1,2,,\n")
-    assert list(read_csv(str(path), ("a",))) == [(2, {"a": "1", "b": "2", "": ""})]
+    assert csv_rows(str(path), ("a",)) == [(2, {"a": "1", "b": "2", "": ""})]
 
 
 def test_read_csv_undecodable_or_runaway_file_is_a_parse_error(tmp_path):
@@ -219,6 +231,46 @@ def test_reader_input_format(name, tmp_path):
         read(str(repeated), tmp_path)
 
 
+# A reader and a file whose rows break rules on two lines, the later line's
+# fault found by a check made earlier in a row; the earlier line's message
+# is the one raised, as it is for a reader checking one row at a time.
+TWO_FAULTS = {
+    "nodes x then y": (_nodes, "id,x,y\nA,0,0\nB,0,north\nC,east,0\n",
+                       "line 3: 'north' in column 'y' is not a number"),
+    "nodes id then coordinate": (_nodes, "id,x,y\nA,0,0\nB,inf,0\nA,1,1\n",
+                                 "line 3: non-finite coordinate (inf, 0.0)"),
+    "edges length then speed": (_edges, "u,v,length_m,speed_ms\nA,B,100,slow\nB,A,long,10\n",
+                                "line 2: 'slow' in column 'speed_ms' is not a number"),
+    "od count then negative": (_od, "home,work,count\nA,B,-1\nB,A,x\n",
+                               "line 2: negative count -1"),
+    "od count then total": (_od, f"home,work,count\nA,B,{2**63 - 1}\nB,A,1\nA,A,x\n",
+                            f"line 3: count 1 takes the total count past the int64 limit "
+                            f"{2**63 - 1}"),
+    "od drop then negative": (_od, "home,work,count\nA,Z,-3\nA,B,1.5\n",
+                              "line 2: negative count -3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_reader_raises_the_fault_on_the_earliest_line(case, tmp_path):
+    read, text, message = TWO_FAULTS[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as error:
+        read(str(path), tmp_path)
+    assert str(error.value) == f"{path} {message}"
+
+
+def test_edges_without_a_speed_or_class_default_fault_on_their_line(tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(NODES_OK)
+    edges = tmp_path / "edges.csv"
+    edges.write_text("u,v,length_m,speed_ms,class\nA,B,100,,odd\nB,A,long,,\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{edges} line 2: no speed and no class default for 'odd'")):
+        build_graph(str(nodes), str(edges), {"default": 0.0})
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_reader_refuses_a_missing_file_or_a_directory(name, tmp_path):
     read = READERS[name][0]
@@ -296,17 +348,84 @@ def test_read_json_refuses_a_document_json_load_cannot_build(tmp_path, text, rea
 
 
 def test_read_number_names_the_file_line_cell_and_column():
-    row = {"a": "1.5", "b": "nan", "c": "-inf", "n": "-7", "bad": "1e"}
-    assert read_number("f.csv", 2, row, "a") == 1.5
-    assert np.isnan(read_number("f.csv", 2, row, "b"))
-    assert read_number("f.csv", 2, row, "c") == -np.inf
-    assert read_number("f.csv", 2, row, "n", int) == -7
+    def block(line):
+        return CsvBlock("f.csv", [line], {"a": ["1.5"], "b": ["nan"], "c": ["-inf"],
+                                          "n": ["-7"], "bad": ["1e"]})
+
+    def number(line, column, kind=float):
+        faults = block(line).faults()
+        values = faults.numbers(block(line).cells[column], column, kind)
+        faults.raise_first()
+        return values[0]
+
+    assert number(2, "a") == 1.5
+    assert np.isnan(number(2, "b"))
+    assert number(2, "c") == -np.inf
+    assert number(2, "n", int) == -7
     with pytest.raises(ValidationError,
                        match=re.escape("f.csv line 2: '1e' in column 'bad' is not a number")):
-        read_number("f.csv", 2, row, "bad")
+        number(2, "bad")
     with pytest.raises(ValidationError,
                        match=re.escape("f.csv line 3: '1.5' in column 'a' is not an integer")):
-        read_number("f.csv", 3, row, "a", int)
+        number(3, "a", int)
+
+
+def test_faults_keep_the_earliest_row_then_the_earliest_check():
+    # Columns are checked one after another, each over the rows before the
+    # fault found so far: a later check wins only on an earlier row.
+    block = CsvBlock("f.csv", [2, 3, 5, 6], {"x": ["1", "2", "oops", "4"],
+                                             "y": ["1", "no", "3", "x"]})
+    faults = block.faults()
+    assert faults.numbers(block.cells["x"], "x") == [1.0, 2.0]
+    assert faults.end == 2
+    assert faults.numbers(block.cells["y"], "y") == [1.0]
+    faults.note(1, "a later check on the same row")
+    faults.note(3, "a later row")
+    with pytest.raises(ValidationError,
+                       match=re.escape("f.csv line 3: 'no' in column 'y' is not a number")):
+        faults.raise_first()
+    faults.note(0, "f.csv line 2: an earlier row")
+    with pytest.raises(ValidationError, match="an earlier row"):
+        faults.raise_first()
+    block.faults().raise_first()  # no fault noted
+
+
+def test_read_csv_yields_blocks_with_physical_line_numbers(tmp_path):
+    # Comment lines, blank lines and a quoted cell over two lines shift the
+    # physical line numbers; rows split into blocks of BLOCK_ROWS.
+    n = 2 * BLOCK_ROWS + 3
+    path = tmp_path / "a.csv"
+    lines = ["# note", "a,b"]
+    expected = []
+    for i in range(n):
+        if i % 97 == 5:
+            lines.append("")
+        if i % 101 == 7:
+            # A row over two lines is numbered by its last, as csv counts.
+            lines += [f'{i},"two', 'lines"']
+            expected.append((len(lines), {"a": str(i), "b": "two\nlines"}))
+            continue
+        lines.append(f"{i} , {i}")
+        expected.append((len(lines), {"a": str(i), "b": str(i)}))
+    path.write_text("\n".join(lines) + "\n")
+    blocks = list(read_csv(str(path), ("a",)))
+    assert [len(b.lines) for b in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 3]
+    assert csv_rows(str(path), ("a",)) == expected
+
+
+def test_read_csv_yields_the_rows_before_a_parse_error_first(tmp_path):
+    # A reader that checks rows one by one meets a bad row before an
+    # undecodable line further on (past the first chunk the file decodes),
+    # so every row before the fault comes first, the last block cut short.
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 20_000 + b"5,caf\xe9\n")
+    blocks = read_csv(str(path), ("a",))
+    lines = []
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        for block in blocks:
+            lines += block.lines
+    assert lines and lines == list(range(2, len(lines) + 2))
+    assert len(lines) % BLOCK_ROWS
 
 
 def test_only_artifacts_knows_the_file_formats():

@@ -15,7 +15,7 @@ from helpers import (
     square_tract,
     tie_heavy_graph,
 )
-from tracteq import network
+from tracteq import commute, network
 from tracteq.commute import (
     GROUPS,
     ODTable,
@@ -102,6 +102,18 @@ def test_od_from_rows_refuses_a_total_past_the_int64_range():
     for rows in ([("A", "B", big), ("B", "A", 1)], [("A", "B", 99999999999999999999)]):
         with pytest.raises(ValidationError, match="takes the total count past the int64 limit"):
             ODTable.from_rows(rows, ab_tracts())
+
+
+def test_load_od_names_the_line_of_a_count_past_the_int64_range(tmp_path):
+    # Like load_od's other count faults, and unlike from_rows', the message
+    # names the file and line; a row it drops adds nothing to the total.
+    p = tmp_path / "od.csv"
+    p.write_text(f"home,work,count\nA,Z,{2**63 - 1}\nA,B,{2**63 - 1}\n"
+                 "B,A,99999999999999999999\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{p} line 4: count 99999999999999999999 takes the total count past "
+            f"the int64 limit {2**63 - 1}")):
+        load_od(str(p), ab_tracts())
 
 
 def test_load_od_basic(tmp_path):
@@ -343,6 +355,27 @@ def test_nearest_node_grid_midpoints_and_duplicates():
     for point in points:
         assert nearest_node(g, point) == nearest_node_brute(g, point), point
     assert nearest_node(g, (500.0, 500.0)) == "dup_a"
+
+
+def test_chunked_nearest_nodes_match_nearest_node(monkeypatch):
+    # Every tract centroid of a synth grid sits equidistant from several
+    # nodes; grid midpoints, cell centres and a spot with two ids are
+    # equidistant too. Chunks of seven points leave a short last chunk.
+    sc = generate(ScenarioSpec(rows=12, cols=12, seed=3, highway_row=6))
+    nodes = {f"v{(35 - 6 * r - c):02d}": (c * 250.0, r * 250.0)
+             for r in range(6) for c in range(6)}
+    nodes["dup_b"] = nodes["dup_a"] = (500.0, 500.0)
+    grid = Graph(nodes, [])
+    spots = np.array([(x + dx, y + dy) for x, y in nodes.values()
+                      for dx, dy in ((0, 0), (125.0, 0), (0, 125.0), (125.0, 125.0))])
+    for g, points in ((sc.graph, sc.tracts.centroids), (grid, spots)):
+        monkeypatch.setattr(commute, "_NEAREST_CELLS", 7 * len(g.nodes))
+        assert len(points) % 7
+        ranks = commute._nearest_nodes(g, points)
+        assert [g.node_coords()[0][r] for r in ranks] == [
+            nearest_node(g, tuple(p)) for p in points]
+    assert commute._nearest_nodes(grid, np.array([(500.0, 500.0)])).tolist() == [
+        grid.rank["dup_a"]]
 
 
 def test_nearest_node_empty_graph():

@@ -1067,6 +1067,25 @@ def test_order_stats_equal_columns_of_a_full_sort():
             assert np.array_equal(np.sort(rows, axis=1), ordered[s : s + 5])
 
 
+def test_order_stats_at_the_ends_and_across_gaps():
+    # k in {1, 2, n - 1, n} alone and together, and blocks whose columns
+    # leave gaps, on rows that tie many values: a one-column block takes a
+    # single partition, a wider one partitions at both ends and sorts only
+    # between them, and every column equals np.sort's.
+    data, tracts = lattice_design(17, 19, seed=5)
+    d2 = gwr._pairwise_distances(data, tracts)
+    n = data.n
+    ordered = np.sort(d2, axis=1)
+    blocks = [[0], [1], [n - 2], [n - 1], [0, 1], [n - 2, n - 1], [0, 1, n - 2, n - 1],
+              [2, 9, 40, n // 2, n - 3], [5, 6, 200]]
+    for cols in blocks:
+        for s in (0, 101, n - 3):
+            rows = d2[s : s + 3].copy()
+            got = gwr._order_stats(rows, np.asarray(cols))
+            assert np.array_equal(got, ordered[s : s + 3][:, cols]), cols
+            assert np.array_equal(np.sort(rows, axis=1), ordered[s : s + 3])
+
+
 def lattice_design(rows, cols, seed):
     """A rows x cols lattice with y = 1 + 2 x1 + noise."""
     tracts = grid_tracts(rows, cols)

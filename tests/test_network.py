@@ -154,6 +154,20 @@ def test_build_graph_from_files(tmp_path):
     assert all(nbr != g.rank["A"] for nbr, _, _ in g.rank_adjacency[g.rank["C"]])
 
 
+def test_rank_adjacency_matches_a_node_by_node_build(rng):
+    # The one sort of direction records gives each node's neighbours in the
+    # order a per-node sort by (neighbour id, edge key) gives, the same
+    # travel times, and an empty tuple for a node with no edge.
+    synth = generate(ScenarioSpec(rows=24, cols=24, seed=3, highway_row=12)).graph
+    ties = helpers.tie_heavy_graph(rng, 9, 11)
+    lonely = Graph({"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0)},
+                   [Edge("C", "A", 5.0, 1.0), Edge("A", "C", 5.0, 2.0, oneway=True)])
+    for g in (synth, ties, lonely):
+        assert g.rank_adjacency == helpers.rank_adjacency_by_node(g)
+    assert any(e.oneway for e in ties.edges)
+    assert lonely.rank_adjacency[lonely.rank["B"]] == ()
+
+
 def test_build_graph_class_speed_override(tmp_path):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text("id,x,y\nA,0,0\nB,100,0\n")
