@@ -228,8 +228,6 @@ class Faults:
 def first_repeat(values: Sequence[Hashable], seen: Container = ()) -> int | None:
     """The index of the first value that is in seen or repeats an earlier
     one, or None."""
-    if len(set(values)) == len(values) and not any(map(seen.__contains__, values)):
-        return None
     earlier: set = set()
     for i, value in enumerate(values):
         if value in seen or value in earlier:

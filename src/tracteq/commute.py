@@ -78,7 +78,7 @@ class ODTable:
         while block := list(itertools.islice(rows, BLOCK_ROWS)):
             homes, works, counts = (list(column) for column in zip(*block))
             faults = Faults(len(block), lambda i: f"OD pair {homes[i]}->{works[i]}")
-            pairs.add(homes, works, counts, faults, drop_unknown=False)
+            pairs.add(homes, works, counts, faults, drop_unknown=False, ints=False)
         return pairs.table()
 
 
@@ -97,13 +97,14 @@ class _Pairs:
         self.dropped = 0
 
     def add(self, homes: list[str], works: list[str], counts: list, faults: Faults,
-            drop_unknown: bool) -> None:
+            drop_unknown: bool, ints: bool) -> None:
         """Check a block of rows and keep them, or raise faults' first fault.
 
         A row is checked in this order: both tracts in the set (unless
-        drop_unknown), a whole count, a nonnegative count; a row that names
-        another tract is then dropped under drop_unknown; and the count
-        must not take the total count past the int64 range.
+        drop_unknown), a whole count (unless ints: the counts are ints
+        already), a nonnegative count; a row that names another tract is
+        then dropped under drop_unknown; and the count must not take the
+        total count past the int64 range.
         """
         home = self.tracts.ranks(homes)
         work = self.tracts.ranks(works)
@@ -112,7 +113,7 @@ class _Pairs:
             i = next(i for i, (h, w) in enumerate(zip(home, work)) if h < 0 or w < 0)
             role, tid = ("home", homes[i]) if home[i] < 0 else ("work", works[i])
             faults.note(i, f"OD {role} tract {tid!r} not in tract set")
-        wholes = self._wholes(counts[:faults.end], faults)
+        wholes = counts[:faults.end] if ints else self._wholes(counts[:faults.end], faults)
         if wholes and min(wholes) < 0:
             i = next(i for i, c in enumerate(wholes) if c < 0)
             faults.note(i, f"{faults.where(i)}: negative count {wholes[i]}")
@@ -139,12 +140,6 @@ class _Pairs:
     def _wholes(counts: list, faults: Faults) -> list[int]:
         """counts as ints, stopping before the first that is not a whole
         number, which is noted."""
-        try:
-            wholes = list(map(int, counts))
-            if wholes == counts:
-                return wholes
-        except (TypeError, ValueError, OverflowError):
-            pass
         wholes = []
         for i, count in enumerate(counts):
             try:
@@ -185,7 +180,8 @@ def load_od(path: str, tracts: TractSet) -> ODTable:
     for block in read_csv(path, ("home", "work", "count")):
         faults = block.faults()
         counts = faults.numbers(block.cells["count"], "count", int)
-        pairs.add(block.cells["home"], block.cells["work"], counts, faults, drop_unknown=True)
+        pairs.add(block.cells["home"], block.cells["work"], counts, faults,
+                  drop_unknown=True, ints=True)
     table = pairs.table()
     if pairs.dropped:
         log.warning("dropped %d OD row(s) naming unknown tracts", pairs.dropped)
@@ -327,14 +323,8 @@ def read_traversal(path: str) -> TraversalTable:
 def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
     """Graph node closest to a point; equidistant nodes resolve to the
     smallest id."""
-    if not graph.nodes:
-        raise ValidationError("graph has no nodes")
-    ids, coords = graph.node_coords()
-    dx = coords[:, 0] - point[0]
-    dy = coords[:, 1] - point[1]
-    # argmin returns the first minimum, and ids are sorted: ties go to the
-    # smallest id.
-    return ids[int(np.argmin(dx * dx + dy * dy))]
+    ids, _ = graph.node_coords()
+    return ids[int(_nearest_nodes(graph, np.array([point], float))[0])]
 
 
 # Cells (points x nodes) per chunk of _nearest_nodes' distance rows.
@@ -342,9 +332,10 @@ _NEAREST_CELLS = 1 << 14
 
 
 def _nearest_nodes(graph: Graph, points: np.ndarray) -> np.ndarray:
-    """The rank of nearest_node of each of the (m, 2) points: the same
-    squared distances, computed for a chunk of points at a time, and
-    argmin's first minimum, so ties go to the smallest id."""
+    """The rank of the node closest to each of the (m, 2) points, by
+    squared distance, computed for a chunk of points at a time. argmin
+    returns the first minimum, and ranks follow sorted ids: ties go to the
+    smallest id."""
     if not len(points):
         return np.zeros(0, np.intp)
     if not graph.nodes:

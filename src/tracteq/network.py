@@ -205,14 +205,12 @@ def build_graph(
         xs = faults.numbers(block.cells["x"], "x")
         ys = faults.numbers(block.cells["y"], "y")
         points = list(zip(xs, ys))
-        # A sum is finite only if every term is.
-        if not (math.isfinite(sum(xs)) and math.isfinite(sum(ys))):
-            for i, point in enumerate(points):
-                try:
-                    require_finite((point,), block.where(i))
-                except ValidationError as exc:
-                    faults.note(i, str(exc))
-                    break
+        for i, point in enumerate(points):
+            try:
+                require_finite((point,), block.where(i))
+            except ValidationError as exc:
+                faults.note(i, str(exc))
+                break
         faults.raise_first()
         nodes.update(zip(ids, points))
 

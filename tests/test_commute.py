@@ -357,7 +357,7 @@ def test_nearest_node_grid_midpoints_and_duplicates():
     assert nearest_node(g, (500.0, 500.0)) == "dup_a"
 
 
-def test_chunked_nearest_nodes_match_nearest_node(monkeypatch):
+def test_chunked_nearest_nodes_match_a_full_scan(monkeypatch):
     # Every tract centroid of a synth grid sits equidistant from several
     # nodes; grid midpoints, cell centres and a spot with two ids are
     # equidistant too. Chunks of seven points leave a short last chunk.
@@ -373,7 +373,7 @@ def test_chunked_nearest_nodes_match_nearest_node(monkeypatch):
         assert len(points) % 7
         ranks = commute._nearest_nodes(g, points)
         assert [g.node_coords()[0][r] for r in ranks] == [
-            nearest_node(g, tuple(p)) for p in points]
+            nearest_node_brute(g, p) for p in points]
     assert commute._nearest_nodes(grid, np.array([(500.0, 500.0)])).tolist() == [
         grid.rank["dup_a"]]
 
