@@ -302,17 +302,15 @@ def _stage_equity(ctx: Context) -> str:
     tracts, highways = ctx.layers
     index = inequity_index(read_traversal(_artifact(ctx, "traversal.csv")))
 
-    rows = ([tid, g, _fmt(index.values[tid][g])] for tid in index.defined for g in index.groups)
-    _write_csv(ctx, "equity.csv", ["tract_id", "group", "index"], rows,
+    rows = list(zip(index.tract_ids, index.values.tolist()))
+    _write_csv(ctx, "equity.csv", ["tract_id", "group", "index"],
+               ([tid, g, _fmt(v)] for tid, row in rows for g, v in zip(index.groups, row)),
                extra_header=(f"undefined_tracts={len(index.undefined)}",))
 
-    props: dict[str, dict[str, object]] = {}
-    for tid in index.defined:
-        props[tid] = {f"I:{g}": index.values[tid][g] for g in index.groups}
-        props[tid]["defined"] = True
-    for tid in index.undefined:
-        if tid in tracts:
-            props[tid] = {"defined": False}
+    # tracts_to_geojson skips an undefined id that is not a tract.
+    keys = [f"I:{g}" for g in index.groups]
+    props = {tid: {"defined": False} for tid in index.undefined}
+    props.update((tid, {**dict(zip(keys, row)), "defined": True}) for tid, row in rows)
     _write_text(ctx, "equity.geojson", tracts_to_geojson(tracts, props, ctx.meta) + "\n")
 
     all_ids = set(tracts.ids)
@@ -337,7 +335,7 @@ def _stage_equity(ctx: Context) -> str:
                 add_entry(f"corridor {label}", subset)
         _write_headed(ctx, f"equity_summary_{group}.txt", format_equity_summary(group, entries))
 
-        values = {tid: index.values[tid][group] for tid in index.defined}
+        values = dict(zip(index.tract_ids, index.values[:, index.groups.index(group)].tolist()))
         _write_text(ctx, f"equity_{group}.svg", f"<!-- {ctx.header} -->\n"
                     + svg_choropleth(tracts, values, title=f"inequity index ({group})"))
     return f"wrote equity outputs for groups: {', '.join(GROUPS)}"

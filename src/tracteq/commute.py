@@ -12,7 +12,9 @@ meters figure per (pair, tract): a single term as is, a + b for two terms
 simulate adds those with np.add.at into (zones x groups) arrays in pair
 order; np.add.at adds repeated indices one after another, so each cell
 takes the same additions in the same order as a loop over the sorted
-pairs, and the sums are bit-identical to it. Memory held for routing is
+pairs, and the sums are bit-identical to it. Those arrays' rows, sorted by
+zone id, are the TraversalTable that traversal.csv holds and the equity
+stage reads. Memory held for routing is
 bounded by the step count, not by the number of pairs. Trip weights are
 one float per group and OD row (16 B per pair). Group labels come either
 from a deterministic fractional split or from counter-based coin flips
@@ -260,64 +262,64 @@ def scale_by_drive_share(
     return TripAssignment(od, assignment.weights * share[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraversalTable:
-    """Distance driven through each tract (km) and commuters living in each
-    tract, both broken down by group."""
+    """Distance driven through each zone (km) and commuters living in each
+    zone, by group: row i of D and C is zones[i], column k is groups[k].
+    zones are sorted ids, OUTSIDE_ZONE among them when km lay outside every
+    tract."""
 
+    zones: tuple[str, ...]
     groups: tuple[str, ...]
-    D: dict[str, dict[str, float]]  # tract -> group -> km
-    C: dict[str, dict[str, float]]  # tract -> group -> commuter weight
+    D: np.ndarray  # float64, len(zones) x len(groups), km
+    C: np.ndarray  # float64, len(zones) x len(groups), commuter weight
     n_pairs: int = 0
     n_unreachable: int = 0
 
-    def tract_ids(self) -> list[str]:
-        return sorted(self.D.keys() | self.C.keys())
-
-    def D_total(self, tract_id: str) -> float:
-        return math.fsum(self.D.get(tract_id, {}).values())
-
-    def C_total(self, tract_id: str) -> float:
-        return math.fsum(self.C.get(tract_id, {}).values())
-
     def total_km(self) -> float:
-        return math.fsum(
-            v for by_group in self.D.values() for v in by_group.values()
-        )
+        return math.fsum(self.D.ravel().tolist())
 
 
 def write_traversal(table: TraversalTable, path: str, header_lines: list[str] | None = None) -> None:
     """Serialize as tract_id,group,D_km,C_count rows; floats round-trip via repr."""
     rows = (
-        [tid, g, fmt(table.D.get(tid, {}).get(g, 0.0)), fmt(table.C.get(tid, {}).get(g, 0.0))]
-        for tid in table.tract_ids() for g in table.groups
+        [zone, g, fmt(d), fmt(c)]
+        for zone, d_row, c_row in zip(table.zones, table.D.tolist(), table.C.tolist())
+        for g, d, c in zip(table.groups, d_row, c_row)
     )
     write_csv(path, ["tract_id", "group", "D_km", "C_count"], rows, header_lines or ())
 
 
 def read_traversal(path: str) -> TraversalTable:
-    """Inverse of write_traversal; a repeated (tract, group) row is an error."""
-    D: dict[str, dict[str, float]] = {}
-    C: dict[str, dict[str, float]] = {}
-    groups: dict[str, None] = {}
-    seen: set[tuple[str, str]] = set()
-    for block in read_csv(path, ("tract_id", "group", "D_km", "C_count")):
+    """Inverse of write_traversal; a (tract, group) without a row reads 0.0.
+    A repeated (tract, group) row is an error, and so is a D_km or C_count
+    that is negative or not finite."""
+    rows: dict[tuple[str, str], tuple[float, float]] = {}
+    columns = ("D_km", "C_count")
+    for block in read_csv(path, ("tract_id", "group", *columns)):
         faults = block.faults()
-        tids, gs = block.cells["tract_id"], block.cells["group"]
-        keys = list(zip(tids, gs))
-        i = first_repeat(keys, seen)
+        keys = list(zip(block.cells["tract_id"], block.cells["group"]))
+        i = first_repeat(keys, rows)
         if i is not None:
-            faults.note(i, f"{block.where(i)}: duplicate row for tract {tids[i]!r}, "
-                           f"group {gs[i]!r}")
-        d_km = faults.numbers(block.cells["D_km"], "D_km")
-        c_count = faults.numbers(block.cells["C_count"], "C_count")
+            faults.note(i, f"{block.where(i)}: duplicate row for tract {keys[i][0]!r}, "
+                           f"group {keys[i][1]!r}")
+        values = []
+        for column in columns:
+            values.append(faults.numbers(block.cells[column], column))
+            i = next((i for i, v in enumerate(values[-1]) if not 0.0 <= v < math.inf), None)
+            if i is not None:
+                faults.note(i, f"{block.where(i)}: {block.cells[column][i]!r} in column "
+                               f"{column!r} is not a finite nonnegative number")
         faults.raise_first()
-        seen.update(keys)
-        groups.update(dict.fromkeys(gs))
-        for tid, g, d, c in zip(tids, gs, d_km, c_count):
-            D.setdefault(tid, {})[g] = d
-            C.setdefault(tid, {})[g] = c
-    return TraversalTable(groups=tuple(groups), D=D, C=C)
+        rows.update(zip(keys, zip(*values)))
+    zones = sorted({tid for tid, _ in rows})
+    groups = tuple(dict.fromkeys(g for _, g in rows))
+    index = {zone: i for i, zone in enumerate(zones)}
+    D, C = np.zeros((2, len(zones), len(groups)))
+    at = (np.array([index[tid] for tid, _ in rows], np.intp),
+          np.array([groups.index(g) for _, g in rows], np.intp))
+    D[at], C[at] = np.array(list(rows.values())).reshape(-1, 2).T
+    return TraversalTable(tuple(zones), groups, D, C)
 
 
 def nearest_node(graph: Graph, point: tuple[float, float]) -> str:
@@ -434,32 +436,30 @@ def simulate(
     # repeated indices one after another in index order. So each cell
     # takes, in sorted pair order, the additions that a loop over the
     # pairs makes, starting from 0.0: a pair adds once to each cell it
-    # touches. A D row is kept only if a nonzero weight reached it, a C row
-    # only if a reachable pair lives there.
+    # touches. A row is kept only if a nonzero weight reached it or a
+    # reachable pair lives there.
     D = np.zeros((len(zones), len(GROUPS)))
     C = np.zeros((len(zones), len(GROUPS)))
-    d_rows = np.zeros(len(zones), bool)
-    c_rows = np.zeros(len(zones), bool)
+    kept = np.zeros(len(zones), bool)
     n_unreachable = 0
     for first, reachable, pair, zone, meters in batches:
         home = od.home[first:first + len(reachable)]
         weights = assignment.weights[first:first + len(home)]
         n_unreachable += len(home) - int(np.count_nonzero(reachable))
         np.add.at(C, home[reachable], weights[reachable])
-        c_rows[home[reachable]] = True
+        kept[home[reachable]] = True
         if exclude_home:
             keep = zone != home[pair]
             pair, zone, meters = pair[keep], zone[keep], meters[keep]
         w = weights[pair]
         km = meters / 1000.0
         nonzero = w != 0.0
-        d_rows[zone[nonzero.any(axis=1)]] = True
+        kept[zone[nonzero.any(axis=1)]] = True
         j, g = np.nonzero(nonzero)
         # On D's flat view, add.at takes numpy's fast one-index path.
         np.add.at(D.reshape(-1), zone[j] * len(GROUPS) + g, w[j, g] * km[j])
     _log_unreachable(n_unreachable, len(od))
-    return TraversalTable(
-        groups=GROUPS,
-        D={zones[z]: dict(zip(GROUPS, D[z].tolist())) for z in np.flatnonzero(d_rows).tolist()},
-        C={zones[z]: dict(zip(GROUPS, C[z].tolist())) for z in np.flatnonzero(c_rows).tolist()},
-        n_pairs=len(od), n_unreachable=n_unreachable)
+    # By id, not by rank: an id may sort on either side of OUTSIDE_ZONE.
+    rows = sorted(np.flatnonzero(kept).tolist(), key=zones.__getitem__)
+    return TraversalTable(tuple(zones[z] for z in rows), GROUPS, D[rows], C[rows],
+                          n_pairs=len(od), n_unreachable=n_unreachable)

@@ -3,7 +3,10 @@
 For tract j and group g the index is the group's share of distance driven
 through j minus its share of commuters living in j. Tracts with zero
 traversal or zero commuters are undefined and stay out of every summary.
-Tracts come in sorted-id order, that of TraversalTable.tract_ids and of a
+OUTSIDE_ZONE, the km outside every tract, is not a tract: it is neither
+defined nor undefined.
+The index is one (tracts x groups) array over a TraversalTable's rows.
+Tracts come in sorted-id order, that of TraversalTable.zones and of a
 TractSet, so nothing here sorts them.
 """
 
@@ -14,10 +17,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .commute import TraversalTable
 from .data_model import HighwayNetworkGeom, TractSet
 from .errors import ValidationError
 from .geometry import EPS, bounding_box, boxes_overlap, polyline_intersects_polygon
+from .network import OUTSIDE_ZONE
 
 log = logging.getLogger(__name__)
 
@@ -27,38 +33,32 @@ log = logging.getLogger(__name__)
 CONTACT_PAD = 2.0 * EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InequityTable:
-    """Index values of defined tracts and ids of undefined ones, both in sorted-id order."""
+    """The index of the defined tracts and the ids of the undefined ones,
+    both in sorted-id order: values[i, k] is tract_ids[i]'s index for
+    groups[k]."""
 
     groups: tuple[str, ...]
-    values: dict[str, dict[str, float]]  # tract -> group -> index, defined tracts only
+    tract_ids: tuple[str, ...]
+    values: np.ndarray  # float64, len(tract_ids) x len(groups)
     undefined: tuple[str, ...]
-
-    @property
-    def defined(self) -> list[str]:
-        return list(self.values)
 
 
 def inequity_index(traversal: TraversalTable) -> InequityTable:
-    """I_jg = D_jg / D_j - C_jg / C_j per defined tract."""
-    values: dict[str, dict[str, float]] = {}
-    undefined: list[str] = []
-    for tid in traversal.tract_ids():
-        d_j = traversal.D_total(tid)
-        c_j = traversal.C_total(tid)
-        if d_j <= 0.0 or c_j <= 0.0:
-            undefined.append(tid)
-            continue
-        d_g = traversal.D.get(tid, {})
-        c_g = traversal.C.get(tid, {})
-        values[tid] = {
-            g: d_g.get(g, 0.0) / d_j - c_g.get(g, 0.0) / c_j
-            for g in traversal.groups
-        }
+    """I_jg = D_jg / D_j - C_jg / C_j per defined tract, where D_j and C_j
+    are the math.fsum of row j."""
+    d_j = np.array([math.fsum(row) for row in traversal.D.tolist()])
+    c_j = np.array([math.fsum(row) for row in traversal.C.tolist()])
+    ids = np.array(traversal.zones, object)
+    tract = ids != OUTSIDE_ZONE
+    defined = tract & (d_j > 0.0) & (c_j > 0.0)
+    undefined = tuple(ids[tract & ~defined])
     if undefined:
         log.info("%d tract(s) undefined (zero traversal or zero commuters)", len(undefined))
-    return InequityTable(groups=traversal.groups, values=values, undefined=tuple(undefined))
+    values = (traversal.D[defined] / d_j[defined, None]
+              - traversal.C[defined] / c_j[defined, None])
+    return InequityTable(traversal.groups, tuple(ids[defined]), values, undefined)
 
 
 def population_weighted_mean(
@@ -73,21 +73,19 @@ def population_weighted_mean(
     if group not in index.groups:
         raise ValidationError(f"unknown group {group!r}; have {index.groups}")
     subset = set(subset)
-    chosen = [tid for tid in index.values if tid in subset]
-    if not chosen:
+    rows = [i for i, tid in enumerate(index.tract_ids) if tid in subset]
+    if not rows:
         return math.nan, 0
-    num = []
-    den = []
-    for tid in chosen:
-        pop = tracts[tracts.index_of(tid)].attributes.get(tracts.population_column)
-        if pop is None or not math.isfinite(pop):
-            raise ValidationError(f"tract {tid!r} has no population value")
-        num.append(pop * index.values[tid][group])
-        den.append(pop)
-    total = math.fsum(den)
+    chosen = [index.tract_ids[i] for i in rows]
+    pop = tracts.attribute(tracts.population_column)[[tracts.index_of(t) for t in chosen]]
+    if not np.isfinite(pop).all():
+        bad = chosen[np.flatnonzero(~np.isfinite(pop))[0]]
+        raise ValidationError(f"tract {bad!r} has no population value")
+    total = math.fsum(pop.tolist())
     if total <= 0.0:
         raise ValidationError("subset population sums to zero")
-    return math.fsum(num) / total, len(chosen)
+    num = pop * index.values[rows, index.groups.index(group)]
+    return math.fsum(num.tolist()) / total, len(rows)
 
 
 def corridor_subset(

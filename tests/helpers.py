@@ -8,7 +8,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from tracteq.commute import GROUPS
+from tracteq.commute import GROUPS, TraversalTable
 from tracteq.data_model import DesignData, Tract, TractSet
 from tracteq.errors import ValidationError
 from tracteq.geometry import (
@@ -25,6 +25,7 @@ from tracteq.network import (
     Graph,
     Route,
     _EdgeParts,
+    build_edge_tract_map,
 )
 
 
@@ -42,6 +43,17 @@ def grid_tracts(rows: int, cols: int, size: float = 1000.0, attr_fn=None) -> Tra
             attrs = attr_fn(r, c) if attr_fn else {}
             tracts.append(square_tract(f"T{r:03d}{c:03d}", c, r, size, **attrs))
     return TractSet(tracts)
+
+
+def gap_strip(ids=("A", "B")) -> tuple[TractSet, Graph, EdgeTractMap]:
+    """Two 1 km square tracts 1 km apart, with group shares 0.5 and 0.25,
+    a node at each centroid and a 2 km street between them: with split
+    attribution the street leaves 500 m in each tract and 1 km in
+    OUTSIDE_ZONE."""
+    ts = TractSet([square_tract(ids[0], 0, 0, population=100.0, group_share=0.5),
+                   square_tract(ids[1], 2, 0, population=300.0, group_share=0.25)])
+    g = Graph({"a": (500.0, 500.0), "b": (2500.0, 500.0)}, [Edge("a", "b", 2000.0, 10.0)])
+    return ts, g, build_edge_tract_map(g, ts, mode="split")
 
 
 def design_from_arrays(y, X, ids=None, names=None) -> DesignData:
@@ -413,3 +425,27 @@ def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: Edg
                 if w:
                     add(D, tid, g, w * km)
     return D, C
+
+
+def traversal_table(D: dict, C: dict, groups=GROUPS) -> TraversalTable:
+    """The TraversalTable of tract -> group -> value dicts: a row per tract
+    of D or C, in sorted-id order, and 0.0 where a dict has no value."""
+    zones = sorted(D.keys() | C.keys())
+
+    def cells(table):
+        return np.array([[table.get(z, {}).get(g, 0.0) for g in groups] for z in zones],
+                        float).reshape(len(zones), len(groups))
+
+    return TraversalTable(tuple(zones), tuple(groups), cells(D), cells(C))
+
+
+def traversal_dicts(table: TraversalTable) -> tuple[dict, dict]:
+    """table's D and C as zone -> group -> value dicts, a row per zone."""
+    return tuple({z: dict(zip(table.groups, row)) for z, row in zip(table.zones, cells.tolist())}
+                 for cells in (table.D, table.C))
+
+
+def index_dict(index) -> dict:
+    """An InequityTable's values as tract -> group -> index, defined tracts only."""
+    return {tid: dict(zip(index.groups, row))
+            for tid, row in zip(index.tract_ids, index.values.tolist())}

@@ -20,14 +20,16 @@ from helpers import (
     enumerate_best_path,
     grid_tracts,
     hc1_by_hand,
+    index_dict,
     normal_equations_beta,
     random_graph,
+    traversal_dicts,
+    traversal_table,
 )
 from test_report import golden, make_fit
 from tracteq.cli import main
 from tracteq.commute import (
     GROUPS,
-    TraversalTable,
     assign_groups,
     nearest_node,
     route_traversals,
@@ -276,24 +278,24 @@ def test_criterion_08_index_invariants_on_random_tables():
             else:
                 D[tid] = {g: float(rng.uniform(0, 50)) for g in groups}
             C[tid] = {g: float(rng.uniform(0, 30)) for g in groups}
-        table = TraversalTable(groups=groups, D=D, C=C)
-        idx = inequity_index(table)
-        for tid in idx.defined:
-            vals = [idx.values[tid][g] for g in groups]
+        table = traversal_table(D, C, groups)
+        idx = index_dict(inequity_index(table))
+        for tid in idx:
+            vals = [idx[tid][g] for g in groups]
             worst_sum = max(worst_sum, abs(math.fsum(vals)))
             worst_bound = max(worst_bound, max(abs(v) for v in vals))
         for c in (0.1, 7.0, 1e6):
-            scaled = TraversalTable(
-                groups=groups,
-                D={t: {g: v * c for g, v in by.items()} for t, by in D.items()},
-                C={t: {g: v * c for g, v in by.items()} for t, by in C.items()},
+            scaled = traversal_table(
+                {t: {g: v * c for g, v in by.items()} for t, by in D.items()},
+                {t: {g: v * c for g, v in by.items()} for t, by in C.items()},
+                groups,
             )
-            idx_c = inequity_index(scaled)
-            assert idx_c.defined == idx.defined
-            for tid in idx.defined:
+            idx_c = index_dict(inequity_index(scaled))
+            assert list(idx_c) == list(idx)
+            for tid in idx:
                 for g in groups:
                     worst_scale = max(
-                        worst_scale, abs(idx_c.values[tid][g] - idx.values[tid][g])
+                        worst_scale, abs(idx_c[tid][g] - idx[tid][g])
                     )
     criterion(8, worst_sum <= 1e-12 and worst_bound <= 1.0 and worst_scale <= 1e-12,
               f"max|sum_g I| = {worst_sum:.2e} (tol 1e-12), max|I| = "
@@ -314,11 +316,12 @@ def test_criterion_09_bernoulli_mean_matches_fractional():
                     sc.tracts, sc.graph, sc.edge_map)
 
     n_seeds = 200
+    frac_D = traversal_dicts(frac)[0]
     acc = {}
     for s in range(n_seeds):
         tab = simulate(assign_groups(sc.od, sc.tracts, mode="bernoulli", seed=s),
                        sc.tracts, sc.graph, sc.edge_map)
-        for tid, by_g in tab.D.items():
+        for tid, by_g in traversal_dicts(tab)[0].items():
             for g, v in by_g.items():
                 acc[(tid, g)] = acc.get((tid, g), 0.0) + v
 
@@ -340,7 +343,7 @@ def test_criterion_09_bernoulli_mean_matches_fractional():
     cells = 0
     for cell, total in acc.items():
         mean = total / n_seeds
-        expect = frac.D.get(cell[0], {}).get(cell[1], 0.0)
+        expect = frac_D.get(cell[0], {}).get(cell[1], 0.0)
         se = math.sqrt(var.get(cell, 0.0) / n_seeds)
         if se == 0.0:
             assert abs(mean - expect) < 1e-9, cell
@@ -359,7 +362,7 @@ def test_criterion_09_bernoulli_mean_matches_fractional():
     tab_u = simulate(assign_groups(sc_u.od, sc_u.tracts, mode="fractional"),
                      sc_u.tracts, sc_u.graph, sc_u.edge_map)
     idx = inequity_index(tab_u)
-    worst_uniform = max(abs(v) for by in idx.values.values() for v in by.values())
+    worst_uniform = float(np.abs(idx.values).max())
 
     criterion(9, worst_z <= 3.0 and worst_uniform <= 1e-12,
               f"max |mean - fractional| = {worst_z:.2f} SE (tol 3 SE) over "

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import tracteq
-from helpers import square_tract
+from helpers import square_tract, traversal_dicts, traversal_table
+from tracteq import commute
 from tracteq.artifacts import (
     BLOCK_ROWS,
     CsvBlock,
@@ -21,7 +22,7 @@ from tracteq.artifacts import (
     write_atomic,
     write_csv,
 )
-from tracteq.commute import TraversalTable, load_od, read_traversal, write_traversal
+from tracteq.commute import load_od, read_traversal, write_traversal
 from tracteq.config import load_config
 from tracteq.data_model import TractSet, load_highways, load_tracts, read_attribute_table
 from tracteq.errors import ParseError, ValidationError
@@ -62,15 +63,21 @@ def test_failed_write_leaves_no_file(tmp_path):
 def test_write_traversal_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "traversal.csv"
     path.write_bytes(b"previous\n")
-    table = TraversalTable(groups=("white",), D={"T1": {"white": 1.0}}, C={"T1": {"white": 2.0}})
+    table = traversal_table({"T1": {"white": 1.0}, "T2": {"white": 3.0}},
+                            {"T1": {"white": 2.0}}, groups=("white",))
+    cells = []
 
-    def failing_ids():
-        yield "T1"
-        raise RuntimeError("injected failure")
+    def failing_fmt(value):
+        # The first row's two cells, then a failure in the second row.
+        cells.append(value)
+        if len(cells) > 2:
+            raise RuntimeError("injected failure")
+        return repr(value)
 
-    monkeypatch.setattr(TraversalTable, "tract_ids", lambda self: failing_ids())
+    monkeypatch.setattr(commute, "fmt", failing_fmt)
     with pytest.raises(RuntimeError, match="injected"):
         write_traversal(table, str(path), ["header"])
+    assert cells == [1.0, 2.0, 3.0]
     assert path.read_bytes() == b"previous\n"
     assert os.listdir(tmp_path) == ["traversal.csv"]
 
@@ -146,11 +153,10 @@ def test_traversal_round_trips_awkward_tract_ids(tmp_path):
     groups = ("white", "non_white")
     D = {"#7": {"white": 1.25, "non_white": 0.5}, "A,1": {"white": 0.1, "non_white": 3.0}}
     C = {"#7": {"white": 2.0, "non_white": 1.0}, "A,1": {"white": 0.0, "non_white": 4.0}}
-    write_traversal(TraversalTable(groups=groups, D=D, C=C), str(path), ["header"])
+    write_traversal(traversal_table(D, C, groups), str(path), ["header"])
     back = read_traversal(str(path))
     assert back.groups == groups
-    assert back.D == D
-    assert back.C == C
+    assert traversal_dicts(back) == (D, C)
 
 
 NODES_OK = "id,x,y\nA,0,0\nB,100,0\n"
@@ -175,7 +181,7 @@ def _od(path, tmp_path):
 
 def _traversal(path, tmp_path):
     table = read_traversal(path)
-    return table.groups, table.D, table.C
+    return table.groups, traversal_dicts(table)
 
 
 # reader, required columns, a good file, a file whose first row is bad
@@ -248,6 +254,12 @@ TWO_FAULTS = {
                             f"{2**63 - 1}"),
     "od drop then negative": (_od, "home,work,count\nA,Z,-3\nA,B,1.5\n",
                               "line 2: negative count -3"),
+    "traversal negative then number": (
+        _traversal, "tract_id,group,D_km,C_count\nA,white,1.5,-5\nB,white,x,1\n",
+        "line 2: '-5' in column 'C_count' is not a finite nonnegative number"),
+    "traversal repeat then nan": (
+        _traversal, "tract_id,group,D_km,C_count\nA,white,nan,1\nA,white,1,1\n",
+        "line 2: 'nan' in column 'D_km' is not a finite nonnegative number"),
 }
 
 

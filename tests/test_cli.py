@@ -755,6 +755,24 @@ def test_a_traversal_naming_a_column_twice_or_repeating_a_row_exits_2(scenario_d
     assert not (tmp_path / "equity.csv").exists()
 
 
+@pytest.mark.parametrize("column, cell", [("D_km", "nan"), ("C_count", "-5")])
+def test_a_traversal_cell_that_is_negative_or_not_finite_exits_2(column, cell, scenario_dir,
+                                                                 tmp_path, caplog):
+    config = str(scenario_dir / "config.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    traversal = tmp_path / "traversal.csv"
+    lines = traversal.read_text().splitlines()
+    at = lines[1].split(",").index(column)  # line 0 is the stamp
+    row = lines[2].split(",")
+    row[at] = cell
+    lines[2] = ",".join(row)
+    traversal.write_text("\n".join(lines) + "\n")
+    assert main(["equity", "--config", config, "--out", str(tmp_path)]) == 2
+    assert (f"{traversal} line 3: {cell!r} in column {column!r} is not a finite "
+            "nonnegative number") in caplog.text
+    assert not list(tmp_path.glob("equity*"))
+
+
 def _config_variant(scenario_dir, path, edit):
     """The scenario's config with absolute input paths, edited and written to path."""
     raw = json.loads((scenario_dir / "config.json").read_text())

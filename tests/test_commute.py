@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     absorbed_edge_inputs,
+    gap_strip,
     grid_tracts,
     nearest_node_brute,
     path_carrying_shortest_path,
@@ -14,12 +15,13 @@ from helpers import (
     simulate_reference,
     square_tract,
     tie_heavy_graph,
+    traversal_dicts,
+    traversal_table,
 )
 from tracteq import commute, network
 from tracteq.commute import (
     GROUPS,
     ODTable,
-    TraversalTable,
     assign_groups,
     load_od,
     nearest_node,
@@ -32,6 +34,7 @@ from tracteq.commute import (
 from tracteq.data_model import TractSet
 from tracteq.errors import ConsistencyError, ValidationError
 from tracteq.network import (
+    OUTSIDE_ZONE,
     Edge,
     Graph,
     build_edge_tract_map,
@@ -501,12 +504,13 @@ def test_simulate_single_pair_hand_totals():
     od = ODTable.from_rows([("T000000", "T000002", 4)], ts)
     a = assign_groups(od, ts, mode="fractional")
     table = simulate(a, ts, g, em)  # weights: white 1.0, non_white 3.0
+    D, C = traversal_dicts(table)
     for tid, km in (("T000000", 0.5), ("T000001", 1.0), ("T000002", 0.5)):
-        assert table.D[tid]["white"] == pytest.approx(km)
-        assert table.D[tid]["non_white"] == pytest.approx(3.0 * km)
-    assert table.C["T000000"]["white"] == 1.0
-    assert table.C["T000000"]["non_white"] == 3.0
-    assert "T000002" not in table.C
+        assert D[tid]["white"] == pytest.approx(km)
+        assert D[tid]["non_white"] == pytest.approx(3.0 * km)
+    assert C["T000000"]["white"] == 1.0
+    assert C["T000000"]["non_white"] == 3.0
+    assert C["T000002"] == dict.fromkeys(GROUPS, 0.0)  # nobody lives there
     assert table.n_pairs == 1
     assert table.n_unreachable == 0
 
@@ -515,11 +519,11 @@ def test_simulate_exclude_home_drops_home_distance_only():
     ts, g, em = line_world(3, share=0.5)
     od = ODTable.from_rows([("T000000", "T000002", 2)], ts)
     a = assign_groups(od, ts, mode="fractional")
-    table = simulate(a, ts, g, em, exclude_home=True)
-    assert "T000000" not in table.D
-    assert table.D["T000001"]["white"] == pytest.approx(1.0)
-    assert table.D["T000002"]["white"] == pytest.approx(0.5)
-    assert table.C["T000000"]["white"] == 1.0  # commuters still live at home
+    D, C = traversal_dicts(simulate(a, ts, g, em, exclude_home=True))
+    assert D["T000000"] == dict.fromkeys(GROUPS, 0.0)
+    assert D["T000001"]["white"] == pytest.approx(1.0)
+    assert D["T000002"]["white"] == pytest.approx(0.5)
+    assert C["T000000"]["white"] == 1.0  # commuters still live at home
 
 
 def test_simulate_two_pairs_accumulate():
@@ -530,9 +534,10 @@ def test_simulate_two_pairs_accumulate():
     ], ts)
     a = assign_groups(od, ts, mode="fractional")
     table = simulate(a, ts, g, em)  # white weight 1 on each pair
-    assert table.D["T000000"]["white"] == pytest.approx(0.5)
-    assert table.D["T000001"]["white"] == pytest.approx(1.0 + 0.5)
-    assert table.D["T000002"]["white"] == pytest.approx(0.5 + 0.5)
+    D, _ = traversal_dicts(table)
+    assert D["T000000"]["white"] == pytest.approx(0.5)
+    assert D["T000001"]["white"] == pytest.approx(1.0 + 0.5)
+    assert D["T000002"]["white"] == pytest.approx(0.5 + 0.5)
     assert table.total_km() == pytest.approx(2.0 * 2 + 1.0 * 2)
 
 
@@ -541,8 +546,9 @@ def test_simulate_same_tract_pair_contributes_commuters_only():
     od = ODTable.from_rows([("T000000", "T000000", 6)], ts)
     a = assign_groups(od, ts, mode="fractional")
     table = simulate(a, ts, g, em)
-    assert table.D == {}
-    assert table.C["T000000"]["white"] == 3.0
+    assert table.zones == ("T000000",)
+    assert not table.D.any()
+    assert traversal_dicts(table)[1]["T000000"]["white"] == 3.0
 
 
 def test_simulate_unreachable_pairs_skipped():
@@ -558,8 +564,9 @@ def test_simulate_unreachable_pairs_skipped():
     a = assign_groups(od, ts, mode="fractional")
     table = simulate(a, ts, g, em)
     assert table.n_unreachable == 1
-    assert table.D == {}  # cross pair unreachable; same-pair routes nowhere
-    assert table.C["T000000"]["white"] == 1.5  # only the reachable pair counts
+    assert table.zones == ("T000000",)
+    assert not table.D.any()  # cross pair unreachable; same-pair routes nowhere
+    assert traversal_dicts(table)[1]["T000000"]["white"] == 1.5  # only the reachable pair counts
 
 
 def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, monkeypatch):
@@ -614,10 +621,38 @@ def test_traversal_roundtrip_exact(tmp_path, step_scenario):
     write_traversal(table, str(path), header_lines=["written by a test"])
     back = read_traversal(str(path))
     assert back.groups == GROUPS
-    for tid in table.tract_ids():
-        for g in GROUPS:
-            assert back.D.get(tid, {}).get(g, 0.0) == table.D.get(tid, {}).get(g, 0.0)
-            assert back.C.get(tid, {}).get(g, 0.0) == table.C.get(tid, {}).get(g, 0.0)
+    assert back.zones == table.zones
+    assert hexed(back) == hexed(table)
+
+
+def test_traversal_rows_are_in_id_order_around_the_outside_zone(tmp_path):
+    # "A" < "__outside__" < "b": by tract rank the outside zone would come last.
+    ts, g, em = gap_strip(("A", "b"))
+    od = ODTable.from_rows([("A", "b", 4), ("b", "A", 2)], ts)
+    table = simulate(assign_groups(od, ts), ts, g, em)
+    assert table.zones == ("A", OUTSIDE_ZONE, "b")
+    path = tmp_path / "traversal.csv"
+    write_traversal(table, str(path))
+    assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == [
+        "A", "A", OUTSIDE_ZONE, OUTSIDE_ZONE, "b", "b"]
+    back = read_traversal(str(path))
+    assert back.zones == ("A", OUTSIDE_ZONE, "b")
+    assert hexed(back) == hexed(table)
+    D, C = traversal_dicts(back)
+    assert D[OUTSIDE_ZONE] == {"white": 0.5 * 4 + 0.25 * 2, "non_white": 0.5 * 4 + 0.75 * 2}
+    assert C["b"] == {"white": 0.5, "non_white": 1.5}
+
+
+@pytest.mark.parametrize("column, cell", [("D_km", "nan"), ("D_km", "inf"), ("C_count", "-5"),
+                                          ("C_count", "-inf")])
+def test_read_traversal_refuses_a_negative_or_non_finite_cell(tmp_path, column, cell):
+    p = tmp_path / "traversal.csv"
+    row = {"D_km": "1.0", "C_count": "2.0", column: cell}
+    p.write_text("tract_id,group,D_km,C_count\nA,white,1.0,2.0\n"
+                 f"A,non_white,{row['D_km']},{row['C_count']}\n")
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{p} line 3: {cell!r} in column {column!r} is not a finite nonnegative number")):
+        read_traversal(str(p))
 
 
 def test_read_traversal_requires_header(tmp_path):
@@ -643,14 +678,14 @@ def test_uniform_share_splits_distance_proportionally(step_scenario):
         attr_fn=lambda r, c: {"group_share": 0.37},
     )
     a = assign_groups(sc.od, uniform, mode="fractional")
-    table = simulate(a, uniform, sc.graph, sc.edge_map)
-    for tid in table.tract_ids():
-        d_total = table.D_total(tid)
+    D, C = traversal_dicts(simulate(a, uniform, sc.graph, sc.edge_map))
+    for tid in D:
+        d_total = math.fsum(D[tid].values())
         if d_total > 0:
-            assert table.D[tid]["white"] / d_total == pytest.approx(0.37, abs=1e-12)
-        c_total = table.C_total(tid)
+            assert D[tid]["white"] / d_total == pytest.approx(0.37, abs=1e-12)
+        c_total = math.fsum(C[tid].values())
         if c_total > 0:
-            assert table.C[tid]["white"] / c_total == pytest.approx(0.37, abs=1e-12)
+            assert C[tid]["white"] / c_total == pytest.approx(0.37, abs=1e-12)
 
 
 def accounting_world(rng):
@@ -683,15 +718,16 @@ def accounting_world(rng):
 
 
 def hexed(table):
-    return {tid: {g: v.hex() for g, v in row.items()} for tid, row in table.items()}
+    """A TraversalTable's D and C cells as float.hex strings, by zone and group."""
+    return tuple({tid: {g: v.hex() for g, v in row.items()} for tid, row in cells.items()}
+                 for cells in traversal_dicts(table))
 
 
 def assert_matches_reference(od, ts, g, em, assignment, exclude_home):
     got = simulate(assignment, ts, g, em, exclude_home=exclude_home)
     D, C = simulate_reference(assignment, ts, g, em, exclude_home=exclude_home)
-    assert got.D.keys() == D.keys() and got.C.keys() == C.keys()
-    assert hexed(got.D) == hexed(D)
-    assert hexed(got.C) == hexed(C)
+    assert got.zones == tuple(sorted(D.keys() | C.keys()))
+    assert hexed(got) == hexed(traversal_table(D, C))
     return got
 
 
@@ -750,8 +786,8 @@ def test_simulate_flushing_after_every_home_gives_the_same_bits(rng, monkeypatch
     monkeypatch.setattr(network, "_FLUSH_STEPS", 0)
     got = simulate(a, ts, g, em, exclude_home=exclude_home)
     assert len(flushes) == len({h for h, _, _ in od.rows})
-    assert hexed(got.D) == hexed(want.D)
-    assert hexed(got.C) == hexed(want.C)
+    assert got.zones == want.zones
+    assert hexed(got) == hexed(want)
     assert (got.n_pairs, got.n_unreachable) == (want.n_pairs, want.n_unreachable)
     assert want.n_unreachable > 0
 

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import corridor_subset_linear, grid_tracts
-from tracteq.commute import TraversalTable
+from helpers import corridor_subset_linear, gap_strip, grid_tracts, index_dict, traversal_table
+from tracteq.commute import ODTable, assign_groups, read_traversal, simulate
 from tracteq.data_model import HighwayNetworkGeom, HighwayPolyline
 from tracteq.equity import corridor_subset, inequity_index, population_weighted_mean
 from tracteq.errors import ValidationError
 from tracteq.geometry import EPS
+from tracteq.network import OUTSIDE_ZONE
 
 GROUPS = ("white", "non_white")
 
 
 def table(D, C):
-    return TraversalTable(groups=GROUPS, D=D, C=C)
+    return traversal_table(D, C, GROUPS)
 
 
 def test_index_hand_case():
@@ -23,9 +24,9 @@ def test_index_hand_case():
         {"A": {"white": 60.0, "non_white": 40.0}},
         {"A": {"white": 30.0, "non_white": 70.0}},
     )
-    idx = inequity_index(t)
-    assert idx.values["A"]["white"] == pytest.approx(0.3)
-    assert idx.values["A"]["non_white"] == pytest.approx(-0.3)
+    idx = index_dict(inequity_index(t))
+    assert idx["A"]["white"] == pytest.approx(0.3)
+    assert idx["A"]["non_white"] == pytest.approx(-0.3)
 
 
 def test_index_zero_when_shares_match():
@@ -33,8 +34,8 @@ def test_index_zero_when_shares_match():
         {"A": {"white": 12.0, "non_white": 36.0}},
         {"A": {"white": 5.0, "non_white": 15.0}},
     )
-    idx = inequity_index(t)
-    assert idx.values["A"]["white"] == pytest.approx(0.0, abs=1e-15)
+    idx = index_dict(inequity_index(t))
+    assert idx["A"]["white"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_index_boundary_one():
@@ -43,9 +44,9 @@ def test_index_boundary_one():
         {"A": {"white": 50.0, "non_white": 0.0}},
         {"A": {"white": 0.0, "non_white": 10.0}},
     )
-    idx = inequity_index(t)
-    assert idx.values["A"]["white"] == 1.0
-    assert idx.values["A"]["non_white"] == -1.0
+    idx = index_dict(inequity_index(t))
+    assert idx["A"]["white"] == 1.0
+    assert idx["A"]["non_white"] == -1.0
 
 
 def test_index_undefined_tracts_excluded():
@@ -54,7 +55,7 @@ def test_index_undefined_tracts_excluded():
         {"A": {"white": 1.0, "non_white": 1.0}, "C": {"white": 3.0, "non_white": 3.0}},
     )
     idx = inequity_index(t)
-    assert idx.defined == ["A"]
+    assert idx.tract_ids == ("A",)
     assert idx.undefined == ("B", "C")
 
 
@@ -66,8 +67,8 @@ def test_index_zero_sum_and_bounds_random(rng):
             tid = f"T{i:03d}"
             D[tid] = {g: float(rng.uniform(0, 100)) for g in GROUPS}
             C[tid] = {g: float(rng.uniform(0, 50)) for g in GROUPS}
-        idx = inequity_index(table(D, C))
-        for tid, by_group in idx.values.items():
+        idx = index_dict(inequity_index(table(D, C)))
+        for tid, by_group in idx.items():
             assert abs(math.fsum(by_group.values())) <= 1e-12
             for v in by_group.values():
                 assert -1.0 <= v <= 1.0
@@ -79,15 +80,44 @@ def test_index_scale_invariant(rng):
         tid = f"T{i}"
         D[tid] = {g: float(rng.uniform(0.1, 100)) for g in GROUPS}
         C[tid] = {g: float(rng.uniform(0.1, 50)) for g in GROUPS}
-    base = inequity_index(table(D, C))
+    base = index_dict(inequity_index(table(D, C)))
     for c in (0.1, 7.0, 1e6):
-        scaled = inequity_index(table(
+        scaled = index_dict(inequity_index(table(
             {t: {g: c * v for g, v in by.items()} for t, by in D.items()},
             {t: {g: c * v for g, v in by.items()} for t, by in C.items()},
-        ))
-        for tid in base.values:
+        )))
+        for tid in base:
             for g in GROUPS:
-                assert abs(scaled.values[tid][g] - base.values[tid][g]) <= 1e-12
+                assert abs(scaled[tid][g] - base[tid][g]) <= 1e-12
+
+
+
+def test_km_outside_every_tract_is_not_an_undefined_tract():
+    ts, g, em = gap_strip()
+    od = ODTable.from_rows([("A", "B", 4), ("B", "A", 2)], ts)
+    traversal = simulate(assign_groups(od, ts), ts, g, em)
+    assert traversal.zones == ("A", "B", OUTSIDE_ZONE)
+    outside = traversal.zones.index(OUTSIDE_ZONE)
+    assert traversal.D[outside].sum() > 0.0 and not traversal.C[outside].any()
+    idx = inequity_index(traversal)
+    assert idx.tract_ids == ("A", "B")
+    assert idx.undefined == ()
+
+
+def test_index_takes_row_totals_by_fsum(tmp_path):
+    # Left to right, 1.0 + 1e-16 + 1e-16 is 1.0; math.fsum rounds the exact
+    # sum, 1.0000000000000002.
+    d = [1.0, 1e-16, 1e-16]
+    c = [1.0, 2.0, 3.0]
+    assert math.fsum(d) != d[0] + d[1] + d[2]
+    path = tmp_path / "traversal.csv"
+    path.write_text("tract_id,group,D_km,C_count\n" + "".join(
+        f"A,{g},{dv!r},{cv!r}\n" for g, dv, cv in zip("xyz", d, c)))
+    idx = inequity_index(read_traversal(str(path)))
+    assert idx.groups == ("x", "y", "z")
+    want = [dv / math.fsum(d) - cv / math.fsum(c) for dv, cv in zip(d, c)]
+    assert [v.hex() for v in idx.values[0].tolist()] == [v.hex() for v in want]
+    assert idx.values[0, 0] != d[0] / (d[0] + d[1] + d[2]) - c[0] / math.fsum(c)
 
 
 def test_weighted_mean_hand_case():
@@ -99,8 +129,8 @@ def test_weighted_mean_hand_case():
          "T000001": {"white": 1.0, "non_white": 1.0}},
     )
     idx = inequity_index(t)
-    assert idx.values["T000000"]["white"] == pytest.approx(0.05)
-    assert idx.values["T000001"]["white"] == pytest.approx(-0.05)
+    assert index_dict(idx)["T000000"]["white"] == pytest.approx(0.05)
+    assert index_dict(idx)["T000001"]["white"] == pytest.approx(-0.05)
     got, n_defined = population_weighted_mean(idx, ts, ["T000000", "T000001"], "white")
     assert got == pytest.approx((3 * 0.05 + 1 * -0.05) / 4)
     assert n_defined == 2
