@@ -5,21 +5,23 @@ pair, that every consumer indexes per-tract arrays by. Trips route once per
 origin-destination pair (free-flow routing makes every worker on a pair take
 the same path), from one routing tree per home tract, in sorted pair order.
 After each home's tree, the pairs' chain walks append edge indices to a
-flat buffer (network._EdgeParts.route_meters); a flush, at the end of a
+flat buffer (network.EdgeTractMap.route_meters); a flush, at the end of a
 home once the buffer holds network._FLUSH_STEPS steps, turns them into one
-meters figure per (pair, tract): a single term as is, a + b for two terms
-(equal to math.fsum of two floats) and math.fsum for three or more.
-simulate adds those with np.add.at into (zones x groups) arrays in pair
-order; np.add.at adds repeated indices one after another, so each cell
-takes the same additions in the same order as a loop over the sorted
-pairs, and the sums are bit-identical to it. Those arrays' rows, sorted by
-zone id, are the TraversalTable that traversal.csv holds and the equity
-stage reads. Memory held for routing is
-bounded by the step count, not by the number of pairs. Trip weights are
-one float per group and OD row (16 B per pair). Group labels come either
-from a deterministic fractional split or from counter-based coin flips
-keyed by (seed, home, work, worker index), so bernoulli draws never depend
-on iteration or parallel order.
+meters figure per (pair, zone): a single term as is, a + b for two terms
+(equal to math.fsum of two floats) and math.fsum for three or more. The
+edge-tract map's zones are the tract ids then OUTSIDE_ZONE, so a zone's
+index is its tract's rank; simulate and route_traversals refuse a map
+built for another graph or over other tract ids. simulate adds the meters
+with np.add.at into (zones x groups) arrays in pair order; np.add.at adds
+repeated indices one after another, so each cell takes the same additions
+in the same order as a loop over the sorted pairs, and the sums are
+bit-identical to it. Those arrays' rows, sorted by zone id, are the
+TraversalTable that traversal.csv holds and the equity stage reads. Memory
+held for routing is bounded by the step count, not by the number of pairs.
+Trip weights are one float per group and OD row (16 B per pair). Group
+labels come either from a deterministic fractional split or from
+counter-based coin flips keyed by (seed, home, work, worker index), so
+bernoulli draws never depend on iteration or parallel order.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .artifacts import BLOCK_ROWS, Faults, first_repeat, fmt, read_csv, write_csv
-from .data_model import TractSet
+from .data_model import OUTSIDE_ZONE, TractSet
 from .errors import ValidationError
-from .network import OUTSIDE_ZONE, EdgeTractMap, Graph, _EdgeParts, _RouteBatch
+from .network import EdgeTractMap, Graph, _RouteBatch
 
 log = logging.getLogger(__name__)
 
@@ -277,7 +279,11 @@ class TraversalTable:
     n_unreachable: int = 0
 
     def total_km(self) -> float:
-        return math.fsum(self.D.ravel().tolist())
+        try:
+            return math.fsum(self.D.ravel().tolist())
+        except OverflowError:
+            raise ValidationError("traversal table: the total km overflows "
+                                  "the float range") from None
 
 
 def write_traversal(table: TraversalTable, path: str, header_lines: list[str] | None = None) -> None:
@@ -360,22 +366,25 @@ def tract_node(graph: Graph, tracts: TractSet, tract_id: str) -> str:
 
 def _pair_meters(
     od: ODTable, tracts: TractSet, graph: Graph, edge_map: EdgeTractMap,
-    first_zones: tuple[str, ...] = (),
-) -> tuple[list[str], Iterator[_RouteBatch]]:
-    """The zones and the batches of network._EdgeParts.route_meters for
-    od's rows in order: each home's rows are consecutive, and their routes
-    come from one routing tree. Each tract that od uses takes its nearest
-    node once, in one chunked pass (_nearest_nodes)."""
+) -> Iterator[_RouteBatch]:
+    """The batches of edge_map.route_meters for od's rows in order: each
+    home's rows are consecutive, and their routes come from one routing
+    tree. Each tract that od uses takes its nearest node once, in one
+    chunked pass (_nearest_nodes). A map built for another Graph object,
+    or over zones other than (*tracts.ids, OUTSIDE_ZONE), is refused."""
+    if edge_map.graph is not graph:
+        raise ValidationError("the edge-tract map was built for another graph")
+    if edge_map.zones != (*tracts.ids, OUTSIDE_ZONE):
+        raise ValidationError("the edge-tract map was built over other tract ids")
     used = np.zeros(len(od.ids), bool)
     used[od.home] = True
     used[od.work] = True
     node = np.zeros(len(od.ids), np.intp)  # graph node rank per tract rank
     node[used] = _nearest_nodes(graph, tracts.centroids[used])
     starts = np.flatnonzero(np.diff(od.home, prepend=-1)).tolist()
-    parts = _EdgeParts(graph, edge_map, first_zones)
     homes = ((int(node[od.home[s]]), node[od.work[s:e]].tolist())
              for s, e in zip(starts, starts[1:] + [len(od)]))
-    return parts.zones, parts.route_meters(homes)
+    return edge_map.route_meters(homes)
 
 
 def _log_unreachable(n_unreachable: int, n_pairs: int) -> None:
@@ -399,13 +408,13 @@ def route_traversals(
     build this table; it serves callers that need each pair's meters, such
     as the variance term of acceptance criterion 9.
     """
-    zones, batches = _pair_meters(od, tracts, graph, edge_map)
     routes: list[dict[str, float] | None] = []
-    for _, reachable, pair, zone, meters in batches:
-        batch = [{} if ok else None for ok in reachable.tolist()]
+    for _, reachable, pair, zone, meters in _pair_meters(od, tracts, graph, edge_map):
+        batch = [[] if ok else None for ok in reachable.tolist()]
         for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
-            batch[p][zones[z]] = m  # zones are sorted, so keys come sorted
-        routes += batch
+            batch[p].append((edge_map.zones[z], m))
+        # By id, not by rank: an id may sort on either side of OUTSIDE_ZONE.
+        routes += [None if r is None else dict(sorted(r)) for r in batch]
     traversals = {(home, work): r for (home, work, _), r in zip(od.rows, routes)}
     unreachable = routes.count(None)
     _log_unreachable(unreachable, len(traversals))
@@ -430,7 +439,7 @@ def simulate(
     so they equal route_tract_distances of the pair's shortest_path route.
     """
     od = assignment.od
-    zones, batches = _pair_meters(od, tracts, graph, edge_map, (*tracts.ids, OUTSIDE_ZONE))
+    zones = edge_map.zones
     # Rows are zones, in tract rank order with OUTSIDE_ZONE next; each
     # batch adds its pairs in pair order with np.add.at, which adds
     # repeated indices one after another in index order. So each cell
@@ -442,7 +451,7 @@ def simulate(
     C = np.zeros((len(zones), len(GROUPS)))
     kept = np.zeros(len(zones), bool)
     n_unreachable = 0
-    for first, reachable, pair, zone, meters in batches:
+    for first, reachable, pair, zone, meters in _pair_meters(od, tracts, graph, edge_map):
         home = od.home[first:first + len(reachable)]
         weights = assignment.weights[first:first + len(home)]
         n_unreachable += len(home) - int(np.count_nonzero(reachable))

@@ -29,6 +29,10 @@ log = logging.getLogger(__name__)
 
 ROAD_CLASSES = ("interstate", "us_route", "state_route")
 
+# The zone that takes the km of street outside every tract polygon; no tract
+# may have it as its id.
+OUTSIDE_ZONE = "__outside__"
+
 # The attribute column read for each demographic a TractSet checks and the
 # simulation reads, unless the run config's "demographics" section renames it.
 DEMOGRAPHICS = {
@@ -56,7 +60,7 @@ class TractSet:
     """The tracts sorted by tract_id, with cached centroids.
 
     This is the one tract order: a tract's index is its id's rank, and every
-    output lists tracts in it. Each tract's ring is stored normalized: open,
+    output lists tracts in it. No tract may take the id OUTSIDE_ZONE. Each tract's ring is stored normalized: open,
     with float vertices.
 
     Attribute columns are free-form; the demographic columns used by the
@@ -86,6 +90,9 @@ class TractSet:
         for t in self.tracts:
             if t.tract_id in seen:
                 raise ValidationError(f"duplicate tract_id {t.tract_id!r}")
+            if t.tract_id == OUTSIDE_ZONE:
+                raise ValidationError(f"tract_id {OUTSIDE_ZONE!r} is reserved for the km "
+                                      "outside every tract")
             seen.add(t.tract_id)
             if polygon_area(t.polygon) <= 0.0:
                 raise ValidationError(f"tract {t.tract_id!r} has zero-area polygon")

@@ -20,10 +20,9 @@ from typing import Iterable
 import numpy as np
 
 from .commute import TraversalTable
-from .data_model import HighwayNetworkGeom, TractSet
+from .data_model import OUTSIDE_ZONE, HighwayNetworkGeom, TractSet
 from .errors import ValidationError
 from .geometry import EPS, bounding_box, boxes_overlap, polyline_intersects_polygon
-from .network import OUTSIDE_ZONE
 
 log = logging.getLogger(__name__)
 
@@ -47,9 +46,15 @@ class InequityTable:
 
 def inequity_index(traversal: TraversalTable) -> InequityTable:
     """I_jg = D_jg / D_j - C_jg / C_j per defined tract, where D_j and C_j
-    are the math.fsum of row j."""
-    d_j = np.array([math.fsum(row) for row in traversal.D.tolist()])
-    c_j = np.array([math.fsum(row) for row in traversal.C.tolist()])
+    are the math.fsum of row j; a total past the float range is refused."""
+    totals = []
+    for zone, d, c in zip(traversal.zones, traversal.D.tolist(), traversal.C.tolist()):
+        try:
+            totals.append((math.fsum(d), math.fsum(c)))
+        except OverflowError:
+            raise ValidationError(f"tract {zone!r}: its D_km or C_count total overflows "
+                                  "the float range") from None
+    d_j, c_j = np.array(totals).reshape(-1, 2).T
     ids = np.array(traversal.zones, object)
     tract = ids != OUTSIDE_ZONE
     defined = tract & (d_j > 0.0) & (c_j > 0.0)

@@ -13,17 +13,18 @@ compare as ids do. Every route comes from one tie-broken Dijkstra tree
 demand by walking both candidates up to their common ancestor.
 The tree's predecessor edges are indices into graph.edges.
 shortest_path walks one destination's chain into a Route, which
-`tracteq route` prints. _EdgeParts.route_meters serves many destinations
+`tracteq route` prints. EdgeTractMap.route_meters serves many destinations
 from one tree without building routes: each chain walk appends edge
 indices to a flat buffer, and once it holds _FLUSH_STEPS steps, at the end
 of an origin's pairs, a flush expands the edges into their (zone, meters)
-parts through flat arrays aligned to graph.edges and groups them by (pair,
-zone) in pair order. A group's meters are its one term as is, a + b for two
-terms (the correctly rounded sum, as math.fsum gives) and math.fsum for
-three or more, so they equal route_tract_distances of the pair's route;
-commute.simulate adds them up. The step bound keeps the buffer's memory
-independent of the number of pairs. The tests check the tree against a
-search that carries each candidate's whole path.
+parts through the map's flat arrays, which build_edge_tract_map aligns to
+graph.edges once, and groups them by (pair, zone) in pair order. A group's
+meters are its one term as is, a + b for two terms (the correctly rounded
+sum, as math.fsum gives) and math.fsum for three or more, so they equal
+route_tract_distances of the pair's route; commute.simulate adds them up.
+The step bound keeps the buffer's memory independent of the number of
+pairs. The tests check the tree against a search that carries each
+candidate's whole path.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .artifacts import first_repeat, read_csv
-from .data_model import TractSet
+from .data_model import OUTSIDE_ZONE, TractSet
 from .errors import ConsistencyError, ValidationError
 from .geometry import (
     EPS,
@@ -49,10 +50,6 @@ from .geometry import (
 )
 
 log = logging.getLogger(__name__)
-
-# Edges whose geometry falls outside every tract polygon attribute their
-# length to this sentinel zone.
-OUTSIDE_ZONE = "__outside__"
 
 # Fallback free-flow speeds (m/s) by road class for edges without a speed.
 DEFAULT_CLASS_SPEEDS: dict[str, float] = {
@@ -90,7 +87,8 @@ class Graph:
     the (neighbour rank, edge index into edges, travel time) of the node of
     rank r, sorted by neighbour then edge key. Each edge's travel time is
     computed once, and the lists come from one sort of a (from rank, to
-    rank, edge key, edge index) record per travel direction.
+    rank, edge key, edge index) record per travel direction. edge_index
+    maps each edge key to its index into edges.
     """
 
     def __init__(self, nodes: Mapping[str, tuple[float, float]], edges: Iterable[Edge]):
@@ -101,7 +99,7 @@ class Graph:
         self._ids: tuple[str, ...] = tuple(sorted(self.nodes))
         self.rank: dict[str, int] = {nid: r for r, nid in enumerate(self._ids)}
         rank = self.rank
-        seen: set[tuple[str, str]] = set()
+        self.edge_index: dict[tuple[str, str], int] = {}
         times: list[float] = []
         records: list[tuple[int, int, tuple[str, str], int, float]] = []
         for i, e in enumerate(self.edges):
@@ -124,9 +122,9 @@ class Graph:
             if e.u not in rank or e.v not in rank:
                 raise ValidationError(f"edge {e.u}->{e.v} references a missing node")
             key = (e.u, e.v)
-            if key in seen:
+            if key in self.edge_index:
                 raise ValidationError(f"duplicate edge {e.u}->{e.v}")
-            seen.add(key)
+            self.edge_index[key] = i
             times.append(travel_time)
             u, v = rank[e.u], rank[e.v]
             records.append((u, v, key, i, travel_time))
@@ -358,159 +356,7 @@ def _tie_prefers(u: int, v: int, pred: list[int], depth: list[int]) -> bool:
     return x < y
 
 
-class EdgeTractMap:
-    """Per-edge attribution of length (meters) to tracts.
-
-    parts[edge_key] is a tuple of (tract_id, meters) with tract ids unique
-    per edge and sorted; midpoint mode always has exactly one part.
-    """
-
-    def __init__(self, parts: dict[tuple[str, str], tuple[tuple[str, float], ...]]):
-        self.parts = parts
-
-    def for_edge(self, edge: Edge) -> tuple[tuple[str, float], ...]:
-        try:
-            return self.parts[edge.key]
-        except KeyError:
-            raise ConsistencyError(
-                f"edge {edge.u}->{edge.v} missing from edge-tract map"
-            ) from None
-
-
-class _TractGrid:
-    """Uniform grid over the tracts' bounding boxes, each padded by EPS.
-
-    A tract's position is its TractSet index, so positions follow sorted-id
-    order. Each cell lists, in that order, every tract whose padded box
-    touches it. A cell index is the floor of a coordinate's offset from the
-    grid corner times cells per meter, clamped to the grid; that function
-    only rises with the coordinate, so the cell of a point inside a padded
-    box lies within the cells the box was listed in. A point's cell list
-    therefore holds every tract a sorted-id scan of all boxes would test,
-    in the same order.
-    """
-
-    def __init__(self, tracts: TractSet):
-        # Per position: id, polygon, box and padded box.
-        self.ids = tracts.ids
-        self.polygons = [t.polygon for t in tracts]
-        self.boxes = [bounding_box(p) for p in self.polygons]
-        self.padded = [(b[0] - EPS, b[1] - EPS, b[2] + EPS, b[3] + EPS) for b in self.boxes]
-        self.side = max(1, math.isqrt(len(tracts)))
-        self.x0 = min(b[0] for b in self.padded)
-        self.y0 = min(b[1] for b in self.padded)
-        width = max(b[2] for b in self.padded) - self.x0
-        height = max(b[3] for b in self.padded) - self.y0
-        # Cells per meter; a zero, infinite or NaN extent gives 0, one column
-        # or row.
-        self.sx = self.side / width if width > 0 else 0.0
-        self.sy = self.side / height if height > 0 else 0.0
-        self.cells: list[list[int]] = [[] for _ in range(self.side * self.side)]
-        for pos, b in enumerate(self.padded):
-            for cell in self._cells(b):
-                self.cells[cell].append(pos)
-
-    def _index(self, v: float, lo: float, scale: float) -> int:
-        f = (v - lo) * scale
-        if f >= self.side:
-            return self.side - 1
-        return int(f) if f >= 0.0 else 0  # NaN goes to 0
-
-    def _cells(self, box: tuple[float, float, float, float]) -> list[int]:
-        """Cells under a box, row-major."""
-        c0 = self._index(box[0], self.x0, self.sx)
-        c1 = self._index(box[2], self.x0, self.sx)
-        r0 = self._index(box[1], self.y0, self.sy)
-        r1 = self._index(box[3], self.y0, self.sy)
-        return [r * self.side + c for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)]
-
-    def containing(self, point: tuple[float, float]) -> str:
-        """First containing tract in sorted-id order; boundary points go to
-        the first matching tract so shared borders resolve deterministically."""
-        x, y = point
-        cell = (self._index(y, self.y0, self.sy) * self.side
-                + self._index(x, self.x0, self.sx))
-        padded = self.padded
-        for pos in self.cells[cell]:
-            b = padded[pos]
-            if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
-                continue
-            if point_in_polygon(point, self.polygons[pos]):
-                return self.ids[pos]
-        return OUTSIDE_ZONE
-
-    def overlapping(self, box: tuple[float, float, float, float]) -> list[int]:
-        """Positions, in sorted-id order, of the tracts whose box overlaps
-        `box` by boxes_overlap. boxes_overlap(box, b) implies
-        b[0] - EPS <= box[2] + EPS and box[0] - EPS <= b[2] + EPS (and the
-        same in y), so the cells under `box` padded by EPS reach every such
-        tract's cells."""
-        seen: set[int] = set()
-        for cell in self._cells((box[0] - EPS, box[1] - EPS, box[2] + EPS, box[3] + EPS)):
-            seen.update(self.cells[cell])
-        return [pos for pos in sorted(seen) if boxes_overlap(box, self.boxes[pos])]
-
-
-def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint") -> EdgeTractMap:
-    """Attribute each edge's length to tracts.
-
-    midpoint mode gives the full length to the tract containing the edge
-    midpoint; split mode cuts the segment at every polygon boundary and
-    assigns each piece by its own midpoint. Pieces covered by no tract go to
-    the OUTSIDE_ZONE sentinel. A point goes to the first tract in sorted-id
-    order that contains it; a grid over the tract boxes (_TractGrid) picks
-    the tracts to test.
-    """
-    if mode not in ("midpoint", "split"):
-        raise ValueError(f"unknown attribution mode {mode!r}")
-    grid = _TractGrid(tracts)
-
-    parts: dict[tuple[str, str], tuple[tuple[str, float], ...]] = {}
-    uncovered = 0
-    for edge in graph.edges:
-        a, b = graph.edge_geometry(edge)
-        if mode == "midpoint":
-            mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-            edge_parts = ((grid.containing(mid), edge.length),)
-        else:
-            ts = {0.0, 1.0}
-            for pos in grid.overlapping(bounding_box([a, b])):
-                ts.update(segment_polygon_breakpoints(a, b, grid.polygons[pos]))
-            cuts = sorted(ts)
-            acc: dict[str, float] = {}
-            for lo, hi in zip(cuts, cuts[1:]):
-                if hi - lo <= 1e-12:
-                    continue
-                m = (lo + hi) / 2.0
-                mid = (a[0] + (b[0] - a[0]) * m, a[1] + (b[1] - a[1]) * m)
-                tid = grid.containing(mid)
-                acc[tid] = acc.get(tid, 0.0) + (hi - lo) * edge.length
-            edge_parts = tuple(sorted(acc.items()))
-        if any(tid == OUTSIDE_ZONE for tid, _ in edge_parts):
-            uncovered += 1
-        parts[edge.key] = edge_parts
-    if uncovered:
-        log.info("%d of %d edges extend outside all tracts", uncovered, len(graph.edges))
-    return EdgeTractMap(parts)
-
-
-def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, float]:
-    """Per-tract meters along a route, keys sorted.
-
-    Per-tract totals use math.fsum, which is exact until its one final
-    rounding, so the order of a tract's terms does not matter, and in
-    midpoint mode the values sum back to total_length whenever the lengths
-    themselves add without rounding. An edge missing from the map raises
-    for_edge's ConsistencyError for the first such edge along the route.
-    """
-    terms: dict[str, list[float]] = {}
-    for edge in route.edges:
-        for tid, meters in edge_map.for_edge(edge):
-            terms.setdefault(tid, []).append(meters)
-    return {tid: math.fsum(vals) for tid, vals in sorted(terms.items())}
-
-
-# A routing batch (_EdgeParts.route_meters) is flushed at the first home
+# A routing batch (EdgeTractMap.route_meters) is flushed at the first home
 # boundary at or past this many edge steps, so the steps held at a time do
 # not grow with the number of pairs.
 _FLUSH_STEPS = 1 << 11
@@ -529,33 +375,46 @@ class _RouteBatch(NamedTuple):
     meters: np.ndarray  # float64
 
 
-class _EdgeParts:
-    """An EdgeTractMap's parts as flat arrays aligned to graph.edges.
+@dataclass(frozen=True, eq=False)
+class EdgeTractMap:
+    """Per-edge attribution of length (meters) to zones, as flat arrays
+    aligned to graph.edges.
 
     Edge i's parts are zone[start[i]:start[i + 1]], indices into zones, and
-    meters[start[i]:start[i + 1]]; missing[i] marks an edge that the map
-    lacks, which has no parts. zones lists first_zones, then every other
-    zone of the map in sorted order.
+    meters[start[i]:start[i + 1]], with a zone at most once per edge;
+    midpoint mode gives each edge exactly one part. build_edge_tract_map's
+    zones are (*tracts.ids, OUTSIDE_ZONE): a zone's index is its tract's
+    rank, and OUTSIDE_ZONE's is len(tracts). Every edge of graph has its
+    row of parts, so no route over graph lacks one.
     """
 
-    def __init__(self, graph: Graph, edge_map: EdgeTractMap, first_zones: Iterable[str] = ()):
-        self.graph = graph
-        self.edge_map = edge_map
-        self.zones: list[str] = list(dict.fromkeys(first_zones))
-        rows = [edge_map.parts.get(e.key) for e in graph.edges]
-        self.missing = [r is None for r in rows]
-        self.any_missing = any(self.missing)
-        rows = [r or () for r in rows]
-        index = {z: k for k, z in enumerate(self.zones)}
-        extra = sorted({tid for r in rows for tid, _ in r} - index.keys())
-        index.update((z, k) for k, z in enumerate(extra, len(self.zones)))
-        self.zones += extra
-        counts = np.fromiter((len(r) for r in rows), np.intp, len(rows))
-        self.start = np.zeros(len(rows) + 1, np.intp)
-        np.cumsum(counts, out=self.start[1:])
-        total = int(self.start[-1])
-        self.zone = np.fromiter((index[tid] for r in rows for tid, _ in r), np.intp, total)
-        self.meters = np.fromiter((m for r in rows for _, m in r), np.float64, total)
+    graph: Graph
+    zones: tuple[str, ...]
+    start: np.ndarray  # intp, len(graph.edges) + 1
+    zone: np.ndarray  # intp, one per part
+    meters: np.ndarray  # float64, one per part
+
+    def __post_init__(self):
+        if len(self.start) != len(self.graph.edges) + 1:
+            raise ValidationError(f"edge-tract map has {len(self.start) - 1} edge rows "
+                                  f"for a graph of {len(self.graph.edges)} edges")
+
+    @property
+    def parts(self) -> dict[tuple[str, str], tuple[tuple[str, float], ...]]:
+        """{edge key: for_edge(edge)} over graph.edges, built on each access."""
+        names = [self.zones[z] for z in self.zone.tolist()]
+        bounds, meters = self.start.tolist(), self.meters.tolist()
+        return {e.key: tuple(sorted(zip(names[lo:hi], meters[lo:hi])))
+                for e, lo, hi in zip(self.graph.edges, bounds, bounds[1:])}
+
+    def for_edge(self, edge: Edge) -> tuple[tuple[str, float], ...]:
+        """The edge's (zone id, meters) parts, sorted by id."""
+        i = self.graph.edge_index.get(edge.key)
+        if i is None:
+            raise ConsistencyError(f"edge {edge.u}->{edge.v} missing from edge-tract map")
+        lo, hi = self.start[i:i + 2].tolist()
+        names = [self.zones[z] for z in self.zone[lo:hi].tolist()]
+        return tuple(sorted(zip(names, self.meters[lo:hi].tolist())))
 
     def route_meters(
         self, homes: Iterable[tuple[int, list[int]]]
@@ -567,15 +426,12 @@ class _EdgeParts:
         0 in that order. One routing tree (_search_tree) serves each
         origin: each pair's chain is walked from its destination back to
         the origin, appending edge indices to a flat buffer, and no Route
-        is built. Once the buffer holds
-        _FLUSH_STEPS steps, at the end of an origin's pairs, it is flushed
-        into a _RouteBatch of (pair, zone) groups. A group's meters are its
-        one part as is, a + b for two parts (the correctly rounded sum,
-        which math.fsum also gives) and math.fsum of three or more, so they
-        equal route_tract_distances of the pair's route. An edge missing
-        from the map raises for_edge's ConsistencyError for the first such
-        edge along the route to the origin's first destination, in id
-        order, whose route has one.
+        is built. Once the buffer holds _FLUSH_STEPS steps, at the end of
+        an origin's pairs, it is flushed into a _RouteBatch of (pair, zone)
+        groups. A group's meters are its one part as is, a + b for two
+        parts (the correctly rounded sum, which math.fsum also gives) and
+        math.fsum of three or more, so they equal route_tract_distances of
+        the pair's route.
         """
         steps: list[int] = []
         ends: list[int] = []  # per pair: len(steps) after its walk
@@ -583,8 +439,6 @@ class _EdgeParts:
         first = 0
         for source, targets in homes:
             _, pred, pred_edge, settled = _search_tree(self.graph, source, set(targets))
-            if self.any_missing:
-                self._check_routes(source, pred, pred_edge, settled, targets)
             append = steps.append
             for r in targets:
                 ok = settled[r]
@@ -628,17 +482,139 @@ class _EdgeParts:
         return _RouteBatch(first, np.array(reachable, dtype=bool), key // n_zones,
                            key % n_zones, out)
 
-    def _check_routes(self, source, pred, pred_edge, settled, targets) -> None:
-        """Raise for the first missing edge along the route to the first
-        reachable target, in rank order, whose route has one."""
-        missing = self.missing
-        for r in sorted(set(targets)):
-            if not settled[r]:
+
+class _TractGrid:
+    """Uniform grid over the tracts' bounding boxes, each padded by EPS.
+
+    A tract's position is its TractSet index, so positions follow sorted-id
+    order. Each cell lists, in that order, every tract whose padded box
+    touches it. A cell index is the floor of a coordinate's offset from the
+    grid corner times cells per meter, clamped to the grid; that function
+    only rises with the coordinate, so the cell of a point inside a padded
+    box lies within the cells the box was listed in. A point's cell list
+    therefore holds every tract a sorted-id scan of all boxes would test,
+    in the same order.
+    """
+
+    def __init__(self, tracts: TractSet):
+        # Per position: polygon, box and padded box.
+        self.polygons = [t.polygon for t in tracts]
+        self.boxes = [bounding_box(p) for p in self.polygons]
+        self.padded = [(b[0] - EPS, b[1] - EPS, b[2] + EPS, b[3] + EPS) for b in self.boxes]
+        self.side = max(1, math.isqrt(len(tracts)))
+        self.x0 = min(b[0] for b in self.padded)
+        self.y0 = min(b[1] for b in self.padded)
+        width = max(b[2] for b in self.padded) - self.x0
+        height = max(b[3] for b in self.padded) - self.y0
+        # Cells per meter; a zero, infinite or NaN extent gives 0, one column
+        # or row.
+        self.sx = self.side / width if width > 0 else 0.0
+        self.sy = self.side / height if height > 0 else 0.0
+        self.cells: list[list[int]] = [[] for _ in range(self.side * self.side)]
+        for pos, b in enumerate(self.padded):
+            for cell in self._cells(b):
+                self.cells[cell].append(pos)
+
+    def _index(self, v: float, lo: float, scale: float) -> int:
+        f = (v - lo) * scale
+        if f >= self.side:
+            return self.side - 1
+        return int(f) if f >= 0.0 else 0  # NaN goes to 0
+
+    def _cells(self, box: tuple[float, float, float, float]) -> list[int]:
+        """Cells under a box, row-major."""
+        c0 = self._index(box[0], self.x0, self.sx)
+        c1 = self._index(box[2], self.x0, self.sx)
+        r0 = self._index(box[1], self.y0, self.sy)
+        r1 = self._index(box[3], self.y0, self.sy)
+        return [r * self.side + c for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)]
+
+    def containing(self, point: tuple[float, float]) -> int:
+        """Position of the first containing tract in sorted-id order, or
+        len(tracts) when no tract contains the point; boundary points go to
+        the first matching tract so shared borders resolve deterministically."""
+        x, y = point
+        cell = (self._index(y, self.y0, self.sy) * self.side
+                + self._index(x, self.x0, self.sx))
+        padded = self.padded
+        for pos in self.cells[cell]:
+            b = padded[pos]
+            if not (b[0] <= x <= b[2] and b[1] <= y <= b[3]):
                 continue
-            bad = -1
-            while r != source:
-                if missing[pred_edge[r]]:
-                    bad = pred_edge[r]  # the last one seen is the first along the route
-                r = pred[r]
-            if bad >= 0:
-                self.edge_map.for_edge(self.graph.edges[bad])  # raises ConsistencyError
+            if point_in_polygon(point, self.polygons[pos]):
+                return pos
+        return len(self.polygons)
+
+    def overlapping(self, box: tuple[float, float, float, float]) -> list[int]:
+        """Positions, in sorted-id order, of the tracts whose box overlaps
+        `box` by boxes_overlap. boxes_overlap(box, b) implies
+        b[0] - EPS <= box[2] + EPS and box[0] - EPS <= b[2] + EPS (and the
+        same in y), so the cells under `box` padded by EPS reach every such
+        tract's cells."""
+        seen: set[int] = set()
+        for cell in self._cells((box[0] - EPS, box[1] - EPS, box[2] + EPS, box[3] + EPS)):
+            seen.update(self.cells[cell])
+        return [pos for pos in sorted(seen) if boxes_overlap(box, self.boxes[pos])]
+
+
+def build_edge_tract_map(graph: Graph, tracts: TractSet, mode: str = "midpoint") -> EdgeTractMap:
+    """Attribute each edge's length to tracts, over the zones
+    (*tracts.ids, OUTSIDE_ZONE).
+
+    midpoint mode gives the full length to the tract containing the edge
+    midpoint; split mode cuts the segment at every polygon boundary and
+    assigns each piece by its own midpoint, adding a tract's pieces in cut
+    order. Pieces covered by no tract go to the OUTSIDE_ZONE sentinel. A
+    point goes to the first tract in sorted-id order that contains it; a
+    grid over the tract boxes (_TractGrid) picks the tracts to test.
+    """
+    if mode not in ("midpoint", "split"):
+        raise ValueError(f"unknown attribution mode {mode!r}")
+    grid = _TractGrid(tracts)
+
+    start = [0]
+    zone: list[int] = []  # tract positions, len(tracts) for OUTSIDE_ZONE
+    meters: list[float] = []
+    for edge in graph.edges:
+        a, b = graph.edge_geometry(edge)
+        if mode == "midpoint":
+            mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+            acc = {grid.containing(mid): edge.length}
+        else:
+            ts = {0.0, 1.0}
+            for pos in grid.overlapping(bounding_box([a, b])):
+                ts.update(segment_polygon_breakpoints(a, b, grid.polygons[pos]))
+            cuts = sorted(ts)
+            acc = {}
+            for lo, hi in zip(cuts, cuts[1:]):
+                if hi - lo <= 1e-12:
+                    continue
+                m = (lo + hi) / 2.0
+                mid = (a[0] + (b[0] - a[0]) * m, a[1] + (b[1] - a[1]) * m)
+                pos = grid.containing(mid)
+                acc[pos] = acc.get(pos, 0.0) + (hi - lo) * edge.length
+        zone += acc
+        meters += acc.values()
+        start.append(len(zone))
+    uncovered = zone.count(len(tracts))
+    if uncovered:
+        log.info("%d of %d edges extend outside all tracts", uncovered, len(graph.edges))
+    return EdgeTractMap(graph, (*tracts.ids, OUTSIDE_ZONE), np.array(start, np.intp),
+                        np.array(zone, np.intp), np.array(meters, np.float64))
+
+
+def route_tract_distances(route: Route, edge_map: EdgeTractMap) -> dict[str, float]:
+    """Per-tract meters along a route, keys sorted.
+
+    Per-tract totals use math.fsum, which is exact until its one final
+    rounding, so the order of a tract's terms does not matter, and in
+    midpoint mode the values sum back to total_length whenever the lengths
+    themselves add without rounding. An edge that is not in the map's graph
+    raises for_edge's ConsistencyError for the first such edge along the
+    route.
+    """
+    terms: dict[str, list[float]] = {}
+    for edge in route.edges:
+        for tid, meters in edge_map.for_edge(edge):
+            terms.setdefault(tid, []).append(meters)
+    return {tid: math.fsum(vals) for tid, vals in sorted(terms.items())}

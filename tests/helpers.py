@@ -24,7 +24,6 @@ from tracteq.network import (
     EdgeTractMap,
     Graph,
     Route,
-    _EdgeParts,
     build_edge_tract_map,
 )
 
@@ -189,22 +188,22 @@ def tract_distances_from(
     """route_tract_distances of shortest_path from one origin to each
     destination (None when unreachable), keyed by the sorted distinct
     destinations, from the routing tree and per-zone meters that
-    commute.simulate reads (network._EdgeParts.route_meters)."""
+    commute.simulate reads (network.EdgeTractMap.route_meters). Each
+    pair's keys are sorted by id."""
     if origin not in graph.nodes:
         raise ValidationError(f"unknown origin node {origin!r}")
     targets = sorted(set(destinations))
     for d in targets:
         if d not in graph.nodes:
             raise ValidationError(f"unknown destination node {d!r}")
-    parts = _EdgeParts(graph, edge_map)
     out: dict[str, dict[str, float] | None] = {}
     homes = [(graph.rank[origin], [graph.rank[d] for d in targets])]
-    for first, reachable, pair, zone, meters in parts.route_meters(homes):
+    for first, reachable, pair, zone, meters in edge_map.route_meters(homes):
         for i, ok in enumerate(reachable.tolist(), first):
             out[targets[i]] = {} if ok else None
         for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
-            out[targets[first + p]][parts.zones[z]] = m
-    return out
+            out[targets[first + p]][edge_map.zones[z]] = m
+    return {d: None if m is None else dict(sorted(m.items())) for d, m in out.items()}
 
 
 def random_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.45) -> Graph:
@@ -332,9 +331,9 @@ def edge_identity_map(graph: Graph) -> EdgeTractMap:
     simple path from a fixed origin the edge set fixes the node sequence: two
     routes' meters are equal exactly when the routes are.
     """
-    return EdgeTractMap(
-        {e.key: ((f"{e.u}>{e.v}", e.length),) for e in graph.edges}
-    )
+    n = len(graph.edges)
+    return EdgeTractMap(graph, tuple(f"{e.u}>{e.v}" for e in graph.edges),
+                        np.arange(n + 1), np.arange(n), np.array([e.length for e in graph.edges]))
 
 
 def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
@@ -350,9 +349,9 @@ def containing_tract_linear(point, tracts: TractSet, order, boxes) -> str:
     return OUTSIDE_ZONE
 
 
-def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> EdgeTractMap:
-    """build_edge_tract_map with a linear scan of all tracts for every point
-    and every segment box."""
+def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> dict:
+    """build_edge_tract_map(graph, tracts, mode).parts, with a linear scan
+    of all tracts for every point and every segment box."""
     order = sorted(range(len(tracts)), key=lambda i: tracts[i].tract_id)
     boxes = [bounding_box(t.polygon) for t in tracts]
     parts = {}
@@ -378,7 +377,7 @@ def build_edge_tract_map_linear(graph: Graph, tracts: TractSet, mode: str) -> Ed
                 acc[tid] = acc.get(tid, 0.0) + (hi - lo) * edge.length
             edge_parts = tuple(sorted(acc.items()))
         parts[edge.key] = edge_parts
-    return EdgeTractMap(parts)
+    return parts
 
 
 def corridor_subset_linear(tracts: TractSet, highways, route_label: str) -> tuple[str, ...]:
@@ -398,6 +397,7 @@ def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: Edg
     per-tract meters by math.fsum, and one add() per group and tract in
     sorted pair order."""
     D, C = {}, {}
+    parts = edge_map.parts
 
     def add(table, tract, group, value):
         table.setdefault(tract, dict.fromkeys(GROUPS, 0.0))[group] += value
@@ -411,7 +411,7 @@ def simulate_reference(assignment, tracts: TractSet, graph: Graph, edge_map: Edg
             continue
         contributions = {}
         for edge in route.edges:
-            for tid, meters in edge_map.parts[edge.key]:
+            for tid, meters in parts[edge.key]:
                 contributions.setdefault(tid, []).append(meters)
         per_tract = {tid: math.fsum(v) for tid, v in sorted(contributions.items())}
         for g in GROUPS:

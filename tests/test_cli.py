@@ -773,6 +773,42 @@ def test_a_traversal_cell_that_is_negative_or_not_finite_exits_2(column, cell, s
     assert not list(tmp_path.glob("equity*"))
 
 
+def test_a_traversal_row_whose_total_overflows_exits_2(scenario_dir, tmp_path, caplog):
+    # Every cell is finite; the two D_km cells of one tract sum past the
+    # float range.
+    config = str(scenario_dir / "config.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    traversal = tmp_path / "traversal.csv"
+    lines = traversal.read_text().splitlines()
+    header = lines[1].split(",")  # line 0 is the stamp
+    rows = [line.split(",") for line in lines[2:]]
+    tract = rows[0][header.index("tract_id")]
+    for row in rows:
+        if row[header.index("tract_id")] == tract:
+            row[header.index("D_km")] = "1e308"
+    traversal.write_text("\n".join(lines[:2] + [",".join(row) for row in rows]) + "\n")
+    assert main(["equity", "--config", config, "--out", str(tmp_path)]) == 2
+    assert f"tract {tract!r}: its D_km or C_count total overflows" in caplog.text
+    assert not list(tmp_path.glob("equity*"))
+
+
+def test_a_tract_named_like_the_outside_zone_exits_2(scenario_dir, tmp_path, caplog):
+    doc = json.loads((scenario_dir / "tracts.geojson").read_text())
+    tract = doc["features"][0]["properties"]["tract_id"]
+    doc["features"][0]["properties"]["tract_id"] = "__outside__"
+    (tmp_path / "tracts.geojson").write_text(json.dumps(doc))
+    attributes = (scenario_dir / "attributes.csv").read_text()
+    (tmp_path / "attributes.csv").write_text(attributes.replace(f"\n{tract},", "\n__outside__,"))
+
+    def edit(raw):
+        raw["inputs"].update(tracts=str(tmp_path / "tracts.geojson"),
+                             attributes=str(tmp_path / "attributes.csv"))
+
+    config = _config_variant(scenario_dir, tmp_path / "config.json", edit)
+    assert main(["ingest", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "tract_id '__outside__' is reserved" in caplog.text
+
+
 def _config_variant(scenario_dir, path, edit):
     """The scenario's config with absolute input paths, edited and written to path."""
     raw = json.loads((scenario_dir / "config.json").read_text())

@@ -15,6 +15,7 @@ from helpers import (
     simulate_reference,
     square_tract,
     tie_heavy_graph,
+    tract_distances_from,
     traversal_dicts,
     traversal_table,
 )
@@ -32,7 +33,7 @@ from tracteq.commute import (
     write_traversal,
 )
 from tracteq.data_model import TractSet
-from tracteq.errors import ConsistencyError, ValidationError
+from tracteq.errors import ValidationError
 from tracteq.network import (
     OUTSIDE_ZONE,
     Edge,
@@ -463,21 +464,6 @@ def test_simulate_absorbed_edge_falls_back(tmp_path, big):
         build_graph(str(nodes_csv), str(edges_csv))
 
 
-def test_simulate_missing_edge_names_first_along_route():
-    ts = grid_tracts(1, 2, attr_fn=lambda r, c: {"group_share": 0.5})
-    nodes = {"A": (500.0, 500.0), "B": (800.0, 500.0), "C": (1200.0, 500.0),
-             "D": (1500.0, 500.0)}
-    g = Graph(nodes, [Edge("A", "B", 1.0, 1.0), Edge("B", "C", 1.0, 1.0),
-                      Edge("C", "D", 1.0, 1.0)])
-    em = build_edge_tract_map(g, ts)
-    del em.parts["B", "C"], em.parts["C", "D"]
-    od = ODTable.from_rows([("T000000", "T000001", 4)], ts)
-    with pytest.raises(ConsistencyError, match="B->C"):
-        simulate(assign_groups(od, ts), ts, g, em)
-    with pytest.raises(ConsistencyError, match="B->C"):
-        route_traversals(od, ts, g, em)
-
-
 def test_route_traversals_counts_unreachable_pairs():
     ts = grid_tracts(1, 3, attr_fn=lambda r, c: {"group_share": 0.5})
     # T000000 and T000001 share a component; T000002 is cut off
@@ -643,6 +629,60 @@ def test_traversal_rows_are_in_id_order_around_the_outside_zone(tmp_path):
     assert C["b"] == {"white": 0.5, "non_white": 1.5}
 
 
+def test_per_pair_and_per_edge_keys_are_in_id_order_around_the_outside_zone():
+    # "A" < "__outside__" < "b", while the map's zone index puts the outside
+    # zone after every tract.
+    ts, g, em = gap_strip(("A", "b"))
+    assert em.zones == ("A", "b", OUTSIDE_ZONE)
+    order = ["A", OUTSIDE_ZONE, "b"]
+    # Split mode meets the zones in cut order, which runs from b to A on
+    # the reversed street.
+    back = Graph(g.nodes, [Edge("b", "a", 2000.0, 10.0)])
+    for graph, edge_map in ((g, em), (back, build_edge_tract_map(back, ts, mode="split"))):
+        assert [tid for tid, _ in edge_map.for_edge(graph.edges[0])] == order
+        assert [[tid for tid, _ in parts] for parts in edge_map.parts.values()] == [order]
+    od = ODTable.from_rows([("A", "b", 4), ("b", "A", 2)], ts)
+    traversals, unreachable = route_traversals(od, ts, g, em)
+    assert unreachable == 0
+    assert [list(meters) for meters in traversals.values()] == [order, order]
+    assert traversals["A", "b"] == {"A": 500.0, OUTSIDE_ZONE: 1000.0, "b": 500.0}
+    assert list(tract_distances_from(g, "a", ["b"], em)["b"]) == order
+
+
+def test_simulate_and_route_traversals_refuse_a_map_for_another_graph_or_tracts():
+    ts, g, em = line_world(3)
+    od = ODTable.from_rows([("T000000", "T000002", 4)], ts)
+    a = assign_groups(od, ts)
+    # An equal graph that is another object: the map's edge rows are only
+    # known to align with the graph it was built for.
+    twin = Graph(g.nodes, g.edges)
+    fewer = grid_tracts(1, 2, attr_fn=lambda r, c: {"group_share": 0.5})
+    renamed = TractSet([square_tract(f"U{c}", c, 0, group_share=0.5) for c in range(3)])
+    cases = [
+        (ts, twin, "another graph"),
+        (renamed, g, "other tract ids"),
+        (fewer, g, "other tract ids"),
+    ]
+    for tracts, graph, message in cases:
+        pairs = ODTable.from_rows([(tracts.ids[0], tracts.ids[-1], 4)], tracts)
+        with pytest.raises(ValidationError, match=message):
+            simulate(assign_groups(pairs, tracts), tracts, graph, em)
+        with pytest.raises(ValidationError, match=message):
+            route_traversals(pairs, tracts, graph, em)
+    # the same ids in another TractSet are the same zones
+    same = grid_tracts(1, 3, attr_fn=lambda r, c: {"group_share": 0.5})
+    assert simulate(a, same, g, em).zones == simulate(a, ts, g, em).zones
+
+
+def test_edge_tract_map_refuses_a_row_count_other_than_the_edge_count():
+    ts, g, em = line_world(3)
+    assert len(em.start) == len(g.edges) + 1
+    for start in (em.start[:-1], np.append(em.start, em.start[-1])):
+        with pytest.raises(ValidationError, match=r"edge-tract map has \d+ edge rows for a "
+                                                  rf"graph of {len(g.edges)} edges"):
+            network.EdgeTractMap(g, em.zones, start, em.zone, em.meters)
+
+
 @pytest.mark.parametrize("column, cell", [("D_km", "nan"), ("D_km", "inf"), ("C_count", "-5"),
                                           ("C_count", "-inf")])
 def test_read_traversal_refuses_a_negative_or_non_finite_cell(tmp_path, column, cell):
@@ -775,14 +815,14 @@ def test_simulate_flushing_after_every_home_gives_the_same_bits(rng, monkeypatch
         ((h, w, int(c)) for (h, w), c in zip(((h, w) for h in ids for w in ids), counts)), ts)
     a = assign_groups(od, ts, mode="bernoulli", seed=5)
     want = simulate(a, ts, g, em, exclude_home=exclude_home)
-    real = network._EdgeParts._groups
+    real = network.EdgeTractMap._groups
     flushes = []
 
     def spy(self, first, steps, ends, reachable):
         flushes.append(first)
         return real(self, first, steps, ends, reachable)
 
-    monkeypatch.setattr(network._EdgeParts, "_groups", spy)
+    monkeypatch.setattr(network.EdgeTractMap, "_groups", spy)
     monkeypatch.setattr(network, "_FLUSH_STEPS", 0)
     got = simulate(a, ts, g, em, exclude_home=exclude_home)
     assert len(flushes) == len({h for h, _, _ in od.rows})

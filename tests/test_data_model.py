@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import grid_tracts
+from helpers import grid_tracts, square_tract
 from tracteq.data_model import (
+    OUTSIDE_ZONE,
     HighwayNetworkGeom,
     HighwayPolyline,
     Tract,
@@ -22,6 +23,7 @@ from tracteq.data_model import (
 )
 from tracteq.equity import corridor_subset
 from tracteq.errors import ParseError, ValidationError
+from tracteq import network
 from tracteq.network import build_edge_tract_map
 from tracteq.report import svg_choropleth, tracts_to_geojson
 from tracteq.synth import write_scenario
@@ -90,6 +92,14 @@ def test_outputs_list_tracts_in_sorted_id_order(step_scenario, tmp_path):
 def test_tractset_rejects_duplicate_ids():
     with pytest.raises(ValidationError, match="duplicate"):
         TractSet([Tract("A", UNIT, {}), Tract("A", UNIT, {})])
+
+
+def test_tractset_refuses_the_outside_zone_as_a_tract_id():
+    # The km outside every tract go to OUTSIDE_ZONE: a tract of that id
+    # would share its zone.
+    assert network.OUTSIDE_ZONE is OUTSIDE_ZONE == "__outside__"
+    with pytest.raises(ValidationError, match="tract_id '__outside__' is reserved"):
+        TractSet([square_tract("A", 0, 0), square_tract(OUTSIDE_ZONE, 1, 0)])
 
 
 def test_tractset_rejects_zero_area():

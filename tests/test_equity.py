@@ -59,6 +59,23 @@ def test_index_undefined_tracts_excluded():
     assert idx.undefined == ("B", "C")
 
 
+@pytest.mark.parametrize("column", ["D_km", "C_count"])
+def test_index_refuses_a_finite_row_whose_total_overflows(column):
+    big = {"B": {"white": 1e308, "non_white": 1e308}}
+    one = {"A": {"white": 1.0, "non_white": 1.0}}
+    t = table(big, one) if column == "D_km" else table(one, big)
+    with pytest.raises(ValidationError, match="tract 'B': its D_km or C_count total "
+                                              "overflows the float range"):
+        inequity_index(t)
+
+
+def test_total_km_refuses_a_total_that_overflows():
+    assert table({"A": {"white": 1e308, "non_white": 0.0}}, {}).total_km() == 1e308
+    t = table({"A": {"white": 1e308}, "B": {"white": 1e308}}, {})
+    with pytest.raises(ValidationError, match="traversal table: the total km overflows"):
+        t.total_km()
+
+
 def test_index_zero_sum_and_bounds_random(rng):
     for trial in range(50):
         n = int(rng.integers(1, 12))
