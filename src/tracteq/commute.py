@@ -4,24 +4,29 @@ The OD table is three columns over tract ranks (TractSet indices), 16 B per
 pair, that every consumer indexes per-tract arrays by. Trips route once per
 origin-destination pair (free-flow routing makes every worker on a pair take
 the same path), from one routing tree per home tract, in sorted pair order.
-After each home's tree, the pairs' chain walks append edge indices to a
-flat buffer (network.EdgeTractMap.route_meters); a flush, at the end of a
-home once the buffer holds network._FLUSH_STEPS steps, turns them into one
-meters figure per (pair, zone): a single term as is, a + b for two terms
-(equal to math.fsum of two floats) and math.fsum for three or more. The
-edge-tract map's zones are the tract ids then OUTSIDE_ZONE, so a zone's
-index is its tract's rank; simulate and route_traversals refuse a map
-built for another graph or over other tract ids. simulate adds the meters
-with np.add.at into (zones x groups) arrays in pair order; np.add.at adds
-repeated indices one after another, so each cell takes the same additions
-in the same order as a loop over the sorted pairs, and the sums are
-bit-identical to it. Those arrays' rows, sorted by zone id, are the
-TraversalTable that traversal.csv holds and the equity stage reads. Memory
-held for routing is bounded by the step count, not by the number of pairs.
-Trip weights are one float per group and OD row (16 B per pair). Group
-labels come either from a deterministic fractional split or from
-counter-based coin flips keyed by (seed, home, work, worker index), so
-bernoulli draws never depend on iteration or parallel order.
+The trees of a batch of homes are built together by one label-setting
+search over flat (home, node) cells (network._search_batch), with the
+batch sized by network._BATCH_CELLS cells but never below
+network._BATCH_ORIGINS homes, so routing memory depends on neither the
+number of homes nor the number of pairs. The pairs' chains are
+walked in numpy into a flat buffer of edge indices
+(network.EdgeTractMap.route_meters); a flush, at a home boundary once the
+buffer holds network._FLUSH_STEPS steps, turns them into one meters figure
+per (pair, zone): a single term as is, a + b for two terms (equal to
+math.fsum of two floats) and math.fsum for three or more, whatever the
+order of the terms. The edge-tract map's zones are the tract ids then
+OUTSIDE_ZONE, so a zone's index is its tract's rank; simulate and
+route_traversals refuse a map built for another graph or over other tract
+ids. simulate adds the meters with np.add.at into (zones x groups) arrays
+in pair order; np.add.at adds repeated indices one after another, so each
+cell takes the same additions in the same order as a loop over the sorted
+pairs, and the sums are bit-identical to it wherever a batch or a flush
+ends. Those arrays' rows, sorted by zone id, are the TraversalTable that
+traversal.csv holds and the equity stage reads. Trip weights are one float
+per group and OD row (16 B per pair). Group labels come either from a
+deterministic fractional split or from counter-based coin flips keyed by
+(seed, home, work, worker index), so bernoulli draws never depend on
+iteration or parallel order.
 """
 
 from __future__ import annotations
@@ -369,9 +374,10 @@ def _pair_meters(
 ) -> Iterator[_RouteBatch]:
     """The batches of edge_map.route_meters for od's rows in order: each
     home's rows are consecutive, and their routes come from one routing
-    tree. Each tract that od uses takes its nearest node once, in one
-    chunked pass (_nearest_nodes). A map built for another Graph object,
-    or over zones other than (*tracts.ids, OUTSIDE_ZONE), is refused."""
+    tree, built in a batch with other homes' trees. Each tract that od
+    uses takes its nearest node once, in one chunked pass
+    (_nearest_nodes). A map built for another Graph object, or over zones
+    other than (*tracts.ids, OUTSIDE_ZONE), is refused."""
     if edge_map.graph is not graph:
         raise ValidationError("the edge-tract map was built for another graph")
     if edge_map.zones != (*tracts.ids, OUTSIDE_ZONE):
@@ -381,10 +387,9 @@ def _pair_meters(
     used[od.work] = True
     node = np.zeros(len(od.ids), np.intp)  # graph node rank per tract rank
     node[used] = _nearest_nodes(graph, tracts.centroids[used])
-    starts = np.flatnonzero(np.diff(od.home, prepend=-1)).tolist()
-    homes = ((int(node[od.home[s]]), node[od.work[s:e]].tolist())
-             for s, e in zip(starts, starts[1:] + [len(od)]))
-    return edge_map.route_meters(homes)
+    starts = np.flatnonzero(np.diff(od.home, prepend=-1))
+    counts = np.diff(starts, append=len(od))
+    return edge_map.route_meters(node[od.home[starts]], counts, node[od.work])
 
 
 def _log_unreachable(n_unreachable: int, n_pairs: int) -> None:

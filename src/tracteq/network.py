@@ -8,28 +8,50 @@ route's float time could not add it (t + tt == t): times rise strictly
 along every route.
 
 Searches index nodes by rank, an id's index in sorted-id order, so ranks
-compare as ids do. Every route comes from one tie-broken Dijkstra tree
-(_search_tree): the tree keeps no paths, and a tie on time is broken on
-demand by walking both candidates up to their common ancestor.
-The tree's predecessor edges are indices into graph.edges.
-shortest_path walks one destination's chain into a Route, which
-`tracteq route` prints. EdgeTractMap.route_meters serves many destinations
-from one tree without building routes: each chain walk appends edge
-indices to a flat buffer, and once it holds _FLUSH_STEPS steps, at the end
-of an origin's pairs, a flush expands the edges into their (zone, meters)
-parts through the map's flat arrays, which build_edge_tract_map aligns to
-graph.edges once, and groups them by (pair, zone) in pair order. A group's
-meters are its one term as is, a + b for two terms (the correctly rounded
-sum, as math.fsum gives) and math.fsum for three or more, so they equal
-route_tract_distances of the pair's route; commute.simulate adds them up.
-The step bound keeps the buffer's memory independent of the number of
-pairs. The tests check the tree against a search that carries each
-candidate's whole path.
+compare as ids do. Graph holds one arc per travel direction as flat
+arrays in adjacency order, with out-arc and in-arc offsets and each
+node's least in-arc time, min_in. Every route comes from one batched
+label-setting search (_search_batch), which builds the trees of a batch
+of origins together as flat (origin, node) cells, 26 B each: float64
+time, int32 predecessor, jump pointer, predecessor edge (an index into
+graph.edges) and depth, and a settled and a target flag. A batch holds
+max(_BATCH_ORIGINS, _BATCH_CELLS // n) origins, so its memory depends on
+neither the number of origins nor the number of pairs. Each round
+settles, per origin, every frontier node v with time < m + min_in[v], m
+being the origin's least unsettled time (the IN criterion of Crauser,
+Mehlhorn, Meyer and Sanders, 1998). The test is strict and float
+addition is monotone, so a settled time is final and no node settled in
+a round is a tied predecessor of another settled in it. A settled node's
+predecessor is then its in-arc from a settled node whose time plus the
+arc's is its own; parallel arcs from one node resolve to the first in
+adjacency order, and a tie on time is broken by walking both candidates
+up to the children of their common ancestor, in lockstep over the
+round's tied nodes, by skew-binary jump pointers in O(log depth) steps.
+Either candidate can be the other's ancestor (the prefix case), and then
+the child below the ancestor is compared with the node itself. The trees
+equal those of a one-node-at-a-time Dijkstra search bit for bit; the
+tests check them against that heap search (tests/helpers.py::search_tree)
+and against a search that carries each candidate's whole path.
+
+shortest_path reads a batch of one origin into a Route, which `tracteq
+route` prints. EdgeTractMap.route_meters serves many destinations from
+each batch without building routes: every pair's chain is walked in
+numpy, in lockstep over pairs, into a flat buffer of edge indices, and
+once it holds _FLUSH_STEPS steps, at a home boundary, a flush expands the
+edges into their (zone, meters) parts through the map's flat arrays, which
+build_edge_tract_map aligns to graph.edges once, and groups them by (pair,
+zone) in pair order. A group's meters are its one term as is, a + b for
+two terms (the correctly rounded sum, as math.fsum gives) and math.fsum
+for three or more, so they equal route_tract_distances of the pair's
+route. Those rules give the same bits in any order of a pair's steps,
+groups are stable-sorted by (pair, zone), and commute.simulate adds the
+groups in pair order across flushes: so neither where a flush falls nor
+where a batch ends changes a result. The step bound keeps the buffer's
+memory independent of the number of pairs.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -79,16 +101,19 @@ class Edge:
 
 
 class Graph:
-    """Immutable routing graph; adjacency is sorted for deterministic expansion.
+    """Immutable routing graph; arcs are sorted for deterministic expansion.
 
     Searches index nodes by rank, an id's index in sorted-id order, so that
     comparing two ranks gives the same answer as comparing the two ids and
-    the lexicographic tie-break can compare ranks. rank_adjacency[r] holds
-    the (neighbour rank, edge index into edges, travel time) of the node of
-    rank r, sorted by neighbour then edge key. Each edge's travel time is
-    computed once, and the lists come from one sort of a (from rank, to
-    rank, edge key, edge index) record per travel direction. edge_index
-    maps each edge key to its index into edges.
+    the lexicographic tie-break can compare ranks. Each edge gives one arc
+    per travel direction, held as flat arrays in adjacency order: by from
+    rank, to rank, then edge key. Arc a runs from arc_from[a] to arc_to[a]
+    over graph.edges[arc_edge[a]] in arc_time[a] seconds; node r's out-arcs
+    are out_start[r]:out_start[r + 1]. in_arcs lists the arcs by to rank,
+    in adjacency order within a node, and node r's in-arcs are
+    in_arcs[in_start[r]:in_start[r + 1]]; min_in[r] is its least in-arc
+    time (inf for none). Each edge's travel time is computed once.
+    edge_index maps each edge key to its index into edges.
     """
 
     def __init__(self, nodes: Mapping[str, tuple[float, float]], edges: Iterable[Edge]):
@@ -101,7 +126,9 @@ class Graph:
         rank = self.rank
         self.edge_index: dict[tuple[str, str], int] = {}
         times: list[float] = []
-        records: list[tuple[int, int, tuple[str, str], int, float]] = []
+        us: list[int] = []
+        vs: list[int] = []
+        two_way: list[int] = []
         for i, e in enumerate(self.edges):
             if not (e.length > 0 and e.speed > 0):
                 raise ValidationError(
@@ -126,18 +153,28 @@ class Graph:
                 raise ValidationError(f"duplicate edge {e.u}->{e.v}")
             self.edge_index[key] = i
             times.append(travel_time)
-            u, v = rank[e.u], rank[e.v]
-            records.append((u, v, key, i, travel_time))
+            us.append(rank[e.u])
+            vs.append(rank[e.v])
             if not e.oneway:
-                records.append((v, u, key, i, travel_time))
-        # Keys are unique, so no two records of different edges tie before
-        # the edge index, and the travel time never decides the order.
-        records.sort()
-        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in self._ids]
-        for u, v, _, i, travel_time in records:
-            adjacency[u].append((v, i, travel_time))
-        self.rank_adjacency: tuple[tuple[tuple[int, int, float], ...], ...] = tuple(
-            map(tuple, adjacency))
+                two_way.append(i)
+        # An edge key compares as the ranks of its ends, and keys are
+        # unique, so one lexsort of the arcs by (from, to, rank of u, rank
+        # of v) gives adjacency order without a tie.
+        u, v = np.array(us, np.int32), np.array(vs, np.int32)
+        edge = np.concatenate((np.arange(len(us), dtype=np.int32), np.array(two_way, np.int32)))
+        frm = np.concatenate((u, v[two_way]))
+        to = np.concatenate((v, u[two_way]))
+        order = np.lexsort((v[edge], u[edge], to, frm))
+        n = len(self._ids)
+        self.arc_from: np.ndarray = frm[order]
+        self.arc_to: np.ndarray = to[order]
+        self.arc_edge: np.ndarray = edge[order]
+        self.arc_time: np.ndarray = np.array(times, np.float64)[self.arc_edge]
+        self.out_start: np.ndarray = np.searchsorted(self.arc_from, np.arange(n + 1))
+        self.in_arcs: np.ndarray = np.argsort(self.arc_to, kind="stable")
+        self.in_start: np.ndarray = np.searchsorted(self.arc_to[self.in_arcs], np.arange(n + 1))
+        self.min_in: np.ndarray = np.full(n, np.inf)
+        np.minimum.at(self.min_in, self.arc_to, self.arc_time)
         # A route's float time stays below twice the summed edge time, and
         # t + tt == t needs t >= tt * 2**53: a sum below the smallest edge
         # time times 2**52 makes times rise strictly along every route.
@@ -246,19 +283,21 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     """Minimal free-flow-time route, or None when unreachable.
 
     Among equal-time routes the lexicographically smallest node sequence
-    wins. The route is read off the routing tree (_search_tree) that
-    simulate reads, walked back from the destination. total_time is the
-    destination's tree time, which is the left-to-right sum of its edge
-    times, and total_length adds the edge lengths left to right.
+    wins. The route is read off the routing tree that simulate reads (a
+    _search_batch of one origin), walked back from the destination.
+    total_time is the destination's tree time, which is the left-to-right
+    sum of its edge times, and total_length adds the edge lengths left to
+    right.
     """
     if origin not in graph.nodes:
         raise ValidationError(f"unknown origin node {origin!r}")
     if destination not in graph.nodes:
         raise ValidationError(f"unknown destination node {destination!r}")
     source, target = graph.rank[origin], graph.rank[destination]
-    dist, pred, pred_edge, settled = _search_tree(graph, source, {target})
-    if not settled[target]:
+    trees = _search_batch(graph, np.array([source]), np.array([1]), np.array([target]))
+    if not trees.settled[0, target]:
         return None
+    pred, pred_edge = trees.pred[0].tolist(), trees.pred_edge[0].tolist()
     r, nodes, edges = target, [destination], []
     while r != source:
         edges.append(graph.edges[pred_edge[r]])
@@ -269,97 +308,237 @@ def shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     total_length = 0.0
     for e in edges:
         total_length += e.length
-    return Route(origin, destination, tuple(nodes), tuple(edges), dist[target], total_length)
+    return Route(origin, destination, tuple(nodes), tuple(edges),
+                 float(trees.dist[0, target]), total_length)
 
 
-def _search_tree(
-    graph: Graph, source: int, targets: set[int]
-) -> tuple[list[float], list[int], list[int], list[bool]]:
-    """Tie-broken Dijkstra over node ranks from source until every target
-    is settled.
+# A routing batch holds max(_BATCH_ORIGINS, _BATCH_CELLS // n) origins of
+# an n-node graph, in (origin, node) cells of 26 B each (_search_batch).
+# Each round costs a few dozen numpy calls whatever the batch size, so the
+# fewer origins share them, the slower a batch runs per origin: at 3 to 6
+# origins, on 96x96 and 128x128 lattices, simulate took 1.0 to 1.2 times
+# as long as with a heap search per origin; at 32 it took 0.44 to 0.62
+# times as long. 2**16 cells (1.7 MB of state) is the largest power of two
+# that keeps the peak of `tracteq run` on a 24x24, 4,000-pair scenario
+# under 44 MB (42.8 MB; 2**17 took 45.3 MB). Past 2,048 nodes the floor of
+# 32 origins rules, and a batch's state is 832 B per node, below the
+# ~1.3 KB per node that the Graph itself holds. The peak RSS of simulate
+# grows by more than the state: by 5.8 MB for 2.0 MB of state at 48x48
+# (44.2 to 50.0 MB) and by 11 MB for 7.8 MB at 96x96 (68.3 to 79.5 MB),
+# from allocator growth under the per-round temporaries.
+_BATCH_CELLS = 1 << 16
+_BATCH_ORIGINS = 32
 
-    Returns (dist, pred, pred_edge, settled), indexed by rank: time,
-    predecessor rank (-1 when none), index into graph.edges of the
-    predecessor edge (-1 when none), and whether the node was settled.
-    Times rise strictly along every edge (see Graph), so a node settled
-    after the last target reaches a settled node only at a larger time: the
-    search stops as that target settles.
+
+class _Trees(NamedTuple):
+    """The routing trees of a batch of origins: row b is the tree of
+    sources[b], column r the node of rank r."""
+
+    dist: np.ndarray  # float64, inf where unreached
+    pred: np.ndarray  # int32 predecessor rank, -1 where none
+    pred_edge: np.ndarray  # int32 index into graph.edges, -1 where none
+    depth: np.ndarray  # int32 edges from the origin, 0 where unsettled
+    settled: np.ndarray  # bool
+    rounds: int  # settling rounds the batch took
+
+
+def _spans(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over every j in start[rows[i]]:start[rows[i] + 1], i rising
+    and j rising within each i."""
+    lo = start[rows]
+    count = start[rows + 1] - lo
+    i = np.repeat(np.arange(len(rows)), count)
+    return i, np.arange(len(i)) + np.repeat(lo - (np.cumsum(count) - count), count)
+
+
+def _search_batch(
+    graph: Graph, sources: np.ndarray, counts: np.ndarray, targets: np.ndarray
+) -> _Trees:
+    """Tie-broken shortest-path trees of a batch of origins, built together
+    by the IN rule of the module docstring.
+
+    Origin b is the node of rank sources[b], and its counts[b] targets are
+    the next counts[b] entries of targets, all node ranks. Cell b * n + r
+    holds node r of origin b; pred holds the predecessor's cell during the
+    search, and jump a cell on the path (_predecessors), so that tie walks
+    need no offsets. An origin retires once all its targets are settled,
+    and every settled node's entries equal those of its origin's full
+    tree.
     """
-    adjacency = graph.rank_adjacency
-    n = len(adjacency)
-    dist = [math.inf] * n
-    pred = [-1] * n
-    pred_edge = [-1] * n
-    depth = [0] * n
-    settled = [False] * n
+    n = len(graph.rank)
+    size = len(sources) * n
+    dist = np.full(size, np.inf)
+    pred = np.full(size, -1, np.int32)
+    jump = np.full(size, -1, np.int32)
+    pred_edge = np.full(size, -1, np.int32)
+    depth = np.zeros(size, np.int32)
+    settled = np.zeros(size, bool)
+    is_target = np.zeros(size, bool)
+    base = np.arange(len(sources)) * n
+    source = base + sources
+    is_target[np.repeat(base, counts) + targets] = True
+    is_target[source] = False
     dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    is_target = [False] * n
-    for r in targets:
-        is_target[r] = True
-    remaining = len(targets)
-    while heap:
-        time, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if is_target[u]:
-            remaining -= 1
-        # With no target, only the origin is settled.
-        if not remaining:
+    jump[source] = source
+    settled[source] = True
+    left = np.bincount(np.flatnonzero(is_target) // n, minlength=len(sources))
+    new = source[left > 0]
+    frontier = new[:0]
+    rounds = 0
+    while True:
+        # Relax the arcs out of the nodes settled last; a cell first
+        # reached joins the frontier.
+        node = new % n
+        at, arc = _spans(graph.out_start, node)
+        head = (new - node)[at] + graph.arc_to[arc]
+        fresh = np.sort(head[dist[head] == np.inf])
+        np.minimum.at(dist, head, dist[new][at] + graph.arc_time[arc])
+        frontier = np.concatenate((frontier, fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
+        if not frontier.size:
             break
-        for v, edge, travel_time in adjacency[u]:
-            if settled[v]:
-                continue
-            t = time + travel_time
-            best = dist[v]
-            if t < best:
-                dist[v] = t
-                heappush(heap, (t, v))
-            elif t != best or pred[v] == u:
-                continue
-            elif not _tie_prefers(u, v, pred, depth):
-                continue
-            pred[v] = u
-            pred_edge[v] = edge
-            depth[v] = depth[u] + 1
-    return dist, pred, pred_edge, settled
+        rounds += 1
+        owner = frontier // n
+        time = dist[frontier]
+        least = np.full(len(sources), np.inf)
+        np.minimum.at(least, owner, time)
+        ok = time < least[owner] + graph.min_in[frontier - owner * n]
+        new, frontier = frontier[ok], frontier[~ok]
+        settled[new] = True
+        _predecessors(graph, new, dist, pred, jump, pred_edge, depth)
+        hit = new[is_target[new]]
+        if hit.size:
+            left -= np.bincount(hit // n, minlength=len(sources))
+            live = left > 0
+            new, frontier = new[live[new // n]], frontier[live[frontier // n]]
+    shape = (len(sources), n)
+    # The search keeps each predecessor's cell; the trees give its rank.
+    ranks = pred.reshape(shape)
+    np.subtract(ranks, base[:, None], out=ranks, where=ranks >= 0)
+    return _Trees(dist.reshape(shape), ranks, pred_edge.reshape(shape),
+                  depth.reshape(shape), settled.reshape(shape), rounds)
 
 
-def _tie_prefers(u: int, v: int, pred: list[int], depth: list[int]) -> bool:
-    """Whether path(u) + (v,) sorts before path(pred[v]) + (v,).
+def _predecessors(graph: Graph, new: np.ndarray, dist: np.ndarray, pred: np.ndarray,
+                  jump: np.ndarray, pred_edge: np.ndarray, depth: np.ndarray) -> None:
+    """Set pred and jump (cells), pred_edge and depth of the cells new,
+    settled this round, from their in-arcs (u, v) with dist[u] + w ==
+    dist[v].
 
-    u and p = pred[v] are settled, and so is every node on their tree paths,
-    whose predecessors no longer change. Both paths agree up to the common
-    ancestor of u and p, so the first difference is between the two nodes
-    just below it: ranks compare as ids do. When p itself is that ancestor
-    (the prefix case), u's side is compared with v. The mirror case, u an
-    ancestor of p, cannot occur: times rise strictly along the tree, since
-    Graph refuses an edge time that a route's time cannot add
-    (t + tt == t), so every ancestor of p settled before p, while u, the
-    node being expanded, settled after it.
+    No settled test is needed: a node not settled before this round has
+    dist[u] >= m, so dist[u] + w >= m + min_in[v] > dist[v].
     """
-    x, y = u, pred[v]
-    while depth[x] > depth[y] + 1:
-        x = pred[x]
-    if depth[x] > depth[y]:
-        if pred[x] == y:
-            return x < v
-        x = pred[x]
-    while depth[y] > depth[x]:
-        y = pred[y]
-    while pred[x] != pred[y]:
-        x = pred[x]
-        y = pred[y]
-    return x < y
+    n = len(graph.rank)
+    node = new % n
+    at, arc = _spans(graph.in_start, node)
+    arc = graph.in_arcs[arc]
+    cand = (new - node)[at] + graph.arc_from[arc]
+    tie = dist[cand] + graph.arc_time[arc] == dist[new][at]
+    at, arc, cand = at[tie], arc[tie], cand[tie]
+    # A node's in-arcs run by (from rank, adjacency order): keep the first
+    # of parallel arcs.
+    again = (cand[1:] == cand[:-1]) & (at[1:] == at[:-1])
+    if again.any():
+        first = np.concatenate(([True], ~again))
+        at, arc, cand = at[first], arc[first], cand[first]
+    # Every new cell was reached, so it has a candidate: group i is new[i].
+    count = np.bincount(at, minlength=len(new))
+    head = np.cumsum(count) - count
+    best = head.copy()
+    for j in range(1, int(count.max(initial=0))):
+        g = np.flatnonzero(count > j)
+        other = head[g] + j
+        won = _path_before(cand[other], cand[best[g]], new[g], pred, jump, depth)
+        best[g[won]] = other[won]
+    u = cand[best]
+    pred[new] = u
+    pred_edge[new] = graph.arc_edge[arc[best]]
+    depth[new] = depth[u] + 1
+    # Skew-binary jump pointers (Myers 1983): where u's jump and its jump's
+    # span equal depths, v's jump spans both, else it is u. A jump's depth
+    # then depends on the depth alone, and a walk up d edges takes
+    # O(log d) steps.
+    up = jump[u]
+    far = jump[up]
+    jump[new] = np.where(depth[u] - depth[up] == depth[up] - depth[far], far, u)
 
 
-# A routing batch (EdgeTractMap.route_meters) is flushed at the first home
-# boundary at or past this many edge steps, so the steps held at a time do
-# not grow with the number of pairs.
+def _path_before(x: np.ndarray, y: np.ndarray, v: np.ndarray, pred: np.ndarray,
+                 jump: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Whether path(x[i]) + (v[i],) sorts before path(y[i]) + (v[i],), for
+    each i: x[i] and y[i] are distinct settled cells of the tree of v[i]'s
+    origin, and pred and jump hold predecessor and jump cells.
+
+    Both paths agree up to the common ancestor of x and y, so the first
+    difference is between the two nodes just below it. Cells of one origin
+    compare as their ranks do, and ranks as ids do. Either of x and y can
+    be the other's ancestor (the prefix case): then the child below the
+    ancestor, on the deeper one's path, is compared with v. The walks run
+    in lockstep over every i and take a jump wherever it stays below the
+    ancestor sought, so each takes O(log depth) steps.
+    """
+    swap = depth[x] < depth[y]
+    x, y = np.where(swap, y, x), np.where(swap, x, y)  # x the deeper
+    below = depth[x] > depth[y]
+    # Lift x to one below y's depth.
+    top = depth[y] + 1
+    while (up := depth[x] > top).any():
+        far = jump[x]
+        x = np.where(up, np.where(depth[far] >= top, far, pred[x]), x)
+    prefix = below & (pred[x] == y)
+    x = np.where(below & ~prefix, pred[x], x)
+    # Walk both to the children of their common ancestor: x and y are at
+    # one depth, so their jumps are too, and differ only below it. A prefix
+    # pair is decided already: with y = x it stays put.
+    y = np.where(prefix, x, y)
+    while True:
+        px, py = pred[x], pred[y]
+        walk = px != py
+        if not walk.any():
+            break
+        jx, jy = jump[x], jump[y]
+        far = jx != jy
+        x, y = np.where(walk, np.where(far, jx, px), x), np.where(walk, np.where(far, jy, py), y)
+    return np.where(prefix, x < v, x < y) != swap
+
+
+# EdgeTractMap.route_meters flushes its walked steps at the first home
+# boundary at or past this many, so the steps held at a time do not grow
+# with the number of pairs.
 _FLUSH_STEPS = 1 << 11
+
+
+def _flush_ends(home_steps: np.ndarray, homes_end: np.ndarray) -> list[int]:
+    """Where a batch of homes is flushed: after the first home at or past
+    _FLUSH_STEPS steps since the last flush, home_steps[h] counting the
+    steps held at home h's end and homes_end[h] the pairs through it. The
+    flushes fall after homes_end[h] pairs, for each such h."""
+    ends, k, since = [], -1, 0
+    while True:
+        k += 1 + int(np.searchsorted(home_steps[k + 1:], since + _FLUSH_STEPS))
+        if k >= len(home_steps):
+            return ends
+        ends.append(int(homes_end[k]))
+        since = home_steps[k]
+
+
+def _chain_steps(trees: _Trees, cells: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The edge indices along each pair's chain, from its destination cell
+    back to its origin, pairs in order: lengths[i] steps for pair i, the
+    depth of its destination (0 when unreachable). The walks run in
+    lockstep, longest first, so step k reads a prefix of the pairs."""
+    n = trees.pred.shape[1]
+    pred, pred_edge = trees.pred.reshape(-1), trees.pred_edge.reshape(-1)
+    ends = np.cumsum(lengths)
+    steps = np.empty(int(ends[-1]) if len(ends) else 0, np.int32)
+    order = np.argsort(-lengths, kind="stable")
+    cell = cells[order]
+    at = (ends - lengths)[order]
+    base = cell - cell % n
+    live = np.searchsorted(-lengths[order], -np.arange(int(lengths.max(initial=0))))
+    for k, c in enumerate(live.tolist()):
+        steps[at[:c] + k] = pred_edge[cell[:c]]
+        cell[:c] = base[:c] + pred[cell[:c]]
+    return steps
 
 
 class _RouteBatch(NamedTuple):
@@ -417,54 +596,63 @@ class EdgeTractMap:
         return tuple(sorted(zip(names, self.meters[lo:hi].tolist())))
 
     def route_meters(
-        self, homes: Iterable[tuple[int, list[int]]]
+        self, sources: np.ndarray, counts: np.ndarray, targets: np.ndarray
     ) -> Iterator[_RouteBatch]:
         """Per-zone meters of each pair's shortest_path route, in batches.
 
-        homes yields (origin, destinations) as graph node ranks
-        (graph.rank), one destination per pair, and pairs are numbered from
-        0 in that order. One routing tree (_search_tree) serves each
-        origin: each pair's chain is walked from its destination back to
-        the origin, appending edge indices to a flat buffer, and no Route
-        is built. Once the buffer holds _FLUSH_STEPS steps, at the end of
-        an origin's pairs, it is flushed into a _RouteBatch of (pair, zone)
-        groups. A group's meters are its one part as is, a + b for two
-        parts (the correctly rounded sum, which math.fsum also gives) and
-        math.fsum of three or more, so they equal route_tract_distances of
-        the pair's route.
+        Home h has counts[h] pairs from the node sources[h], one to each of
+        its next counts[h] entries of targets, all graph node ranks
+        (graph.rank); pairs are numbered from 0 in that order. The homes'
+        trees come from one _search_batch per max(_BATCH_ORIGINS,
+        _BATCH_CELLS // n) homes, and the pairs' chains are walked
+        (_chain_steps) into a flat buffer, flushed into a _RouteBatch of
+        (pair, zone) groups at the first home boundary at or past
+        _FLUSH_STEPS steps (_groups). No Route is built, and a group's
+        meters equal route_tract_distances of the pair's route.
         """
-        steps: list[int] = []
-        ends: list[int] = []  # per pair: len(steps) after its walk
-        reachable: list[bool] = []
+        n = len(self.graph.rank)
+        per_batch = max(_BATCH_ORIGINS, _BATCH_CELLS // max(1, n))
+        pair_start = np.cumsum(counts) - counts
+        # The walked pairs not yet flushed: steps, lengths and reachability.
+        steps, lengths, reachable = np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, bool)
         first = 0
-        for source, targets in homes:
-            _, pred, pred_edge, settled = _search_tree(self.graph, source, set(targets))
-            append = steps.append
-            for r in targets:
-                ok = settled[r]
-                if ok:
-                    while r != source:
-                        append(pred_edge[r])
-                        r = pred[r]
-                reachable.append(ok)
-                ends.append(len(steps))
-            if len(steps) >= _FLUSH_STEPS:
-                yield self._groups(first, steps, ends, reachable)
-                first += len(ends)
-                steps, ends, reachable = [], [], []
-        if ends:
-            yield self._groups(first, steps, ends, reachable)
+        for lo in range(0, len(sources), per_batch):
+            home_counts = counts[lo:lo + per_batch]
+            homes_end = np.cumsum(home_counts)
+            batch_targets = targets[pair_start[lo]:pair_start[lo] + homes_end[-1]]
+            trees = _search_batch(self.graph, sources[lo:lo + per_batch], home_counts,
+                                  batch_targets)
+            cells = np.repeat(np.arange(len(home_counts)) * n, home_counts) + batch_targets
+            ok = trees.settled.reshape(-1)[cells]
+            depth = np.where(ok, trees.depth.reshape(-1)[cells], 0)
+            home_steps = len(steps) + np.concatenate(([0], np.cumsum(depth)))[homes_end]
+            walked = 0
+            for end in _flush_ends(home_steps, homes_end) + [None]:
+                part = slice(walked, end)
+                steps = np.concatenate((steps, _chain_steps(trees, cells[part], depth[part])))
+                lengths = np.concatenate((lengths, depth[part]))
+                reachable = np.concatenate((reachable, ok[part]))
+                if end is None:
+                    break
+                yield self._groups(first, steps, np.cumsum(lengths), reachable)
+                first += len(lengths)
+                steps, lengths, reachable = steps[:0], lengths[:0], reachable[:0]
+                walked = end
+            # Free this batch's cells before the next batch takes its own.
+            del trees
+        if len(lengths):
+            yield self._groups(first, steps, np.cumsum(lengths), reachable)
 
     def _groups(
-        self, first: int, steps: list[int], ends: list[int], reachable: list[bool]
+        self, first: int, steps: np.ndarray, ends: np.ndarray, reachable: np.ndarray
     ) -> _RouteBatch:
-        """One route_meters batch from a flat buffer of edge steps."""
+        """One route_meters batch from a flat buffer of edge steps: pair i's
+        are steps[ends[i - 1]:ends[i]]. A group's meters are its one part
+        as is, a + b for two parts and math.fsum of three or more."""
         edge = np.array(steps, dtype=np.intp)
-        lo = self.start[edge]
-        n_parts = self.start[edge + 1] - lo
         step_pair = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-        pair = np.repeat(step_pair, n_parts)
-        part = np.arange(len(pair)) + np.repeat(lo - (np.cumsum(n_parts) - n_parts), n_parts)
+        step, part = _spans(self.start, edge)
+        pair = step_pair[step]
         n_zones = len(self.zones)
         key = pair * n_zones + self.zone[part]
         order = np.argsort(key, kind="stable")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from collections.abc import Iterable
 
 import numpy as np
@@ -134,6 +135,105 @@ def enumerate_best_path(graph: Graph, origin: str, destination: str):
     return best
 
 
+_ADJACENCY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def rank_adjacency(graph: Graph) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """Per node rank, its out-arcs as (neighbour rank, edge index, travel
+    time) tuples in adjacency order, read off Graph's flat arc arrays;
+    built once per graph."""
+    if graph not in _ADJACENCY:
+        bounds = graph.out_start.tolist()
+        arcs = list(zip(graph.arc_to.tolist(), graph.arc_edge.tolist(),
+                        graph.arc_time.tolist()))
+        _ADJACENCY[graph] = tuple(tuple(arcs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    return _ADJACENCY[graph]
+
+
+def search_tree(
+    graph: Graph, source: int, targets: set[int]
+) -> tuple[list[float], list[int], list[int], list[bool]]:
+    """Tie-broken Dijkstra over node ranks from source until every target
+    is settled, one node at a time from a heap: the oracle the batched
+    search (network._search_batch) is checked against.
+
+    Returns (dist, pred, pred_edge, settled), indexed by rank: time,
+    predecessor rank (-1 when none), index into graph.edges of the
+    predecessor edge (-1 when none), and whether the node was settled.
+    Times rise strictly along every edge (see Graph), so a node settled
+    after the last target reaches a settled node only at a larger time: the
+    search stops as that target settles.
+    """
+    adjacency = rank_adjacency(graph)
+    n = len(adjacency)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    pred_edge = [-1] * n
+    depth = [0] * n
+    settled = [False] * n
+    dist[source] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    is_target = [False] * n
+    for r in targets:
+        is_target[r] = True
+    remaining = len(targets)
+    while heap:
+        time, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if is_target[u]:
+            remaining -= 1
+        # With no target, only the origin is settled.
+        if not remaining:
+            break
+        for v, edge, travel_time in adjacency[u]:
+            if settled[v]:
+                continue
+            t = time + travel_time
+            best = dist[v]
+            if t < best:
+                dist[v] = t
+                heapq.heappush(heap, (t, v))
+            elif t != best or pred[v] == u:
+                continue
+            elif not tie_prefers(u, v, pred, depth):
+                continue
+            pred[v] = u
+            pred_edge[v] = edge
+            depth[v] = depth[u] + 1
+    return dist, pred, pred_edge, settled
+
+
+def tie_prefers(u: int, v: int, pred: list[int], depth: list[int]) -> bool:
+    """Whether path(u) + (v,) sorts before path(pred[v]) + (v,), in
+    search_tree.
+
+    u and p = pred[v] are settled, and so is every node on their tree paths,
+    whose predecessors no longer change. Both paths agree up to the common
+    ancestor of u and p, so the first difference is between the two nodes
+    just below it: ranks compare as ids do. When p itself is that ancestor
+    (the prefix case), u's side is compared with v. The mirror case, u an
+    ancestor of p, cannot occur: times rise strictly along the tree, since
+    Graph refuses an edge time that a route's time cannot add
+    (t + tt == t), so every ancestor of p settled before p, while u, the
+    node being expanded, settled after it.
+    """
+    x, y = u, pred[v]
+    while depth[x] > depth[y] + 1:
+        x = pred[x]
+    if depth[x] > depth[y]:
+        if pred[x] == y:
+            return x < v
+        x = pred[x]
+    while depth[y] > depth[x]:
+        y = pred[y]
+    while pred[x] != pred[y]:
+        x = pred[x]
+        y = pred[y]
+    return x < y
+
+
 def path_carrying_shortest_path(graph: Graph, origin: str, destination: str) -> Route | None:
     """network.shortest_path by a search that carries each candidate's whole
     path: the oracle the routing tree is checked against.
@@ -152,7 +252,7 @@ def path_carrying_shortest_path(graph: Graph, origin: str, destination: str) -> 
     # Heap entries carry the whole path of ranks: tuple comparison gives the
     # lexicographic tie-break. The counter keeps Edge objects out of any
     # comparison.
-    adjacency = graph.rank_adjacency
+    adjacency = rank_adjacency(graph)
     target = graph.rank[destination]
     counter = 0
     heap: list[tuple[float, tuple[int, ...], int, tuple[Edge, ...]]] = [
@@ -197,8 +297,9 @@ def tract_distances_from(
         if d not in graph.nodes:
             raise ValidationError(f"unknown destination node {d!r}")
     out: dict[str, dict[str, float] | None] = {}
-    homes = [(graph.rank[origin], [graph.rank[d] for d in targets])]
-    for first, reachable, pair, zone, meters in edge_map.route_meters(homes):
+    batches = edge_map.route_meters(np.array([graph.rank[origin]]), np.array([len(targets)]),
+                                    np.array([graph.rank[d] for d in targets], np.intp))
+    for first, reachable, pair, zone, meters in batches:
         for i, ok in enumerate(reachable.tolist(), first):
             out[targets[i]] = {} if ok else None
         for p, z, m in zip(pair.tolist(), zone.tolist(), meters.tolist()):
@@ -276,8 +377,30 @@ def tie_heavy_graph(rng: np.random.Generator, rows: int, cols: int) -> Graph:
     return Graph(nodes, edges)
 
 
+def jittered_graph(rng: np.random.Generator, rows: int, cols: int,
+                   oneway: float = 0.2) -> Graph:
+    """Grid whose edge lengths are 100 m times U(0.05, 1), so routes
+    seldom tie and the shortest in-edges vary widely; each edge is one-way
+    with probability oneway, in a random direction. Node ids as in
+    tie_heavy_graph."""
+    nodes = {f"g{r:02d}{c:02d}": (float(c), float(r)) for r in range(rows) for c in range(cols)}
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            for nbr in ((f"g{r:02d}{c + 1:02d}" if c + 1 < cols else None),
+                        (f"g{r + 1:02d}{c:02d}" if r + 1 < rows else None)):
+                if nbr is None:
+                    continue
+                u, v = f"g{r:02d}{c:02d}", nbr
+                if rng.random() < 0.5:
+                    u, v = v, u
+                edges.append(Edge(u, v, length=100.0 * float(rng.uniform(0.05, 1.0)),
+                                  speed=13.9, oneway=bool(rng.random() < oneway)))
+    return Graph(nodes, edges)
+
+
 def rank_adjacency_by_node(graph: Graph) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-    """Graph.rank_adjacency built one node at a time: each node's (neighbour,
+    """rank_adjacency(graph) built one node at a time: each node's (neighbour,
     edge, edge index) entries in edge order, one per travel direction,
     sorted by neighbour id then edge key, with each travel time read off
     the edge."""

@@ -563,14 +563,17 @@ def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, 
     for home, work, _ in sc.od.rows:
         works_of.setdefault(home, set()).add(node_of[work])
     want = [(node_of[home], works_of[home]) for home in sorted(works_of)]
-    real = network._search_tree
+    real = network._search_batch
     calls = []
 
-    def spy(graph, source, targets):
-        calls.append((graph._ids[source], {graph._ids[r] for r in targets}))
-        return real(graph, source, targets)
+    def spy(graph, sources, counts, targets):
+        # One batch's origins, each with the targets of its pairs.
+        ends = np.cumsum(counts).tolist()
+        for source, lo, hi in zip(sources.tolist(), [0] + ends, ends):
+            calls.append((graph._ids[source], {graph._ids[r] for r in targets[lo:hi].tolist()}))
+        return real(graph, sources, counts, targets)
 
-    monkeypatch.setattr(network, "_search_tree", spy)
+    monkeypatch.setattr(network, "_search_batch", spy)
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
     simulate(a, sc.tracts, sc.graph, sc.edge_map)
     assert calls == want
@@ -579,8 +582,8 @@ def test_inline_routing_builds_one_tree_per_home_in_sorted_order(step_scenario, 
     assert calls == want
 
 
-def simulate_peak_bytes(od_pairs):
-    sc = generate(ScenarioSpec(rows=16, cols=16, od_pairs=od_pairs, seed=3))
+def simulate_peak_bytes(od_pairs, side=16):
+    sc = generate(ScenarioSpec(rows=side, cols=side, od_pairs=od_pairs, seed=3))
     a = assign_groups(sc.od, sc.tracts, mode="fractional")
     tracemalloc.start()
     try:
@@ -597,6 +600,38 @@ def test_simulate_holds_one_home_of_routes_at_a_time():
     # At 1,600 pairs and more each run walks several times
     # network._FLUSH_STEPS edge steps, so both runs flush at full size.
     assert simulate_peak_bytes(6400) <= 1.5 * simulate_peak_bytes(1600)
+
+
+def test_simulate_peak_is_bounded_by_the_batch_cap():
+    # A 32x32 scenario has 1,089 nodes, so a batch holds 60 origins: both
+    # runs fill several batches. Trees for every origin at once would hold
+    # 2.5 times the cells at 4,000 pairs (~1,000 homes) as at 500 (~400).
+    assert simulate_peak_bytes(4000, side=32) <= 1.25 * simulate_peak_bytes(500, side=32)
+
+
+def test_a_batch_holds_the_cap_or_the_floor_of_homes(step_scenario, monkeypatch):
+    # A batch takes _BATCH_CELLS // n homes, but never fewer than
+    # _BATCH_ORIGINS; only the last batch holds fewer.
+    sc = step_scenario
+    n = len(sc.graph.nodes)
+    homes = len(np.unique(sc.od.home))
+    real = network._search_batch
+    sizes = []
+
+    def spy(graph, sources, counts, targets):
+        sizes.append(len(sources))
+        return real(graph, sources, counts, targets)
+
+    monkeypatch.setattr(network, "_search_batch", spy)
+    a = assign_groups(sc.od, sc.tracts, mode="fractional")
+    for cells, floor, per_batch in ((5 * n, 2, 5), (5 * n + n - 1, 2, 5), (n, 4, 4), (0, 3, 3)):
+        monkeypatch.setattr(network, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(network, "_BATCH_ORIGINS", floor)
+        sizes.clear()
+        simulate(a, sc.tracts, sc.graph, sc.edge_map)
+        assert sum(sizes) == homes and len(sizes) > 2
+        assert sizes[:-1] == [per_batch] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= per_batch
 
 
 def test_traversal_roundtrip_exact(tmp_path, step_scenario):
@@ -830,6 +865,32 @@ def test_simulate_flushing_after_every_home_gives_the_same_bits(rng, monkeypatch
     assert hexed(got) == hexed(want)
     assert (got.n_pairs, got.n_unreachable) == (want.n_pairs, want.n_unreachable)
     assert want.n_unreachable > 0
+
+
+@pytest.mark.parametrize("exclude_home", [False, True])
+def test_simulate_bits_do_not_depend_on_the_batch_size(rng, monkeypatch, exclude_home):
+    # Batches of 1, 2 or 3 origins, or of every origin at once, give the
+    # same D and C bits and keep the same rows.
+    ts, g = accounting_world(rng)
+    em = build_edge_tract_map(g, ts, mode="split")
+    ids = ts.ids
+    counts = rng.integers(0, 9, size=len(ids) ** 2)
+    od = ODTable.from_rows(
+        ((h, w, int(c)) for (h, w), c in zip(((h, w) for h in ids for w in ids), counts)), ts)
+    a = assign_groups(od, ts, mode="bernoulli", seed=5)
+    n = len(g.nodes)
+    tables = []
+    # Batches of 1 and 2 come from the cell cap, and of 3 from the floor.
+    for cells, floor in ((len(ids) * n, 1), (n, 1), (2 * n, 1), (0, 3)):
+        monkeypatch.setattr(network, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(network, "_BATCH_ORIGINS", floor)
+        tables.append(simulate(a, ts, g, em, exclude_home=exclude_home))
+    want = tables[0]
+    assert want.n_unreachable > 0
+    for got in tables[1:]:
+        assert got.zones == want.zones
+        assert hexed(got) == hexed(want)
+        assert (got.n_pairs, got.n_unreachable) == (want.n_pairs, want.n_unreachable)
 
 
 @pytest.mark.parametrize("assign_mode", ["fractional", "bernoulli"])

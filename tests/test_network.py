@@ -1,5 +1,9 @@
 import dataclasses
+import inspect
 import math
+import signal
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -151,7 +155,7 @@ def test_build_graph_from_files(tmp_path):
     assert g.edges[2].speed == 13.9  # "default" fallback
     assert g.edges[2].oneway
     # oneway A->C means C has no back-edge to A
-    assert all(nbr != g.rank["A"] for nbr, _, _ in g.rank_adjacency[g.rank["C"]])
+    assert all(nbr != g.rank["A"] for nbr, _, _ in helpers.rank_adjacency(g)[g.rank["C"]])
 
 
 def test_rank_adjacency_matches_a_node_by_node_build(rng):
@@ -163,9 +167,28 @@ def test_rank_adjacency_matches_a_node_by_node_build(rng):
     lonely = Graph({"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0)},
                    [Edge("C", "A", 5.0, 1.0), Edge("A", "C", 5.0, 2.0, oneway=True)])
     for g in (synth, ties, lonely):
-        assert g.rank_adjacency == helpers.rank_adjacency_by_node(g)
+        assert helpers.rank_adjacency(g) == helpers.rank_adjacency_by_node(g)
     assert any(e.oneway for e in ties.edges)
-    assert lonely.rank_adjacency[lonely.rank["B"]] == ()
+    assert helpers.rank_adjacency(lonely)[lonely.rank["B"]] == ()
+
+
+def test_in_arcs_list_each_nodes_arcs_in_adjacency_order(rng):
+    # A node's in-arcs are the arcs into it in adjacency order, so by
+    # (from rank, edge key); min_in is their least time, inf for none.
+    synth = generate(ScenarioSpec(rows=12, cols=12, seed=3, highway_row=6)).graph
+    lonely = Graph({"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0)},
+                   [Edge("C", "A", 5.0, 1.0), Edge("A", "C", 5.0, 2.0, oneway=True)])
+    for g in (synth, helpers.tie_heavy_graph(rng, 9, 11), lonely):
+        arcs = range(len(g.arc_to))
+        for r in range(len(g.nodes)):
+            into = g.in_arcs[g.in_start[r]:g.in_start[r + 1]].tolist()
+            assert into == [a for a in arcs if g.arc_to[a] == r]
+            times = [g.arc_time[a] for a in into]
+            assert g.min_in[r] == (min(times) if times else math.inf)
+    # A->C over the one-way edge (key (A, C)) comes before A->C over C-A.
+    assert lonely.arc_edge.tolist() == [1, 0, 0]
+    assert lonely.in_arcs.tolist() == [2, 0, 1]
+    assert lonely.min_in.tolist() == [5.0, math.inf, 2.5]
 
 
 def test_build_graph_class_speed_override(tmp_path):
@@ -305,6 +328,17 @@ def test_shortest_path_matches_path_carrying_search_synth_grid():
     assert_tree_routes_match_oracle(generate(spec).graph)
 
 
+def batch_trees(graph, homes):
+    """network._search_batch of the (origin, targets) homes, in one batch:
+    per home, its tree's (dist, pred, pred_edge, settled) as lists."""
+    targets = [list(t) for _, t in homes]
+    trees = network._search_batch(graph, np.array([o for o, _ in homes], np.intp),
+                                  np.array([len(t) for t in targets], np.intp),
+                                  np.array([r for t in targets for r in t], np.intp))
+    return [tuple(a[i].tolist() for a in trees[:3] + (trees.settled,))
+            for i in range(len(homes))]
+
+
 def assert_same_tract_distances(graph, origin, destinations, edge_map):
     got = tract_distances_from(graph, origin, destinations, edge_map)
     assert list(got) == sorted(set(destinations))
@@ -431,8 +465,8 @@ def test_shortest_paths_from_no_destinations_and_origin_only():
     assert tract_distances_from(g, "A", [], em) == {}
     assert tract_distances_from(g, "A", ["A"], em) == {"A": {}}
     # With no targets the tree stops right after settling the source.
-    dist, pred, pred_edge, settled = network._search_tree(g, g.rank["A"], set())
-    assert settled == [r == g.rank["A"] for r in range(len(g.nodes))]
+    trees = network._search_batch(g, np.array([g.rank["A"]]), np.array([0]), np.zeros(0, int))
+    assert trees.settled[0].tolist() == [r == g.rank["A"] for r in range(len(g.nodes))]
 
 
 def test_shortest_paths_from_unreachable_and_same_node():
@@ -454,7 +488,7 @@ def test_edge_identity_map_sees_a_wrong_tie_break(monkeypatch, rng):
     # The tests above compare routes by their per-edge meters: the real
     # tie-break must pass them on these graphs, and a tie-break that is
     # reversed, or that never replaces a predecessor, must fail them.
-    real = network._tie_prefers
+    real = network._path_before
     graphs = [tie_heavy_graph(rng, 5, 6) for _ in range(3)]
 
     def assert_all_routes_same():
@@ -464,8 +498,8 @@ def test_edge_identity_map_sees_a_wrong_tie_break(monkeypatch, rng):
                 assert_same_routes(g, origin, ids)
 
     assert_all_routes_same()
-    for mutant in (lambda *args: not real(*args), lambda *args: False):
-        monkeypatch.setattr(network, "_tie_prefers", mutant)
+    for mutant in (lambda *args: ~real(*args), lambda x, *args: np.zeros(len(x), bool)):
+        monkeypatch.setattr(network, "_path_before", mutant)
         with pytest.raises(AssertionError):
             assert_all_routes_same()
 
@@ -520,6 +554,140 @@ def test_absorption_at_the_least_absorbing_time_falls_back():
         assert_same_routes(g, origin, ids)
 
 
+def assert_trees_match_heap(graph, search=network._search_batch):
+    """Every origin's full tree, all built in one batch, equals
+    helpers.search_tree's: dist bit for bit, pred, pred_edge and settled."""
+    n = len(graph.nodes)
+    trees = search(graph, np.arange(n), np.full(n, n), np.tile(np.arange(n), n))
+    for source in range(n):
+        dist, pred, pred_edge, settled = helpers.search_tree(graph, source, set(range(n)))
+        assert [d.hex() for d in trees.dist[source].tolist()] == [d.hex() for d in dist], source
+        assert trees.pred[source].tolist() == pred, source
+        assert trees.pred_edge[source].tolist() == pred_edge, source
+        assert trees.settled[source].tolist() == settled, source
+
+
+def parallel_arc_graphs():
+    """A triangle a-b-c joined at c to a square d-e-f-g, with a one-way
+    edge beside a two-way edge between the same two nodes, at an equal, a
+    smaller and a larger time: its key sorts after the two-way edge's for
+    b->a, e->d and g->f, and before it for a->c."""
+    nodes = {k: (float(i), float(i % 2)) for i, k in enumerate("abcdefg")}
+    base = [Edge("a", "b", 10.0, 1.0), Edge("b", "c", 10.0, 1.0), Edge("a", "c", 20.0, 1.0),
+            Edge("c", "d", 10.0, 1.0), Edge("d", "e", 10.0, 1.0), Edge("e", "f", 10.0, 1.0),
+            Edge("f", "g", 10.0, 1.0), Edge("d", "g", 30.0, 1.0)]
+    graphs = []
+    for length in (10.0, 5.0, 20.0):
+        for u, v in (("b", "a"), ("e", "d"), ("g", "f")):
+            graphs.append(Graph(nodes, base + [Edge(u, v, length, 1.0, oneway=True)]))
+        graphs.append(Graph(nodes, [e for e in base if e.key != ("a", "c")]
+                            + [Edge("c", "a", 20.0, 1.0), Edge("a", "c", length, 1.0, oneway=True)]))
+    return graphs
+
+
+def oracle_graphs(rng):
+    """Graphs on which the batch search must equal the heap, origin by
+    origin: ties, jittered lengths, a highway, one-way streets only,
+    isolated and unreachable nodes, and parallel arcs."""
+    graphs = [tie_heavy_graph(rng, 5, 6) for _ in range(4)]
+    graphs += [random_graph(rng, int(rng.integers(2, 12))) for _ in range(20)]
+    graphs += [helpers.jittered_graph(rng, 6, 7) for _ in range(3)]
+    graphs.append(helpers.jittered_graph(rng, 6, 7, oneway=1.0))
+    graphs.append(generate(ScenarioSpec(rows=8, cols=8, seed=3, highway_row=4)).graph)
+    lonely = {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0), "D": (3.0, 0.0), "Z": (9.0, 9.0)}
+    graphs.append(Graph(lonely, [Edge("A", "B", 1.0, 1.0, oneway=True),
+                                 Edge("C", "B", 1.0, 1.0, oneway=True),
+                                 Edge("C", "D", 2.0, 1.0)]))
+    graphs.append(Graph({"A": (0.0, 0.0)}, []))
+    return graphs + parallel_arc_graphs()
+
+
+def test_batch_trees_equal_the_heap_on_every_origin(rng):
+    for g in oracle_graphs(rng):
+        assert_trees_match_heap(g)
+
+
+def test_batch_trees_equal_the_heap_on_the_synth_24x24_graph():
+    g = generate(ScenarioSpec(rows=24, cols=24, seed=3, highway_row=12)).graph
+    assert len(g.nodes) == 625
+    assert_trees_match_heap(g)
+
+
+def test_batch_trees_equal_the_heap_at_their_targets(rng):
+    # Origins that stop early, one of them at itself: every target's tree
+    # entries equal the heap's, and an origin whose one target is itself
+    # settles nothing else, as the heap does.
+    for g in oracle_graphs(rng)[:8]:
+        n = len(g.nodes)
+        homes = [(s, sorted({int(r) for r in rng.choice(n, size=min(3, n))})) for s in range(n)]
+        homes += [(s, [s]) for s in range(n)]
+        for (source, targets), got in zip(homes, batch_trees(g, homes)):
+            want = helpers.search_tree(g, source, set(targets))
+            for v in targets:
+                assert [x[v] for x in got] == [x[v] for x in want], (source, v)
+            if targets == [source]:
+                assert got == want
+
+
+def test_batch_settles_several_nodes_per_round():
+    # On a lattice of equal streets a round settles a whole ring of nodes.
+    g = generate(ScenarioSpec(rows=12, cols=12, seed=3)).graph
+    n = len(g.nodes)
+    trees = network._search_batch(g, np.array([0]), np.array([n]), np.arange(n))
+    assert trees.settled.all()
+    assert trees.rounds == trees.depth.max() < n // 4
+
+
+def mutant_search(monkeypatch, old, new):
+    """network._search_batch of a copy of tracteq.network whose one
+    occurrence of old reads new."""
+    source = inspect.getsource(network)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("tracteq.network_mutant")
+    module.__package__ = "tracteq"
+    # dataclasses look the defining module up by name.
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), network.__file__, "exec"), module.__dict__)
+    return module._search_batch
+
+
+@pytest.mark.parametrize("old, new", [
+    # A node at exactly m + min_in settles beside its tied predecessor.
+    ("ok = time < least[owner]", "ok = time <= least[owner]"),
+    # Ties go to the smaller candidate rank, not the smaller path.
+    ("won = _path_before(cand[other], cand[best[g]], new[g], pred, jump, depth)",
+     "won = cand[other] < cand[best[g]]"),
+    # In the prefix case the child below the ancestor loses when it is smaller.
+    ("np.where(prefix, x < v, x < y)", "np.where(prefix, x > v, x < y)"),
+])
+def test_the_heap_comparison_catches_a_mutant_search(monkeypatch, rng, old, new):
+    mutant = mutant_search(monkeypatch, old, new)
+    graphs = oracle_graphs(rng)
+    for g in graphs:
+        assert_trees_match_heap(g)
+    assert any(fails_or_hangs(lambda: assert_trees_match_heap(g, mutant)) for g in graphs)
+
+
+def fails_or_hangs(check, seconds=2.0):
+    """Whether check() raises AssertionError or still runs after seconds:
+    a mutant's tie walk may follow a predecessor that is not yet set and
+    never end. The real check of every oracle graph takes well under a
+    second."""
+    def stop(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        check()
+    except (AssertionError, TimeoutError):
+        return True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return False
+
+
 def test_search_tree_times_rise_and_stopping_at_the_last_target_is_exact(rng):
     # Every settled node is reached at a larger time than its predecessor,
     # and a search that stops as its last target settles gives each target
@@ -530,9 +698,9 @@ def test_search_tree_times_rise_and_stopping_at_the_last_target_is_exact(rng):
     for g in graphs:
         n = len(g.nodes)
         for source in range(0, n, max(1, n // 8)):
-            full = network._search_tree(g, source, set(range(n)))
+            full = batch_trees(g, [(source, range(n))])[0]
             targets = {int(r) for r in rng.choice(n, size=min(3, n), replace=False)}
-            part = network._search_tree(g, source, targets)
+            part = batch_trees(g, [(source, targets)])[0]
             for dist, pred, _, settled in (full, part):
                 for v in range(n):
                     if settled[v] and v != source:
